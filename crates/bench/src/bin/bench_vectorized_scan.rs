@@ -3,8 +3,7 @@
 //! vectorized column-at-a-time executor, writing
 //! `BENCH_vectorized_scan.json`.
 //!
-//! Unlike `bench_parallel_scan`, no simulated I/O stall is charged:
-//! vectorization is a CPU optimization, so the honest comparison is raw
+//! Vectorization is a CPU optimization, so the honest comparison is raw
 //! in-memory wall time at parallelism 1. The buckets sweep selectivity
 //! (a ~0.8% point lookup, a 12.5% and a 50% IN-set on an interleaved
 //! 128-member column), a DNF envelope shape (OR of ANDs mixing both

@@ -634,7 +634,8 @@ impl Engine {
     }
 
     /// Sets the degree of parallelism (clamped to `1..=256`); `1` runs
-    /// the serial executor. Also reachable as `SET PARALLELISM n`.
+    /// the pipeline inline on the calling thread. Also reachable as
+    /// `SET PARALLELISM n`.
     pub fn set_parallelism(&self, dop: usize) {
         self.parallelism.store(dop.clamp(1, 256), Ordering::Relaxed);
     }
@@ -1148,9 +1149,13 @@ impl Engine {
     /// Runs (or explains) one SQL query with the engine-wide
     /// parallelism and guard (a session with no overrides).
     ///
-    /// No panic escapes this entry point: panics from model code (or
-    /// injected scorer faults) are caught and reported as
-    /// [`EngineError::Internal`]; the engine remains usable afterwards.
+    /// No panic escapes this entry point: the executor reports panics
+    /// from model code (or injected scorer faults) as
+    /// [`EngineError::Internal`] itself, at every degree of parallelism,
+    /// and leaves the plan cache alone — the plan was fully built and
+    /// cached before execution started. A panic while parsing,
+    /// rewriting or planning is caught here, reported the same way, and
+    /// clears the plan cache. The engine remains usable afterwards.
     pub fn query(&self, sql: &str) -> Result<QueryOutcome, EngineError> {
         self.query_in(sql, &SessionState::new())
     }
@@ -1165,7 +1170,7 @@ impl Engine {
     ) -> Result<QueryOutcome, EngineError> {
         catch_unwind(AssertUnwindSafe(|| self.query_inner(sql, session))).unwrap_or_else(
             |payload| {
-                // Conservative: a panic mid-query may have left a
+                // Conservative: a panic while planning may have left a
                 // half-built plan cached.
                 self.lock_cache().clear();
                 Err(EngineError::Internal { detail: panic_message(&*payload) })

@@ -1,45 +1,56 @@
 //! Plan execution with honest cost accounting.
 //!
-//! Two executors share one cost model and one semantics:
+//! Every plan runs through one morsel pipeline ([`execute_opts`]):
 //!
-//! * the **serial** executor ([`execute_guarded`]) — runs either the
-//!   vectorized engine (default) or, with
-//!   [`ExecOptions::vectorized`]` = false`, the row-at-a-time reference
-//!   interpreter every other path is differentially tested against;
-//! * the **partition-parallel** executor ([`execute_opts`] with
-//!   [`ExecOptions::parallelism`] > 1) — splits the scan into
-//!   page-aligned morsels dispatched over a [`std::thread::scope`]
-//!   worker pool, evaluates the residual (including black-box mining
-//!   predicates) per morsel, and merges per-morsel metrics through
-//!   shared atomics so budget breaches are detected cooperatively
-//!   across workers.
+//! 1. **prologue** — compile the residual once into a
+//!    [`CompiledPredicate`](crate::CompiledPredicate) and build the
+//!    bounded [`MemoScorer`] keyed by the dictionary-encoded input
+//!    tuple, so `model_invocations` counts actual model applications
+//!    (memo misses);
+//! 2. **coordinator** (`coordinate`, serial, on the calling thread) —
+//!    resolve the access path, run the index probes, merge a union's
+//!    postings, charge index pages and index-path heap pages against
+//!    the guard, and cut the work into jobs: page-aligned heap morsels
+//!    or contiguous chunks of the fetch list;
+//! 3. **workers** (`run_worker`) — pull jobs off an atomic dispatcher,
+//!    prove pages empty against the table's zone maps before reading
+//!    them ([`ExecMetrics::pages_skipped`] — skipped pages are *not*
+//!    charged to page budgets), and filter each page or fetch run
+//!    through the compiled predicate. [`ExecOptions::parallelism`]` = 1`
+//!    runs the loop inline on the calling thread — no thread is
+//!    spawned; higher degrees run the same loop on
+//!    [`std::thread::scope`] workers;
+//! 4. **epilogue** — reassemble hit segments by job index (ascending
+//!    row order), fold the shared counters into [`ExecMetrics`], and
+//!    run the final guard check.
 //!
-//! Both modes compile the residual once into a
-//! [`CompiledPredicate`](crate::CompiledPredicate), prove pages empty
-//! against the table's zone maps before reading them
-//! ([`ExecMetrics::pages_skipped`] — skipped pages are *not* charged to
-//! page budgets), and route model predictions through a bounded
-//! [`MemoScorer`] keyed by the dictionary-encoded input tuple, so
-//! `model_invocations` counts actual model applications (memo misses)
-//! identically everywhere. On success all executors report
-//! byte-identical row sets and identical `rows_examined` / page /
-//! `model_invocations` totals (and therefore identical
-//! [`GuardHeadroom`]); wall-clock fields are the only legitimate
-//! divergence. `tests/parallel_oracle.rs` and
-//! `tests/vectorized_oracle.rs` hold the differential property tests
-//! backing that claim.
+//! **One charging rule.** `SharedProgress` is the only budget
+//! accounting: heap pages are charged one at a time on top of the
+//! coordinator's pre-charged pages; rows are charged a page (or fetch
+//! run) at a time, and a rows-budget breach reports
+//! `spent = limit + 1` — the first row past the limit, where a per-row
+//! count trips — at every degree of parallelism; the invocation budget,
+//! the deadline and the cancellation flag are checked after every row a
+//! `Scalar` (mining) leaf evaluates. The first error cancels the
+//! remaining jobs. A panic inside the worker loop (model code or an
+//! injected scorer fault) is caught in one place and surfaces as
+//! [`EngineError::Internal`], at dop 1 as at any other.
 //!
-//! Guard semantics under batching: the vectorized scan charges a page's
-//! rows at once but reports a rows-budget breach with
-//! `spent = limit + 1`, exactly where the row-at-a-time reference trips.
-//! The only documented divergence is *classification* when two distinct
-//! budgets would both trip inside one page (the reference trips whichever
-//! its per-row check order hits first); single-budget breaches classify
-//! identically at every degree of parallelism.
+//! On success every degree of parallelism reports byte-identical row
+//! sets and identical `rows_examined` / page / `model_invocations`
+//! totals (and therefore identical [`GuardHeadroom`]); wall-clock
+//! fields are the only legitimate divergence. The same holds against
+//! the serial row-at-a-time interpreter in `reference.rs`
+//! ([`ExecOptions::vectorized`]` = false`), which shares the
+//! coordinator phase and exists as the differential-testing baseline.
+//! `tests/parallel_oracle.rs` and `tests/vectorized_oracle.rs` hold the
+//! property tests backing both claims. The only documented divergence
+//! from the reference is *classification* when two distinct budgets
+//! would both trip inside one page (the reference trips whichever its
+//! per-row check order hits first).
 
 use crate::catalog::Catalog;
 use crate::error::{panic_message, EngineError, GuardResource};
-use crate::expr::Expr;
 use crate::fault::FaultInjector;
 use crate::guard::{GuardHeadroom, GuardState, QueryGuard};
 use crate::optimizer::{AccessPath, Plan};
@@ -48,14 +59,13 @@ use crate::vectorized::{
     BatchCtx, CalibClock, CompiledPredicate, FeedbackObservation, MemoScorer,
     CALIBRATION_ROWS, DEFAULT_MEMO_CAPACITY,
 };
-use mpq_types::Member;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Metrics observed while executing a plan — the quantities the paper's
 /// experiments compare (pages touched drive the running-time reductions;
@@ -143,27 +153,22 @@ pub struct ExecResult {
     pub feedback: Vec<FeedbackObservation>,
 }
 
+
 /// Tuning knobs for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads for partition-parallel execution. `1` (the
-    /// default) runs the serial executor; higher values split the scan
-    /// into page-aligned morsels over a scoped worker pool. Clamped to
-    /// `1..=256`.
+    /// Worker threads. `1` (the default) runs the pipeline inline on
+    /// the calling thread; higher values split the work into
+    /// page-aligned morsels over a scoped worker pool. Clamped to
+    /// `1..=256` by [`execute_opts`].
     pub parallelism: usize,
-    /// Simulated I/O stall charged per page read. The engine's cost
-    /// model is I/O-bound like the paper's environment, but the heaps
-    /// here are CPU-resident — benchmarks set a per-page stall (e.g.
-    /// the ~50µs of an NVMe random 8K read) so scan times track the
-    /// page counts the cost model predicts and parallel scans overlap
-    /// the stalls. `None` (the default, and what the engine uses for
-    /// queries) charges nothing.
-    pub io_stall: Option<Duration>,
-    /// `true` (the default) evaluates residuals through the compiled
-    /// column-at-a-time program; `false` selects the row-at-a-time
-    /// reference interpreter. Both modes use zone-map pruning and the
-    /// scorer memo, so on success their metrics are identical — the
-    /// reference exists as the differential-testing baseline.
+    /// `true` (the default) runs the production pipeline, which
+    /// evaluates residuals through the compiled column-at-a-time
+    /// program. `false` selects the row-at-a-time reference
+    /// interpreter: serial — it ignores `parallelism` — and
+    /// fixed-order. Both use zone-map pruning and the scorer memo, so
+    /// on success their metrics are identical — the reference exists as
+    /// the differential-testing baseline.
     pub vectorized: bool,
     /// Scorer memo capacity in cached `(model, tuple)` entries;
     /// `0` disables memoization (every prediction hits the model).
@@ -185,7 +190,6 @@ impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
             parallelism: 1,
-            io_stall: None,
             vectorized: true,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
             adaptive: true,
@@ -194,8 +198,7 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options running `n` workers (clamped to `1..=256`) with no
-    /// simulated I/O.
+    /// Options running `n` workers (clamped to `1..=256`).
     pub fn with_parallelism(n: usize) -> ExecOptions {
         ExecOptions { parallelism: n.clamp(1, 256), ..ExecOptions::default() }
     }
@@ -204,23 +207,15 @@ impl ExecOptions {
 /// Executes `plan` against the catalog with no resource limits.
 ///
 /// Equivalent to [`execute_guarded`] with [`QueryGuard::unlimited`]; an
-/// unlimited guard can never trip, so this cannot fail.
+/// unlimited guard can never trip, so this panics only if model code
+/// does.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> ExecResult {
     execute_guarded(plan, catalog, QueryGuard::unlimited())
         .expect("unlimited guard cannot trip")
 }
 
-/// Executes `plan` against the catalog under `guard`, serially.
-///
-/// The guard is checked cooperatively: per page scanned and per scalar
-/// (mining) row evaluated. A breach aborts with
-/// [`EngineError::BudgetExceeded`]; no partial row set is returned.
-///
-/// If the catalog's [`crate::FaultInjector`] has index-probe failure
-/// armed, index plans degrade to a full scan evaluating the complete
-/// residual predicate — the row set is identical (the residual is the
-/// whole predicate; index seeks only pre-filter), only the page counts
-/// grow. The fallback is flagged in [`ExecMetrics::index_fallback`].
+/// Executes `plan` against the catalog under `guard` with the default
+/// [`ExecOptions`] (dop 1, on the calling thread).
 pub fn execute_guarded(
     plan: &Plan,
     catalog: &Catalog,
@@ -229,66 +224,118 @@ pub fn execute_guarded(
     execute_opts(plan, catalog, guard, &ExecOptions::default())
 }
 
-/// Executes `plan` under `guard` with explicit [`ExecOptions`] —
-/// the entry point that selects between the serial and the
-/// partition-parallel executor.
+/// Executes `plan` under `guard` with explicit [`ExecOptions`].
 ///
-/// With `opts.parallelism > 1` and a parallelizable access path, the
-/// scan is split into page-aligned morsels dispatched over scoped
-/// worker threads. Semantics are identical to the serial executor: the
-/// same row set (in the same ascending order), the same page / row /
-/// model-invocation totals on success, and a typed
+/// The guard is checked cooperatively: per page scanned and per scalar
+/// (mining) row evaluated. A breach aborts with
 /// [`EngineError::BudgetExceeded`] carrying the same tripped resource
-/// on a breach. A panic inside a worker (model code or an injected
-/// scorer fault) cancels the remaining morsels and surfaces as
+/// at every degree of parallelism; no partial row set is returned. A
+/// panic inside the scan (model code or an injected scorer fault)
+/// cancels the remaining work and surfaces as
 /// [`EngineError::Internal`] — it never aborts the process or poisons
 /// engine state.
+///
+/// If the catalog's [`crate::FaultInjector`] has index-probe failure
+/// armed, index plans degrade to a full scan evaluating the complete
+/// residual predicate — the row set is identical (the residual is the
+/// whole predicate; index seeks only pre-filter), only the page counts
+/// grow. The fallback is flagged in [`ExecMetrics::index_fallback`].
 pub fn execute_opts(
     plan: &Plan,
     catalog: &Catalog,
     guard: QueryGuard,
     opts: &ExecOptions,
 ) -> Result<ExecResult, EngineError> {
-    if opts.parallelism <= 1 || !plan.access.is_parallelizable() {
-        execute_serial(plan, catalog, guard, opts)
+    if !opts.vectorized {
+        return crate::reference::execute(plan, catalog, guard, opts);
+    }
+    let start = Instant::now();
+    let dop = opts.parallelism.clamp(1, 256);
+    let gs = GuardState::new(guard);
+    let table = &catalog.table(plan.table).table;
+    let memo = memo_for_plan(plan, catalog, opts);
+    let schema = table.schema();
+    let compiled = CompiledPredicate::compile(&plan.residual, schema, opts.adaptive);
+    let compiled_skip =
+        plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, opts.adaptive));
+
+    let Coordinated { fetched, jobs, positions, metrics: mut m } =
+        coordinate(plan, catalog, &gs, dop)?;
+
+    // One calibration clock per execution. Workers claim jobs in
+    // ascending index order, so the calibration positions (the lowest
+    // ones) are always in flight first and a worker waiting for the
+    // clock cannot starve it.
+    let clock = CalibClock::new(CALIBRATION_ROWS.min(positions));
+    // The coordinator's pages are pre-charged so scan-phase page
+    // breaches see the true total.
+    let shared = SharedProgress::new(guard, m.total_pages());
+    let wctx = WorkerCtx {
+        jobs: &jobs,
+        fetched: &fetched,
+        table,
+        memo: &memo,
+        compiled: &compiled,
+        compiled_skip: compiled_skip.as_ref(),
+        shared: &shared,
+        gs: &gs,
+        faults: catalog.faults(),
+        clock: &clock,
+    };
+    // The one place a worker panic is caught, whichever thread runs it.
+    let run = || {
+        catch_unwind(AssertUnwindSafe(|| run_worker(&wctx))).unwrap_or_else(|payload| {
+            shared.fail(EngineError::Internal { detail: panic_message(&*payload) });
+            Vec::new()
+        })
+    };
+    let workers = dop.min(jobs.len());
+    let mut segments = if workers <= 1 {
+        run()
     } else {
-        execute_parallel(plan, catalog, guard, opts)
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("`run` catches worker panics"))
+                .collect()
+        })
+    };
+    if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        return Err(err);
     }
-}
 
-/// Resolves the effective access path: injected index failures degrade
-/// index plans to a full scan with the complete residual — sound
-/// because `plan.residual` is the whole predicate. Returns the path and
-/// whether the fallback fired.
-fn effective_access<'p>(plan: &'p Plan, catalog: &Catalog) -> (&'p AccessPath, bool) {
-    let fallback = catalog.faults().index_probe_failure_armed()
-        && matches!(plan.access, AccessPath::IndexSeek(_) | AccessPath::IndexUnion(_));
-    if fallback {
-        (&AccessPath::FullScan, true)
-    } else {
-        (&plan.access, false)
+    // Jobs are row-ordered and each job's hits are ascending, so
+    // concatenating segments by job index yields ascending row order.
+    segments.sort_unstable_by_key(|(i, _)| *i);
+    let mut segments = segments.into_iter();
+    let mut out = segments.next().map_or_else(Vec::new, |(_, hits)| hits);
+    for (_, mut hits) in segments {
+        out.append(&mut hits);
     }
-}
 
-/// Sleeps `pages × stall` when a simulated I/O stall is configured.
-fn stall_pages(stall: Option<Duration>, pages: u64) {
-    if let Some(d) = stall {
-        if pages > 0 {
-            std::thread::sleep(d * pages.min(u32::MAX as u64) as u32);
-        }
+    m.rows_examined = shared.rows.load(Ordering::Relaxed);
+    m.pages_skipped = shared.skipped.load(Ordering::Relaxed);
+    m.heap_pages_read = shared.pages.load(Ordering::Relaxed) - m.index_pages_read;
+    m.factor_hits = shared.factor_hits.load(Ordering::Relaxed);
+    m.clauses_reordered = compiled.reordered_clauses()
+        + compiled_skip.as_ref().map_or(0, |c| c.reordered_clauses());
+    sync_model_metrics(&memo, &mut m);
+    // Covers paths that examined nothing (constant scans past the
+    // deadline, fully zone-pruned scans).
+    gs.check(&m)?;
+    m.output_rows = out.len() as u64;
+    m.elapsed = start.elapsed();
+    m.guard = gs.headroom(&m);
+    let mut feedback = compiled.feedback();
+    if let Some(c) = &compiled_skip {
+        feedback.extend(c.feedback());
     }
-}
-
-/// Copies row `row`'s cells into `buf` (the reference interpreter's
-/// tuple materialization).
-fn fill_row(table: &Table, row: RowId, buf: &mut [Member]) {
-    for (d, cell) in buf.iter_mut().enumerate() {
-        *cell = table.cell(row, d);
-    }
+    Ok(ExecResult { rows: out, metrics: m, feedback })
 }
 
 /// Copies the memo's counters into the metrics the guard checks.
-fn sync_model_metrics(memo: &MemoScorer<'_>, m: &mut ExecMetrics) {
+pub(crate) fn sync_model_metrics(memo: &MemoScorer<'_>, m: &mut ExecMetrics) {
     m.model_invocations = memo.invocations();
     m.memo_hits = memo.hits();
     m.cascade_accepts = memo.cascade_accepts();
@@ -299,164 +346,99 @@ fn sync_model_metrics(memo: &MemoScorer<'_>, m: &mut ExecMetrics) {
 
 /// The scorer memo for one execution of `plan`: cascade tables are
 /// built (and verified) from the plan's cascade annotations.
-fn memo_for_plan<'a>(plan: &Plan, catalog: &'a Catalog, opts: &ExecOptions) -> MemoScorer<'a> {
+pub(crate) fn memo_for_plan<'a>(
+    plan: &Plan,
+    catalog: &'a Catalog,
+    opts: &ExecOptions,
+) -> MemoScorer<'a> {
     let models: Vec<crate::expr::ModelId> = plan.cascades.iter().map(|(m, _)| *m).collect();
     MemoScorer::with_cascades(catalog, opts.memo_capacity, crate::compile::build_cascades(catalog, &models))
 }
 
-/// Charges `n` rows at once, tripping the rows budget at exactly the
-/// point the row-at-a-time reference would: the first row past the
-/// limit, reported as `spent = limit + 1`.
-fn charge_rows_batched(
-    gs: &GuardState,
-    m: &mut ExecMetrics,
-    n: u64,
-) -> Result<(), EngineError> {
-    if let Some(limit) = gs.guard().max_rows_examined {
-        if m.rows_examined + n > limit {
-            return Err(EngineError::BudgetExceeded {
-                resource: GuardResource::RowsExamined,
-                spent: limit + 1,
-                limit,
-            });
-        }
-    }
-    m.rows_examined += n;
-    Ok(())
+/// The row ids stored on heap page `page`.
+pub(crate) fn page_rows(table: &Table, page: usize) -> Range<RowId> {
+    let rpp = table.rows_per_page();
+    (page * rpp) as RowId..(page * rpp + rpp).min(table.n_rows()) as RowId
 }
 
-fn execute_serial(
+/// Injected fault: a scorer blowing up while `page`'s rows are being
+/// evaluated.
+pub(crate) fn fire_page_fault(faults: &FaultInjector, page: usize) {
+    if faults.scorer_panic_page() == Some(page) {
+        panic!("injected fault: scorer panicked on heap page {page}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Coordinator phase
+// ---------------------------------------------------------------------
+
+/// One unit of dispatchable work.
+pub(crate) enum Job {
+    /// A page-aligned heap range (full scan).
+    Scan(Range<RowId>),
+    /// A range of positions in the coordinator's fetch list (index
+    /// paths); its start is the adaptive calibration position.
+    Fetch(Range<usize>),
+}
+
+/// What the coordinator phase hands to the workers (and to the serial
+/// reference interpreter, which walks the same jobs in order).
+pub(crate) struct Coordinated {
+    /// The index paths' fetch list: ascending, deduplicated
+    /// `(row, use_skip)`; the flag selects the `skip_or` residual
+    /// (exact-seek fast path) over the full one. Empty on scans.
+    pub fetched: Vec<(RowId, bool)>,
+    /// The work, in ascending row order.
+    pub jobs: Vec<Job>,
+    /// Scan positions the jobs cover: row ids on a full scan,
+    /// fetch-list indexes on index paths.
+    pub positions: u64,
+    /// Pages charged so far — index pages and index-path heap pages —
+    /// plus [`ExecMetrics::index_fallback`]; everything else zero.
+    pub metrics: ExecMetrics,
+}
+
+/// Resolves the access path and does its serial part: index probes,
+/// union merge and page accounting for index paths (checked against
+/// the guard as they accrue, so page-budget breaches classify and
+/// report identically everywhere), then cuts the work into jobs for
+/// `dop` workers — `4 × dop` of them so the dispatcher can rebalance
+/// skewed per-job costs, except that a lone worker has nobody to
+/// rebalance with and gets a single job.
+pub(crate) fn coordinate(
     plan: &Plan,
     catalog: &Catalog,
-    guard: QueryGuard,
-    opts: &ExecOptions,
-) -> Result<ExecResult, EngineError> {
-    let start = Instant::now();
-    let gs = GuardState::new(guard);
-    let inv_limit = guard.max_model_invocations;
+    gs: &GuardState,
+    dop: usize,
+) -> Result<Coordinated, EngineError> {
     let entry = catalog.table(plan.table);
     let table = &entry.table;
-    let io_stall = opts.io_stall;
-    let faults = catalog.faults();
-    let memo = memo_for_plan(plan, catalog, opts);
-    let schema = table.schema();
-    let adaptive = opts.adaptive && opts.vectorized;
-    let compiled = CompiledPredicate::compile(&plan.residual, schema, adaptive);
-    let compiled_skip =
-        plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, adaptive));
-    let residual = &plan.residual;
-    let mut m = ExecMetrics::default();
-    let mut out: Vec<RowId> = Vec::new();
-    let mut sel: Vec<RowId> = Vec::new();
+    let rpp = table.rows_per_page();
+    // Injected index failures degrade index plans to a full scan with
+    // the complete residual — sound because `plan.residual` is the
+    // whole predicate.
+    let index_fallback = catalog.faults().index_probe_failure_armed()
+        && matches!(plan.access, AccessPath::IndexSeek(_) | AccessPath::IndexUnion(_));
+    let access = if index_fallback { &AccessPath::FullScan } else { &plan.access };
+    let mut m = ExecMetrics { index_fallback, ..ExecMetrics::default() };
 
-    let (access, index_fallback) = effective_access(plan, catalog);
-    m.index_fallback = index_fallback;
-
-    // After each row a `Scalar` (mining) leaf evaluates, check the
-    // invocation budget and the deadline — the same cadence at which the
-    // reference interpreter's per-row check can first observe them trip.
-    let mut after_scalar = || -> Result<(), EngineError> {
-        if let Some(limit) = inv_limit {
-            let spent = memo.invocations();
-            if spent > limit {
-                return Err(EngineError::BudgetExceeded {
-                    resource: GuardResource::ModelInvocations,
-                    spent,
-                    limit,
-                });
-            }
-        }
-        gs.check_deadline()
-    };
-    let factor_slots = compiled
-        .factor_slots()
-        .max(compiled_skip.as_ref().map_or(0, |c| c.factor_slots()));
-    let mut ctx = BatchCtx {
-        table,
-        oracle: &memo,
-        row_buf: vec![0u16; schema.len()],
-        after_scalar_row: &mut after_scalar,
-        factor_pass: vec![None; factor_slots],
-        factor_hits: 0,
-        cancel: None,
-    };
-
+    let mut fetched: Vec<(RowId, bool)> = Vec::new();
     match access {
         AccessPath::ConstantScan => {}
         AccessPath::FullScan => {
-            let rpp = table.rows_per_page();
-            let n_rows = table.n_rows();
-            // Calibration positions are row ids; zone-skipped pages
-            // credit their row range so the clock still completes.
-            let clock = CalibClock::new(CALIBRATION_ROWS.min(n_rows as u64));
-            for page in 0..table.n_pages() {
-                let first = (page * rpp) as RowId;
-                let last = (page * rpp + rpp).min(n_rows) as RowId;
-                if !compiled.page_may_match(table.page_zones(page)) {
-                    m.pages_skipped += 1;
-                    clock.credit_range(first as u64, last as u64);
-                    continue;
-                }
-                if faults.scorer_panic_page() == Some(page) {
-                    // Injected fault: a scorer blowing up while this
-                    // page's rows are being evaluated.
-                    panic!("injected fault: scorer panicked on heap page {page}");
-                }
-                m.heap_pages_read += 1;
-                stall_pages(io_stall, 1);
-                sync_model_metrics(&memo, &mut m);
-                gs.check(&m)?;
-                if opts.vectorized {
-                    charge_rows_batched(&gs, &mut m, (last - first) as u64)?;
-                    sel.clear();
-                    sel.extend(first..last);
-                    compiled.filter_batch_at(&mut sel, &mut ctx, first as u64, &clock)?;
-                    out.extend_from_slice(&sel);
-                    sync_model_metrics(&memo, &mut m);
-                    gs.check(&m)?;
-                } else {
-                    for row in first..last {
-                        fill_row(table, row, &mut ctx.row_buf);
-                        m.rows_examined += 1;
-                        let mut tree_inv = 0u64;
-                        if residual.eval(&ctx.row_buf, &memo, &mut tree_inv) {
-                            out.push(row);
-                        }
-                        sync_model_metrics(&memo, &mut m);
-                        gs.check(&m)?;
-                    }
-                }
-            }
+            let n = table.n_rows() as RowId;
+            let jobs = if dop == 1 && n > 0 {
+                vec![Job::Scan(0..n)]
+            } else {
+                table.morsels(dop).into_iter().map(Job::Scan).collect()
+            };
+            return Ok(Coordinated { fetched, jobs, positions: n as u64, metrics: m });
         }
         AccessPath::IndexSeek(seek) => {
-            let ix = &entry.indexes[seek.index];
-            let rows = ix.probe(&seek.preds);
-            m.index_pages_read = index_pages(rows.len(), table.rows_per_page());
-            m.heap_pages_read = distinct_pages(&rows, table);
-            gs.check(&m)?;
-            stall_pages(io_stall, m.total_pages());
-            if opts.vectorized {
-                charge_rows_batched(&gs, &mut m, rows.len() as u64)?;
-                // Calibration positions are fetch-list indexes here.
-                let clock = CalibClock::new(CALIBRATION_ROWS.min(rows.len() as u64));
-                sel.clear();
-                sel.extend_from_slice(&rows);
-                compiled.filter_batch_at(&mut sel, &mut ctx, 0, &clock)?;
-                out.extend_from_slice(&sel);
-                sync_model_metrics(&memo, &mut m);
-                gs.check(&m)?;
-            } else {
-                for row in rows {
-                    fill_row(table, row, &mut ctx.row_buf);
-                    m.rows_examined += 1;
-                    let mut tree_inv = 0u64;
-                    if residual.eval(&ctx.row_buf, &memo, &mut tree_inv) {
-                        out.push(row);
-                    }
-                    sync_model_metrics(&memo, &mut m);
-                    gs.check(&m)?;
-                }
-            }
+            let rows = entry.indexes[seek.index].probe(&seek.preds);
+            m.index_pages_read = index_pages(rows.len(), rpp);
+            fetched.extend(rows.into_iter().map(|r| (r, false)));
         }
         AccessPath::IndexUnion(seeks) => {
             // Tag each fetched row with whether *some* exact seek
@@ -466,108 +448,92 @@ fn execute_serial(
             // cheap to verify.
             let mut lists: Vec<(Vec<RowId>, bool)> = Vec::with_capacity(seeks.len());
             for seek in seeks {
-                let ix = &entry.indexes[seek.index];
-                let rows = ix.probe(&seek.preds);
-                m.index_pages_read += index_pages(rows.len(), table.rows_per_page());
+                let rows = entry.indexes[seek.index].probe(&seek.preds);
+                m.index_pages_read += index_pages(rows.len(), rpp);
                 gs.check(&m)?;
                 lists.push((rows, seek.exact));
             }
-            let union = merge_union(&lists, plan.skip_or.is_some());
-            m.heap_pages_read =
-                distinct_pages_sorted(union.iter().map(|(r, _)| *r), table);
-            gs.check(&m)?;
-            stall_pages(io_stall, m.total_pages());
-            if opts.vectorized {
-                // Maximal runs of rows sharing a residual choice batch
-                // together; runs stay ascending, so output order holds.
-                // Both residuals share one calibration clock; positions
-                // are indexes into the merged union list.
-                let clock = CalibClock::new(CALIBRATION_ROWS.min(union.len() as u64));
-                let mut i = 0;
-                while i < union.len() {
-                    let flag = union[i].1;
-                    let mut j = i + 1;
-                    while j < union.len() && union[j].1 == flag {
-                        j += 1;
-                    }
-                    charge_rows_batched(&gs, &mut m, (j - i) as u64)?;
-                    sel.clear();
-                    sel.extend(union[i..j].iter().map(|(r, _)| *r));
-                    let pred = if flag {
-                        compiled_skip.as_ref().unwrap_or(&compiled)
-                    } else {
-                        &compiled
-                    };
-                    pred.filter_batch_at(&mut sel, &mut ctx, i as u64, &clock)?;
-                    out.extend_from_slice(&sel);
-                    sync_model_metrics(&memo, &mut m);
-                    gs.check(&m)?;
-                    i = j;
-                }
-            } else {
-                let skip_or = plan.skip_or.as_ref();
-                for (row, use_skip) in union {
-                    let pred = if use_skip { skip_or.unwrap_or(residual) } else { residual };
-                    fill_row(table, row, &mut ctx.row_buf);
-                    m.rows_examined += 1;
-                    let mut tree_inv = 0u64;
-                    if pred.eval(&ctx.row_buf, &memo, &mut tree_inv) {
-                        out.push(row);
-                    }
-                    sync_model_metrics(&memo, &mut m);
-                    gs.check(&m)?;
-                }
-            }
+            fetched = merge_union(&lists, plan.skip_or.is_some());
         }
     }
-
-    // Final check covers paths that examined nothing (e.g. constant
-    // scans past the deadline, or fully zone-pruned scans).
-    sync_model_metrics(&memo, &mut m);
+    m.heap_pages_read = distinct_pages(fetched.iter().map(|(r, _)| *r), table);
     gs.check(&m)?;
-    m.clauses_reordered = compiled.reordered_clauses()
-        + compiled_skip.as_ref().map_or(0, |c| c.reordered_clauses());
-    m.factor_hits = ctx.factor_hits;
-    let mut feedback = compiled.feedback();
-    if let Some(c) = &compiled_skip {
-        feedback.extend(c.feedback());
+
+    let len = fetched.len();
+    let chunk = if dop == 1 { len } else { len.div_ceil(dop * 4) };
+    let jobs = (0..len)
+        .step_by(chunk.max(1))
+        .map(|s| Job::Fetch(s..(s + chunk).min(len)))
+        .collect();
+    Ok(Coordinated { fetched, jobs, positions: len as u64, metrics: m })
+}
+
+fn index_pages(postings: usize, rows_per_page: usize) -> u64 {
+    // Postings are dense u32s; a page holds ~4x as many entries as rows.
+    (postings.div_ceil((rows_per_page * 4).max(1)).max(1)) as u64
+}
+
+/// K-way merges the (ascending) posting lists of a union's seeks into
+/// one ascending, deduplicated `(row, use_skip)` list. Among duplicates
+/// the exact-seek copy wins (its rows may take the `skip_or` fast path);
+/// the flag is pre-resolved to `exact && has_skip` so evaluation picks
+/// residuals by the flag alone.
+fn merge_union(lists: &[(Vec<RowId>, bool)], has_skip: bool) -> Vec<(RowId, bool)> {
+    let total: usize = lists.iter().map(|(rows, _)| rows.len()).sum();
+    // Heap entries order by (row, !exact): the exact copy of a row pops
+    // first, so dedup keeps it.
+    let mut heap: BinaryHeap<Reverse<(RowId, bool, usize, usize)>> =
+        BinaryHeap::with_capacity(lists.len());
+    for (li, (rows, exact)) in lists.iter().enumerate() {
+        debug_assert!(rows.windows(2).all(|p| p[0] <= p[1]), "probe lists are sorted");
+        if let Some(&r) = rows.first() {
+            heap.push(Reverse((r, !exact, li, 0)));
+        }
     }
-    m.output_rows = out.len() as u64;
-    m.elapsed = start.elapsed();
-    m.guard = gs.headroom(&m);
-    Ok(ExecResult { rows: out, metrics: m, feedback })
+    let mut out: Vec<(RowId, bool)> = Vec::with_capacity(total);
+    while let Some(Reverse((row, inexact, li, idx))) = heap.pop() {
+        if out.last().map(|&(r, _)| r) != Some(row) {
+            out.push((row, !inexact && has_skip));
+        }
+        let (rows, exact) = &lists[li];
+        if idx + 1 < rows.len() {
+            heap.push(Reverse((rows[idx + 1], !exact, li, idx + 1)));
+        }
+    }
+    out
+}
+
+/// Distinct heap pages among ascending row ids: count page transitions
+/// in one pass instead of hashing every row.
+fn distinct_pages(rows: impl Iterator<Item = RowId>, table: &Table) -> u64 {
+    let mut n = 0u64;
+    let mut last = usize::MAX;
+    let mut prev_row = 0 as RowId;
+    for r in rows {
+        debug_assert!(n == 0 || r >= prev_row, "rows must be sorted");
+        prev_row = r;
+        let p = table.page_of(r);
+        if p != last {
+            n += 1;
+            last = p;
+        }
+    }
+    n
 }
 
 // ---------------------------------------------------------------------
-// Partition-parallel executor
+// Workers
 // ---------------------------------------------------------------------
 
-/// Worker deadline-check interval, in rows (reference mode). Row / page
-/// / invocation budgets are charged exactly through shared atomics; only
-/// the wall-clock probe is amortized (a deadline breach is
-/// timing-dependent either way). The vectorized path probes the
-/// deadline per page and per scalar row instead.
-const DEADLINE_CHECK_ROWS: u32 = 128;
-
-/// One unit of dispatchable work.
-enum Job<'a> {
-    /// A page-aligned heap range (full scan).
-    Scan(Range<RowId>),
-    /// A slice of pre-fetched index rows starting at `offset` within the
-    /// full fetch list (the adaptive calibration position); each row's
-    /// flag selects the `skip_or` residual (exact-seek fast path) over
-    /// the full one.
-    Fetch { rows: &'a [(RowId, bool)], offset: u64 },
-}
-
-/// Budget and cancellation state shared by all workers of one query.
+/// Budget and cancellation state shared by all workers of one query —
+/// the only charging discipline, at dop 1 as at any other.
 struct SharedProgress {
     guard: QueryGuard,
     /// Next job index to dispatch.
     next: AtomicUsize,
     rows: AtomicU64,
-    /// Total pages charged so far (index pages pre-charged by the
-    /// coordinator; heap pages charged progressively by scan workers).
+    /// Total pages charged so far (pre-charged by the coordinator; heap
+    /// pages charged progressively by scan jobs).
     pages: AtomicU64,
     /// Heap pages proven empty by zone maps and skipped.
     skipped: AtomicU64,
@@ -575,7 +541,7 @@ struct SharedProgress {
     /// exit (per-row additive, so the total is batching-independent).
     factor_hits: AtomicU64,
     /// Cooperative stop: set after a breach or panic; workers poll it
-    /// per page / per scalar row, so no worker does more than one
+    /// per page read / per scalar row, so no worker does more than one
     /// batch's work past a breach.
     cancel: AtomicBool,
     /// First error wins; later ones are dropped.
@@ -609,15 +575,15 @@ impl SharedProgress {
         self.cancel.load(Ordering::Relaxed)
     }
 
+    /// Charges a batch of `n` rows. A breach reports the point a
+    /// per-row count would trip — the first row past the limit — so
+    /// `spent` does not depend on batch size or worker interleaving.
     fn charge_rows(&self, n: u64) -> Result<(), EngineError> {
-        if n == 0 {
-            return Ok(());
-        }
         let spent = self.rows.fetch_add(n, Ordering::Relaxed) + n;
         match self.guard.max_rows_examined {
             Some(limit) if spent > limit => Err(EngineError::BudgetExceeded {
                 resource: GuardResource::RowsExamined,
-                spent,
+                spent: limit + 1,
                 limit,
             }),
             _ => Ok(()),
@@ -649,187 +615,17 @@ impl SharedProgress {
     }
 }
 
-fn execute_parallel(
-    plan: &Plan,
-    catalog: &Catalog,
-    guard: QueryGuard,
-    opts: &ExecOptions,
-) -> Result<ExecResult, EngineError> {
-    let start = Instant::now();
-    let gs = GuardState::new(guard);
-    let entry = catalog.table(plan.table);
-    let table = &entry.table;
-    let mut m = ExecMetrics::default();
-    let io_stall = opts.io_stall;
-    let memo = memo_for_plan(plan, catalog, opts);
-    let schema = table.schema();
-    let adaptive = opts.adaptive && opts.vectorized;
-    let compiled = CompiledPredicate::compile(&plan.residual, schema, adaptive);
-    let compiled_skip =
-        plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, adaptive));
-
-    let (access, index_fallback) = effective_access(plan, catalog);
-    m.index_fallback = index_fallback;
-
-    // Phase 1 (coordinator, serial): index probes and page accounting
-    // for index paths — byte-identical to the serial executor, so page
-    // budget breaches classify identically. Produces the job list.
-    let mut fetched: Vec<(RowId, bool)> = Vec::new();
-    let jobs: Vec<Job<'_>> = match access {
-        AccessPath::ConstantScan => Vec::new(),
-        AccessPath::FullScan => {
-            table.morsels(opts.parallelism).into_iter().map(Job::Scan).collect()
-        }
-        AccessPath::IndexSeek(seek) => {
-            let ix = &entry.indexes[seek.index];
-            let rows = ix.probe(&seek.preds);
-            m.index_pages_read = index_pages(rows.len(), table.rows_per_page());
-            m.heap_pages_read = distinct_pages(&rows, table);
-            gs.check(&m)?;
-            stall_pages(io_stall, m.total_pages());
-            fetched.extend(rows.into_iter().map(|r| (r, false)));
-            chunk_jobs(&fetched, opts.parallelism)
-        }
-        AccessPath::IndexUnion(seeks) => {
-            let mut lists: Vec<(Vec<RowId>, bool)> = Vec::with_capacity(seeks.len());
-            for seek in seeks {
-                let ix = &entry.indexes[seek.index];
-                let rows = ix.probe(&seek.preds);
-                m.index_pages_read += index_pages(rows.len(), table.rows_per_page());
-                gs.check(&m)?;
-                lists.push((rows, seek.exact));
-            }
-            // A row from an exact seek only needs `skip_or` — but only
-            // when the plan actually carries one.
-            fetched = merge_union(&lists, plan.skip_or.is_some());
-            m.heap_pages_read =
-                distinct_pages_sorted(fetched.iter().map(|(r, _)| *r), table);
-            gs.check(&m)?;
-            stall_pages(io_stall, m.total_pages());
-            chunk_jobs(&fetched, opts.parallelism)
-        }
-    };
-
-    // One calibration clock per execution: positions are row ids on a
-    // full scan and fetch-list indexes on index paths. Workers claim
-    // jobs in ascending index order, so the calibration positions (the
-    // lowest ones) are always in flight first and a worker waiting for
-    // the clock cannot starve it.
-    let calib_total = match access {
-        AccessPath::FullScan => CALIBRATION_ROWS.min(table.n_rows() as u64),
-        AccessPath::ConstantScan => 0,
-        AccessPath::IndexSeek(_) | AccessPath::IndexUnion(_) => {
-            CALIBRATION_ROWS.min(fetched.len() as u64)
-        }
-    };
-    let clock = CalibClock::new(calib_total);
-
-    // Index pages (and index-path heap pages) were checked above;
-    // pre-charge them so scan-phase page breaches see the true total.
-    let shared = SharedProgress::new(guard, m.total_pages());
-    let trivial_residual = matches!(plan.residual, Expr::Const(true));
-    let workers = opts.parallelism.clamp(1, 256).min(jobs.len().max(1));
-    let collected: Mutex<Vec<(usize, Vec<RowId>)>> = Mutex::new(Vec::new());
-    let faults = catalog.faults();
-    let wctx = WorkerCtx {
-        jobs: &jobs,
-        plan,
-        table,
-        memo: &memo,
-        compiled: &compiled,
-        compiled_skip: compiled_skip.as_ref(),
-        shared: &shared,
-        gs: &gs,
-        io_stall,
-        faults,
-        vectorized: opts.vectorized,
-        clock: &clock,
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_worker(&wctx)));
-                match outcome {
-                    Ok(segments) => {
-                        let mut all =
-                            collected.lock().unwrap_or_else(|e| e.into_inner());
-                        all.extend(segments);
-                    }
-                    Err(payload) => {
-                        shared.fail(EngineError::Internal {
-                            detail: panic_message(&*payload),
-                        });
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        return Err(err);
-    }
-
-    // Morsels are row-ordered and each worker's hits are ascending, so
-    // sorting segments by job index reassembles the serial row order.
-    let mut segments = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    segments.sort_unstable_by_key(|(i, _)| *i);
-    let mut out: Vec<RowId> = Vec::new();
-    for (_, mut hits) in segments {
-        out.append(&mut hits);
-    }
-
-    m.rows_examined = shared.rows.load(Ordering::Relaxed);
-    m.pages_skipped = shared.skipped.load(Ordering::Relaxed);
-    m.factor_hits = shared.factor_hits.load(Ordering::Relaxed);
-    m.clauses_reordered = compiled.reordered_clauses()
-        + compiled_skip.as_ref().map_or(0, |c| c.reordered_clauses());
-    sync_model_metrics(&memo, &mut m);
-    if matches!(access, AccessPath::FullScan) {
-        m.heap_pages_read = table.n_pages() as u64 - m.pages_skipped;
-    }
-    // `trivial_residual` short-circuits nothing today, but asserting it
-    // documents that even `WHERE TRUE` goes through the same charging.
-    debug_assert!(!trivial_residual || out.len() as u64 == m.rows_examined);
-    gs.check(&m)?;
-    m.output_rows = out.len() as u64;
-    m.elapsed = start.elapsed();
-    m.guard = gs.headroom(&m);
-    let mut feedback = compiled.feedback();
-    if let Some(c) = &compiled_skip {
-        feedback.extend(c.feedback());
-    }
-    Ok(ExecResult { rows: out, metrics: m, feedback })
-}
-
-/// Splits the pre-fetched row list into `4 × workers` contiguous
-/// chunks (ascending row order is preserved across chunk boundaries),
-/// each carrying its global offset in the fetch list.
-fn chunk_jobs<'a>(fetched: &'a [(RowId, bool)], workers: usize) -> Vec<Job<'a>> {
-    if fetched.is_empty() {
-        return Vec::new();
-    }
-    let chunk = fetched.len().div_ceil(workers.max(1) * 4).max(1);
-    fetched
-        .chunks(chunk)
-        .enumerate()
-        .map(|(i, rows)| Job::Fetch { rows, offset: (i * chunk) as u64 })
-        .collect()
-}
-
-/// Everything a scan worker needs, bundled so job helpers stay readable.
+/// Everything a worker needs, bundled so job helpers stay readable.
 struct WorkerCtx<'a> {
-    jobs: &'a [Job<'a>],
-    plan: &'a Plan,
+    jobs: &'a [Job],
+    fetched: &'a [(RowId, bool)],
     table: &'a Table,
     memo: &'a MemoScorer<'a>,
     compiled: &'a CompiledPredicate,
     compiled_skip: Option<&'a CompiledPredicate>,
     shared: &'a SharedProgress,
     gs: &'a GuardState,
-    io_stall: Option<Duration>,
     faults: &'a FaultInjector,
-    vectorized: bool,
     clock: &'a CalibClock,
 }
 
@@ -848,10 +644,9 @@ pub(crate) fn cancelled_sentinel() -> EngineError {
 /// worker; panics are caught by the caller.
 fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
     let mut segments = Vec::new();
-    let mut rows_since_deadline_check: u32 = 0;
     // Scalar (mining) rows hook the invocation budget, the deadline and
-    // the cancellation flag — the per-row cadence breach classification
-    // parity needs.
+    // the cancellation flag — the per-row cadence at which the
+    // reference interpreter's check can first observe them trip.
     let mut after_scalar = || -> Result<(), EngineError> {
         if w.shared.cancelled() {
             return Err(cancelled_sentinel());
@@ -887,31 +682,16 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
             break;
         }
         if w.faults.scorer_panic_morsel() == Some(i) {
-            // Injected fault: a scorer blowing up inside this worker.
-            // The catch_unwind wrapping `run_worker` converts it to
-            // `EngineError::Internal`, like any real model panic.
+            // Injected fault: a scorer blowing up inside this worker,
+            // converted to `EngineError::Internal` like any real model
+            // panic.
             panic!("injected fault: scorer panicked in worker on morsel {i}");
         }
 
         let mut hits: Vec<RowId> = Vec::new();
         let result = match &w.jobs[i] {
-            Job::Scan(range) => scan_job(
-                w,
-                range.clone(),
-                &mut ctx,
-                &mut sel,
-                &mut hits,
-                &mut rows_since_deadline_check,
-            ),
-            Job::Fetch { rows, offset } => fetch_job(
-                w,
-                rows,
-                *offset,
-                &mut ctx,
-                &mut sel,
-                &mut hits,
-                &mut rows_since_deadline_check,
-            ),
+            Job::Scan(range) => scan_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
+            Job::Fetch(range) => fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
         };
         match result {
             Ok(()) => segments.push((i, hits)),
@@ -927,192 +707,87 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
     segments
 }
 
-/// Scans the pages of one page-aligned morsel.
+/// Scans the pages of one page-aligned morsel. Calibration positions
+/// are row ids; zone-skipped pages credit their row range so the clock
+/// still completes.
 fn scan_job<O: crate::expr::ModelOracle>(
     w: &WorkerCtx<'_>,
     range: Range<RowId>,
     ctx: &mut BatchCtx<'_, O>,
     sel: &mut Vec<RowId>,
     hits: &mut Vec<RowId>,
-    deadline_ctr: &mut u32,
 ) -> Result<(), EngineError> {
     let table = w.table;
-    let rpp = table.rows_per_page();
-    debug_assert!(!range.is_empty() && (range.start as usize).is_multiple_of(rpp));
-    let first_page = range.start as usize / rpp;
-    let last_page = (range.end as usize - 1) / rpp;
-    for page in first_page..=last_page {
+    debug_assert!(
+        !range.is_empty() && (range.start as usize).is_multiple_of(table.rows_per_page())
+    );
+    // A zone-pruned scan skips most of its pages in nanoseconds each,
+    // so skipped pages touch no shared state: the count is flushed once
+    // per job (it only matters to a query that succeeds) and the
+    // cancellation flag is polled only before a page is actually read.
+    let mut skipped = 0u64;
+    for page in table.page_of(range.start)..=table.page_of(range.end - 1) {
+        let rows = page_rows(table, page);
+        if !w.compiled.page_may_match(table.page_zones(page)) {
+            skipped += 1;
+            w.clock.credit_range(rows.start as u64, rows.end as u64);
+            continue;
+        }
         if w.shared.cancelled() {
             return Err(cancelled_sentinel());
         }
-        let first = (page * rpp) as RowId;
-        let last = ((page * rpp + rpp).min(table.n_rows()) as RowId).min(range.end);
-        if !w.compiled.page_may_match(table.page_zones(page)) {
-            w.shared.skipped.fetch_add(1, Ordering::Relaxed);
-            w.clock.credit_range(first as u64, last as u64);
-            continue;
-        }
-        if w.faults.scorer_panic_page() == Some(page) {
-            panic!("injected fault: scorer panicked on heap page {page}");
-        }
-        stall_pages(w.io_stall, 1);
+        fire_page_fault(w.faults, page);
         w.shared.charge_pages(1)?;
-        if w.vectorized {
-            w.shared.charge_rows((last - first) as u64)?;
-            sel.clear();
-            sel.extend(first..last);
-            w.compiled.filter_batch_at(sel, ctx, first as u64, w.clock)?;
-            hits.extend_from_slice(sel);
-            w.gs.check_deadline()?;
-        } else {
-            for row in first..last {
-                if w.shared.cancelled() {
-                    return Err(cancelled_sentinel());
-                }
-                eval_row_reference(w, row, &w.plan.residual, ctx, hits, deadline_ctr)?;
-            }
-        }
+        w.shared.charge_rows(rows.len() as u64)?;
+        let first = rows.start as u64;
+        sel.clear();
+        sel.extend(rows);
+        w.compiled.filter_batch_at(sel, ctx, first, w.clock)?;
+        hits.extend_from_slice(sel);
+        w.gs.check_deadline()?;
     }
+    w.shared.skipped.fetch_add(skipped, Ordering::Relaxed);
     Ok(())
 }
 
-/// Evaluates one chunk of pre-fetched index rows.
+/// Evaluates one chunk of the fetch list. Maximal runs of rows sharing
+/// a residual choice batch together; runs stay ascending, so output
+/// order holds. Both residuals share the calibration clock; positions
+/// are fetch-list indexes.
 fn fetch_job<O: crate::expr::ModelOracle>(
     w: &WorkerCtx<'_>,
-    slice: &[(RowId, bool)],
-    offset: u64,
+    range: Range<usize>,
     ctx: &mut BatchCtx<'_, O>,
     sel: &mut Vec<RowId>,
     hits: &mut Vec<RowId>,
-    deadline_ctr: &mut u32,
 ) -> Result<(), EngineError> {
-    if w.vectorized {
-        // Maximal runs sharing a residual choice batch together.
-        let mut i = 0;
-        while i < slice.len() {
-            if w.shared.cancelled() {
-                return Err(cancelled_sentinel());
-            }
-            let flag = slice[i].1;
-            let mut j = i + 1;
-            while j < slice.len() && slice[j].1 == flag {
-                j += 1;
-            }
-            w.shared.charge_rows((j - i) as u64)?;
-            sel.clear();
-            sel.extend(slice[i..j].iter().map(|(r, _)| *r));
-            let pred = if flag { w.compiled_skip.unwrap_or(w.compiled) } else { w.compiled };
-            pred.filter_batch_at(sel, ctx, offset + i as u64, w.clock)?;
-            hits.extend_from_slice(sel);
-            w.gs.check_deadline()?;
-            i = j;
+    let slice = &w.fetched[range.clone()];
+    let mut i = 0;
+    while i < slice.len() {
+        if w.shared.cancelled() {
+            return Err(cancelled_sentinel());
         }
-    } else {
-        let skip_or = w.plan.skip_or.as_ref();
-        for &(row, use_skip) in slice {
-            if w.shared.cancelled() {
-                return Err(cancelled_sentinel());
-            }
-            // `use_skip` is only ever set when the plan carries a
-            // `skip_or` residual (see the union merge).
-            let pred = if use_skip {
-                skip_or.unwrap_or(&w.plan.residual)
-            } else {
-                &w.plan.residual
-            };
-            eval_row_reference(w, row, pred, ctx, hits, deadline_ctr)?;
+        let flag = slice[i].1;
+        let mut j = i + 1;
+        while j < slice.len() && slice[j].1 == flag {
+            j += 1;
         }
-    }
-    Ok(())
-}
-
-/// Row-at-a-time reference evaluation of one row inside a worker.
-fn eval_row_reference<O: crate::expr::ModelOracle>(
-    w: &WorkerCtx<'_>,
-    row: RowId,
-    pred: &Expr,
-    ctx: &mut BatchCtx<'_, O>,
-    hits: &mut Vec<RowId>,
-    deadline_ctr: &mut u32,
-) -> Result<(), EngineError> {
-    fill_row(w.table, row, &mut ctx.row_buf);
-    let mut tree_inv = 0u64;
-    let hit = pred.eval(&ctx.row_buf, ctx.oracle, &mut tree_inv);
-    w.shared.charge_rows(1)?;
-    w.shared.check_invocations(w.memo.invocations())?;
-    if hit {
-        hits.push(row);
-    }
-    *deadline_ctr += 1;
-    if *deadline_ctr >= DEADLINE_CHECK_ROWS {
-        *deadline_ctr = 0;
+        w.shared.charge_rows((j - i) as u64)?;
+        sel.clear();
+        sel.extend(slice[i..j].iter().map(|(r, _)| *r));
+        let pred = if flag { w.compiled_skip.unwrap_or(w.compiled) } else { w.compiled };
+        pred.filter_batch_at(sel, ctx, (range.start + i) as u64, w.clock)?;
+        hits.extend_from_slice(sel);
         w.gs.check_deadline()?;
+        i = j;
     }
     Ok(())
-}
-
-fn index_pages(postings: usize, rows_per_page: usize) -> u64 {
-    // Postings are dense u32s; a page holds ~4x as many entries as rows.
-    (postings.div_ceil((rows_per_page * 4).max(1)).max(1)) as u64
-}
-
-/// K-way merges the (ascending) posting lists of a union's seeks into
-/// one ascending, deduplicated `(row, use_skip)` list. Among duplicates
-/// the exact-seek copy wins (its rows may take the `skip_or` fast path);
-/// the flag is pre-resolved to `exact && has_skip` so both executors
-/// pick residuals by the flag alone. Replaces the old
-/// concatenate-sort-dedup with a single heap merge over sorted inputs.
-fn merge_union(lists: &[(Vec<RowId>, bool)], has_skip: bool) -> Vec<(RowId, bool)> {
-    let total: usize = lists.iter().map(|(rows, _)| rows.len()).sum();
-    // Heap entries order by (row, !exact): the exact copy of a row pops
-    // first, so dedup keeps it.
-    let mut heap: BinaryHeap<Reverse<(RowId, bool, usize, usize)>> =
-        BinaryHeap::with_capacity(lists.len());
-    for (li, (rows, exact)) in lists.iter().enumerate() {
-        debug_assert!(rows.windows(2).all(|p| p[0] <= p[1]), "probe lists are sorted");
-        if let Some(&r) = rows.first() {
-            heap.push(Reverse((r, !exact, li, 0)));
-        }
-    }
-    let mut out: Vec<(RowId, bool)> = Vec::with_capacity(total);
-    while let Some(Reverse((row, inexact, li, idx))) = heap.pop() {
-        if out.last().map(|&(r, _)| r) != Some(row) {
-            out.push((row, !inexact && has_skip));
-        }
-        let (rows, exact) = &lists[li];
-        if idx + 1 < rows.len() {
-            heap.push(Reverse((rows[idx + 1], !exact, li, idx + 1)));
-        }
-    }
-    out
-}
-
-/// Distinct heap pages among sorted row ids: count page transitions in
-/// one pass instead of hashing every row.
-fn distinct_pages(rows: &[RowId], table: &Table) -> u64 {
-    distinct_pages_sorted(rows.iter().copied(), table)
-}
-
-fn distinct_pages_sorted(rows: impl Iterator<Item = RowId>, table: &Table) -> u64 {
-    let mut n = 0u64;
-    let mut last = usize::MAX;
-    let mut prev_row = 0 as RowId;
-    for r in rows {
-        debug_assert!(n == 0 || r >= prev_row, "rows must be sorted");
-        prev_row = r;
-        let p = table.page_of(r);
-        if p != last {
-            n += 1;
-            last = p;
-        }
-    }
-    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Atom, AtomPred};
+    use crate::expr::{Atom, AtomPred, Expr};
     use crate::optimizer::{choose_plan, OptimizerOptions};
     use crate::table::Table;
     use mpq_types::{AttrDomain, AttrId, Attribute, Dataset, Schema};
@@ -1243,7 +918,7 @@ mod tests {
         assert!(merge_union(&lists, false).iter().all(|&(_, f)| !f));
         // Distinct-page counting over the sorted merge agrees with a
         // brute-force count.
-        let pages = distinct_pages_sorted(merged.iter().map(|&(r, _)| r), t);
+        let pages = distinct_pages(merged.iter().map(|&(r, _)| r), t);
         let brute: std::collections::BTreeSet<usize> =
             merged.iter().map(|&(r, _)| t.page_of(r)).collect();
         assert_eq!(pages, brute.len() as u64);
@@ -1320,11 +995,10 @@ mod tests {
         assert_eq!(execute(&seek_plan, &cat).rows, execute(&scan_plan, &cat).rows);
     }
 
-    // -- parallel executor unit tests (the heavyweight differential
-    //    oracles live in tests/parallel_oracle.rs and
-    //    tests/vectorized_oracle.rs) -----------------------------------
+    // -- dop > 1 unit tests (the heavyweight differential oracles live
+    //    in tests/parallel_oracle.rs and tests/vectorized_oracle.rs) ----
 
-    /// Asserts the parallel executor matched the serial reference on
+    /// Asserts a run matched the dop-1 run of the same pipeline on
     /// everything that must be deterministic (all metrics except the
     /// wall-clock fields).
     fn assert_matches_serial(serial: &ExecResult, parallel: &ExecResult) {
@@ -1423,7 +1097,7 @@ mod tests {
                 Err(crate::EngineError::BudgetExceeded { resource, spent, limit }) => {
                     assert_eq!(resource, GuardResource::RowsExamined);
                     assert_eq!(limit, 1_000);
-                    assert!(spent > limit, "breach reports spent past the limit");
+                    assert_eq!(spent, limit + 1, "the first row past the limit, at any dop");
                 }
                 other => panic!("expected BudgetExceeded at dop {dop}, got {other:?}"),
             }
@@ -1463,27 +1137,55 @@ mod tests {
     }
 
     #[test]
-    fn scorer_panic_on_page_fires_in_both_executors() {
+    fn scorer_panic_on_page_is_typed_at_every_dop_and_raw_in_the_reference() {
         let cat = catalog();
         let e = Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Eq(1) });
         let schema = cat.table(0).table.schema().clone();
         let plan = choose_plan(e, 0, &schema, &cat, &OptimizerOptions::default());
         let plan = Plan { access: AccessPath::FullScan, ..plan };
         cat.faults().set_scorer_panic_on_page(Some(2));
-        let serial = catch_unwind(AssertUnwindSafe(|| execute(&plan, &cat)));
-        assert!(serial.is_err(), "serial executor hits the page fault raw");
-        let par = execute_opts(
-            &plan,
-            &cat,
-            QueryGuard::unlimited(),
-            &ExecOptions::with_parallelism(4),
-        );
-        cat.faults().reset();
-        match par {
-            Err(EngineError::Internal { detail }) => {
-                assert!(detail.contains("heap page 2"), "detail: {detail}");
+        let reference = ExecOptions { vectorized: false, ..ExecOptions::default() };
+        let raw = catch_unwind(AssertUnwindSafe(|| {
+            execute_opts(&plan, &cat, QueryGuard::unlimited(), &reference)
+        }));
+        assert!(raw.is_err(), "the reference interpreter hits the page fault raw");
+        for dop in [1usize, 4] {
+            let res = execute_opts(
+                &plan,
+                &cat,
+                QueryGuard::unlimited(),
+                &ExecOptions::with_parallelism(dop),
+            );
+            match res {
+                Err(EngineError::Internal { detail }) => {
+                    assert!(detail.contains("heap page 2"), "dop {dop}: {detail}");
+                }
+                other => panic!("dop {dop}: expected Internal, got {other:?}"),
             }
-            other => panic!("expected Internal, got {other:?}"),
+        }
+        cat.faults().reset();
+    }
+
+    /// `parallelism` is a public field: values outside `1..=256` are
+    /// clamped at the top of `execute_opts` and never reach the job
+    /// splitter's `4 × workers` arithmetic.
+    #[test]
+    fn unclamped_parallelism_matches_dop_one() {
+        let cat = catalog();
+        let rare = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Eq(0) });
+        let scan = Plan {
+            access: AccessPath::FullScan,
+            ..plan_no_zone(Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Eq(1) }), &cat)
+        };
+        let union = plan_no_zone(Expr::Or(vec![rare(), rare()]), &cat);
+        assert!(matches!(union.access, AccessPath::IndexUnion(_)));
+        for plan in [&scan, &union] {
+            let serial = execute(plan, &cat);
+            for parallelism in [0, 1 << 62, usize::MAX] {
+                let opts = ExecOptions { parallelism, ..ExecOptions::default() };
+                let res = execute_opts(plan, &cat, QueryGuard::unlimited(), &opts).unwrap();
+                assert_matches_serial(&serial, &res);
+            }
         }
     }
 

@@ -30,8 +30,8 @@ pub struct FaultInjector {
     /// Morsel index whose worker should panic mid-scan; `NO_MORSEL`
     /// when disarmed.
     scorer_panic_morsel: AtomicUsize,
-    /// Heap page whose scan should panic (both executors, any degree of
-    /// parallelism); `NO_PAGE` when disarmed.
+    /// Heap page whose scan should panic (pipeline at any degree of
+    /// parallelism, and the reference); `NO_PAGE` when disarmed.
     scorer_panic_page: AtomicUsize,
     cascade_band_perturb: AtomicBool,
     derive_timeout: AtomicBool,
@@ -122,11 +122,12 @@ impl FaultInjector {
     }
 
     /// Arm a scorer panic inside the worker that picks up morsel
-    /// `morsel` of the next parallel execution (`None` disarms). Unlike
+    /// `morsel` of the next execution (`None` disarms). Unlike
     /// [`FaultInjector::set_scorer_panic`], which fails the first model
     /// invocation anywhere, this targets one specific partition so tests
     /// can prove a panic on a worker thread — not the coordinating
-    /// thread — surfaces as a typed error. Serial executions ignore it.
+    /// thread — surfaces as a typed error. A dop-1 execution is a single
+    /// morsel (index 0); the reference interpreter ignores this fault.
     pub fn set_scorer_panic_on_morsel(&self, morsel: Option<usize>) {
         self.scorer_panic_morsel.store(morsel.unwrap_or(NO_MORSEL), Ordering::Relaxed);
     }
@@ -139,10 +140,10 @@ impl FaultInjector {
 
     /// Arm a scorer panic while scanning heap page `page` of the next
     /// execution (`None` disarms). Unlike the morsel-targeted fault —
-    /// whose unit only exists in the parallel executor — pages are the
-    /// shared scan unit, so this fault fires identically under the
-    /// serial, vectorized, and parallel paths; fault-parity tests use
-    /// it to prove all of them surface the same typed error.
+    /// whose unit depends on the degree of parallelism — pages are the
+    /// shared scan unit, so this fault fires on the same page under the
+    /// pipeline at every dop and under the reference interpreter;
+    /// fault-parity tests use it to prove they all name that page.
     pub fn set_scorer_panic_on_page(&self, page: Option<usize>) {
         self.scorer_panic_page.store(page.unwrap_or(NO_PAGE), Ordering::Relaxed);
     }

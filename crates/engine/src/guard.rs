@@ -138,8 +138,8 @@ impl Clock {
 }
 
 /// Live guard state for one execution: the configured budgets plus the
-/// clock for deadline checks. Shared by reference across the parallel
-/// executor's workers (budget counters live in the metrics, not here).
+/// clock for deadline checks. Shared by reference across the
+/// executor's workers (budget counters live elsewhere, not here).
 #[derive(Debug, Clone)]
 pub(crate) struct GuardState {
     guard: QueryGuard,
@@ -167,16 +167,9 @@ impl GuardState {
         self.clock.elapsed()
     }
 
-    /// The configured budgets. The vectorized executor charges rows in
-    /// page batches and needs the raw limits to emulate the reference
-    /// executor's per-row trip points.
-    pub(crate) fn guard(&self) -> &QueryGuard {
-        &self.guard
-    }
-
-    /// Checks only the wall-clock budget. The parallel executor's
-    /// workers use this between the exact atomic budget charges — a
-    /// deadline probe needs no counters, just the clock.
+    /// Checks only the wall-clock budget. The pipeline's workers use
+    /// this between the exact atomic budget charges — a deadline probe
+    /// needs no counters, just the clock.
     pub(crate) fn check_deadline(&self) -> Result<(), EngineError> {
         if let Some(budget) = self.guard.deadline {
             let elapsed = self.elapsed();

@@ -37,6 +37,7 @@ mod guard;
 mod index;
 mod optimizer;
 mod persist;
+mod reference;
 mod rewrite;
 mod session;
 mod sql;

@@ -121,13 +121,6 @@ impl AccessPath {
     pub fn changed_from_scan(&self) -> bool {
         !matches!(self, AccessPath::FullScan)
     }
-
-    /// Whether the path has per-row work a parallel executor can split
-    /// across morsels. Constant scans touch no rows, so dispatching
-    /// workers for them is pure overhead.
-    pub fn is_parallelizable(&self) -> bool {
-        !matches!(self, AccessPath::ConstantScan)
-    }
 }
 
 /// A finished physical plan.

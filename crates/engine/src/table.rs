@@ -190,7 +190,7 @@ impl Table {
             return Vec::new();
         }
         let workers = workers.max(1);
-        let target_rows = (self.n_rows / (workers * 4)).max(1);
+        let target_rows = (self.n_rows / workers.saturating_mul(4)).max(1);
         let pages = (target_rows / self.rows_per_page).max(1);
         let step = pages * self.rows_per_page;
         (0..self.n_rows)

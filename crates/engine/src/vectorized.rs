@@ -44,8 +44,9 @@
 //! The same compiled form doubles as a page-pruning test: a page whose
 //! zone map ([`crate::Table::page_zones`]) is disjoint from a `Col`
 //! leaf's mask can be proven empty without reading it (`Scalar` leaves
-//! are conservatively "maybe"). Both executors consult
-//! [`CompiledPredicate::page_may_match`] before touching a heap page.
+//! are conservatively "maybe"). The pipeline and the reference both
+//! consult [`CompiledPredicate::page_may_match`] before touching a heap
+//! page.
 //!
 //! Finally, [`MemoScorer`] wraps the catalog's [`ModelOracle`] with a
 //! bounded per-query memo keyed by the dictionary-encoded input tuple:
@@ -53,8 +54,8 @@
 //! black-box residual checks collapse to hash lookups after the first
 //! occurrence. `model_invocations` counts memo *misses* — actual model
 //! applications — identically in the serial reference and the
-//! vectorized/parallel executors, which is what keeps the differential
-//! oracles exact.
+//! pipeline at every dop, which is what keeps the differential oracles
+//! exact.
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
@@ -326,10 +327,9 @@ impl CompiledPredicate {
     }
 
     /// Blocks until the calibration window is fully credited, then
-    /// returns the once-computed re-planned tree. Serial executors
-    /// (`cancel == None`) process positions in ascending order, so the
-    /// window is always complete by the time they get here and the
-    /// loop never spins.
+    /// returns the once-computed re-planned tree. A lone worker
+    /// processes positions in ascending order, so the window is always
+    /// complete by the time it gets here and the loop never spins.
     fn wait_replanned<'s>(
         &'s self,
         ad: &'s AdaptiveState,
@@ -813,7 +813,7 @@ pub(crate) struct BatchCtx<'a, O: ModelOracle> {
     /// is batching- and dop-independent.
     pub factor_hits: u64,
     /// Cooperative cancellation flag probed while waiting out the
-    /// calibration window (parallel executor only).
+    /// calibration window (`None` outside the executor).
     pub cancel: Option<&'a AtomicBool>,
 }
 

@@ -235,8 +235,8 @@ fn paged_engine() -> Engine {
 
 /// Fault parity across execution strategies: a page-targeted scorer
 /// panic must fire on the same page — with the same message — whether
-/// the residual runs through the vectorized batch path or the scalar
-/// row-at-a-time reference, serially or in parallel workers.
+/// the residual runs through the production pipeline (at any degree of
+/// parallelism) or the serial row-at-a-time reference.
 #[test]
 fn page_targeted_scorer_panic_fires_identically_across_strategies() {
     let e = paged_engine();
@@ -246,10 +246,10 @@ fn page_targeted_scorer_panic_fires_identically_across_strategies() {
     let catalog = e.catalog();
     assert!(catalog.table(0).table.n_pages() > 3, "fixture must span pages");
 
-    let healthy: Vec<_> = [true, false]
+    let reference = ExecOptions { vectorized: false, ..ExecOptions::default() };
+    let healthy: Vec<_> = [ExecOptions::default(), reference]
         .into_iter()
-        .map(|v| {
-            let opts = ExecOptions { vectorized: v, ..ExecOptions::default() };
+        .map(|opts| {
             execute_opts(&plan, &catalog, QueryGuard::unlimited(), &opts)
                 .expect("healthy run")
                 .rows
@@ -258,37 +258,35 @@ fn page_targeted_scorer_panic_fires_identically_across_strategies() {
     assert_eq!(healthy[0], healthy[1]);
 
     e.fault_injector().set_scorer_panic_on_page(Some(2));
-    // Serial executors propagate the raw panic (the engine facade is
-    // what catches it); both strategies must name the same page.
-    for vectorized in [true, false] {
-        let opts = ExecOptions { vectorized, ..ExecOptions::default() };
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = execute_opts(&plan, &catalog, QueryGuard::unlimited(), &opts);
-        }))
-        .expect_err("armed page fault must panic");
-        let msg = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains("injected fault") && msg.contains("heap page 2"),
-            "vectorized={vectorized}: {msg}"
-        );
-    }
-    // Parallel workers catch the same panic and surface it typed.
-    for vectorized in [true, false] {
-        let opts = ExecOptions { parallelism: 4, vectorized, ..ExecOptions::default() };
+    // The reference interpreter propagates the raw panic (the engine
+    // facade is what would catch it).
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = execute_opts(&plan, &catalog, QueryGuard::unlimited(), &reference);
+    }))
+    .expect_err("armed page fault must panic");
+    let msg = panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("injected fault") && msg.contains("heap page 2"), "reference: {msg}");
+    // The pipeline catches the same panic and surfaces it typed, on the
+    // calling thread (dop 1) exactly as in scoped workers.
+    for dop in [1, 4] {
+        let opts = ExecOptions::with_parallelism(dop);
         match execute_opts(&plan, &catalog, QueryGuard::unlimited(), &opts) {
             Err(EngineError::Internal { detail }) => {
-                assert!(detail.contains("heap page 2"), "vectorized={vectorized}: {detail}");
+                assert!(
+                    detail.contains("injected fault") && detail.contains("heap page 2"),
+                    "dop {dop}: {detail}"
+                );
             }
-            other => panic!("vectorized={vectorized}: expected Internal, got {other:?}"),
+            other => panic!("dop {dop}: expected Internal, got {other:?}"),
         }
     }
 
-    // The engine facade converts the serial panic into the same typed
-    // error, and stays usable once the fault clears.
+    // The engine facade passes the same typed error through, and stays
+    // usable once the fault clears.
     let sql = "SELECT * FROM t WHERE PREDICT(m) = 'c1'";
     match e.query(sql) {
         Err(EngineError::Internal { detail }) => {

@@ -8,7 +8,7 @@
 
 use mining_predicates::prelude::*;
 use mpq_engine::{
-    execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, StatementOutcome,
+    choose_plan, execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, StatementOutcome,
     DEFAULT_MEMO_CAPACITY,
 };
 use mpq_types::MemberSet;
@@ -211,10 +211,10 @@ proptest! {
     }
 
     /// Guard parity under a generated single-resource budget: at dop 1
-    /// the vectorized executor must breach with the same resource,
-    /// limit *and* spent as the scalar reference (batched charging
-    /// emulates the per-row trip point); at dop > 1 the classification
-    /// and limit still match and spent may only overshoot.
+    /// the pipeline must breach with the same resource, limit *and*
+    /// spent as the scalar reference (a batch charge reports the
+    /// per-row trip point); at dop > 1 the classification and limit
+    /// still match and spent may only overshoot.
     #[test]
     fn guard_breach_classification_matches_reference(
         extra in proptest::collection::vec((0u16..4, 0u16..3), 40..100),
@@ -311,4 +311,58 @@ proptest! {
             "a smaller cache cannot call the scorer less"
         );
     }
+}
+
+/// Pages-budget parity on an index union: the index pages of each seek
+/// and the union's heap pages are charged by the coordinator phase the
+/// pipeline shares with the reference, so every limit — tripping after
+/// the first seek, after the second, on the heap fetch, or not at all —
+/// must classify *and* report `spent` identically at every dop.
+#[test]
+fn index_union_page_breach_matches_reference() {
+    let schema = Schema::new(vec![
+        Attribute::new("a", AttrDomain::categorical(["rare", "common"])),
+        Attribute::new("b", AttrDomain::categorical(["rare", "common"])),
+    ])
+    .unwrap();
+    // Both rare members are clustered at the head of a 20k-row heap, so
+    // two index seeks beat a scan decisively.
+    let rows = (0..20_000u32).map(|i| vec![u16::from(i >= 100), u16::from(!(50..200).contains(&i))]);
+    let ds = Dataset::from_rows(schema.clone(), rows).unwrap();
+    let mut cat = Catalog::new();
+    let t = cat.add_table(Table::with_page_bytes("t", &ds, 256)).unwrap();
+    cat.create_index(t, &[AttrId(0)]);
+    cat.create_index(t, &[AttrId(1)]);
+    let rare = |attr| Expr::Atom(Atom { attr: AttrId(attr), pred: AtomPred::Eq(0) });
+    let no_zone = OptimizerOptions { use_zone_maps: false, ..OptimizerOptions::default() };
+    let plan = choose_plan(Expr::Or(vec![rare(0), rare(1)]), t, &schema, &cat, &no_zone);
+    assert!(matches!(plan.access, AccessPath::IndexUnion(_)), "plan: {:?}", plan.access);
+
+    let unlimited =
+        execute_opts(&plan, &cat, QueryGuard::unlimited(), &reference_opts()).unwrap();
+    let total = unlimited.metrics.total_pages();
+    assert!(unlimited.metrics.index_pages_read >= 2 && unlimited.metrics.heap_pages_read > 2);
+    let mut breaches = std::collections::BTreeSet::new();
+    for limit in 0..=total {
+        let guard = QueryGuard::default().with_max_pages(limit);
+        let reference = execute_opts(&plan, &cat, guard, &reference_opts());
+        for dop in DOPS {
+            let vec = execute_opts(&plan, &cat, guard, &ExecOptions::with_parallelism(dop));
+            match (&reference, &vec) {
+                (Ok(s), Ok(v)) => {
+                    assert_eq!(limit, total, "only the full budget succeeds");
+                    assert_matches_reference(s, v, &format!("dop {dop}, limit {limit}"));
+                }
+                (Err(s), Err(v)) => {
+                    assert_eq!(v, s, "dop {dop}, limit {limit}");
+                    if let EngineError::BudgetExceeded { resource, spent, .. } = s {
+                        assert_eq!(*resource, GuardResource::PagesRead);
+                        breaches.insert(*spent);
+                    }
+                }
+                (s, v) => panic!("limit {limit}, dop {dop}: reference {s:?} vs pipeline {v:?}"),
+            }
+        }
+    }
+    assert!(breaches.len() >= 3, "each seek and the heap fetch trip: {breaches:?}");
 }
