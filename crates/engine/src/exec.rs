@@ -15,8 +15,9 @@
 //! 3. **workers** (`run_worker`) — pull jobs off an atomic dispatcher,
 //!    prove pages empty against the table's zone maps before reading
 //!    them ([`ExecMetrics::pages_skipped`] — skipped pages are *not*
-//!    charged to page budgets), and filter each page or fetch run
-//!    through the compiled predicate. [`ExecOptions::parallelism`]` = 1`
+//!    charged to page budgets), and filter each run of surviving pages
+//!    (up to `SCAN_BATCH_ROWS` rows) or fetch run through the compiled
+//!    predicate. [`ExecOptions::parallelism`]` = 1`
 //!    runs the loop inline on the calling thread — no thread is
 //!    spawned; higher degrees run the same loop on
 //!    [`std::thread::scope`] workers;
@@ -27,11 +28,13 @@
 //! **One charging rule.** `SharedProgress` is the only budget
 //! accounting: heap pages are charged one at a time on top of the
 //! coordinator's pre-charged pages; rows are charged a page (or fetch
-//! run) at a time, and a rows-budget breach reports
-//! `spent = limit + 1` — the first row past the limit, where a per-row
-//! count trips — at every degree of parallelism; the invocation budget,
-//! the deadline and the cancellation flag are checked after every row a
-//! `Scalar` (mining) leaf evaluates. The first error cancels the
+//! run) at a time, before the batch the page joins is evaluated, and a
+//! rows-budget breach reports `spent = limit + 1` — the first row past
+//! the limit, where a per-row count trips — at every degree of
+//! parallelism; the invocation budget, the deadline and the
+//! cancellation flag are checked after every row a `Scalar` (mining)
+//! leaf hands to the memo/scorer path or evaluates row by row, and once
+//! per batch the cascade decides column-at-a-time. The first error cancels the
 //! remaining jobs. A panic inside the worker loop (model code or an
 //! injected scorer fault) is caught in one place and surfaces as
 //! [`EngineError::Internal`], at dop 1 as at any other.
@@ -46,7 +49,7 @@
 //! `tests/parallel_oracle.rs` and `tests/vectorized_oracle.rs` hold the
 //! property tests backing both claims. The only documented divergence
 //! from the reference is *classification* when two distinct budgets
-//! would both trip inside one page (the reference trips whichever its
+//! would both trip inside one batch (the reference trips whichever its
 //! per-row check order hits first).
 
 use crate::catalog::Catalog;
@@ -541,8 +544,10 @@ struct SharedProgress {
     /// exit (per-row additive, so the total is batching-independent).
     factor_hits: AtomicU64,
     /// Cooperative stop: set after a breach or panic; workers poll it
-    /// per page read / per scalar row, so no worker does more than one
-    /// batch's work past a breach.
+    /// per page read / per scored row, so no worker does more than one
+    /// batch's work past a breach — a batch being up to
+    /// [`SCAN_BATCH_ROWS`] rows of column lookups, of which only band
+    /// rows reach a model, each polling the flag.
     cancel: AtomicBool,
     /// First error wins; later ones are dropped.
     failure: Mutex<Option<EngineError>>,
@@ -644,9 +649,9 @@ pub(crate) fn cancelled_sentinel() -> EngineError {
 /// worker; panics are caught by the caller.
 fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
     let mut segments = Vec::new();
-    // Scalar (mining) rows hook the invocation budget, the deadline and
-    // the cancellation flag — the per-row cadence at which the
-    // reference interpreter's check can first observe them trip.
+    // Scored rows hook the invocation budget, the deadline and the
+    // cancellation flag — the per-row cadence at which the reference
+    // interpreter's check can first observe the invocation budget trip.
     let mut after_scalar = || -> Result<(), EngineError> {
         if w.shared.cancelled() {
             return Err(cancelled_sentinel());
@@ -658,16 +663,14 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
         .compiled
         .factor_slots()
         .max(w.compiled_skip.map_or(0, |c| c.factor_slots()));
-    let mut ctx = BatchCtx {
-        table: w.table,
-        oracle: w.memo,
-        row_buf: vec![0u16; w.table.schema().len()],
-        after_scalar_row: &mut after_scalar,
-        factor_pass: vec![None; factor_slots],
-        factor_hits: 0,
-        cancel: Some(&w.shared.cancel),
-    };
-    let mut sel: Vec<RowId> = Vec::with_capacity(w.table.rows_per_page());
+    let mut ctx = BatchCtx::new(
+        w.table,
+        w.memo,
+        &mut after_scalar,
+        factor_slots,
+        Some(&w.shared.cancel),
+    );
+    let mut sel: Vec<RowId> = Vec::with_capacity(SCAN_BATCH_ROWS);
 
     loop {
         if w.shared.cancelled() {
@@ -707,13 +710,29 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
     segments
 }
 
-/// Scans the pages of one page-aligned morsel. Calibration positions
-/// are row ids; zone-skipped pages credit their row range so the clock
+/// Most rows a scan hands the compiled predicate at once: a run of
+/// consecutive surviving pages is cut here. Long enough that per-batch
+/// costs (the tree walk, the cascade's buffers, one counter add per
+/// node) vanish against per-row work, short enough that a batch's
+/// selection vector, scores and decisions stay cache-resident. Measured
+/// on `scan_cascade` (`exec.execute_dop1_us`): 1,024, 2,048 and 4,096
+/// are within noise of each other, one 42-row page per batch costs
+/// 10–15% more.
+const SCAN_BATCH_ROWS: usize = 2048;
+
+/// Scans the pages of one page-aligned morsel. Pages are zone-checked,
+/// fault-fired, cancel-polled and charged one at a time, in order; what
+/// is batched is only the predicate's evaluation, over runs of
+/// consecutive surviving pages of up to [`SCAN_BATCH_ROWS`] rows (one
+/// page alone, if a page holds more). A run ends at a skipped page, at
+/// the batch limit and at the job's end, so a batch is always the exact
+/// scan positions `start..end` — calibration positions are row
+/// ids, and zone-skipped pages credit their row range so the clock
 /// still completes.
-fn scan_job<O: crate::expr::ModelOracle>(
+fn scan_job(
     w: &WorkerCtx<'_>,
     range: Range<RowId>,
-    ctx: &mut BatchCtx<'_, O>,
+    ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {
@@ -721,14 +740,30 @@ fn scan_job<O: crate::expr::ModelOracle>(
     debug_assert!(
         !range.is_empty() && (range.start as usize).is_multiple_of(table.rows_per_page())
     );
+    // Filters rows `start..end` — the pending run: charged, not yet
+    // evaluated.
+    let mut flush = |start: RowId, end: RowId| -> Result<(), EngineError> {
+        if start == end {
+            return Ok(());
+        }
+        sel.clear();
+        sel.extend(start..end);
+        w.compiled.filter_batch_at(sel, ctx, start as u64, w.clock)?;
+        hits.extend_from_slice(sel);
+        w.gs.check_deadline()
+    };
     // A zone-pruned scan skips most of its pages in nanoseconds each,
     // so skipped pages touch no shared state: the count is flushed once
     // per job (it only matters to a query that succeeds) and the
     // cancellation flag is polled only before a page is actually read.
     let mut skipped = 0u64;
+    // The pending run; `end` is always the next page's first row.
+    let (mut start, mut end) = (range.start, range.start);
     for page in table.page_of(range.start)..=table.page_of(range.end - 1) {
         let rows = page_rows(table, page);
         if !w.compiled.page_may_match(table.page_zones(page)) {
+            flush(start, end)?;
+            (start, end) = (rows.end, rows.end);
             skipped += 1;
             w.clock.credit_range(rows.start as u64, rows.end as u64);
             continue;
@@ -739,13 +774,13 @@ fn scan_job<O: crate::expr::ModelOracle>(
         fire_page_fault(w.faults, page);
         w.shared.charge_pages(1)?;
         w.shared.charge_rows(rows.len() as u64)?;
-        let first = rows.start as u64;
-        sel.clear();
-        sel.extend(rows);
-        w.compiled.filter_batch_at(sel, ctx, first, w.clock)?;
-        hits.extend_from_slice(sel);
-        w.gs.check_deadline()?;
+        if (end - start) as usize + rows.len() > SCAN_BATCH_ROWS {
+            flush(start, end)?;
+            start = end;
+        }
+        end = rows.end;
     }
+    flush(start, end)?;
     w.shared.skipped.fetch_add(skipped, Ordering::Relaxed);
     Ok(())
 }
@@ -754,10 +789,10 @@ fn scan_job<O: crate::expr::ModelOracle>(
 /// a residual choice batch together; runs stay ascending, so output
 /// order holds. Both residuals share the calibration clock; positions
 /// are fetch-list indexes.
-fn fetch_job<O: crate::expr::ModelOracle>(
+fn fetch_job(
     w: &WorkerCtx<'_>,
     range: Range<usize>,
-    ctx: &mut BatchCtx<'_, O>,
+    ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {

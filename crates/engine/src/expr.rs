@@ -47,21 +47,30 @@ impl AtomPred {
     /// member.
     pub fn member_set(&self, card: u16) -> MemberSet {
         match self {
+            AtomPred::In(s) => s.clone(),
+            _ => {
+                let mut set = MemberSet::empty(card);
+                self.for_each_member(card, |m| set.insert(m));
+                set
+            }
+        }
+    }
+
+    /// Calls `f` with each matching member below `card`, ascending —
+    /// [`AtomPred::member_set`] without building the set.
+    pub(crate) fn for_each_member(&self, card: u16, mut f: impl FnMut(Member)) {
+        match self {
             AtomPred::Eq(v) => {
                 if *v < card {
-                    MemberSet::of(card, [*v])
-                } else {
-                    MemberSet::empty(card)
+                    f(*v)
                 }
             }
             AtomPred::Range { lo, hi } => {
-                if card == 0 || *lo > *hi || *lo >= card {
-                    MemberSet::empty(card)
-                } else {
-                    MemberSet::range(card, *lo, (*hi).min(card - 1))
+                if card > 0 {
+                    (*lo..=(*hi).min(card - 1)).for_each(f)
                 }
             }
-            AtomPred::In(s) => s.clone(),
+            AtomPred::In(s) => s.iter().take_while(|&m| m < card).for_each(f),
         }
     }
 }
@@ -554,6 +563,9 @@ mod tests {
             for m in 0..4u16 {
                 assert_eq!(s.contains(m), p.matches(m), "{p:?} member {m}");
             }
+            let mut visited = Vec::new();
+            p.for_each_member(4, |m| visited.push(m));
+            assert_eq!(visited, s.iter().collect::<Vec<_>>(), "{p:?}");
         }
     }
 

@@ -1,6 +1,7 @@
-//! Vectorized predicate evaluation: compiled column programs, adaptive
-//! DNF reordering, shared-subexpression factoring, zone-map pruning,
-//! and the scorer memo cache.
+//! Vectorized predicate evaluation: compiled column programs, the
+//! box-DNF kernel, adaptive reordering, shared-subexpression factoring,
+//! zone-map pruning, the column-at-a-time cascade and the scorer memo
+//! cache.
 //!
 //! The paper's §4.2 rewrite turns opaque mining predicates into
 //! data-column predicates; this module exploits that form one layer
@@ -9,8 +10,28 @@
 //! [`CompiledPredicate`] — a flat program whose leaves are per-column
 //! member bitsets — and evaluates it MonetDB/X100-style over selection
 //! vectors, one column at a time. Mining predicates (and `NOT` over
-//! them) stay as [`NodeKind::Scalar`] escape hatches evaluated
-//! row-at-a-time, so the compiled program is exact on every input.
+//! them) stay as [`NodeKind::Scalar`] escape hatches, so the compiled
+//! program is exact on every input: a lone `PREDICT(m) = c` /
+//! `PREDICT(m) IN (..)` over a cascaded model is decided for the whole
+//! selection vector by the proxy tables, dimension by dimension, with
+//! only band rows going one at a time to the memo/scorer path; every
+//! other scalar shape walks the tree row-at-a-time.
+//!
+//! **The `Boxes` leaf.** An upper envelope is a disjunction of
+//! axis-aligned regions, and so is every compiled-out tree or rule
+//! predicate and every hand-written column DNF: an `Or` whose disjuncts
+//! are `Col` leaves or conjunctions of them. Such an `Or` compiles to
+//! one [`NodeKind::Boxes`] leaf holding, per referenced column, a table
+//! from member to the bitset of disjuncts admitting it ([`BoxTable`]).
+//! A row passes iff the AND of its members' bitsets is non-zero — one
+//! lookup per column per row whatever the disjunct count, after
+//! Kim/Ileri/Madden's point that a disjunction over columns need not
+//! re-touch them per disjunct. The kernel has no evaluation order, so
+//! there is nothing inside it to reorder or factor and it runs
+//! identically with adaptation on or off; as a node it still takes
+//! part in its parent's rank ordering (one row-touch per row) and is
+//! factorable when shared. The generic `Or` path below serves only
+//! disjunctions with a `Scalar` or nested child.
 //!
 //! **Adaptive reordering** (Kim/Ileri/Madden-style rank ordering):
 //! instead of trusting the rewriter's clause order, an adaptive
@@ -43,8 +64,9 @@
 //!
 //! The same compiled form doubles as a page-pruning test: a page whose
 //! zone map ([`crate::Table::page_zones`]) is disjoint from a `Col`
-//! leaf's mask can be proven empty without reading it (`Scalar` leaves
-//! are conservatively "maybe"). The pipeline and the reference both
+//! leaf's mask, or on which no box of a `Boxes` leaf meets the zones of
+//! all its columns, can be proven empty without reading it (`Scalar`
+//! leaves are conservatively "maybe"). The pipeline and the reference both
 //! consult [`CompiledPredicate::page_may_match`] before touching a heap
 //! page.
 //!
@@ -59,7 +81,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::{Expr, ModelId, ModelOracle};
+use crate::expr::{Expr, MiningPred, ModelId, ModelOracle};
 use crate::table::{RowId, Table};
 use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::{AttrId, ClassId, Member, MemberSet, Row, Schema};
@@ -104,11 +126,16 @@ pub(crate) enum NodeKind {
         /// Matching members.
         mask: MemberSet,
     },
+    /// A flat column DNF — every disjunct a `Col` or a conjunction of
+    /// `Col`s — folded into one order-free leaf (see [`BoxTable`]).
+    Boxes(BoxTable),
     /// Conjunction: children filter the selection in order, so the
     /// evaluated (model, tuple) set matches short-circuit `&&` exactly.
     And(Vec<CompiledNode>),
-    /// Disjunction: children run over not-yet-matched rows only, which
-    /// preserves short-circuit `||` semantics per row. `factors` are
+    /// Disjunction with a `Scalar` or nested child (a flat column DNF
+    /// compiles to [`NodeKind::Boxes`] instead): children run over
+    /// not-yet-matched rows only, which preserves short-circuit `||`
+    /// semantics per row. `factors` are
     /// the shared subtrees hoisted out of this node's disjuncts; each
     /// is evaluated once on the incoming selection (before any child)
     /// and its pass set cached for the [`NodeKind::FactorRef`]
@@ -132,6 +159,136 @@ pub(crate) enum NodeKind {
     /// Escape hatch for mining predicates and `NOT` over them: exact
     /// row-at-a-time tree evaluation through the oracle.
     Scalar(Expr),
+}
+
+/// A disjunction of axis-aligned boxes as per-column lookup tables.
+///
+/// For each referenced column, `table[m * words + w]` is word `w` of the
+/// bitset of disjuncts that admit member `m` on that column: a disjunct
+/// that does not constrain the column admits every member, and two atoms
+/// of one disjunct on one column intersect. A row is in some box iff the
+/// AND of its members' bitsets over the columns is non-zero — one lookup
+/// and one AND per column per row, whatever the disjunct count. Bits at
+/// or past the disjunct count are never set, and with no referenced
+/// column every disjunct is the empty conjunction, so the AND may start
+/// from all-ones.
+#[derive(Clone)]
+pub(crate) struct BoxTable {
+    /// Words per bitset: ⌈disjuncts / 64⌉, at least 1.
+    words: usize,
+    cols: Vec<BoxColumn>,
+}
+
+#[derive(Clone)]
+struct BoxColumn {
+    /// Column index into the table's schema.
+    col: usize,
+    /// Member-major disjunct bitsets, `cardinality × words`.
+    table: Vec<u64>,
+}
+
+impl BoxTable {
+    /// The atoms of one box: `e` itself or the conjuncts of an `And`,
+    /// when they are all column atoms.
+    fn box_atoms(e: &Expr) -> Option<&[Expr]> {
+        let atoms = match e {
+            Expr::Atom(_) => std::slice::from_ref(e),
+            Expr::And(ps) => ps,
+            _ => return None,
+        };
+        atoms.iter().all(|a| matches!(a, Expr::Atom(_))).then_some(atoms)
+    }
+
+    /// The table of `disjuncts`, or `None` unless every one is a box
+    /// (and there is at least one). Runs once per execution, so it
+    /// touches only the members each atom names: a first atom sets its
+    /// disjunct's bit under the members it matches, the rare second
+    /// atom on the same column clears it under those it does not, and
+    /// one last pass per column ORs in the disjuncts left unconstrained.
+    fn build(disjuncts: &[Expr], schema: &Schema) -> Option<BoxTable> {
+        if disjuncts.is_empty() || !disjuncts.iter().all(|d| Self::box_atoms(d).is_some()) {
+            return None;
+        }
+        let words = disjuncts.len().div_ceil(64);
+        let mut cols: Vec<BoxColumn> = Vec::new();
+        // Per column (same index as `cols`), the disjuncts with an atom
+        // on it.
+        let mut constrained: Vec<Vec<u64>> = Vec::new();
+        for (j, d) in disjuncts.iter().enumerate() {
+            let (w, bit) = (j / 64, 1u64 << (j % 64));
+            for atom in Self::box_atoms(d).expect("shape checked above") {
+                let Expr::Atom(a) = atom else { unreachable!("shape checked above") };
+                let card = schema.attr(a.attr).domain.cardinality();
+                let col = a.attr.index();
+                let ci = cols.iter().position(|c| c.col == col).unwrap_or_else(|| {
+                    cols.push(BoxColumn { col, table: vec![0; card as usize * words] });
+                    constrained.push(vec![0; words]);
+                    cols.len() - 1
+                });
+                let table = &mut cols[ci].table;
+                if constrained[ci][w] & bit == 0 {
+                    constrained[ci][w] |= bit;
+                    a.pred.for_each_member(card, |m| table[m as usize * words + w] |= bit);
+                } else {
+                    for m in (0..card).filter(|&m| !a.pred.matches(m)) {
+                        table[m as usize * words + w] &= !bit;
+                    }
+                }
+            }
+        }
+        for (c, constrained) in cols.iter_mut().zip(&constrained) {
+            for (w, &seen) in constrained.iter().enumerate() {
+                let in_word = (disjuncts.len() - w * 64).min(64);
+                let free = (u64::MAX >> (64 - in_word)) & !seen;
+                if free != 0 {
+                    c.table.iter_mut().skip(w).step_by(words).for_each(|t| *t |= free);
+                }
+            }
+        }
+        Some(BoxTable { words, cols })
+    }
+
+    /// Keeps the rows of `sel` that lie in some box: a single pass over
+    /// the column slices, no allocation, no evaluation order.
+    fn filter(&self, table: &Table, sel: &mut Vec<RowId>) {
+        let words = self.words;
+        sel.retain(|&r| {
+            (0..words).any(|w| {
+                let mut acc = u64::MAX;
+                for c in &self.cols {
+                    acc &= c.table[table.column(c.col)[r as usize] as usize * words + w];
+                }
+                acc != 0
+            })
+        });
+    }
+
+    /// Whether some box meets the page's zones on every column:
+    /// `⋀_col (⋁_{m ∈ zone_col} table[m]) ≠ 0`, a word at a time so it
+    /// needs no buffer. This is the per-disjunct walk's answer — some
+    /// disjunct whose (per-column intersected) masks all meet their
+    /// zones — computed for all disjuncts at once.
+    fn may_match(&self, zones: &[MemberSet]) -> bool {
+        let words = self.words;
+        (0..words).any(|w| {
+            let mut acc = u64::MAX;
+            for c in &self.cols {
+                let mut met = 0u64;
+                for m in zones[c.col].iter() {
+                    met |= c.table[m as usize * words + w];
+                    // Nothing left for this column to rule out.
+                    if met & acc == acc {
+                        break;
+                    }
+                }
+                acc &= met;
+                if acc == 0 {
+                    break;
+                }
+            }
+            acc != 0
+        })
+    }
 }
 
 /// Per-node calibration counters plus the once-published re-planned
@@ -220,7 +377,9 @@ pub struct CompiledPredicate {
 
 impl CompiledPredicate {
     /// Compiles `expr` against `schema`. Total: every expression
-    /// compiles; shapes with no columnar form become `Scalar` leaves.
+    /// compiles; shapes with no columnar form become `Scalar` leaves,
+    /// and every flat column DNF becomes one `Boxes` leaf, adaptive or
+    /// not.
     ///
     /// With `adaptive` set, shared scalar-free subtrees across
     /// disjuncts are factored and the tree carries calibration
@@ -261,8 +420,10 @@ impl CompiledPredicate {
     /// satisfy the predicate. `false` is a proof of emptiness (the page
     /// can be skipped); `true` is inconclusive. Sound because a `Col`
     /// leaf whose mask is disjoint from the column's zone set matches no
-    /// row of the page, conjunction needs every child possible,
-    /// disjunction needs one, and `Scalar` leaves are always "maybe".
+    /// row of the page, nor does a `Boxes` leaf none of whose boxes
+    /// meets the zones of all its columns, conjunction needs every
+    /// child possible, disjunction needs one, and `Scalar` leaves are
+    /// always "maybe".
     pub fn page_may_match(&self, zones: &[MemberSet]) -> bool {
         may_match(&self.root, zones)
     }
@@ -272,10 +433,10 @@ impl CompiledPredicate {
     /// `Scalar` leaves row-at-a-time through `ctx`. Always uses the
     /// compile-time order (no calibration, no re-planning). On error
     /// `sel` is garbage and must be discarded.
-    pub(crate) fn filter_batch<O: ModelOracle>(
+    pub(crate) fn filter_batch(
         &self,
         sel: &mut Vec<RowId>,
-        ctx: &mut BatchCtx<'_, O>,
+        ctx: &mut BatchCtx<'_>,
     ) -> Result<(), EngineError> {
         filter(&self.root, sel, ctx, None)
     }
@@ -292,10 +453,10 @@ impl CompiledPredicate {
     /// finishing it) and then run the re-planned tree. A straddling
     /// batch is split at the boundary, which keeps the calibration row
     /// set exact and position-determined at every dop.
-    pub(crate) fn filter_batch_at<O: ModelOracle>(
+    pub(crate) fn filter_batch_at(
         &self,
         sel: &mut Vec<RowId>,
-        ctx: &mut BatchCtx<'_, O>,
+        ctx: &mut BatchCtx<'_>,
         pos: u64,
         clock: &CalibClock,
     ) -> Result<(), EngineError> {
@@ -384,9 +545,12 @@ fn compile_node(expr: &Expr, schema: &Schema) -> CompiledNode {
             NodeKind::Col { col: a.attr.index(), mask: a.pred.member_set(card) }
         }
         Expr::And(ps) => NodeKind::And(ps.iter().map(|p| compile_node(p, schema)).collect()),
-        Expr::Or(ps) => NodeKind::Or {
-            children: ps.iter().map(|p| compile_node(p, schema)).collect(),
-            factors: Vec::new(),
+        Expr::Or(ps) => match BoxTable::build(ps, schema) {
+            Some(boxes) => NodeKind::Boxes(boxes),
+            None => NodeKind::Or {
+                children: ps.iter().map(|p| compile_node(p, schema)).collect(),
+                factors: Vec::new(),
+            },
         },
         // Mining predicates and NOT (normalize pushes NOT down to atoms
         // except over mining predicates) stay scalar.
@@ -422,6 +586,7 @@ fn may_match(node: &CompiledNode, zones: &[MemberSet]) -> bool {
     match &node.kind {
         NodeKind::Const(b) => *b,
         NodeKind::Col { col, mask } => !mask.is_disjoint(&zones[*col]),
+        NodeKind::Boxes(boxes) => boxes.may_match(zones),
         NodeKind::And(ps) => ps.iter().all(|p| may_match(p, zones)),
         // Factors are cached computations, not extra disjuncts: the
         // node's value is the union of its children alone.
@@ -437,10 +602,11 @@ fn may_match(node: &CompiledNode, zones: &[MemberSet]) -> bool {
 
 /// A subtree is worth factoring when re-evaluating it beats an
 /// intersection: scalar-free (the cache must never change which rows
-/// reach a model) and at least two nodes (a lone `Col` probe is as
-/// cheap as the intersection that would replace it).
+/// reach a model) and either a `Boxes` leaf (a lookup per column per
+/// row) or at least two nodes (a lone `Col` probe is as cheap as the
+/// intersection that would replace it).
 fn factorable(node: &CompiledNode) -> bool {
-    !has_scalar(node) && count_nodes(node) >= 2
+    !has_scalar(node) && (matches!(node.kind, NodeKind::Boxes(_)) || count_nodes(node) >= 2)
 }
 
 fn placeholder() -> CompiledNode {
@@ -575,6 +741,17 @@ fn key_node(node: &CompiledNode, h: &mut u64) {
             for m in 0..mask.domain() {
                 if mask.contains(m) {
                     fnv_u64(h, u64::from(m));
+                }
+            }
+        }
+        NodeKind::Boxes(boxes) => {
+            fnv_u64(h, 7);
+            fnv_u64(h, boxes.words as u64);
+            for c in &boxes.cols {
+                fnv_u64(h, c.col as u64);
+                fnv_u64(h, c.table.len() as u64);
+                for &t in &c.table {
+                    fnv_u64(h, t);
                 }
             }
         }
@@ -790,37 +967,77 @@ fn reorder_runs(
 // ---------------------------------------------------------------------
 
 /// Per-execution state threaded through batch evaluation.
-pub(crate) struct BatchCtx<'a, O: ModelOracle> {
-    /// Table being scanned (column access for `Col` leaves, row
-    /// materialization for `Scalar` leaves).
+pub(crate) struct BatchCtx<'a> {
+    /// Table being scanned (column access for `Col`/`Boxes` leaves and
+    /// the cascade, row materialization for `Scalar` leaves).
     pub table: &'a Table,
-    /// Oracle resolving model predictions (normally a [`MemoScorer`]).
-    pub oracle: &'a O,
-    /// Reused row buffer — the scalar path's column-cursor view fills
-    /// it only when a `Scalar` leaf actually runs, killing the per-row
-    /// `Vec<Member>` allocation of the old interpreter.
-    pub row_buf: Vec<Member>,
-    /// Called after each row evaluated through a `Scalar` leaf; the
-    /// executors hook invocation-budget and deadline checks here so
-    /// breach classification matches the row-at-a-time reference.
-    pub after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
+    /// The execution's scorer: proxy cascades in front of the memo.
+    pub oracle: &'a MemoScorer<'a>,
+    /// Reused row buffer — filled only for the rows a `Scalar` leaf
+    /// evaluates one at a time.
+    row_buf: Vec<Member>,
+    /// Called after each row a `Scalar` leaf hands to the memo/scorer
+    /// path or evaluates row-at-a-time, and once per cascaded batch;
+    /// the executors hook invocation-budget, deadline and cancellation
+    /// checks here so breach classification matches the row-at-a-time
+    /// reference.
+    after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
     /// Per-slot factor pass sets. An owning `Or` always rewrites its
     /// slots on the current selection before any `FactorRef` below it
     /// reads them, so entries never need clearing between batches.
-    pub factor_pass: Vec<Option<Vec<RowId>>>,
+    factor_pass: Vec<Option<Vec<RowId>>>,
     /// Rows answered from a factor's cached pass set instead of
     /// re-evaluating the shared subtree. Summed per row, so the total
     /// is batching- and dop-independent.
     pub factor_hits: u64,
     /// Cooperative cancellation flag probed while waiting out the
     /// calibration window (`None` outside the executor).
-    pub cancel: Option<&'a AtomicBool>,
+    cancel: Option<&'a AtomicBool>,
+    /// Selection vectors the generic `Or` path borrows (three per
+    /// nesting level) and returns, so it allocates only until the pool
+    /// has grown to the tree's depth.
+    scratch: Vec<Vec<RowId>>,
+    /// The cascade's per-batch score and decision buffers.
+    scores: Vec<f64>,
+    decisions: Vec<ProxyDecision>,
 }
 
-fn filter<O: ModelOracle>(
+impl<'a> BatchCtx<'a> {
+    /// State for evaluating programs with up to `factor_slots` factor
+    /// slots over `table`.
+    pub(crate) fn new(
+        table: &'a Table,
+        oracle: &'a MemoScorer<'a>,
+        after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
+        factor_slots: usize,
+        cancel: Option<&'a AtomicBool>,
+    ) -> BatchCtx<'a> {
+        BatchCtx {
+            table,
+            oracle,
+            row_buf: vec![0; table.schema().len()],
+            after_scalar_row,
+            factor_pass: vec![None; factor_slots],
+            factor_hits: 0,
+            cancel,
+            scratch: Vec::new(),
+            scores: Vec::new(),
+            decisions: Vec::new(),
+        }
+    }
+
+    /// Materializes `row` into the reused row buffer.
+    fn load_row(&mut self, row: RowId) {
+        for (d, cell) in self.row_buf.iter_mut().enumerate() {
+            *cell = self.table.cell(row, d);
+        }
+    }
+}
+
+fn filter(
     node: &CompiledNode,
     sel: &mut Vec<RowId>,
-    ctx: &mut BatchCtx<'_, O>,
+    ctx: &mut BatchCtx<'_>,
     stats: Option<&AdaptiveState>,
 ) -> Result<(), EngineError> {
     let rows_in = sel.len() as u64;
@@ -833,6 +1050,10 @@ fn filter<O: ModelOracle>(
         NodeKind::Col { col, mask } => {
             let column = ctx.table.column(*col);
             sel.retain(|&r| mask.contains(column[r as usize]));
+            Ok(())
+        }
+        NodeKind::Boxes(boxes) => {
+            boxes.filter(ctx.table, sel);
             Ok(())
         }
         NodeKind::And(ps) => {
@@ -872,59 +1093,80 @@ fn filter<O: ModelOracle>(
     Ok(())
 }
 
-fn or_filter<O: ModelOracle>(
+fn or_filter(
     children: &[CompiledNode],
     factors: &[(usize, CompiledNode)],
     sel: &mut Vec<RowId>,
-    ctx: &mut BatchCtx<'_, O>,
+    ctx: &mut BatchCtx<'_>,
     stats: Option<&AdaptiveState>,
 ) -> Result<(), EngineError> {
     // Prime every factor on the incoming selection: each shared
     // subtree is evaluated once per selection vector, and the
     // `FactorRef` occurrences below intersect with the cached result.
-    // Factors are scalar-free, so this touches no model.
+    // Factors are scalar-free, so this touches no model. The slot's
+    // previous vector is refilled in place.
     for (slot, rep) in factors {
-        let mut pass = sel.clone();
+        let mut pass = ctx.factor_pass[*slot].take().unwrap_or_default();
+        pass.clear();
+        pass.extend_from_slice(sel);
         filter(rep, &mut pass, ctx, stats)?;
         ctx.factor_pass[*slot] = Some(pass);
     }
     // Each child sees only rows no earlier child matched — exactly the
-    // rows short-circuit `||` would evaluate it on.
-    let mut remaining = std::mem::take(sel);
-    let mut matched: Vec<RowId> = Vec::new();
+    // rows short-circuit `||` would evaluate it on. `sel` becomes the
+    // matched set; the two working vectors come from the pool and go
+    // back to it (an error drops them with the execution).
+    let mut remaining = std::mem::replace(sel, ctx.scratch.pop().unwrap_or_default());
+    let mut pass = ctx.scratch.pop().unwrap_or_default();
+    sel.clear();
     for p in children {
         if remaining.is_empty() {
             break;
         }
-        let mut pass = remaining.clone();
+        pass.clear();
+        pass.extend_from_slice(&remaining);
         filter(p, &mut pass, ctx, stats)?;
         if pass.is_empty() {
             continue;
         }
         subtract_sorted(&mut remaining, &pass);
-        matched.extend_from_slice(&pass);
+        sel.extend_from_slice(&pass);
     }
-    matched.sort_unstable();
-    *sel = matched;
+    sel.sort_unstable();
+    ctx.scratch.push(remaining);
+    ctx.scratch.push(pass);
     Ok(())
 }
 
-fn scalar_filter<O: ModelOracle>(
+/// Evaluates a `Scalar` leaf. A lone `PREDICT(m) = c` / `PREDICT(m) IN
+/// (..)` over a cascaded model takes the column-at-a-time cascade;
+/// every other shape walks the expression row by row.
+fn scalar_filter(
     expr: &Expr,
     sel: &mut Vec<RowId>,
-    ctx: &mut BatchCtx<'_, O>,
+    ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
-    let n_cols = ctx.table.schema().len();
+    let cascaded = match expr {
+        Expr::Mining(MiningPred::ClassEq { model, class }) => {
+            Some((*model, std::slice::from_ref(class)))
+        }
+        Expr::Mining(MiningPred::ClassIn { model, classes }) => Some((*model, &classes[..])),
+        _ => None,
+    };
+    let memo = ctx.oracle;
+    if let Some((model, accept)) = cascaded {
+        if let Some(proxy) = memo.cascade(model) {
+            return cascade_filter(proxy, model, accept, sel, ctx);
+        }
+    }
     let mut kept = 0;
     for i in 0..sel.len() {
         let row = sel[i];
-        for d in 0..n_cols {
-            ctx.row_buf[d] = ctx.table.cell(row, d);
-        }
+        ctx.load_row(row);
         // Invocations are counted by the memo oracle (misses),
         // not by the tree walk — the counter here is discarded.
         let mut tree_inv = 0u64;
-        let hit = expr.eval(&ctx.row_buf, ctx.oracle, &mut tree_inv);
+        let hit = expr.eval(&ctx.row_buf, memo, &mut tree_inv);
         (ctx.after_scalar_row)()?;
         if hit {
             sel[kept] = row;
@@ -933,6 +1175,56 @@ fn scalar_filter<O: ModelOracle>(
     }
     sel.truncate(kept);
     Ok(())
+}
+
+/// `predict(model, row) ∈ accept` over a whole selection vector: the
+/// proxy decides every row column-at-a-time, then band rows — and only
+/// they — go one by one, in ascending row order, through the memo/scorer
+/// path, exactly the rows and the order [`MemoScorer::predict_in`] sends
+/// there row by row. The shared cascade counters take one add per batch.
+fn cascade_filter(
+    proxy: &ProxyScore,
+    model: ModelId,
+    accept: &[ClassId],
+    sel: &mut Vec<RowId>,
+    ctx: &mut BatchCtx<'_>,
+) -> Result<(), EngineError> {
+    let (table, memo) = (ctx.table, ctx.oracle);
+    proxy.decide_batch(
+        sel.len(),
+        |d, i| table.cell(sel[i], d),
+        &mut ctx.scores,
+        &mut ctx.decisions,
+    );
+    let (mut accepts, mut band) = (0u64, 0u64);
+    let n = sel.len();
+    let mut kept = 0;
+    for i in 0..n {
+        let row = sel[i];
+        let hit = match ctx.decisions[i] {
+            ProxyDecision::Unique(c) => {
+                let hit = accept.contains(&c);
+                accepts += u64::from(hit);
+                hit
+            }
+            ProxyDecision::Band => {
+                band += 1;
+                ctx.load_row(row);
+                let hit = accept.contains(&memo.predict_via_memo(model, &ctx.row_buf));
+                (ctx.after_scalar_row)()?;
+                hit
+            }
+        };
+        if hit {
+            sel[kept] = row;
+            kept += 1;
+        }
+    }
+    sel.truncate(kept);
+    memo.cascade_accepts.fetch_add(accepts, Ordering::Relaxed);
+    memo.cascade_rejects.fetch_add(n as u64 - accepts - band, Ordering::Relaxed);
+    memo.band_rows.fetch_add(band, Ordering::Relaxed);
+    (ctx.after_scalar_row)()
 }
 
 /// Removes the (sorted, subset) `pass` rows from the sorted `remaining`
@@ -1066,6 +1358,11 @@ impl<'a> MemoScorer<'a> {
         self.scorer_ns.load(Ordering::Relaxed)
     }
 
+    /// The verified proxy cascade enabled for `model`, if any.
+    fn cascade(&self, model: ModelId) -> Option<&ProxyScore> {
+        self.cascades.get(model)?.as_deref()
+    }
+
     /// The timed catalog scorer call shared by every miss path.
     fn scored_predict(&self, model: ModelId, row: &Row) -> ClassId {
         let t0 = Instant::now();
@@ -1118,7 +1415,7 @@ impl ModelOracle for MemoScorer<'_> {
         // the cascade too. Only tied rows — the band — reach the
         // memo/scorer path, and they are counted here so `band_rows`
         // equals the fallback-scorer set on every query shape.
-        if let Some(Some(proxy)) = self.cascades.get(model) {
+        if let Some(proxy) = self.cascade(model) {
             match proxy.decide(row) {
                 ProxyDecision::Unique(c) => return c,
                 ProxyDecision::Band => {
@@ -1135,7 +1432,7 @@ impl ModelOracle for MemoScorer<'_> {
     }
 
     fn predict_in(&self, model: ModelId, row: &Row, accept: &[ClassId]) -> bool {
-        if let Some(Some(proxy)) = self.cascades.get(model) {
+        if let Some(proxy) = self.cascade(model) {
             match proxy.decide(row) {
                 // A unique proxy argmax IS the model's prediction
                 // (bit-identical score tables): answer membership
@@ -1164,7 +1461,7 @@ impl ModelOracle for MemoScorer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Atom, AtomPred, MiningPred};
+    use crate::expr::{Atom, AtomPred};
     use crate::table::Table;
     use mpq_types::{AttrDomain, Attribute, Dataset};
 
@@ -1195,39 +1492,31 @@ mod tests {
         run_counting(pred, t).0
     }
 
-    fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, u64) {
+    /// Runs `f` with a batch context over `t` and an empty catalog.
+    fn with_ctx<R>(pred: &CompiledPredicate, t: &Table, f: impl FnOnce(&mut BatchCtx<'_>) -> R) -> R {
+        let cat = Catalog::new();
+        let memo = MemoScorer::with_cascades(&cat, 0, Vec::new());
         let mut after = || Ok(());
-        let mut ctx = BatchCtx {
-            table: t,
-            oracle: &NoModels,
-            row_buf: vec![0; t.schema().len()],
-            after_scalar_row: &mut after,
-            factor_pass: vec![None; pred.factor_slots()],
-            factor_hits: 0,
-            cancel: None,
-        };
-        let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-        pred.filter_batch(&mut sel, &mut ctx).unwrap();
-        (sel, ctx.factor_hits)
+        f(&mut BatchCtx::new(t, &memo, &mut after, pred.factor_slots(), None))
+    }
+
+    fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, u64) {
+        with_ctx(pred, t, |ctx| {
+            let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
+            pred.filter_batch(&mut sel, ctx).unwrap();
+            (sel, ctx.factor_hits)
+        })
     }
 
     /// Drives the adaptive path end to end: calibration window of
     /// `calib` rows, one straddling batch over the whole table.
     fn run_adaptive(pred: &CompiledPredicate, t: &Table, calib: u64) -> (Vec<RowId>, u64) {
-        let mut after = || Ok(());
-        let mut ctx = BatchCtx {
-            table: t,
-            oracle: &NoModels,
-            row_buf: vec![0; t.schema().len()],
-            after_scalar_row: &mut after,
-            factor_pass: vec![None; pred.factor_slots()],
-            factor_hits: 0,
-            cancel: None,
-        };
-        let clock = CalibClock::new(calib.min(t.n_rows() as u64));
-        let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-        pred.filter_batch_at(&mut sel, &mut ctx, 0, &clock).unwrap();
-        (sel, pred.reordered_clauses())
+        with_ctx(pred, t, |ctx| {
+            let clock = CalibClock::new(calib.min(t.n_rows() as u64));
+            let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
+            pred.filter_batch_at(&mut sel, ctx, 0, &clock).unwrap();
+            (sel, pred.reordered_clauses())
+        })
     }
 
     fn reference(e: &Expr, t: &Table) -> Vec<RowId> {
@@ -1371,6 +1660,243 @@ mod tests {
             true,
         );
         assert!((0..t.n_pages()).all(|p| mining.page_may_match(t.page_zones(p))));
+    }
+
+    // -- Boxes kernel: exhaustive over small grids ---------------------
+
+    /// Deterministic test-input generator (splitmix64).
+    struct Gen(u64);
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn grid_schema(cards: &[u16]) -> Schema {
+        Schema::new(
+            cards
+                .iter()
+                .enumerate()
+                .map(|(d, &c)| {
+                    let names: Vec<String> = (0..c).map(|m| format!("m{m}")).collect();
+                    Attribute::new(format!("c{d}"), AttrDomain::categorical(names))
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    /// A table holding every cell of the grid exactly once.
+    fn grid_table(schema: &Schema) -> Table {
+        let cards: Vec<u16> =
+            schema.attrs().iter().map(|a| a.domain.cardinality()).collect();
+        let n: usize = cards.iter().map(|&c| c as usize).product();
+        let rows = (0..n).map(|mut i| {
+            cards
+                .iter()
+                .map(|&c| {
+                    let m = (i % c as usize) as u16;
+                    i /= c as usize;
+                    m
+                })
+                .collect::<Vec<u16>>()
+        });
+        Table::with_page_bytes("grid", &Dataset::from_rows(schema.clone(), rows).unwrap(), 256)
+    }
+
+    /// A random atom on column `col`: `Eq`, `Range` or `In`, the last
+    /// with any mask including the empty one.
+    fn gen_atom(g: &mut Gen, col: usize, card: u16) -> Expr {
+        let pred = match g.below(3) {
+            0 => AtomPred::Eq(g.below(card as u64) as u16),
+            1 => {
+                let lo = g.below(card as u64) as u16;
+                AtomPred::Range { lo, hi: lo + g.below((card - lo) as u64) as u16 }
+            }
+            _ => {
+                let bits = g.below(1 << card);
+                AtomPred::In(MemberSet::of(card, (0..card).filter(|m| bits >> m & 1 == 1)))
+            }
+        };
+        Expr::Atom(Atom { attr: AttrId(col as u16), pred })
+    }
+
+    /// A random flat column DNF of `n` disjuncts: one to three atoms
+    /// each on random columns, so some disjuncts name a column twice
+    /// and some are a bare atom.
+    fn gen_dnf(g: &mut Gen, cards: &[u16], n: usize) -> Expr {
+        Expr::Or(
+            (0..n)
+                .map(|_| {
+                    let atoms: Vec<Expr> = (0..1 + g.below(3))
+                        .map(|_| {
+                            let col = g.below(cards.len() as u64) as usize;
+                            gen_atom(g, col, cards[col])
+                        })
+                        .collect();
+                    Expr::and(atoms)
+                })
+                .collect(),
+        )
+    }
+
+    /// The per-disjunct zone walk the `Boxes` tables replace: some
+    /// disjunct whose masks — intersected per column — all meet the
+    /// page's zones.
+    fn disjunct_walk(dnf: &Expr, schema: &Schema, zones: &[MemberSet]) -> bool {
+        let Expr::Or(disjuncts) = dnf else { panic!("a DNF") };
+        disjuncts.iter().any(|d| {
+            let mut masks: Vec<MemberSet> = schema
+                .attrs()
+                .iter()
+                .map(|a| MemberSet::full(a.domain.cardinality()))
+                .collect();
+            for atom in BoxTable::box_atoms(d).expect("a box") {
+                let Expr::Atom(a) = atom else { unreachable!() };
+                let card = schema.attr(a.attr).domain.cardinality();
+                masks[a.attr.index()].intersect_with(&a.pred.member_set(card));
+            }
+            masks.iter().zip(zones).all(|(m, z)| !m.is_disjoint(z))
+        })
+    }
+
+    fn is_boxes(pred: &CompiledPredicate) -> bool {
+        matches!(pred.root.kind, NodeKind::Boxes(_))
+    }
+
+    /// The hand-written corner shapes plus generated DNFs of one to
+    /// eight disjuncts and two multi-word ones.
+    fn box_dnfs(g: &mut Gen, cards: &[u16]) -> Vec<Expr> {
+        let a = |col: usize, pred| Expr::Atom(Atom { attr: AttrId(col as u16), pred });
+        let empty = |col: usize| a(col, AtomPred::In(MemberSet::empty(cards[col])));
+        let mut dnfs = vec![
+            // Two atoms on one column in a disjunct: they intersect.
+            Expr::Or(vec![
+                Expr::And(vec![
+                    a(0, AtomPred::Range { lo: 0, hi: 2 }),
+                    a(0, AtomPred::Range { lo: 2, hi: 3 }),
+                    a(1, AtomPred::Eq(1)),
+                ]),
+                Expr::And(vec![a(0, AtomPred::Eq(0)), a(0, AtomPred::Eq(1))]),
+            ]),
+            // An empty-mask atom kills its disjunct, alone or in company.
+            Expr::Or(vec![empty(1), Expr::And(vec![a(0, AtomPred::Eq(1)), empty(2)])]),
+            Expr::Or(vec![empty(0), a(2, AtomPred::Eq(2))]),
+            // One-atom disjuncts, one disjunct, and the empty conjunction.
+            Expr::Or(vec![a(0, AtomPred::Eq(3)), a(1, AtomPred::Eq(0))]),
+            Expr::Or(vec![a(2, AtomPred::Eq(1))]),
+            Expr::Or(vec![Expr::And(vec![]), a(0, AtomPred::Eq(0))]),
+        ];
+        for n in (1..=8).chain([65, 129]) {
+            for _ in 0..4 {
+                dnfs.push(gen_dnf(g, cards, n));
+            }
+        }
+        dnfs
+    }
+
+    #[test]
+    fn boxes_equal_tree_walk_on_every_cell() {
+        let cards = [6u16, 5, 4, 3];
+        let s = grid_schema(&cards);
+        let t = grid_table(&s);
+        assert_eq!(t.n_rows(), 360);
+        let mut g = Gen(22);
+        for e in box_dnfs(&mut g, &cards) {
+            let want = reference(&e, &t);
+            for adaptive in [false, true] {
+                let pred = CompiledPredicate::compile(&e, &s, adaptive);
+                assert!(is_boxes(&pred), "{e:?}");
+                assert_eq!(pred.node_count(), 1);
+                assert_eq!(run(&pred, &t), want, "adaptive={adaptive} {e:?}");
+            }
+            let pred = CompiledPredicate::compile(&e, &s, true);
+            let (rows, moved) = run_adaptive(&pred, &t, 100);
+            assert_eq!(rows, want, "replanned {e:?}");
+            assert_eq!(moved, 0, "a Boxes leaf has no order to change");
+        }
+    }
+
+    #[test]
+    fn boxes_zone_check_equals_the_per_disjunct_walk_on_every_zone_vector() {
+        let cards = [4u16, 3, 4];
+        let s = grid_schema(&cards);
+        // A page's zone is never empty, so neither are these.
+        let subsets = |card: u16| {
+            (1..1u32 << card)
+                .map(move |bits| MemberSet::of(card, (0..card).filter(|m| bits >> m & 1 == 1)))
+                .collect::<Vec<_>>()
+        };
+        let (z0, z1, z2) = (subsets(4), subsets(3), subsets(4));
+        let mut g = Gen(7);
+        for e in box_dnfs(&mut g, &cards) {
+            let pred = CompiledPredicate::compile(&e, &s, false);
+            assert!(is_boxes(&pred));
+            for a in &z0 {
+                for b in &z1 {
+                    for c in &z2 {
+                        let zones = [a.clone(), b.clone(), c.clone()];
+                        assert_eq!(
+                            pred.page_may_match(&zones),
+                            disjunct_walk(&e, &s, &zones),
+                            "zones {zones:?} of {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_disjunction_with_a_scalar_or_nested_child_stays_generic() {
+        let s = schema();
+        let t = table();
+        let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
+        let mining = Expr::Mining(MiningPred::ClassEq { model: 0, class: ClassId(0) });
+        let with_scalar = Expr::Or(vec![a(0, AtomPred::Eq(0)), a(1, AtomPred::Eq(1)), mining]);
+        let pred = CompiledPredicate::compile(&with_scalar, &s, true);
+        assert!(matches!(pred.root.kind, NodeKind::Or { .. }));
+        assert_eq!(pred.node_count(), 4);
+        // A nested disjunction is not a box either, but its flat inner
+        // `Or` is — and the two evaluate together exactly.
+        let nested = Expr::Or(vec![
+            Expr::And(vec![
+                a(1, AtomPred::Eq(2)),
+                Expr::Or(vec![a(0, AtomPred::Eq(0)), a(0, AtomPred::Eq(3))]),
+            ]),
+            a(0, AtomPred::Eq(1)),
+        ]);
+        let pred = CompiledPredicate::compile(&nested, &s, true);
+        let NodeKind::Or { children, .. } = &pred.root.kind else { panic!("generic Or") };
+        let NodeKind::And(conj) = &children[0].kind else { panic!("And disjunct") };
+        assert!(matches!(conj[1].kind, NodeKind::Boxes(_)));
+        assert_eq!(run(&pred, &t), reference(&nested, &t));
+        assert_eq!(run_adaptive(&pred, &t, 16).0, reference(&nested, &t));
+    }
+
+    /// The work gate: calibrating a 16-box envelope touches each row
+    /// once, at the `Boxes` leaf — not once per disjunct and atom that
+    /// the row reaches, which is what the generic `Or` walk costs.
+    #[test]
+    fn a_sixteen_box_envelope_calibrates_in_one_touch_per_row() {
+        let cards = [6u16, 5, 4, 3];
+        let s = grid_schema(&cards);
+        let t = grid_table(&s);
+        let mut g = Gen(16);
+        let envelope = gen_dnf(&mut g, &cards, 16);
+        let pred = CompiledPredicate::compile(&envelope, &s, true);
+        let n = t.n_rows() as u64;
+        let (rows, _) = run_adaptive(&pred, &t, n);
+        assert_eq!(rows, reference(&envelope, &t));
+        let ad = pred.adaptive.as_ref().expect("compiled adaptive");
+        assert_eq!(subtree_cost(&pred.root, ad), n);
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //! observed conjunction selectivity contradicts the independence
 //! assumption must evict its cached plan, flip from full scan to index
 //! seek on the next run, and surface the fed-back costing in EXPLAIN.
+//!
+//! A third pins what adaptation still applies to now that a flat column
+//! DNF is one order-free `Boxes` leaf: three adversarially written
+//! shapes over a 50k-row table, each against the scalar reference.
 
 use mpq_engine::{
-    execute_opts, parse, Catalog, Engine, EngineError, ExecOptions, GuardResource,
-    QueryGuard, StatementOutcome, Table,
+    execute_opts, parse, Atom, AtomPred, Catalog, Engine, EngineError, ExecOptions, Expr,
+    GuardResource, QueryGuard, StatementOutcome, Table,
 };
-use mpq_types::{AttrDomain, Attribute, AttrId, Dataset, Schema};
+use mpq_types::{AttrDomain, Attribute, AttrId, Dataset, MemberSet, Schema};
 use proptest::prelude::*;
 
 const DOPS: [usize; 4] = [1, 2, 4, 8];
@@ -336,4 +340,107 @@ fn feedback_convergence_flips_plan_and_shows_in_explain() {
     assert_eq!(off.rows, first.rows);
     assert_eq!(off.metrics.clauses_reordered, 0);
     assert_eq!(off.metrics.factor_hits, 0);
+}
+
+/// Three predicates whose source order is pessimal, over twelve
+/// interleaved 128-member columns (odd strides mod a power of two, so
+/// zone maps prune nothing and only evaluation order is at stake):
+///
+/// * `expensive_first` — a two-disjunct flat column DNF, a nine-atom
+///   conjunction accepting ~4% before a one-atom disjunct accepting
+///   87.5%. It compiles to a single `Boxes` leaf, which has no order:
+///   nothing to reorder, nothing to factor, adaptive on or off.
+/// * `shared_subexpr` — eight disjuncts `(S AND u_i)` sharing the
+///   eight-way inner disjunction `S`. `S` is a `Boxes` leaf under a
+///   generic `Or`, which still factors it: evaluated once per selection
+///   vector instead of once per disjunct.
+/// * `correlated` — a conjunction over two correlated columns written
+///   broad-clause-first. Calibration sees the true pass rates and moves
+///   the rare clause to the front of the root `And`.
+///
+/// On each, the scalar reference, the fixed-order leg and the adaptive
+/// leg return one row set, and the fixed leg reports no adaptive work.
+#[test]
+fn adaptation_applies_above_boxes_leaves_and_never_changes_rows() {
+    const N_ROWS: usize = 50_000;
+    const CARD: u16 = 128;
+    const PRIMES: [usize; 8] = [3, 5, 7, 11, 13, 17, 19, 23];
+    // Columns 0..8 (`h0`..`h7`) feed the expensive conjunction and the
+    // shared inner disjunction, `u` partitions the disjuncts, `cheap`
+    // is the broad one-atom disjunct, `ca`/`cb` are the correlated pair.
+    const U: usize = 8;
+    const CHEAP: usize = 9;
+    const CA: usize = 10;
+    const CB: usize = 11;
+    let domain = || AttrDomain::binned((1..CARD as usize).map(|b| b as f64).collect()).unwrap();
+    let names = ["h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7", "u", "cheap", "ca", "cb"];
+    let schema =
+        Schema::new(names.iter().map(|n| Attribute::new(*n, domain())).collect()).unwrap();
+    let mut ds = Dataset::new(schema);
+    for i in 0..N_ROWS {
+        let mut row = [0u16; 12];
+        for (k, p) in PRIMES.iter().enumerate() {
+            row[k] = ((i * p + k * 37) % CARD as usize) as u16;
+        }
+        row[U] = ((i * 31 + 5) % CARD as usize) as u16;
+        row[CHEAP] = ((i * 45 + 17) % CARD as usize) as u16;
+        row[CA] = ((i * 9 + 2) % CARD as usize) as u16;
+        // Derived from `ca`, not drawn independently: per-clause pass
+        // rates are honest, the joint distribution is what static
+        // independence costing gets wrong.
+        row[CB] = ((row[CA] as usize * 37 + i) % CARD as usize) as u16;
+        ds.push_encoded(&row).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_dataset("events", &ds)).unwrap();
+    let engine = Engine::new(cat);
+
+    let atom = |col: usize, members: std::ops::Range<u16>| {
+        Expr::Atom(Atom {
+            attr: AttrId(col as u16),
+            pred: AtomPred::In(MemberSet::of(CARD, members)),
+        })
+    };
+    let shared = || Expr::Or((0..8).map(|k| atom(k, 0..8)).collect());
+    let shapes = [
+        (
+            "expensive_first",
+            Expr::Or(vec![
+                Expr::And((0..8).map(|k| atom(k, 0..121)).chain([atom(U, 0..8)]).collect()),
+                atom(CHEAP, 0..112),
+            ]),
+        ),
+        (
+            "shared_subexpr",
+            Expr::Or(
+                (0..8)
+                    .map(|d| Expr::And(vec![shared(), atom(U, d * 16..(d + 1) * 16)]))
+                    .collect(),
+            ),
+        ),
+        ("correlated", Expr::And(vec![atom(CA, 0..116), atom(CB, 0..8)])),
+    ];
+    let catalog = engine.catalog();
+    for (name, expr) in shapes {
+        let plan = engine.plan_predicate(0, expr);
+        let run = |opts: ExecOptions| {
+            execute_opts(&plan, &catalog, QueryGuard::unlimited(), &opts).expect("unlimited scan")
+        };
+        let scalar = run(ExecOptions { vectorized: false, ..ExecOptions::default() });
+        let fixed = run(ExecOptions { adaptive: false, ..ExecOptions::default() });
+        let adaptive = run(ExecOptions::default());
+        assert!(!scalar.rows.is_empty() && scalar.rows.len() < N_ROWS, "{name}");
+        assert_eq!(fixed.rows, scalar.rows, "{name}: fixed-order row set diverged");
+        assert_eq!(adaptive.rows, scalar.rows, "{name}: adaptive row set diverged");
+        assert_eq!(fixed.metrics.clauses_reordered, 0, "{name}: fixed leg reordered");
+        assert_eq!(fixed.metrics.factor_hits, 0, "{name}: fixed leg factored");
+        let m = &adaptive.metrics;
+        match name {
+            "expensive_first" => {
+                assert_eq!((m.clauses_reordered, m.factor_hits), (0, 0), "{name}: one leaf")
+            }
+            "shared_subexpr" => assert!(m.factor_hits > 0, "{name}: factoring never fired"),
+            _ => assert!(m.clauses_reordered > 0, "{name}: reordering never fired"),
+        }
+    }
 }

@@ -7,7 +7,9 @@
 //! degree of parallelism, with the memo cache on and off.
 
 use mining_predicates::prelude::*;
-use mpq_engine::{execute_opts, ExecOptions, ModelOracle, StatementOutcome};
+use mpq_engine::{
+    execute_opts, Atom, AtomPred, ExecOptions, ModelOracle, StatementOutcome, ASSUMED_COLUMN_BYTES,
+};
 use mpq_core::{ProxyDecision, ProxyScore};
 use proptest::prelude::*;
 
@@ -307,5 +309,169 @@ proptest! {
             "at most two predict calls per examined row"
         );
         prop_assert_eq!(no_memo.metrics.memo_hits, 0, "disabled memo reported hits");
+    }
+}
+
+// -- Batches of many pages -------------------------------------------
+
+/// Rows a scan hands the compiled predicate at once (`exec.rs`,
+/// `SCAN_BATCH_ROWS`).
+const BATCH_ROWS: usize = 2048;
+/// An odd page size, so that neither a batch (55 pages, 2,035 rows)
+/// nor the 4,096-row calibration window ends where a page or the other
+/// does.
+const ROWS_PER_PAGE: usize = 37;
+/// The one page of the big table holding only `a = a0`.
+const SKIPPED_PAGE: usize = 70;
+
+/// A 9,000-row table `t` (id 1) of 37-row pages and two models trained
+/// on the small table `train` (id 0) of the same schema: a naive Bayes
+/// whose classes `c1` and `c2` have identical training rows — they
+/// score bit-equal, so wherever they beat `c0` (every `a >= a2` cell)
+/// the proxy ties and the row is band — and a k-means.
+fn engine_with_big_table() -> Engine {
+    let schema = Schema::new(vec![
+        Attribute::new("a", AttrDomain::categorical(["a0", "a1", "a2", "a3"])),
+        Attribute::new("b", AttrDomain::categorical(["b0", "b1", "b2"])),
+        Attribute::new("label", AttrDomain::categorical(["c0", "c1", "c2"])),
+    ])
+    .unwrap();
+    let mut train = Dataset::new(schema.clone());
+    for a in 0..4u16 {
+        for b in 0..3u16 {
+            for label in [1, 2] {
+                train.push_encoded(&[a, b, label]).unwrap();
+            }
+            for _ in 0..3 * u16::from(a < 2) {
+                train.push_encoded(&[a, b, 0]).unwrap();
+            }
+        }
+    }
+    let rows = (0..9_000usize).map(|i| {
+        let a = if i / ROWS_PER_PAGE == SKIPPED_PAGE { 0 } else { i % 4 };
+        vec![a as u16, (i / 4 % 3) as u16, (i / 12 % 3) as u16]
+    });
+    let big = Dataset::from_rows(schema, rows).unwrap();
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_dataset("train", &train)).unwrap();
+    let page_bytes = ROWS_PER_PAGE * 3 * ASSUMED_COLUMN_BYTES;
+    cat.add_table(Table::with_page_bytes("t", &big, page_bytes)).unwrap();
+    let e = Engine::new(cat);
+    for ddl in [
+        "CREATE MINING MODEL m_tied ON train PREDICT label USING bayes",
+        "CREATE MINING MODEL m_km ON train WITH 2 CLUSTERS USING kmeans",
+    ] {
+        let out = e.execute_sql(ddl).expect(ddl);
+        assert!(matches!(out, StatementOutcome::ModelCreated { .. }), "{ddl}");
+    }
+    e
+}
+
+/// The column-at-a-time cascade over multi-page batches against the
+/// per-row cascade of the reference interpreter, on a scan of five
+/// batches whose batch, page and calibration boundaries all differ and
+/// whose second batch is cut short by a zone-skipped page: same rows,
+/// same accept/reject/band split, same scorer calls — and, with the
+/// memo off, the same invocation-budget breach for every limit across
+/// the first batch boundary.
+#[test]
+fn batched_cascade_equals_the_per_row_cascade_across_every_boundary() {
+    let e = engine_with_big_table();
+    e.set_use_envelopes(false); // every `a != a0` row reaches the mining predicate
+    let catalog = e.catalog();
+    let t = &catalog.table(1).table;
+    assert_eq!(t.rows_per_page(), ROWS_PER_PAGE);
+    let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
+    assert!(t.n_rows() >= 3 * BATCH_ROWS);
+    assert!(batch_end != BATCH_ROWS);
+    assert!(!4096usize.is_multiple_of(ROWS_PER_PAGE) && !4096usize.is_multiple_of(batch_end));
+    assert!(batch_end < SKIPPED_PAGE * ROWS_PER_PAGE && SKIPPED_PAGE * ROWS_PER_PAGE < 2 * batch_end);
+
+    let not_a0 = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Range { lo: 1, hi: 3 } });
+    let no_memo = |dop: usize| ExecOptions { memo_capacity: 0, ..ExecOptions::with_parallelism(dop) };
+    let preds = [
+        MiningPred::ClassEq { model: 0, class: ClassId(1) },
+        MiningPred::ClassIn { model: 0, classes: vec![ClassId(0), ClassId(2)] },
+        MiningPred::ClassEq { model: 1, class: ClassId(0) },
+    ];
+    for pred in &preds {
+        let plan = e.plan_predicate(1, Expr::And(vec![not_a0(), Expr::Mining(pred.clone())]));
+        for memo_capacity in [ExecOptions::default().memo_capacity, 0] {
+            let reference = execute_opts(
+                &plan,
+                &catalog,
+                QueryGuard::unlimited(),
+                &ExecOptions { memo_capacity, ..reference_opts() },
+            )
+            .expect("reference run cannot fail");
+            let r = &reference.metrics;
+            assert_eq!(r.pages_skipped, 1, "{pred:?}");
+            assert!(r.cascade_accepts + r.cascade_rejects > 0, "the cascade must be on: {pred:?}");
+            if memo_capacity == 0 {
+                assert_eq!(r.model_invocations, r.band_rows, "{pred:?}");
+            }
+            for dop in DOPS {
+                let got = execute_opts(
+                    &plan,
+                    &catalog,
+                    QueryGuard::unlimited(),
+                    &ExecOptions { memo_capacity, ..ExecOptions::with_parallelism(dop) },
+                )
+                .expect("batched run cannot fail");
+                let ctx = format!("{pred:?}, memo {memo_capacity}, dop {dop}");
+                assert_eq!(got.rows, reference.rows, "{ctx}");
+                let m = &got.metrics;
+                assert_eq!(
+                    (m.cascade_accepts, m.cascade_rejects, m.band_rows),
+                    (r.cascade_accepts, r.cascade_rejects, r.band_rows),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (m.model_invocations, m.memo_hits, m.rows_examined, m.heap_pages_read),
+                    (r.model_invocations, r.memo_hits, r.rows_examined, r.heap_pages_read),
+                    "{ctx}"
+                );
+                assert_eq!(m.pages_skipped, 1, "{ctx}");
+            }
+        }
+    }
+
+    // Invocation budgets that trip just before, on and just after the
+    // last band row of the first batch.
+    let proxy = fresh_proxy(&e, 0);
+    let band_in_first_batch = (0..batch_end as u32)
+        .map(|r| t.row(r))
+        .filter(|row| row[0] != 0 && proxy.decide(row) == ProxyDecision::Band)
+        .count() as u64;
+    assert!(band_in_first_batch > 100, "tied classes must put rows in the band");
+    let plan = e.plan_predicate(1, Expr::And(vec![not_a0(), Expr::Mining(preds[0].clone())]));
+    for limit in band_in_first_batch - 3..=band_in_first_batch + 3 {
+        let guard = QueryGuard::default().with_max_model_invocations(limit);
+        let reference = execute_opts(
+            &plan,
+            &catalog,
+            guard,
+            &ExecOptions { memo_capacity: 0, ..reference_opts() },
+        )
+        .expect_err("the table holds thousands of band rows");
+        let EngineError::BudgetExceeded { resource, spent, .. } = &reference else {
+            panic!("limit {limit}: {reference:?}");
+        };
+        assert_eq!((*resource, *spent), (GuardResource::ModelInvocations, limit + 1));
+        for dop in DOPS {
+            let got = execute_opts(&plan, &catalog, guard, &no_memo(dop))
+                .expect_err("the pipeline must breach where the reference does");
+            if dop == 1 {
+                assert_eq!(got, reference, "limit {limit}");
+            } else {
+                match got {
+                    EngineError::BudgetExceeded { resource, limit: l, spent } => {
+                        assert_eq!((resource, l), (GuardResource::ModelInvocations, limit));
+                        assert!(spent > limit, "limit {limit}, dop {dop}");
+                    }
+                    other => panic!("limit {limit}, dop {dop}: {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,8 @@
 
 use mining_predicates::prelude::*;
 use mpq_engine::{
-    choose_plan, execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, StatementOutcome,
-    DEFAULT_MEMO_CAPACITY,
+    choose_plan, execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, ExecResult,
+    StatementOutcome, ASSUMED_COLUMN_BYTES, DEFAULT_MEMO_CAPACITY,
 };
 use mpq_types::MemberSet;
 use proptest::prelude::*;
@@ -365,4 +365,162 @@ fn index_union_page_breach_matches_reference() {
         }
     }
     assert!(breaches.len() >= 3, "each seek and the heap fetch trip: {breaches:?}");
+}
+
+// -- Batches of many pages -------------------------------------------
+
+/// Rows a scan hands the compiled predicate at once (`exec.rs`,
+/// `SCAN_BATCH_ROWS`).
+const BATCH_ROWS: usize = 2048;
+/// An odd page size, so that neither a batch (55 pages, 2,035 rows)
+/// nor the 4,096-row calibration window ends where a page or the other
+/// does.
+const ROWS_PER_PAGE: usize = 37;
+/// The one page of the big table holding only `a = a0`.
+const SKIPPED_PAGE: usize = 70;
+
+/// A 9,000-row table `t` (id 1) of 37-row pages, whose page 70 every
+/// query below proves empty from its zone map, and a tree and a Bayes
+/// model trained on the small table `train` (id 0) of the same schema.
+fn engine_with_big_table() -> Engine {
+    let mut train = Dataset::new(schema());
+    for i in 0..96u16 {
+        let (a, b) = (i % 4, i / 4 % 3);
+        train.push_encoded(&[a, b, u16::from(a >= 2 && b != 1)]).unwrap();
+    }
+    let rows = (0..9_000usize).map(|i| {
+        let a = if i / ROWS_PER_PAGE == SKIPPED_PAGE { 0 } else { i % 4 };
+        vec![a as u16, (i / 4 % 3) as u16, (i / 12 % 2) as u16]
+    });
+    let big = Dataset::from_rows(schema(), rows).unwrap();
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_dataset("train", &train)).unwrap();
+    let page_bytes = ROWS_PER_PAGE * 3 * ASSUMED_COLUMN_BYTES;
+    cat.add_table(Table::with_page_bytes("t", &big, page_bytes)).unwrap();
+    let e = Engine::new(cat);
+    for ddl in [
+        "CREATE MINING MODEL m_tree ON train PREDICT label USING decision_tree",
+        "CREATE MINING MODEL m_bayes ON train PREDICT label USING bayes",
+    ] {
+        let out = e.execute_sql(ddl).expect(ddl);
+        assert!(matches!(out, StatementOutcome::ModelCreated { .. }), "{ddl}");
+    }
+    e
+}
+
+/// The pipeline's outcome against the reference's under one guard:
+/// equal results, or the same breach — the same error outright at dop 1
+/// and for a rows breach (`spent` is the per-row trip point at every
+/// dop), the same resource and limit otherwise.
+fn assert_same_outcome(
+    reference: &Result<ExecResult, EngineError>,
+    got: &Result<ExecResult, EngineError>,
+    dop: usize,
+    ctx: &str,
+) {
+    match (reference, got) {
+        (Ok(s), Ok(v)) => assert_matches_reference(s, v, ctx),
+        (
+            Err(EngineError::BudgetExceeded { resource: rs, limit: ls, spent: ss }),
+            Err(EngineError::BudgetExceeded { resource: rv, limit: lv, spent: sv }),
+        ) => {
+            assert_eq!((rv, lv), (rs, ls), "breach diverged: {ctx}");
+            if dop == 1 || *rs == GuardResource::RowsExamined {
+                assert_eq!(sv, ss, "trip point diverged: {ctx}");
+            } else {
+                assert!(sv > lv, "breach must report spent {sv} > limit {lv}: {ctx}");
+            }
+        }
+        (s, v) => panic!("outcome diverged, {ctx}: reference {s:?} vs pipeline {v:?}"),
+    }
+}
+
+/// Scans of five batches whose batch, page and calibration boundaries
+/// all differ and whose second batch is cut short by a zone-skipped
+/// page — through a root `Boxes` leaf, a compiled-out tree, an envelope
+/// in front of a mining residual, and a black-box residual scored row
+/// by row — agree with the reference on everything, and breach every
+/// rows, pages and invocations limit across the first batch boundary
+/// exactly as it does.
+#[test]
+fn multi_page_batches_match_reference_across_every_boundary() {
+    let e = engine_with_big_table();
+    let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
+    assert!(batch_end != BATCH_ROWS);
+    assert!(!4096usize.is_multiple_of(ROWS_PER_PAGE) && !4096usize.is_multiple_of(batch_end));
+    assert!(batch_end < SKIPPED_PAGE * ROWS_PER_PAGE && SKIPPED_PAGE * ROWS_PER_PAGE < 2 * batch_end);
+
+    let atom = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
+    let not_a0 = || atom(0, AtomPred::Range { lo: 1, hi: 3 });
+    let predict = |model| Expr::Mining(MiningPred::ClassEq { model, class: ClassId(1) });
+    let boxes = Expr::Or(vec![
+        Expr::And(vec![atom(0, AtomPred::Eq(1)), atom(1, AtomPred::Eq(0))]),
+        Expr::And(vec![atom(0, AtomPred::Eq(2)), atom(1, AtomPred::Range { lo: 1, hi: 2 })]),
+        atom(0, AtomPred::Eq(3)),
+    ]);
+    // (envelopes and compilation, memo capacity, predicate)
+    let cases = [
+        (true, DEFAULT_MEMO_CAPACITY, boxes),
+        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(0)])),
+        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(1)])),
+        (false, 0, Expr::And(vec![not_a0(), predict(1)])),
+    ];
+    for (optimized, memo_capacity, expr) in cases {
+        e.set_use_envelopes(optimized);
+        e.set_compile_models(optimized);
+        let plan = e.plan_predicate(1, expr.clone());
+        assert!(matches!(plan.access, AccessPath::FullScan), "plan: {:?}", plan.access);
+        let catalog = e.catalog();
+        let t = &catalog.table(1).table;
+        assert_eq!(t.rows_per_page(), ROWS_PER_PAGE);
+        assert!(t.n_rows() >= 3 * BATCH_ROWS);
+        let run = |guard: QueryGuard, dop: Option<usize>| {
+            let opts = match dop {
+                None => reference_opts(),
+                Some(dop) => ExecOptions::with_parallelism(dop),
+            };
+            execute_opts(&plan, &catalog, guard, &ExecOptions { memo_capacity, ..opts })
+        };
+        let check = |guard: QueryGuard, what: &str| {
+            let reference = run(guard, None);
+            for dop in DOPS {
+                let ctx = format!("{what}, dop {dop}, optimized {optimized}, expr {expr:?}");
+                assert_same_outcome(&reference, &run(guard, Some(dop)), dop, &ctx);
+            }
+            reference
+        };
+
+        let unlimited = check(QueryGuard::unlimited(), "unlimited").expect("cannot breach");
+        assert_eq!(unlimited.metrics.pages_skipped, 1, "{expr:?}");
+
+        // One page either side of the first batch boundary, row by row.
+        for limit in (batch_end - ROWS_PER_PAGE - 1..=batch_end + ROWS_PER_PAGE + 1).map(|l| l as u64) {
+            let breach = check(QueryGuard::default().with_max_rows_examined(limit), "rows");
+            assert!(matches!(
+                breach,
+                Err(EngineError::BudgetExceeded { resource: GuardResource::RowsExamined, spent, .. })
+                    if spent == limit + 1
+            ));
+        }
+        let boundary_page = (batch_end / ROWS_PER_PAGE) as u64;
+        for limit in boundary_page - 2..=boundary_page + 2 {
+            let breach = check(QueryGuard::default().with_max_pages(limit), "pages");
+            assert!(breach.is_err(), "{limit} pages cannot cover the scan");
+        }
+        if !optimized {
+            // Memo off and no cascade: one scorer call per row reaching
+            // the mining predicate.
+            let scored_in_first_batch =
+                (0..batch_end as u32).filter(|&r| t.cell(r, 0) != 0).count() as u64;
+            for limit in scored_in_first_batch - 3..=scored_in_first_batch + 3 {
+                let breach = check(QueryGuard::default().with_max_model_invocations(limit), "calls");
+                assert!(matches!(
+                    breach,
+                    Err(EngineError::BudgetExceeded {
+                        resource: GuardResource::ModelInvocations, spent, ..
+                    }) if spent == limit + 1
+                ));
+            }
+        }
+    }
 }
