@@ -36,8 +36,8 @@ use mpq_engine::{
     EngineError, EngineHealth, FaultInjector, QueryOutcome, StatementId, StatementOutcome,
 };
 use mpq_server::protocol::{
-    decode_frame, encode_frame, FrameError, Request, Response, ServerError,
-    DEFAULT_MAX_FRAME_LEN, PROTO_VERSION, PROTO_VERSION_V3,
+    decode_frame, FrameError, Request, Response, ServerError, DEFAULT_MAX_FRAME_LEN,
+    PROTO_VERSION, PROTO_VERSION_V3,
 };
 pub use mpq_server::protocol::Notification;
 use std::collections::VecDeque;
@@ -129,6 +129,50 @@ impl std::error::Error for ClientError {}
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> ClientError {
         ClientError::Io(e.to_string())
+    }
+}
+
+/// Most bytes one read asks the socket for, and so the most the receive
+/// buffer grows ahead of the bytes that have arrived.
+const READ_STEP_MAX: usize = 64 << 10;
+
+/// Bytes one read asks for when less than that is known to be missing
+/// (no header yet, or the frame is nearly complete): enough for a run
+/// of small frames in one system call.
+const READ_STEP_MIN: usize = 4 << 10;
+
+/// Capacity the empty receive buffer may keep. One reply of a million
+/// rows would otherwise pin four megabytes for the rest of the
+/// connection's life.
+const IDLE_BUF_CAPACITY: usize = 256 << 10;
+
+/// Reads once from `stream` onto the end of the receive buffer — no
+/// intermediate chunk (the server's connections read the same way).
+/// `needed` is the total length of the frame at the front of `buf`
+/// when its header has arrived (what [`FrameError::Incomplete`]
+/// reports): the read then asks for the missing bytes, at most
+/// [`READ_STEP_MAX`] at a time, so a length prefix alone never makes
+/// the buffer grow — only received bytes do.
+fn read_into(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    needed: Option<usize>,
+) -> std::io::Result<usize> {
+    let missing = needed.map_or(0, |total| total.saturating_sub(buf.len()));
+    let filled = buf.len();
+    buf.resize(filled + missing.clamp(READ_STEP_MIN, READ_STEP_MAX), 0);
+    let read = stream.read(&mut buf[filled..]);
+    buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+    read
+}
+
+/// Drops a decoded frame's `consumed` bytes from the front of the
+/// receive buffer, and gives back the capacity a large frame left
+/// behind once the buffer is empty.
+fn consume_frame(buf: &mut Vec<u8>, consumed: usize) {
+    buf.drain(..consumed);
+    if buf.is_empty() && buf.capacity() > IDLE_BUF_CAPACITY {
+        *buf = Vec::new();
     }
 }
 
@@ -325,7 +369,7 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        let frame = encode_frame(&req.encode());
+        let frame = req.to_frame();
         let slow = self
             .faults
             .as_ref()
@@ -375,15 +419,13 @@ impl Client {
     /// the queue. A non-Notify frame here is a protocol violation — no
     /// request is outstanding.
     fn drain_ready(&mut self) -> Result<(), ClientError> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            loop {
+            let needed = loop {
                 match decode_frame(&self.buf, DEFAULT_MAX_FRAME_LEN) {
                     Ok((payload, consumed)) => {
-                        self.buf.drain(..consumed);
-                        let resp = Response::decode(&payload)
-                            .map_err(|e| ClientError::Frame(e.to_string()))?;
-                        match resp {
+                        let decoded = Response::decode(&payload);
+                        consume_frame(&mut self.buf, consumed);
+                        match decoded.map_err(|e| ClientError::Frame(e.to_string()))? {
                             Response::Notify(n) => self.notifications.push_back(n),
                             other => {
                                 return Err(ClientError::Unexpected(format!(
@@ -392,13 +434,13 @@ impl Client {
                             }
                         }
                     }
-                    Err(FrameError::Incomplete { .. }) => break,
+                    Err(FrameError::Incomplete { needed }) => break needed,
                     Err(e) => return Err(ClientError::Frame(e.to_string())),
                 }
-            }
-            match self.stream.read(&mut chunk) {
+            };
+            match read_into(&mut self.stream, &mut self.buf, needed) {
                 Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e.to_string())),
@@ -407,13 +449,12 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match decode_frame(&self.buf, DEFAULT_MAX_FRAME_LEN) {
+            let needed = match decode_frame(&self.buf, DEFAULT_MAX_FRAME_LEN) {
                 Ok((payload, consumed)) => {
-                    self.buf.drain(..consumed);
-                    let resp = Response::decode(&payload)
-                        .map_err(|e| ClientError::Frame(e.to_string()))?;
+                    let decoded = Response::decode(&payload);
+                    consume_frame(&mut self.buf, consumed);
+                    let resp = decoded.map_err(|e| ClientError::Frame(e.to_string()))?;
                     // A push frame racing our request/response exchange:
                     // queue it and keep waiting for the real answer.
                     if let Response::Notify(n) = resp {
@@ -422,12 +463,12 @@ impl Client {
                     }
                     return Ok(resp);
                 }
-                Err(FrameError::Incomplete { .. }) => {}
+                Err(FrameError::Incomplete { needed }) => needed,
                 Err(e) => return Err(ClientError::Frame(e.to_string())),
-            }
-            match self.stream.read(&mut chunk) {
+            };
+            match read_into(&mut self.stream, &mut self.buf, needed) {
                 Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e.to_string())),
             }
@@ -736,6 +777,67 @@ mod tests {
         ] {
             assert!(!e.is_retryable(), "{e:?}");
         }
+    }
+
+    /// Drives the receive buffer the way `recv` does — decode what is
+    /// there, read what is missing — and returns the row counts of the
+    /// query outcomes seen.
+    fn pump(mut stream: &[u8], buf: &mut Vec<u8>) -> Vec<usize> {
+        let mut rows = Vec::new();
+        loop {
+            let needed = match decode_frame(buf, DEFAULT_MAX_FRAME_LEN) {
+                Ok((payload, consumed)) => {
+                    let decoded = Response::decode(&payload);
+                    consume_frame(buf, consumed);
+                    match decoded.unwrap() {
+                        Response::Outcome(StatementOutcome::Query(q)) => rows.push(q.rows.len()),
+                        other => panic!("{other:?}"),
+                    }
+                    continue;
+                }
+                Err(FrameError::Incomplete { needed }) => needed,
+                Err(e) => panic!("{e}"),
+            };
+            if read_into(&mut stream, buf, needed).unwrap() == 0 {
+                return rows;
+            }
+        }
+    }
+
+    fn reply(n_rows: u32) -> Vec<u8> {
+        Response::Outcome(StatementOutcome::Query(QueryOutcome {
+            rows: (0..n_rows).collect(),
+            metrics: Default::default(),
+            plan: "full scan".into(),
+            plan_changed: false,
+            cached_plan: true,
+        }))
+        .to_frame(PROTO_VERSION)
+    }
+
+    #[test]
+    fn receive_buffer_releases_a_large_replys_capacity() {
+        let stream = [reply(3), reply(1_000_000), reply(3)].concat();
+        let mut buf = Vec::new();
+        assert_eq!(pump(&stream, &mut buf), [3, 1_000_000, 3]);
+        assert!(buf.is_empty());
+        assert!(buf.capacity() <= IDLE_BUF_CAPACITY, "kept {} bytes", buf.capacity());
+    }
+
+    #[test]
+    fn a_stream_of_small_replies_never_reallocates() {
+        let frame = reply(16);
+        let stream = frame.repeat(10_000);
+        let mut buf = Vec::new();
+        // The first reads size the buffer (one step plus the torn frame
+        // a read can end in); nothing after them may.
+        let warm = 100 * frame.len() + 7;
+        let warm_rows = pump(&stream[..warm], &mut buf);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let rows = pump(&stream[warm..], &mut buf);
+        assert_eq!(warm_rows.len() + rows.len(), 10_000);
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        assert!(cap <= 2 * READ_STEP_MIN, "{cap}");
     }
 
     #[test]

@@ -284,6 +284,22 @@ mod tests {
         assert!(state.models.is_empty());
     }
 
+    /// Captured from the tree before the shared byte kernels were
+    /// rebuilt (PR 22: bytewise CRC, per-element `put_u16s`): the
+    /// snapshot of `demo_catalog()` at LSN 42. A checkpoint written
+    /// then must open now, and the reverse.
+    const GOLDEN_SNAPSHOT: &[u8] = b"MPQSNAP1\xa7\x00\x00\x00\xa7\xaf/\xd9*\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00t\x02\x00\x01\x00\x00\x00a\x00\x02\x00\x00\x00\x01\x00\x00\x00x\x01\x00\x00\x00y\x01\x00\x00\x00b\x01\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@\x80\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x0a\x00\x00\x00\x00\x00\x01\x00\x02\x00\x00\x00\x01\x00\x02\x00\x00\x00\x01\x00\x02\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00";
+
+    #[test]
+    fn snapshot_bytes_are_unchanged() {
+        assert_eq!(serialize_catalog(&demo_catalog(), 42), GOLDEN_SNAPSHOT);
+        let state = decode_snapshot(GOLDEN_SNAPSHOT).unwrap();
+        assert_eq!(state.last_lsn, 42);
+        assert_eq!(state.tables[0].columns[0], [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(state.tables[0].columns[1], [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(state.tables[0].indexes, vec![vec![0u16]]);
+    }
+
     #[test]
     fn subscriptions_ride_the_snapshot() {
         let mut cat = demo_catalog();

@@ -344,6 +344,32 @@ mod tests {
         assert_eq!(parse_segment_file_name("snap-00000000000000000001.snap"), None);
     }
 
+    /// Captured from the tree before the shared byte kernels were
+    /// rebuilt (PR 22: bytewise CRC, per-element `put_u16s`): one
+    /// `Insert` record's on-disk frame. A log written then must replay
+    /// now, and the reverse.
+    const GOLDEN_INSERT_FRAME: &[u8] = b"*\x00\x00\x00\xbd\xb4\xdf5\x07\x00\x00\x00\x00\x00\x00\x00\x02\x01\x00\x00\x00t\x03\x00\x00\x00\x02\x00\x00\x00\x00\x00\x01\x00\x02\x00\x00\x00\x01\x00\x02\x00\x02\x00\x00\x00\xff\xff\x00\x00";
+
+    #[test]
+    fn insert_frame_bytes_are_unchanged() {
+        let op = LogOp::Insert {
+            table: "t".into(),
+            rows: vec![vec![0, 1], vec![1, 2], vec![65535, 0]],
+        };
+        assert_eq!(encode_frame(7, &op), GOLDEN_INSERT_FRAME);
+        // And a segment holding the old bytes reads back as the record.
+        let dir = temp_dir();
+        let path = dir.join(segment_file_name(7));
+        let mut segment = SEGMENT_MAGIC.to_vec();
+        segment.extend_from_slice(&7u64.to_le_bytes());
+        segment.extend_from_slice(GOLDEN_INSERT_FRAME);
+        std::fs::write(&path, &segment).unwrap();
+        let seg = read_segment(&path, &FaultInjector::new()).unwrap();
+        assert!(seg.corruption.is_none(), "{:?}", seg.corruption);
+        assert_eq!(seg.records, vec![(7, op)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn append_and_read_back() {
         let dir = temp_dir();

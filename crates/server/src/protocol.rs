@@ -17,6 +17,27 @@
 //! [`mpq_types::wire::WireError`], never a panic and never a
 //! half-trusted value.
 //!
+//! Framing invariants, relied on by both ends and by every test that
+//! throws hostile bytes at them:
+//!
+//! * the length prefix is checked against the receiver's ceiling
+//!   *before* anything is allocated or read for it ([`FrameError::TooLong`]),
+//!   and a receiver's buffer grows with the bytes that actually arrive,
+//!   never with the bytes a header claims;
+//! * the CRC is verified over the whole payload before any byte of it
+//!   reaches a message decoder ([`FrameError::BadCrc`]; the stream
+//!   cannot be resynchronized, so the connection is severed);
+//! * inside a payload every element count is checked against the bytes
+//!   remaining before anything is allocated for it;
+//! * a message has exactly one encoding per protocol version, and every
+//!   byte of a payload must be consumed.
+//!
+//! A frame lives in one buffer on each side: [`Request::to_frame`] /
+//! [`Response::to_frame`] encode the message behind eight reserved
+//! header bytes and patch `len | crc` in afterwards, and
+//! [`decode_frame`] hands the message decoder a slice of the
+//! connection's own read buffer.
+//!
 //! A connection opens with `Hello`/`Hello` (versioned), then runs any
 //! number of request/response exchanges — exactly one response per
 //! request, always on the connection the request arrived on. There is
@@ -46,10 +67,20 @@
 //! | S→C | `ReplAck` (135) | next LSN `u64`, epoch `u64` (v4) |
 //! | S→C | `Notify` (136) | a subscription push: match (sub id, row id, row, match metrics) or gap marker (v6) |
 //!
-//! Version compatibility: a v4 server accepts v3 hellos and answers
-//! them with v3-shaped frames (the `Health` replication tail is
-//! omitted, since a v3 peer rejects trailing bytes). A v4 client
-//! falls back to a v3 hello when a v3 server refuses its version.
+//! Version compatibility: the server speaks v7 and accepts v3–v7
+//! hellos, answering each connection with frames of the version its
+//! hello named. Every version after v3 only *appended* to a message:
+//! v4 the replication tail on `Health` (and the replication requests),
+//! v5 the cascade counters on query outcomes and the per-model
+//! `cascade_note` on `Health`, v6 the subscription counters, the
+//! `Health` subscriptions tail and the `Notify` push, v7 the
+//! adaptive-evaluation counters. A decoder rejects trailing bytes it
+//! does not know, so the encoder omits each tail for a peer below its
+//! version (`Notify` is never sent below v6, and such a peer may not
+//! `SUBSCRIBE`); our decoder reads whatever tails are present and
+//! leaves the rest at their defaults, which is how the client keeps
+//! working against an older server — it dials v7 first and falls back
+//! to a v3 hello when the server refuses the version.
 //!
 //! Every engine type crossing the wire ([`QueryOutcome`],
 //! [`ExecMetrics`], [`EngineHealth`], [`RecoveryReport`],
@@ -64,6 +95,7 @@ use mpq_engine::{
 };
 use mpq_types::Member;
 use mpq_types::wire::{crc32, WireError, WireReader, WireWriter};
+use std::borrow::Cow;
 use std::time::Duration;
 
 /// Protocol version spoken by this build. Version 2 added the
@@ -155,22 +187,47 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Wraps a payload in its frame (length + CRC header).
+/// Turns a buffer holding [`FRAME_HEADER_LEN`] reserved bytes followed
+/// by a payload into that payload's frame, by writing the length and
+/// the CRC into the reserved bytes.
+fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    frame
+}
+
+/// A writer for one frame: the header bytes are reserved up front, the
+/// message is encoded behind them, [`seal_frame`] finishes it.
+/// `payload_hint` sizes the buffer; it need not be exact.
+fn frame_writer(payload_hint: usize) -> WireWriter {
+    let mut w = WireWriter::with_capacity(FRAME_HEADER_LEN + payload_hint);
+    w.put_u64(0);
+    w
+}
+
+/// Wraps a payload in its frame (length + CRC header). For callers
+/// that already hold a payload; [`Request::to_frame`] and
+/// [`Response::to_frame`] encode a message straight into its frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     frame.extend_from_slice(payload);
-    frame
+    seal_frame(frame)
 }
 
 /// Attempts to parse one frame from the front of `buf`.
 ///
-/// Returns the payload and the number of bytes consumed. Total: every
-/// possible input returns `Ok` or a typed [`FrameError`] — torn
-/// prefixes are `Incomplete`, oversized length prefixes are `TooLong`
-/// (checked *before* any allocation), corrupted payloads are `BadCrc`.
-pub fn decode_frame(buf: &[u8], max_len: u32) -> Result<(Vec<u8>, usize), FrameError> {
+/// Returns the payload, CRC already verified, and the number of bytes
+/// consumed. The payload is always [`Cow::Borrowed`] — a slice of
+/// `buf`, never a copy; it is typed as a `Cow` rather than a bare slice
+/// so that callers written against the owned payload this function
+/// used to return (`Response::decode(&payload)`) compile unchanged.
+/// Total: every possible input returns `Ok` or a typed [`FrameError`]
+/// — torn prefixes are `Incomplete`, oversized length prefixes are
+/// `TooLong` (checked *before* any allocation), corrupted payloads are
+/// `BadCrc`.
+pub fn decode_frame(buf: &[u8], max_len: u32) -> Result<(Cow<'_, [u8]>, usize), FrameError> {
     if buf.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Incomplete { needed: None });
     }
@@ -187,7 +244,55 @@ pub fn decode_frame(buf: &[u8], max_len: u32) -> Result<(Vec<u8>, usize), FrameE
     if crc32(payload) != crc {
         return Err(FrameError::BadCrc);
     }
-    Ok((payload.to_vec(), total))
+    Ok((Cow::Borrowed(payload), total))
+}
+
+// ---------------------------------------------------------------------
+// Connection buffers
+// ---------------------------------------------------------------------
+
+/// Most bytes one read asks the socket for, and so the most a
+/// connection buffer grows ahead of the bytes that have arrived.
+const READ_STEP_MAX: usize = 64 << 10;
+
+/// Bytes one read asks for when less than that is known to be missing
+/// (no header yet, or the frame is nearly complete): enough for a run
+/// of small frames in one system call.
+const READ_STEP_MIN: usize = 4 << 10;
+
+/// Capacity an empty connection buffer may keep. One reply of a
+/// million rows would otherwise pin four megabytes for the rest of the
+/// connection's life.
+const IDLE_BUF_CAPACITY: usize = 256 << 10;
+
+/// Reads once from `stream` onto the end of the connection buffer —
+/// no intermediate chunk. `needed` is the total length of the frame at
+/// the front of `buf` when its header has arrived (what
+/// [`FrameError::Incomplete`] reports): the read then asks for the
+/// missing bytes, at most [`READ_STEP_MAX`] at a time, so a length
+/// prefix alone never makes the buffer grow — only received bytes do,
+/// and capacity stays within `max(2 x received, received + step)`.
+pub(crate) fn read_into(
+    stream: &mut impl std::io::Read,
+    buf: &mut Vec<u8>,
+    needed: Option<usize>,
+) -> std::io::Result<usize> {
+    let missing = needed.map_or(0, |total| total.saturating_sub(buf.len()));
+    let filled = buf.len();
+    buf.resize(filled + missing.clamp(READ_STEP_MIN, READ_STEP_MAX), 0);
+    let read = stream.read(&mut buf[filled..]);
+    buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+    read
+}
+
+/// Drops a decoded frame's `consumed` bytes from the front of the
+/// connection buffer, and gives back the capacity a large frame left
+/// behind once the buffer is empty.
+pub(crate) fn consume_frame(buf: &mut Vec<u8>, consumed: usize) {
+    buf.drain(..consumed);
+    if buf.is_empty() && buf.capacity() > IDLE_BUF_CAPACITY {
+        *buf = Vec::new();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -517,10 +622,7 @@ fn get_metrics(r: &mut WireReader<'_>) -> Result<ExecMetrics, WireError> {
 /// older peer's decoder rejects trailing bytes, so each tail is
 /// omitted for peers below its version.
 fn put_query_outcome(w: &mut WireWriter, q: &QueryOutcome, proto_version: u32) {
-    w.put_u32(q.rows.len() as u32);
-    for &row in &q.rows {
-        w.put_u32(row);
-    }
+    w.put_u32s(&q.rows);
     put_metrics(w, &q.metrics);
     w.put_str(&q.plan);
     w.put_bool(q.plan_changed);
@@ -547,14 +649,8 @@ fn put_query_outcome(w: &mut WireWriter, q: &QueryOutcome, proto_version: u32) {
 /// are the v6 subscription tail; counters a shorter (older-server)
 /// payload stops before keep their zero defaults.
 fn get_query_outcome(r: &mut WireReader<'_>) -> Result<QueryOutcome, WireError> {
-    let n = r.get_u32()? as usize;
-    // Bound the allocation by what the buffer could actually hold.
-    if n > r.remaining() / 4 {
-        return Err(WireError::Truncated { at: r.position() });
-    }
-    let rows = (0..n).map(|_| r.get_u32()).collect::<Result<Vec<_>, _>>()?;
     let mut out = QueryOutcome {
-        rows,
+        rows: r.get_u32s()?,
         metrics: get_metrics(r)?,
         plan: r.get_str()?,
         plan_changed: r.get_bool()?,
@@ -1039,7 +1135,32 @@ fn get_outcome(r: &mut WireReader<'_>) -> Result<StatementOutcome, WireError> {
 impl Request {
     /// Serializes this request to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.payload_hint());
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Serializes this request straight into its frame: one buffer,
+    /// the same bytes as `encode_frame(&self.encode())`.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let mut w = frame_writer(self.payload_hint());
+        self.encode_into(&mut w);
+        seal_frame(w.into_bytes())
+    }
+
+    /// An upper bound on the payload's length, so encoding allocates
+    /// once.
+    fn payload_hint(&self) -> usize {
+        32 + match self {
+            Request::Hello { client, .. } => client.len(),
+            Request::Statement { sql, .. } => sql.len(),
+            Request::ReplAppend { frames, .. } => frames.len(),
+            Request::ReplSnapshot { snapshot } => snapshot.len(),
+            _ => 0,
+        }
+    }
+
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Request::Hello { proto_version, client } => {
                 w.put_u8(REQ_HELLO);
@@ -1073,7 +1194,6 @@ impl Request {
             }
             Request::Promote => w.put_u8(REQ_PROMOTE),
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload; every byte must be consumed.
@@ -1128,7 +1248,34 @@ impl Response {
     /// `cascade_note`) only for v5+ peers; all other responses are
     /// shape-identical across versions.
     pub fn encode_versioned(&self, proto_version: u32) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(self.payload_hint());
+        self.encode_into(&mut w, proto_version);
+        w.into_bytes()
+    }
+
+    /// Serializes this response straight into its frame for a peer that
+    /// negotiated `proto_version`: one buffer, the same bytes as
+    /// `encode_frame(&self.encode_versioned(proto_version))`.
+    pub fn to_frame(&self, proto_version: u32) -> Vec<u8> {
+        let mut w = frame_writer(self.payload_hint());
+        self.encode_into(&mut w, proto_version);
+        seal_frame(w.into_bytes())
+    }
+
+    /// An upper bound on the payload's length for the one response that
+    /// gets large — a query outcome is its row ids, its plan text and
+    /// under 200 bytes of counters — so that frame is allocated once;
+    /// a starting size for the rest.
+    fn payload_hint(&self) -> usize {
+        match self {
+            Response::Outcome(StatementOutcome::Query(q)) => {
+                256 + 4 * q.rows.len() + q.plan.len()
+            }
+            _ => 128,
+        }
+    }
+
+    fn encode_into(&self, w: &mut WireWriter, proto_version: u32) {
         match self {
             Response::Hello { proto_version, session_id, server } => {
                 w.put_u8(RESP_HELLO);
@@ -1138,21 +1285,21 @@ impl Response {
             }
             Response::Outcome(o) => {
                 w.put_u8(RESP_OUTCOME);
-                put_outcome(&mut w, o, proto_version);
+                put_outcome(w, o, proto_version);
             }
             Response::Health(h) => {
                 w.put_u8(RESP_HEALTH);
-                put_health(&mut w, h, proto_version);
+                put_health(w, h, proto_version);
             }
             Response::ShutdownStarted => w.put_u8(RESP_SHUTDOWN_STARTED),
             Response::Goodbye => w.put_u8(RESP_GOODBYE),
             Response::Error(e) => {
                 w.put_u8(RESP_ERROR);
-                put_server_error(&mut w, e);
+                put_server_error(w, e);
             }
             Response::ReplState { role, epoch, next_lsn } => {
                 w.put_u8(RESP_REPL_STATE);
-                put_role(&mut w, *role);
+                put_role(w, *role);
                 w.put_u64(*epoch);
                 w.put_u64(*next_lsn);
             }
@@ -1163,10 +1310,9 @@ impl Response {
             }
             Response::Notify(n) => {
                 w.put_u8(RESP_NOTIFY);
-                put_notification(&mut w, n);
+                put_notification(w, n);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload; every byte must be consumed.
@@ -1233,6 +1379,118 @@ mod tests {
             decode_frame(&hostile, DEFAULT_MAX_FRAME_LEN),
             Err(FrameError::TooLong { .. })
         ));
+    }
+
+    /// Drives a connection buffer the way `read_request` and the
+    /// replication peer do: decode what is there, read what is missing.
+    /// Returns the payload lengths seen and the largest capacity the
+    /// buffer reached *ahead of* the bytes it held.
+    fn pump(mut stream: &[u8], buf: &mut Vec<u8>) -> (Vec<usize>, usize) {
+        let (mut lens, mut max_ahead) = (Vec::new(), 0);
+        loop {
+            let needed = match decode_frame(buf, DEFAULT_MAX_FRAME_LEN) {
+                Ok((payload, consumed)) => {
+                    lens.push(payload.len());
+                    consume_frame(buf, consumed);
+                    continue;
+                }
+                Err(FrameError::Incomplete { needed }) => needed,
+                Err(e) => panic!("{e}"),
+            };
+            if read_into(&mut stream, buf, needed).unwrap() == 0 {
+                return (lens, max_ahead);
+            }
+            max_ahead = max_ahead.max(buf.capacity() - buf.len());
+        }
+    }
+
+    #[test]
+    fn connection_buffer_releases_a_large_frames_capacity() {
+        // A 4 MB request (a shipped snapshot) between small ones.
+        let big = Request::ReplSnapshot { snapshot: vec![7; 4 << 20] }.to_frame();
+        let small = Request::Health.to_frame();
+        let stream = [small.clone(), big.clone(), small.clone()].concat();
+        let mut buf = Vec::new();
+        let (lens, max_ahead) = pump(&stream, &mut buf);
+        assert_eq!(lens, [1, big.len() - FRAME_HEADER_LEN, 1]);
+        assert!(buf.is_empty());
+        assert!(buf.capacity() <= IDLE_BUF_CAPACITY, "kept {} bytes", buf.capacity());
+        // Growth followed the bytes received, never the header's claim:
+        // amortized doubling at most, so never more ahead than was held.
+        assert!(max_ahead <= (4 << 20) + READ_STEP_MAX, "{max_ahead} bytes ahead of the data");
+
+        // A hostile header claiming the ceiling, followed by nothing,
+        // reserves one read step — not 64 MiB.
+        let mut hostile = vec![0u8; FRAME_HEADER_LEN];
+        hostile[..4].copy_from_slice(&DEFAULT_MAX_FRAME_LEN.to_le_bytes());
+        let mut buf = Vec::new();
+        let (lens, _) = pump(&hostile, &mut buf);
+        assert!(lens.is_empty());
+        assert!(buf.capacity() <= 2 * READ_STEP_MAX, "reserved {} bytes", buf.capacity());
+    }
+
+    #[test]
+    fn a_stream_of_small_frames_never_reallocates() {
+        let frame = Request::Statement { sql: "SELECT * FROM t WHERE a = 'a1'".into(), stmt_id: None }
+            .to_frame();
+        let stream = frame.repeat(10_000);
+        let mut buf = Vec::new();
+        // The first reads size the buffer (one step plus the torn frame
+        // a read can end in); nothing after them may.
+        let warm = 100 * frame.len() + 7;
+        let (warm_lens, _) = pump(&stream[..warm], &mut buf);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let (lens, _) = pump(&stream[warm..], &mut buf);
+        assert_eq!(warm_lens.len() + lens.len(), 10_000);
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        assert!(cap <= 2 * READ_STEP_MIN, "{cap}");
+    }
+
+    /// Captured from the tree before the byte path was rebuilt (PR 22,
+    /// bytewise CRC, per-element row loop): a v7 `Outcome` frame. A peer
+    /// from before that change must read our frames and we theirs.
+    const GOLDEN_OUTCOME_FRAME: &[u8] = b"\xcf\x00\x00\x00+\x04*m\x81\x00\x05\x00\x00\x00\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00\xe8\x03\x00\x00p\x11\x01\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00(\x00\x00\x00\x00\x00\x00\x00\x0c\x00\x00\x00\x00\x00\x00\x00\x1c\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00P\xd4\x12\x00\x00\x00\x00\x00\x01<\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x11\x00\x00\x00\x00\x00\x00\x00\x01\x0a\x00\x00\x00index seek\x01\x00\x09\x00\x00\x00\x00\x00\x00\x00\x0d\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00h\x10\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00";
+
+    #[test]
+    fn outcome_frame_bytes_are_unchanged() {
+        let resp = Response::Outcome(StatementOutcome::Query(QueryOutcome {
+            rows: vec![1, 5, 9, 1000, 70_000],
+            metrics: ExecMetrics {
+                heap_pages_read: 3,
+                index_pages_read: 2,
+                pages_skipped: 7,
+                rows_examined: 40,
+                model_invocations: 12,
+                memo_hits: 28,
+                cascade_accepts: 9,
+                cascade_rejects: 13,
+                band_rows: 3,
+                scorer_ns: 4_200,
+                output_rows: 5,
+                elapsed: Duration::from_micros(1234),
+                guard: GuardHeadroom {
+                    rows_remaining: Some(60),
+                    pages_remaining: None,
+                    model_invocations_remaining: Some(0),
+                    time_remaining_ms: Some(17),
+                },
+                index_fallback: true,
+                subs_matched: 1,
+                subs_index_pruned: 2,
+                clauses_reordered: 2,
+                factor_hits: 6,
+                feedback_entries: 1,
+            },
+            plan: "index seek".into(),
+            plan_changed: true,
+            cached_plan: false,
+        }));
+        assert_eq!(resp.to_frame(PROTO_VERSION), GOLDEN_OUTCOME_FRAME);
+        assert_eq!(encode_frame(&resp.encode_versioned(PROTO_VERSION)), GOLDEN_OUTCOME_FRAME);
+        let (payload, consumed) =
+            decode_frame(GOLDEN_OUTCOME_FRAME, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(consumed, GOLDEN_OUTCOME_FRAME.len());
+        assert_eq!(Response::decode(&payload).unwrap(), resp);
     }
 
     #[test]

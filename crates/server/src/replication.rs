@@ -30,11 +30,11 @@
 //! thread needed.
 
 use crate::protocol::{
-    decode_frame, encode_frame, FrameError, Request, Response, ServerError,
+    consume_frame, decode_frame, read_into, FrameError, Request, Response, ServerError,
     DEFAULT_MAX_FRAME_LEN, PROTO_VERSION,
 };
 use mpq_engine::{Engine, EngineError, EngineHealth, ReplRole};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,23 +118,21 @@ impl ReplPeer {
 
     /// One stop-and-wait request/response round trip.
     pub fn exchange(&mut self, req: &Request) -> Result<Response, PeerError> {
-        let frame = encode_frame(&req.encode());
-        self.stream.write_all(&frame)?;
+        self.stream.write_all(&req.to_frame())?;
         self.stream.flush()?;
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match decode_frame(&self.buf, DEFAULT_MAX_FRAME_LEN) {
+            let needed = match decode_frame(&self.buf, DEFAULT_MAX_FRAME_LEN) {
                 Ok((payload, consumed)) => {
-                    self.buf.drain(..consumed);
-                    return Response::decode(&payload)
-                        .map_err(|e| PeerError::Frame(e.to_string()));
+                    let decoded = Response::decode(&payload);
+                    consume_frame(&mut self.buf, consumed);
+                    return decoded.map_err(|e| PeerError::Frame(e.to_string()));
                 }
-                Err(FrameError::Incomplete { .. }) => {}
+                Err(FrameError::Incomplete { needed }) => needed,
                 Err(e) => return Err(PeerError::Frame(e.to_string())),
-            }
-            match self.stream.read(&mut chunk) {
+            };
+            match read_into(&mut self.stream, &mut self.buf, needed) {
                 Ok(0) => return Err(PeerError::Io("peer closed the connection".into())),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(PeerError::Io(e.to_string())),
             }

@@ -22,12 +22,12 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionError};
 use crate::notify::{NotifyQueue, SubRegistry, DEFAULT_NOTIFY_QUEUE_CAP};
 use crate::protocol::{
-    decode_frame, encode_frame, FrameError, Request, Response, ServerError,
+    consume_frame, decode_frame, read_into, FrameError, Request, Response, ServerError,
     DEFAULT_MAX_FRAME_LEN, PROTO_VERSION, PROTO_VERSION_V3, PROTO_VERSION_V4,
     PROTO_VERSION_V5, PROTO_VERSION_V6,
 };
 use mpq_engine::{Engine, FaultInjector, SessionState, StatementId, StatementOutcome};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -578,7 +578,6 @@ fn read_request(
     let faults = shared.engine.fault_injector();
     let mut partial_since: Option<Instant> =
         if timebox_idle { Some(Instant::now()) } else { None };
-    let mut chunk = [0u8; 16 * 1024];
     loop {
         if let Some(q) = notify {
             if flush_notifications(stream, q, proto, &faults).is_err() {
@@ -587,10 +586,11 @@ fn read_request(
             }
         }
         // Try to parse a complete frame off the front of the buffer.
-        match decode_frame(buf, shared.cfg.max_frame_len) {
+        let needed = match decode_frame(buf, shared.cfg.max_frame_len) {
             Ok((payload, consumed)) => {
-                buf.drain(..consumed);
-                return match Request::decode(&payload) {
+                let decoded = Request::decode(&payload);
+                consume_frame(buf, consumed);
+                return match decoded {
                     Ok(req) => Ok(Some(req)),
                     Err(e) => {
                         let _ = send_response(
@@ -606,7 +606,7 @@ fn read_request(
                     }
                 };
             }
-            Err(FrameError::Incomplete { .. }) => {}
+            Err(FrameError::Incomplete { needed }) => needed,
             Err(e) => {
                 // TooLong / BadCrc: the stream cannot be resynchronized.
                 let _ = send_response(
@@ -620,7 +620,7 @@ fn read_request(
                 let _ = stream.shutdown(SockShutdown::Both);
                 return Err(ConnExit::Abrupt);
             }
-        }
+        };
 
         if buf.is_empty() {
             if !timebox_idle {
@@ -656,12 +656,12 @@ fn read_request(
             }
         }
 
-        match stream.read(&mut chunk) {
+        match read_into(stream, buf, needed) {
             Ok(0) => {
                 // EOF. Mid-frame it is abrupt, idle it is clean.
                 return if buf.is_empty() { Ok(None) } else { Err(ConnExit::Abrupt) };
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut => {}
@@ -681,8 +681,7 @@ fn send_response(
     proto_version: u32,
     faults: &FaultInjector,
 ) -> io::Result<()> {
-    let payload = resp.encode_versioned(proto_version);
-    let mut frame = encode_frame(&payload);
+    let mut frame = resp.to_frame(proto_version);
     if faults.take_conn_torn_frame() {
         // Corrupt one payload byte *after* the CRC was computed.
         let last = frame.len() - 1;

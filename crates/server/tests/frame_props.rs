@@ -3,13 +3,21 @@
 //! byte, bit-flipped anywhere, or carrying a hostile length prefix —
 //! fails with a *typed* error, never a panic and never a wrong payload.
 //! The same discipline is checked for the replication layer: the v4
-//! replication messages and the shipped WAL-frame stream they carry.
+//! replication messages and the shipped WAL-frame stream they carry —
+//! and, deterministically rather than sampled, for the two messages
+//! that go through the bulk slice codecs: a query outcome's row ids
+//! (up to a million) and a `Notify` match's row.
 
-use mpq_engine::{decode_stream, encode_stream, LogOp, ReplRole};
-use mpq_server::protocol::{
-    decode_frame, encode_frame, FrameError, Request, Response, ServerError,
-    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
+use mpq_engine::{
+    decode_stream, encode_stream, ExecMetrics, LogOp, MatchMetrics, QueryOutcome, ReplRole,
+    StatementOutcome,
 };
+use mpq_server::protocol::{
+    decode_frame, encode_frame, FrameError, Notification, Request, Response, ServerError,
+    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTO_VERSION, PROTO_VERSION_V4,
+    PROTO_VERSION_V5, PROTO_VERSION_V6,
+};
+use mpq_types::wire::WireError;
 use proptest::prelude::*;
 
 proptest! {
@@ -123,8 +131,10 @@ proptest! {
             sql: sql.clone(),
             stmt_id: stamped.then_some(mpq_engine::StatementId { nonce, seq }),
         };
-        let (payload, consumed) =
-            decode_frame(&encode_frame(&req.encode()), DEFAULT_MAX_FRAME_LEN).unwrap();
+        // The one-buffer encoder emits the bytes of the two-step one.
+        let frame = req.to_frame();
+        prop_assert_eq!(&frame, &encode_frame(&req.encode()));
+        let (payload, consumed) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
         prop_assert_eq!(consumed, FRAME_HEADER_LEN + payload.len());
         prop_assert_eq!(Request::decode(&payload).unwrap(), req);
 
@@ -133,8 +143,9 @@ proptest! {
             session_id,
             server: sql,
         };
-        let (payload, _) =
-            decode_frame(&encode_frame(&resp.encode()), DEFAULT_MAX_FRAME_LEN).unwrap();
+        let frame = resp.to_frame(PROTO_VERSION);
+        prop_assert_eq!(&frame, &encode_frame(&resp.encode()));
+        let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
         prop_assert_eq!(Response::decode(&payload).unwrap(), resp);
     }
 
@@ -165,16 +176,17 @@ proptest! {
             Request::ReplSnapshot { snapshot: frames.clone() },
             Request::Promote,
         ] {
-            let (payload, _) =
-                decode_frame(&encode_frame(&req.encode()), DEFAULT_MAX_FRAME_LEN).unwrap();
+            let frame = req.to_frame();
+            prop_assert_eq!(&frame, &encode_frame(&req.encode()));
+            let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             prop_assert_eq!(Request::decode(&payload).unwrap(), req);
         }
         for resp in [
             Response::ReplState { role, epoch, next_lsn },
             Response::ReplAck { next_lsn, epoch },
         ] {
-            let (payload, _) =
-                decode_frame(&encode_frame(&resp.encode()), DEFAULT_MAX_FRAME_LEN).unwrap();
+            let frame = resp.to_frame(PROTO_VERSION);
+            let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             prop_assert_eq!(Response::decode(&payload).unwrap(), resp);
         }
     }
@@ -265,5 +277,150 @@ fn truncated_messages_fail_typed() {
     }
     for cut in 0..resp_bytes.len() {
         assert!(Response::decode(&resp_bytes[..cut]).is_err(), "response cut {cut}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The bulk-codec messages: wide query outcomes and Notify rows
+// ---------------------------------------------------------------------
+
+fn outcome(n_rows: u32) -> Response {
+    Response::Outcome(StatementOutcome::Query(QueryOutcome {
+        // Not a run: every byte of a row id takes part somewhere.
+        rows: (0..n_rows).map(|i| i.wrapping_mul(2_654_435_761)).collect(),
+        metrics: ExecMetrics { rows_examined: 3 * n_rows as u64, ..ExecMetrics::default() },
+        plan: "full scan of t".into(),
+        plan_changed: false,
+        cached_plan: true,
+    }))
+}
+
+fn notify_match() -> Response {
+    Response::Notify(Notification::Match {
+        subscription: 12,
+        table: "t".into(),
+        row_id: 41,
+        row: vec![0, 3, 1, 65_535, 7, 200],
+        metrics: MatchMetrics { index_pruned: 98, residual_evaluated: 2, scorer_banded: 1 },
+    })
+}
+
+#[test]
+fn outcomes_roundtrip_from_no_rows_to_a_million() {
+    for n_rows in [0, 1, 14_000, 1_000_000] {
+        let resp = outcome(n_rows);
+        let frame = resp.to_frame(PROTO_VERSION);
+        assert_eq!(frame, encode_frame(&resp.encode()), "{n_rows} rows: one encoding");
+        let (payload, consumed) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(consumed, frame.len());
+        assert_eq!(Response::decode(&payload).unwrap(), resp, "{n_rows} rows");
+    }
+}
+
+/// Every strict prefix of the frame is `Incomplete`; every strict
+/// prefix of the payload inside an intact frame is a typed `WireError`
+/// — except, for a query outcome, the cuts that are exactly an older
+/// protocol version's shape, which decode by design.
+fn assert_prefixes_fail_typed(resp: &Response, version_shaped: &[usize]) {
+    let frame = resp.to_frame(PROTO_VERSION);
+    for cut in 0..frame.len() {
+        match decode_frame(&frame[..cut], DEFAULT_MAX_FRAME_LEN) {
+            Err(FrameError::Incomplete { needed }) => {
+                assert_eq!(needed, (cut >= FRAME_HEADER_LEN).then_some(frame.len()), "cut {cut}");
+            }
+            other => panic!("frame cut at {cut}: {other:?}"),
+        }
+    }
+    let payload = &frame[FRAME_HEADER_LEN..];
+    for cut in 0..payload.len() {
+        match Response::decode(&payload[..cut]) {
+            Ok(_) => assert!(version_shaped.contains(&cut), "payload cut at {cut} decoded"),
+            Err(WireError::Truncated { .. } | WireError::Invalid { .. }) => {
+                assert!(!version_shaped.contains(&cut), "version-shaped cut at {cut} refused");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_prefix_of_a_wide_outcome_fails_typed() {
+    let resp = outcome(14_000);
+    let older_shapes = [PROTO_VERSION_V4, PROTO_VERSION_V5, PROTO_VERSION_V6]
+        .map(|v| resp.encode_versioned(v).len());
+    assert_prefixes_fail_typed(&resp, &older_shapes);
+}
+
+#[test]
+fn every_prefix_of_a_notify_match_fails_typed() {
+    assert_prefixes_fail_typed(&notify_match(), &[]);
+}
+
+/// Flipping `bit` of `frame[idx]` must never decode: a flip in the CRC
+/// or the payload is `BadCrc`; a flip in the length prefix reads as a
+/// longer frame (`Incomplete`, `TooLong`) or a shorter one whose CRC
+/// then fails.
+fn assert_flip_is_caught(frame: &mut [u8], idx: usize, bit: usize) {
+    frame[idx] ^= 1 << bit;
+    match decode_frame(frame, DEFAULT_MAX_FRAME_LEN) {
+        Err(FrameError::BadCrc) => {}
+        Err(FrameError::Incomplete { .. } | FrameError::TooLong { .. }) if idx < 4 => {}
+        other => panic!("flip of bit {bit} in byte {idx}: {:?}", other.map(|(p, n)| (p.len(), n))),
+    }
+    frame[idx] ^= 1 << bit;
+}
+
+#[test]
+fn any_single_bit_flip_is_caught_by_the_crc() {
+    // Exhaustively on frames short enough to afford it ...
+    for mut frame in [outcome(100).to_frame(PROTO_VERSION), notify_match().to_frame(PROTO_VERSION)]
+    {
+        for idx in 0..frame.len() {
+            for bit in 0..8 {
+                assert_flip_is_caught(&mut frame, idx, bit);
+            }
+        }
+    }
+    // ... and on the wide frame: all of the header, both ends of the
+    // payload, and a stride through the row ids that visits every
+    // position within a sixteen-byte CRC block (977 = 61 x 16 + 1).
+    let mut frame = outcome(14_000).to_frame(PROTO_VERSION);
+    let ends = (0..32).chain(frame.len() - 32..frame.len());
+    for idx in ends.chain((32..frame.len() - 32).step_by(977)) {
+        for bit in 0..8 {
+            assert_flip_is_caught(&mut frame, idx, bit);
+        }
+    }
+}
+
+/// A count that the payload cannot hold is refused by the length check
+/// — `Truncated`, with nothing allocated for the count (a 16 GiB
+/// allocation would not survive to report anything; `reply_allocs.rs`
+/// counts the allocations: none).
+#[test]
+fn hostile_element_counts_fail_before_allocation() {
+    // Outcome: message tag, outcome tag, then the row count.
+    let mut payload = outcome(14_000).encode();
+    let honest = u32::from_le_bytes(payload[2..6].try_into().unwrap());
+    assert_eq!(honest, 14_000);
+    for claimed in [honest + 100, 1 << 30, u32::MAX] {
+        payload[2..6].copy_from_slice(&claimed.to_le_bytes());
+        // Inside a frame whose CRC is *right*: the frame layer cannot
+        // help, the message decoder must refuse on its own.
+        let frame = encode_frame(&payload);
+        let (intact, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(Response::decode(&intact), Err(WireError::Truncated { at: 6 }), "x{claimed}");
+    }
+    // Notify: message tag, kind, subscription, table, row id, then the
+    // row's member count.
+    let mut payload = notify_match().encode();
+    let at = 1 + 1 + 8 + (4 + 1) + 4;
+    assert_eq!(u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()), 6);
+    for claimed in [19u32, 1 << 31, u32::MAX] {
+        payload[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::Truncated { at: at + 4 }),
+            "x{claimed}"
+        );
     }
 }

@@ -192,8 +192,9 @@ fn pre_v6_peer_may_not_subscribe() {
         let mut chunk = [0u8; 4096];
         loop {
             if let Ok((payload, consumed)) = decode_frame(buf, DEFAULT_MAX_FRAME_LEN) {
+                let resp = Response::decode(&payload).unwrap();
                 buf.drain(..consumed);
-                return Response::decode(&payload).unwrap();
+                return resp;
             }
             let n = stream.read(&mut chunk).unwrap();
             assert!(n > 0, "server hung up mid-exchange");
