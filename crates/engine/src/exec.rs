@@ -17,7 +17,11 @@
 //!    them ([`ExecMetrics::pages_skipped`] — skipped pages are *not*
 //!    charged to page budgets), and filter each run of surviving pages
 //!    (up to `SCAN_BATCH_ROWS` rows) or fetch run through the compiled
-//!    predicate. [`ExecOptions::parallelism`]` = 1`
+//!    predicate. A scan run goes in as the row range `start..end` — no
+//!    id list is written before a leaf has narrowed it — and survivors
+//!    are appended straight to the job's hit list, which is reserved
+//!    once from the job's share of the plan's estimated selectivity.
+//!    [`ExecOptions::parallelism`]` = 1`
 //!    runs the loop inline on the calling thread — no thread is
 //!    spawned; higher degrees run the same loop on
 //!    [`std::thread::scope`] workers;
@@ -273,6 +277,7 @@ pub fn execute_opts(
     // The coordinator's pages are pre-charged so scan-phase page
     // breaches see the true total.
     let shared = SharedProgress::new(guard, m.total_pages());
+    let est_rows = plan.est_selectivity.clamp(0.0, 1.0) * table.n_rows() as f64;
     let wctx = WorkerCtx {
         jobs: &jobs,
         fetched: &fetched,
@@ -284,6 +289,7 @@ pub fn execute_opts(
         gs: &gs,
         faults: catalog.faults(),
         clock: &clock,
+        est_hits_per_position: est_rows / positions.max(1) as f64,
     };
     // The one place a worker panic is caught, whichever thread runs it.
     let run = || {
@@ -311,8 +317,10 @@ pub fn execute_opts(
     // Jobs are row-ordered and each job's hits are ascending, so
     // concatenating segments by job index yields ascending row order.
     segments.sort_unstable_by_key(|(i, _)| *i);
+    let rest: usize = segments.iter().skip(1).map(|(_, hits)| hits.len()).sum();
     let mut segments = segments.into_iter();
     let mut out = segments.next().map_or_else(Vec::new, |(_, hits)| hits);
+    out.reserve(rest);
     for (_, mut hits) in segments {
         out.append(&mut hits);
     }
@@ -632,6 +640,34 @@ struct WorkerCtx<'a> {
     gs: &'a GuardState,
     faults: &'a FaultInjector,
     clock: &'a CalibClock,
+    /// The plan's estimated output rows per scan position (row of a
+    /// scan, entry of a fetch list).
+    est_hits_per_position: f64,
+}
+
+/// The most row ids a job's hit list is given before the job has found
+/// any (1 MB): an estimate is a guess — stale feedback, an `Or` under
+/// the independence model — and at dop 1 one job is the whole table, so
+/// a wrong one must not cost memory in proportion to the table. Past
+/// this the list doubles.
+const MAX_HITS_RESERVED: usize = 1 << 18;
+
+impl WorkerCtx<'_> {
+    /// Capacity to give a job's hit list up front: its share of the
+    /// plan's estimated output plus a sixteenth, so that an estimate
+    /// that is right — a histogram-exact column predicate — costs one
+    /// allocation instead of a dozen doublings, and one that is low
+    /// falls back to doubling from there. Never more than the job's
+    /// positions or [`MAX_HITS_RESERVED`].
+    fn expected_hits(&self, job: &Job) -> usize {
+        let positions = match job {
+            Job::Scan(range) => range.len(),
+            Job::Fetch(range) => range.len(),
+        };
+        let share = self.est_hits_per_position * positions as f64;
+        // A NaN estimate casts to 0.
+        ((share * 1.0625) as usize + 16).min(positions).min(MAX_HITS_RESERVED)
+    }
 }
 
 /// Sentinel error a worker returns when it observes cooperative
@@ -691,7 +727,7 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
             panic!("injected fault: scorer panicked in worker on morsel {i}");
         }
 
-        let mut hits: Vec<RowId> = Vec::new();
+        let mut hits: Vec<RowId> = Vec::with_capacity(w.expected_hits(&w.jobs[i]));
         let result = match &w.jobs[i] {
             Job::Scan(range) => scan_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
             Job::Fetch(range) => fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
@@ -726,9 +762,9 @@ const SCAN_BATCH_ROWS: usize = 2048;
 /// consecutive surviving pages of up to [`SCAN_BATCH_ROWS`] rows (one
 /// page alone, if a page holds more). A run ends at a skipped page, at
 /// the batch limit and at the job's end, so a batch is always the exact
-/// scan positions `start..end` — calibration positions are row
-/// ids, and zone-skipped pages credit their row range so the clock
-/// still completes.
+/// scan positions `start..end`, and it is handed to the predicate as
+/// that range — calibration positions are row ids, and zone-skipped
+/// pages credit their row range so the clock still completes.
 fn scan_job(
     w: &WorkerCtx<'_>,
     range: Range<RowId>,
@@ -741,15 +777,12 @@ fn scan_job(
         !range.is_empty() && (range.start as usize).is_multiple_of(table.rows_per_page())
     );
     // Filters rows `start..end` — the pending run: charged, not yet
-    // evaluated.
+    // evaluated — into `hits`.
     let mut flush = |start: RowId, end: RowId| -> Result<(), EngineError> {
         if start == end {
             return Ok(());
         }
-        sel.clear();
-        sel.extend(start..end);
-        w.compiled.filter_batch_at(sel, ctx, start as u64, w.clock)?;
-        hits.extend_from_slice(sel);
+        w.compiled.filter_range_at(start..end, sel, ctx, w.clock, hits)?;
         w.gs.check_deadline()
     };
     // A zone-pruned scan skips most of its pages in nanoseconds each,
@@ -811,8 +844,7 @@ fn fetch_job(
         sel.clear();
         sel.extend(slice[i..j].iter().map(|(r, _)| *r));
         let pred = if flag { w.compiled_skip.unwrap_or(w.compiled) } else { w.compiled };
-        pred.filter_batch_at(sel, ctx, (range.start + i) as u64, w.clock)?;
-        hits.extend_from_slice(sel);
+        pred.filter_batch_at(sel, ctx, (range.start + i) as u64, w.clock, hits)?;
         w.gs.check_deadline()?;
         i = j;
     }

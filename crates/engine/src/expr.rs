@@ -48,11 +48,11 @@ impl AtomPred {
     pub fn member_set(&self, card: u16) -> MemberSet {
         match self {
             AtomPred::In(s) => s.clone(),
-            _ => {
-                let mut set = MemberSet::empty(card);
-                self.for_each_member(card, |m| set.insert(m));
-                set
+            AtomPred::Eq(v) if *v < card => MemberSet::of(card, [*v]),
+            AtomPred::Range { lo, hi } if *lo < card && lo <= hi => {
+                MemberSet::range(card, *lo, (*hi).min(card - 1))
             }
+            _ => MemberSet::empty(card),
         }
     }
 

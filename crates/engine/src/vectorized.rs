@@ -17,6 +17,22 @@
 //! only band rows going one at a time to the memo/scorer path; every
 //! other scalar shape walks the tree row-at-a-time.
 //!
+//! **Selections.** A node's incoming selection is an [`Ids`]: the dense
+//! run `start..end` of a scan batch, of which nothing is written down,
+//! or the selection vector itself. A scan batch enters the program as a
+//! run ([`CompiledPredicate::filter_range_at`]); the first
+//! column-reading leaf on the path — `Col`, `Boxes`, the cascade's
+//! member accessor or the row-by-row `Scalar` walk — iterates it
+//! directly and writes only its survivors, and every later node narrows
+//! that list where it stands. Ids are written out up front only where a
+//! node needs the list itself: the generic `Or`, a `FactorRef`, and
+//! `Const(true)`. Index fetches and later conjuncts are lists from the
+//! start and run the same kernels — each body is written once against
+//! `Ids`. Narrowing is branch-free ([`Ids::try_compact`]): every id is
+//! stored at the write cursor and the cursor advances by the test's
+//! result, so a leaf at 25–40% selectivity pays a store per row rather
+//! than a mispredicted branch every few rows.
+//!
 //! **The `Boxes` leaf.** An upper envelope is a disjunction of
 //! axis-aligned regions, and so is every compiled-out tree or rule
 //! predicate and every hand-written column DNF: an `Or` whose disjuncts
@@ -24,7 +40,8 @@
 //! one [`NodeKind::Boxes`] leaf holding, per referenced column, a table
 //! from member to the bitset of disjuncts admitting it ([`BoxTable`]).
 //! A row passes iff the AND of its members' bitsets is non-zero — one
-//! lookup per column per row whatever the disjunct count, after
+//! lookup per column per row whatever the disjunct count, a column at a
+//! time into a reused accumulator, after
 //! Kim/Ileri/Madden's point that a disjunction over columns need not
 //! re-touch them per disjunct. The kernel has no evaluation order, so
 //! there is nothing inside it to reorder or factor and it runs
@@ -66,9 +83,12 @@
 //! zone map ([`crate::Table::page_zones`]) is disjoint from a `Col`
 //! leaf's mask, or on which no box of a `Boxes` leaf meets the zones of
 //! all its columns, can be proven empty without reading it (`Scalar`
-//! leaves are conservatively "maybe"). The pipeline and the reference both
-//! consult [`CompiledPredicate::page_may_match`] before touching a heap
-//! page.
+//! leaves are conservatively "maybe"). Both tests read the zone's
+//! blocks: a `Col` leaf ANDs its mask against them, a `Boxes` column
+//! ORs the table rows of the zone's members, found a set bit at a time,
+//! until the disjuncts still alive are covered ([`BoxColumn::met`]).
+//! The pipeline and the reference both consult
+//! [`CompiledPredicate::page_may_match`] before touching a heap page.
 //!
 //! Finally, [`MemoScorer`] wraps the catalog's [`ModelOracle`] with a
 //! bounded per-query memo keyed by the dictionary-encoded input tuple:
@@ -86,6 +106,7 @@ use crate::table::{RowId, Table};
 use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::{AttrId, ClassId, Member, MemberSet, Row, Schema};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -172,8 +193,13 @@ pub(crate) enum NodeKind {
 /// or past the disjunct count are never set, and with no referenced
 /// column every disjunct is the empty conjunction, so the AND may start
 /// from all-ones.
+///
+/// The page test asks, per column, which disjuncts meet the page's zone
+/// there, and ANDs the answers (see [`BoxTable::may_match`]).
 #[derive(Clone)]
 pub(crate) struct BoxTable {
+    /// How many disjuncts there are.
+    disjuncts: usize,
     /// Words per bitset: ⌈disjuncts / 64⌉, at least 1.
     words: usize,
     cols: Vec<BoxColumn>,
@@ -185,6 +211,30 @@ struct BoxColumn {
     col: usize,
     /// Member-major disjunct bitsets, `cardinality × words`.
     table: Vec<u64>,
+}
+
+impl BoxColumn {
+    /// Word `w` of the set of disjuncts that meet `zone` (the zone
+    /// map's blocks for this column) here: those admitting at least one
+    /// of its members, i.e. the OR of the table rows of the zone's
+    /// members, which are read off the zone's blocks a set bit at a
+    /// time. `alive` is the set still unrefuted by earlier columns; once
+    /// it is covered the column can rule nothing out and the walk stops.
+    fn met(&self, zone: &[u64], w: usize, words: usize, alive: u64) -> u64 {
+        let mut met = 0;
+        for (b, &block) in zone.iter().enumerate() {
+            let mut members = block;
+            while members != 0 {
+                let m = b * 64 + members.trailing_zeros() as usize;
+                members &= members - 1;
+                met |= self.table[m * words + w];
+                if met & alive == alive {
+                    return met;
+                }
+            }
+        }
+        met
+    }
 }
 
 impl BoxTable {
@@ -245,48 +295,61 @@ impl BoxTable {
                 }
             }
         }
-        Some(BoxTable { words, cols })
+        Some(BoxTable { disjuncts: disjuncts.len(), words, cols })
     }
 
-    /// Keeps the rows of `sel` that lie in some box: a single pass over
-    /// the column slices, no allocation, no evaluation order.
-    fn filter(&self, table: &Table, sel: &mut Vec<RowId>) {
+    /// Keeps the rows of `ids` that lie in some box, column at a time:
+    /// `acc[i]` starts as the first column's bitset of row `i`, every
+    /// further column ANDs its own in — each pass one column slice and
+    /// one table, nothing else — and the last pass compacts on
+    /// `acc[i] != 0`. No allocation once `acc` has grown to a batch, no
+    /// evaluation order. Up to 64 disjuncts — every envelope under the
+    /// benchmark's threshold, every compiled-out tree — the bitset is
+    /// one word and the passes index it directly; the sliced form alone
+    /// takes twice as long on the benchmark's two box statements
+    /// (`stmt_wire_wide`: 203 → 415 and 317 → 840 µs).
+    fn filter(&self, table: &Table, ids: Ids, sel: &mut Vec<RowId>, acc: &mut Vec<u64>) {
         let words = self.words;
-        sel.retain(|&r| {
-            (0..words).any(|w| {
-                let mut acc = u64::MAX;
-                for c in &self.cols {
-                    acc &= c.table[table.column(c.col)[r as usize] as usize * words + w];
-                }
-                acc != 0
-            })
-        });
+        acc.clear();
+        acc.resize(ids.count(sel) * words, u64::MAX);
+        for c in &self.cols {
+            let (column, lookup) = (table.column(c.col), &c.table[..]);
+            if words == 1 {
+                ids.for_each(sel, |i, r| acc[i] &= lookup[column[r as usize] as usize]);
+            } else {
+                ids.for_each(sel, |i, r| {
+                    let at = column[r as usize] as usize * words;
+                    let row = acc[i * words..(i + 1) * words].iter_mut();
+                    row.zip(&lookup[at..at + words]).for_each(|(a, t)| *a &= t);
+                });
+            }
+        }
+        if words == 1 {
+            ids.compact(sel, |i, _| acc[i] != 0);
+        } else {
+            ids.compact(sel, |i, _| acc[i * words..(i + 1) * words].iter().any(|&a| a != 0));
+        }
     }
 
     /// Whether some box meets the page's zones on every column:
-    /// `⋀_col (⋁_{m ∈ zone_col} table[m]) ≠ 0`, a word at a time so it
-    /// needs no buffer. This is the per-disjunct walk's answer — some
-    /// disjunct whose (per-column intersected) masks all meet their
-    /// zones — computed for all disjuncts at once.
+    /// `⋀_col met_col ≠ 0`, where `met_col` is the set of disjuncts
+    /// admitting some member of the column's zone — the per-disjunct
+    /// walk's answer (some disjunct whose per-column intersected masks
+    /// all meet their zones) computed for all disjuncts at once, a word
+    /// at a time so it needs no buffer ([`BoxColumn::met`]).
     fn may_match(&self, zones: &[MemberSet]) -> bool {
-        let words = self.words;
-        (0..words).any(|w| {
-            let mut acc = u64::MAX;
+        (0..self.words).any(|w| {
+            // The word's disjuncts and no bit past them: a column's walk
+            // stops when it has met everything alive, and no table row
+            // ever sets the spare bits.
+            let mut alive = u64::MAX >> (64 - (self.disjuncts - w * 64).min(64));
             for c in &self.cols {
-                let mut met = 0u64;
-                for m in zones[c.col].iter() {
-                    met |= c.table[m as usize * words + w];
-                    // Nothing left for this column to rule out.
-                    if met & acc == acc {
-                        break;
-                    }
-                }
-                acc &= met;
-                if acc == 0 {
+                alive &= c.met(zones[c.col].blocks(), w, self.words, alive);
+                if alive == 0 {
                     break;
                 }
             }
-            acc != 0
+            alive != 0
         })
     }
 }
@@ -383,7 +446,7 @@ impl CompiledPredicate {
     ///
     /// With `adaptive` set, shared scalar-free subtrees across
     /// disjuncts are factored and the tree carries calibration
-    /// counters so [`Self::filter_batch_at`] can re-plan mid-scan.
+    /// counters so the executor can re-plan mid-scan.
     /// With it clear the program evaluates children exactly in the
     /// rewriter's order — the fixed-order shape the differential
     /// oracles (and `SET ADAPTIVE OFF`) pin against.
@@ -428,63 +491,98 @@ impl CompiledPredicate {
         may_match(&self.root, zones)
     }
 
-    /// Filters `sel` (ascending row ids) down to the rows satisfying
-    /// the predicate, evaluating column leaves over column slices and
-    /// `Scalar` leaves row-at-a-time through `ctx`. Always uses the
-    /// compile-time order (no calibration, no re-planning). On error
-    /// `sel` is garbage and must be discarded.
-    pub(crate) fn filter_batch(
+    /// Appends to `out` the rows of the scan run `rows` that satisfy the
+    /// predicate. The run enters the program as a range: its ids are
+    /// written down only by the first node that emits survivors (or that
+    /// needs the list), into the scratch vector `sel`. Scan positions
+    /// are row ids, so the run's calibration position is its first row;
+    /// otherwise as [`Self::filter_batch_at`].
+    pub(crate) fn filter_range_at(
         &self,
+        rows: Range<RowId>,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
+        clock: &CalibClock,
+        out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
-        filter(&self.root, sel, ctx, None)
+        debug_assert!(rows.start <= rows.end);
+        let ids = Ids::Run { start: rows.start, end: rows.end };
+        self.filter_ids_at(ids, sel, ctx, u64::from(rows.start), clock, out)
     }
 
-    /// Position-aware adaptive variant of [`Self::filter_batch`]:
-    /// `pos` is the global scan position of `sel[0]` (row id on a full
-    /// scan, fetch-list index on index paths) and `clock` tracks how
-    /// much of the calibration window the whole execution has covered.
+    /// Appends to `out` the rows of `sel` (ascending row ids) that
+    /// satisfy the predicate, evaluating column leaves over column
+    /// slices and `Scalar` leaves through `ctx`; `sel` is consumed.
     ///
-    /// Batches inside the window run instrumented in compile-time
-    /// order; batches past it wait for the window to complete (workers
-    /// holding later positions spin briefly — the window lives in the
-    /// lowest-indexed morsels, whose owners never wait before
-    /// finishing it) and then run the re-planned tree. A straddling
-    /// batch is split at the boundary, which keeps the calibration row
-    /// set exact and position-determined at every dop.
+    /// `pos` is the global scan position of `sel[0]` (the fetch-list
+    /// index on index paths) and `clock` tracks how much of the
+    /// calibration window the whole execution has covered. A fixed-order
+    /// program ignores both. An adaptive one runs batches inside the
+    /// window instrumented in compile-time order; batches past it wait
+    /// for the window to complete (workers holding later positions spin
+    /// briefly — the window lives in the lowest-indexed morsels, whose
+    /// owners never wait before finishing it) and then run the
+    /// re-planned tree. A straddling batch is split at the boundary,
+    /// which keeps the calibration row set exact and
+    /// position-determined at every dop.
     pub(crate) fn filter_batch_at(
         &self,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
         pos: u64,
         clock: &CalibClock,
+        out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
-        let Some(ad) = &self.adaptive else {
-            return self.filter_batch(sel, ctx);
+        self.filter_ids_at(Ids::Listed, sel, ctx, pos, clock, out)
+    }
+
+    fn filter_ids_at(
+        &self,
+        ids: Ids,
+        sel: &mut Vec<RowId>,
+        ctx: &mut BatchCtx<'_>,
+        pos: u64,
+        clock: &CalibClock,
+        out: &mut Vec<RowId>,
+    ) -> Result<(), EngineError> {
+        let cancel = ctx.cancel;
+        let mut run = |root: &CompiledNode, ids: Ids, sel: &mut Vec<RowId>, stats| {
+            filter(root, ids, sel, ctx, stats)?;
+            out.extend_from_slice(sel);
+            Ok(())
         };
-        let n = sel.len() as u64;
+        let Some(ad) = &self.adaptive else {
+            return run(&self.root, ids, sel, None);
+        };
+        let n = ids.count(sel) as u64;
         if n == 0 {
             return Ok(());
         }
         let total = clock.total;
         if pos.saturating_add(n) <= total {
-            filter(&self.root, sel, ctx, Some(ad))?;
+            run(&self.root, ids, sel, Some(ad))?;
             clock.credit(n);
             return Ok(());
         }
         if pos >= total {
-            let planned = self.wait_replanned(ad, clock, ctx.cancel)?;
-            return filter(&planned.root, sel, ctx, None);
+            let planned = self.wait_replanned(ad, clock, cancel)?;
+            return run(&planned.root, ids, sel, None);
         }
-        // Straddling batch: the calibration window ends inside it.
-        let mut tail = sel.split_off((total - pos) as usize);
-        filter(&self.root, sel, ctx, Some(ad))?;
+        // Straddling batch: the calibration window ends inside it. A
+        // run splits into two runs over the one scratch vector; a
+        // list's second half moves to a vector of its own.
+        let in_window = (total - pos) as usize;
+        let (head, rest, mut tail) = match ids {
+            Ids::Run { start, end } => {
+                let mid = start + in_window as RowId;
+                (Ids::Run { start, end: mid }, Ids::Run { start: mid, end }, None)
+            }
+            Ids::Listed => (Ids::Listed, Ids::Listed, Some(sel.split_off(in_window))),
+        };
+        run(&self.root, head, sel, Some(ad))?;
         clock.credit(total - pos);
-        let planned = self.wait_replanned(ad, clock, ctx.cancel)?;
-        filter(&planned.root, &mut tail, ctx, None)?;
-        sel.append(&mut tail);
-        Ok(())
+        let planned = self.wait_replanned(ad, clock, cancel)?;
+        run(&planned.root, rest, tail.as_mut().unwrap_or(sel), None)
     }
 
     /// Blocks until the calibration window is fully credited, then
@@ -993,10 +1091,12 @@ pub(crate) struct BatchCtx<'a> {
     /// Cooperative cancellation flag probed while waiting out the
     /// calibration window (`None` outside the executor).
     cancel: Option<&'a AtomicBool>,
-    /// Selection vectors the generic `Or` path borrows (three per
+    /// Selection vectors the generic `Or` path borrows (two per
     /// nesting level) and returns, so it allocates only until the pool
     /// has grown to the tree's depth.
     scratch: Vec<Vec<RowId>>,
+    /// The `Boxes` kernel's per-row disjunct bitsets.
+    acc: Vec<u64>,
     /// The cascade's per-batch score and decision buffers.
     scores: Vec<f64>,
     decisions: Vec<ProxyDecision>,
@@ -1021,6 +1121,7 @@ impl<'a> BatchCtx<'a> {
             factor_hits: 0,
             cancel,
             scratch: Vec::new(),
+            acc: Vec::new(),
             scores: Vec::new(),
             decisions: Vec::new(),
         }
@@ -1034,58 +1135,151 @@ impl<'a> BatchCtx<'a> {
     }
 }
 
+/// Where a node's incoming selection lives. Row ids are ascending
+/// either way; what differs is whether anything has written them down.
+/// Every kernel body is written once against this type, so a scan batch
+/// (a run) and an index fetch or a later conjunct (a list) run the same
+/// code.
+#[derive(Clone, Copy)]
+enum Ids {
+    /// The dense run `start..end` of a scan. The selection vector's
+    /// contents are ignored; the node leaves its survivors there.
+    Run { start: RowId, end: RowId },
+    /// The selection vector itself, narrowed where it stands.
+    Listed,
+}
+
+impl Ids {
+    /// How many ids there are (`sel` is the selection vector).
+    fn count(self, sel: &[RowId]) -> usize {
+        match self {
+            Ids::Run { start, end } => (end - start) as usize,
+            Ids::Listed => sel.len(),
+        }
+    }
+
+    /// The `i`-th id.
+    fn id(self, sel: &[RowId], i: usize) -> RowId {
+        match self {
+            Ids::Run { start, .. } => start + i as RowId,
+            Ids::Listed => sel[i],
+        }
+    }
+
+    /// Writes the ids into `sel`, for a node that needs the list.
+    fn materialize(self, sel: &mut Vec<RowId>) {
+        if let Ids::Run { start, end } = self {
+            sel.clear();
+            sel.extend(start..end);
+        }
+    }
+
+    /// Calls `f(i, id)` for every id in order, `i` its position.
+    fn for_each(self, sel: &[RowId], mut f: impl FnMut(usize, RowId)) {
+        match self {
+            Ids::Run { start, end } => (start..end).enumerate().for_each(|(i, r)| f(i, r)),
+            Ids::Listed => sel.iter().enumerate().for_each(|(i, &r)| f(i, r)),
+        }
+    }
+
+    /// Leaves in `sel` the ids `keep(i, id)` passes, in order. The
+    /// compaction is branch-free: every id is written at the cursor and
+    /// the cursor advances by the test's result, so a leaf at 25–40%
+    /// selectivity costs a store per row instead of a mispredicted
+    /// branch every few rows. On error `sel` is garbage.
+    fn try_compact<E>(
+        self,
+        sel: &mut Vec<RowId>,
+        mut keep: impl FnMut(usize, RowId) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let mut k = 0;
+        match self {
+            Ids::Run { start, end } => {
+                // Room for every id. The vector's length is the last
+                // batch's survivor count, so this zero-fills the rest of
+                // a batch each time (8 KB at most); writing survivors
+                // through a stack buffer instead measured no different
+                // on the one-leaf statements of `stmt_wire_wide`.
+                sel.resize((end - start) as usize, 0);
+                for (i, r) in (start..end).enumerate() {
+                    sel[k] = r;
+                    k += usize::from(keep(i, r)?);
+                }
+            }
+            Ids::Listed => {
+                for i in 0..sel.len() {
+                    let r = sel[i];
+                    sel[k] = r;
+                    k += usize::from(keep(i, r)?);
+                }
+            }
+        }
+        sel.truncate(k);
+        Ok(())
+    }
+
+    /// [`Self::try_compact`] for a test that cannot fail.
+    fn compact(self, sel: &mut Vec<RowId>, mut keep: impl FnMut(usize, RowId) -> bool) {
+        let Ok(()) = self.try_compact(sel, |i, r| Ok::<_, std::convert::Infallible>(keep(i, r)));
+    }
+}
+
+/// Narrows the selection `ids` to the rows satisfying `node`, leaving
+/// them in `sel`. Column-reading leaves (`Col`, `Boxes`, the cascade)
+/// and the row-by-row `Scalar` walk read a run directly; `Or`,
+/// `FactorRef` and `Const(true)` need the list and write it down first.
 fn filter(
     node: &CompiledNode,
+    ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
     stats: Option<&AdaptiveState>,
 ) -> Result<(), EngineError> {
-    let rows_in = sel.len() as u64;
-    let result = match &node.kind {
-        NodeKind::Const(true) => Ok(()),
-        NodeKind::Const(false) => {
-            sel.clear();
-            Ok(())
-        }
+    let rows_in = ids.count(sel) as u64;
+    match &node.kind {
+        NodeKind::Const(true) => ids.materialize(sel),
+        NodeKind::Const(false) => sel.clear(),
         NodeKind::Col { col, mask } => {
-            let column = ctx.table.column(*col);
-            sel.retain(|&r| mask.contains(column[r as usize]));
-            Ok(())
+            let (column, blocks) = (ctx.table.column(*col), mask.blocks());
+            ids.compact(sel, |_, r| {
+                let m = column[r as usize] as usize;
+                blocks.get(m / 64).is_some_and(|b| b >> (m % 64) & 1 != 0)
+            });
         }
-        NodeKind::Boxes(boxes) => {
-            boxes.filter(ctx.table, sel);
-            Ok(())
-        }
+        NodeKind::Boxes(boxes) => boxes.filter(ctx.table, ids, sel, &mut ctx.acc),
         NodeKind::And(ps) => {
-            let mut res = Ok(());
+            // The first conjunct reads the incoming ids; what it leaves
+            // in `sel` is what the others narrow.
+            let mut ids = ids;
             for p in ps {
-                if sel.is_empty() {
+                if ids.count(sel) == 0 {
                     break;
                 }
-                res = filter(p, sel, ctx, stats);
-                if res.is_err() {
-                    break;
-                }
+                filter(p, ids, sel, ctx, stats)?;
+                ids = Ids::Listed;
             }
-            res
+            // No conjunct ran: the result is the input.
+            ids.materialize(sel);
         }
-        NodeKind::Or { children, factors } => or_filter(children, factors, sel, ctx, stats),
+        NodeKind::Or { children, factors } => {
+            ids.materialize(sel);
+            or_filter(children, factors, sel, ctx, stats)?;
+        }
         NodeKind::FactorRef { slot, node } => {
             if ctx.factor_pass[*slot].is_some() {
+                ids.materialize(sel);
                 ctx.factor_hits += rows_in;
                 let pass = ctx.factor_pass[*slot].as_deref().expect("just checked");
                 intersect_sorted(sel, pass);
-                Ok(())
             } else {
                 // The slot was never primed (fixed-order evaluation of
-                // a factored tree, e.g. tests driving `filter_batch`
+                // a factored tree, e.g. tests driving `filter`
                 // directly): fall back to the original subtree.
-                filter(node, sel, ctx, stats)
+                filter(node, ids, sel, ctx, stats)?;
             }
         }
-        NodeKind::Scalar(expr) => scalar_filter(expr, sel, ctx),
-    };
-    result?;
+        NodeKind::Scalar(expr) => scalar_filter(expr, ids, sel, ctx)?,
+    }
     if let Some(ad) = stats {
         ad.rows_in[node.id].fetch_add(rows_in, Ordering::Relaxed);
         ad.rows_out[node.id].fetch_add(sel.len() as u64, Ordering::Relaxed);
@@ -1109,7 +1303,7 @@ fn or_filter(
         let mut pass = ctx.factor_pass[*slot].take().unwrap_or_default();
         pass.clear();
         pass.extend_from_slice(sel);
-        filter(rep, &mut pass, ctx, stats)?;
+        filter(rep, Ids::Listed, &mut pass, ctx, stats)?;
         ctx.factor_pass[*slot] = Some(pass);
     }
     // Each child sees only rows no earlier child matched — exactly the
@@ -1119,20 +1313,25 @@ fn or_filter(
     let mut remaining = std::mem::replace(sel, ctx.scratch.pop().unwrap_or_default());
     let mut pass = ctx.scratch.pop().unwrap_or_default();
     sel.clear();
+    let mut contributors = 0;
     for p in children {
         if remaining.is_empty() {
             break;
         }
         pass.clear();
         pass.extend_from_slice(&remaining);
-        filter(p, &mut pass, ctx, stats)?;
+        filter(p, Ids::Listed, &mut pass, ctx, stats)?;
         if pass.is_empty() {
             continue;
         }
         subtract_sorted(&mut remaining, &pass);
         sel.extend_from_slice(&pass);
+        contributors += 1;
     }
-    sel.sort_unstable();
+    // One child's rows are already ascending.
+    if contributors > 1 {
+        sel.sort_unstable();
+    }
     ctx.scratch.push(remaining);
     ctx.scratch.push(pass);
     Ok(())
@@ -1143,6 +1342,7 @@ fn or_filter(
 /// every other shape walks the expression row by row.
 fn scalar_filter(
     expr: &Expr,
+    ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
@@ -1156,52 +1356,44 @@ fn scalar_filter(
     let memo = ctx.oracle;
     if let Some((model, accept)) = cascaded {
         if let Some(proxy) = memo.cascade(model) {
-            return cascade_filter(proxy, model, accept, sel, ctx);
+            return cascade_filter(proxy, model, accept, ids, sel, ctx);
         }
     }
-    let mut kept = 0;
-    for i in 0..sel.len() {
-        let row = sel[i];
+    ids.try_compact(sel, |_, row| {
         ctx.load_row(row);
         // Invocations are counted by the memo oracle (misses),
         // not by the tree walk — the counter here is discarded.
         let mut tree_inv = 0u64;
         let hit = expr.eval(&ctx.row_buf, memo, &mut tree_inv);
         (ctx.after_scalar_row)()?;
-        if hit {
-            sel[kept] = row;
-            kept += 1;
-        }
-    }
-    sel.truncate(kept);
-    Ok(())
+        Ok(hit)
+    })
 }
 
-/// `predict(model, row) ∈ accept` over a whole selection vector: the
-/// proxy decides every row column-at-a-time, then band rows — and only
-/// they — go one by one, in ascending row order, through the memo/scorer
-/// path, exactly the rows and the order [`MemoScorer::predict_in`] sends
-/// there row by row. The shared cascade counters take one add per batch.
+/// `predict(model, row) ∈ accept` over a whole selection: the proxy
+/// decides every row column-at-a-time, then band rows — and only they —
+/// go one by one, in ascending row order, through the memo/scorer path,
+/// exactly the rows and the order [`MemoScorer::predict_in`] sends there
+/// row by row. The shared cascade counters take one add per batch.
 fn cascade_filter(
     proxy: &ProxyScore,
     model: ModelId,
     accept: &[ClassId],
+    ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
     let (table, memo) = (ctx.table, ctx.oracle);
+    let n = ids.count(sel);
     proxy.decide_batch(
-        sel.len(),
-        |d, i| table.cell(sel[i], d),
+        n,
+        |d, i| table.cell(ids.id(sel, i), d),
         &mut ctx.scores,
         &mut ctx.decisions,
     );
     let (mut accepts, mut band) = (0u64, 0u64);
-    let n = sel.len();
-    let mut kept = 0;
-    for i in 0..n {
-        let row = sel[i];
-        let hit = match ctx.decisions[i] {
+    ids.try_compact(sel, |i, row| {
+        Ok::<_, EngineError>(match ctx.decisions[i] {
             ProxyDecision::Unique(c) => {
                 let hit = accept.contains(&c);
                 accepts += u64::from(hit);
@@ -1214,13 +1406,8 @@ fn cascade_filter(
                 (ctx.after_scalar_row)()?;
                 hit
             }
-        };
-        if hit {
-            sel[kept] = row;
-            kept += 1;
-        }
-    }
-    sel.truncate(kept);
+        })
+    })?;
     memo.cascade_accepts.fetch_add(accepts, Ordering::Relaxed);
     memo.cascade_rejects.fetch_add(n as u64 - accepts - band, Ordering::Relaxed);
     memo.band_rows.fetch_add(band, Ordering::Relaxed);
@@ -1503,7 +1690,7 @@ mod tests {
     fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, u64) {
         with_ctx(pred, t, |ctx| {
             let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-            pred.filter_batch(&mut sel, ctx).unwrap();
+            filter(&pred.root, Ids::Listed, &mut sel, ctx, None).unwrap();
             (sel, ctx.factor_hits)
         })
     }
@@ -1514,8 +1701,9 @@ mod tests {
         with_ctx(pred, t, |ctx| {
             let clock = CalibClock::new(calib.min(t.n_rows() as u64));
             let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-            pred.filter_batch_at(&mut sel, ctx, 0, &clock).unwrap();
-            (sel, pred.reordered_clauses())
+            let mut rows = Vec::new();
+            pred.filter_batch_at(&mut sel, ctx, 0, &clock, &mut rows).unwrap();
+            (rows, pred.reordered_clauses())
         })
     }
 
@@ -1824,6 +2012,8 @@ mod tests {
         }
     }
 
+    /// Every non-empty zone vector of the 4×3×4 grid, against the
+    /// per-disjunct walk.
     #[test]
     fn boxes_zone_check_equals_the_per_disjunct_walk_on_every_zone_vector() {
         let cards = [4u16, 3, 4];
@@ -1848,6 +2038,111 @@ mod tests {
                             disjunct_walk(&e, &s, &zones),
                             "zones {zones:?} of {e:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    // -- Range entry, list entry and tree walk are one function --------
+
+    /// What one run of a batch leaves behind: the rows, and every
+    /// node's calibration counters.
+    type Observed = (Vec<RowId>, Vec<(u64, u64)>);
+
+    fn counters(pred: &CompiledPredicate) -> Vec<(u64, u64)> {
+        let Some(ad) = &pred.adaptive else { return Vec::new() };
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ad.rows_in.iter().zip(&ad.rows_out).map(|(i, o)| (load(i), load(o))).collect()
+    }
+
+    /// Compiles `e` afresh and runs one batch at scan position `pos`
+    /// under a calibration window of `calib` positions, everything
+    /// before the batch credited as a zone-skipped page credits it.
+    fn run_batch(
+        e: &Expr,
+        s: &Schema,
+        t: &Table,
+        adaptive: bool,
+        calib: u64,
+        pos: RowId,
+        batch: impl FnOnce(&CompiledPredicate, &mut BatchCtx<'_>, &CalibClock, &mut Vec<RowId>),
+    ) -> Observed {
+        let pred = CompiledPredicate::compile(e, s, adaptive);
+        let clock = CalibClock::new(calib);
+        clock.credit_range(0, u64::from(pos));
+        let mut rows = Vec::new();
+        with_ctx(&pred, t, |ctx| batch(&pred, ctx, &clock, &mut rows));
+        (rows, counters(&pred))
+    }
+
+    #[test]
+    fn range_entry_equals_list_entry_equals_tree_walk_on_every_range() {
+        let cards = [6u16, 5, 4, 3];
+        let s = grid_schema(&cards);
+        let t = grid_table(&s);
+        let (n, page) = (t.n_rows() as RowId, t.rows_per_page() as RowId);
+        // The calibration window ends inside a page, as a batch boundary
+        // would in a scan of bigger pages.
+        let calib = 101u64;
+        let mut points = vec![0, 1, page, 3 * page, 63, 64, 65, 100, 101, 102, n - page, n - 1, n];
+        points.sort_unstable();
+        points.dedup();
+
+        let mut g = Gen(24);
+        let mut exprs = Vec::new();
+        for (col, &card) in cards.iter().enumerate() {
+            for _ in 0..4 {
+                exprs.push(gen_atom(&mut g, col, card));
+            }
+        }
+        for width in [2, 3, 4] {
+            for _ in 0..6 {
+                let conjuncts = (0..width).map(|_| {
+                    let col = g.below(cards.len() as u64) as usize;
+                    gen_atom(&mut g, col, cards[col])
+                });
+                exprs.push(Expr::And(conjuncts.collect()));
+            }
+        }
+        // An `And` of boxes and a column: the leaf after the first reads
+        // a list whichever entry the batch came in by.
+        let dnfs = box_dnfs(&mut g, &cards);
+        exprs.push(Expr::And(vec![dnfs[10].clone(), gen_atom(&mut g, 0, cards[0])]));
+        exprs.push(Expr::And(vec![gen_atom(&mut g, 1, cards[1]), dnfs[20].clone()]));
+        exprs.extend(dnfs);
+        exprs.extend([Expr::Const(true), Expr::Const(false), Expr::And(vec![])]);
+
+        for e in &exprs {
+            let mut inv = 0;
+            let pass: Vec<bool> =
+                (0..n).map(|r| e.eval(&t.row(r), &NoModels, &mut inv)).collect();
+            for (i, &start) in points.iter().enumerate() {
+                for &end in &points[i..] {
+                    let want: Vec<RowId> = (start..end).filter(|&r| pass[r as usize]).collect();
+                    // Every third row dropped: what an index fetch or an
+                    // earlier conjunct hands on.
+                    let sparse: Vec<RowId> = (start..end).filter(|r| r % 3 != 1).collect();
+                    let want_sparse: Vec<RowId> =
+                        sparse.iter().copied().filter(|&r| pass[r as usize]).collect();
+                    for adaptive in [false, true] {
+                        let what = format!("{start}..{end}, adaptive {adaptive}, {e:?}");
+                        let by_range = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
+                            // Whatever the scratch vector held is ignored.
+                            let mut sel = vec![7, 7, 7];
+                            p.filter_range_at(start..end, &mut sel, ctx, clock, out).unwrap();
+                        });
+                        let by_list = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
+                            let mut sel: Vec<RowId> = (start..end).collect();
+                            p.filter_batch_at(&mut sel, ctx, u64::from(start), clock, out).unwrap();
+                        });
+                        assert_eq!(by_range.0, want, "range entry, {what}");
+                        assert_eq!(by_list, by_range, "list entry against range entry, {what}");
+                        let by_sparse = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
+                            let mut sel = sparse.clone();
+                            p.filter_batch_at(&mut sel, ctx, u64::from(start), clock, out).unwrap();
+                        });
+                        assert_eq!(by_sparse.0, want_sparse, "sparse list, {what}");
                     }
                 }
             }

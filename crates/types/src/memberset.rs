@@ -39,10 +39,18 @@ impl MemberSet {
         s
     }
 
-    /// A set holding the contiguous range `lo..=hi`.
+    /// A set holding the contiguous range `lo..=hi`, filled a word at a
+    /// time.
     pub fn range(domain: u16, lo: Member, hi: Member) -> Self {
         debug_assert!(lo <= hi && hi < domain);
-        Self::of(domain, lo..=hi)
+        let mut s = Self::empty(domain);
+        let (first, last) = (lo as usize / 64, hi as usize / 64);
+        for b in &mut s.blocks[first..=last] {
+            *b = u64::MAX;
+        }
+        s.blocks[first] &= u64::MAX << (lo % 64);
+        s.blocks[last] &= u64::MAX >> (63 - hi % 64);
+        s
     }
 
     fn trim(&mut self) {
@@ -57,6 +65,13 @@ impl MemberSet {
     /// Domain size this set ranges over.
     pub fn domain(&self) -> u16 {
         self.domain
+    }
+
+    /// The set as 64-member words: member `m` is bit `m % 64` of word
+    /// `m / 64`, and bits at or past the domain are clear. For callers
+    /// that test many members or many sets in one loop.
+    pub fn blocks(&self) -> &[u64] {
+        &self.blocks
     }
 
     /// Inserts member `m`.
@@ -198,6 +213,21 @@ mod tests {
     fn range_constructor() {
         let r = MemberSet::range(8, 2, 5);
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        // Every range over a three-word domain, word boundaries included,
+        // equals the member-by-member set.
+        let domain = 130;
+        for lo in 0..domain {
+            for hi in lo..domain {
+                assert_eq!(MemberSet::range(domain, lo, hi), MemberSet::of(domain, lo..=hi));
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_expose_the_words() {
+        let s = MemberSet::of(70, [0, 63, 64, 69]);
+        assert_eq!(s.blocks(), &[1 | 1 << 63, 1 | 1 << 5]);
+        assert_eq!(MemberSet::full(70).blocks(), &[u64::MAX, (1 << 6) - 1]);
     }
 
     #[test]

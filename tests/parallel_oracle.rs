@@ -135,8 +135,16 @@ fn assert_matches_serial(serial: &mpq_engine::ExecResult, parallel: &mpq_engine:
     let (s, p): (&ExecMetrics, &ExecMetrics) = (&serial.metrics, &parallel.metrics);
     assert_eq!(p.heap_pages_read, s.heap_pages_read, "heap pages: {ctx}");
     assert_eq!(p.index_pages_read, s.index_pages_read, "index pages: {ctx}");
+    assert_eq!(p.pages_skipped, s.pages_skipped, "zone skips: {ctx}");
     assert_eq!(p.rows_examined, s.rows_examined, "rows examined: {ctx}");
     assert_eq!(p.model_invocations, s.model_invocations, "invocations: {ctx}");
+    assert_eq!(p.memo_hits, s.memo_hits, "memo hits: {ctx}");
+    assert_eq!(p.cascade_accepts, s.cascade_accepts, "cascade accepts: {ctx}");
+    assert_eq!(p.cascade_rejects, s.cascade_rejects, "cascade rejects: {ctx}");
+    assert_eq!(p.band_rows, s.band_rows, "band rows: {ctx}");
+    assert_eq!(p.clauses_reordered, s.clauses_reordered, "clauses reordered: {ctx}");
+    assert_eq!(p.factor_hits, s.factor_hits, "factor hits: {ctx}");
+    assert_eq!(parallel.feedback, serial.feedback, "calibration feedback: {ctx}");
     assert_eq!(p.output_rows, s.output_rows, "output rows: {ctx}");
     assert_eq!(p.index_fallback, s.index_fallback, "fallback flag: {ctx}");
     assert_eq!(p.guard.rows_remaining, s.guard.rows_remaining, "rows headroom: {ctx}");

@@ -142,6 +142,9 @@ fn assert_matches_reference(
     assert_eq!(v.rows_examined, s.rows_examined, "rows examined: {ctx}");
     assert_eq!(v.model_invocations, s.model_invocations, "invocations: {ctx}");
     assert_eq!(v.memo_hits, s.memo_hits, "memo hits: {ctx}");
+    assert_eq!(v.cascade_accepts, s.cascade_accepts, "cascade accepts: {ctx}");
+    assert_eq!(v.cascade_rejects, s.cascade_rejects, "cascade rejects: {ctx}");
+    assert_eq!(v.band_rows, s.band_rows, "band rows: {ctx}");
     assert_eq!(v.output_rows, s.output_rows, "output rows: {ctx}");
     assert_eq!(v.index_fallback, s.index_fallback, "fallback flag: {ctx}");
     assert_eq!(v.guard.rows_remaining, s.guard.rows_remaining, "rows headroom: {ctx}");
@@ -437,11 +440,16 @@ fn assert_same_outcome(
 
 /// Scans of five batches whose batch, page and calibration boundaries
 /// all differ and whose second batch is cut short by a zone-skipped
-/// page — through a root `Boxes` leaf, a compiled-out tree, an envelope
-/// in front of a mining residual, and a black-box residual scored row
-/// by row — agree with the reference on everything, and breach every
-/// rows, pages and invocations limit across the first batch boundary
-/// exactly as it does.
+/// page — through a lone `Col` leaf, a root `Boxes` leaf, a `Col` in
+/// front of a `Boxes`, a compiled-out tree, an envelope in front of a
+/// cascaded mining residual, a generic `Or` with a mining child, and a
+/// black-box residual scored row by row — agree with the reference on
+/// rows and every counter the two share, agree with each other at every
+/// dop on the adaptive counters and the calibration feedback (which the
+/// fixed-order reference does not have), and breach every rows, pages
+/// and invocations limit across the first batch boundary exactly as the
+/// reference does. The batches enter the compiled program as row
+/// ranges; nothing here can tell.
 #[test]
 fn multi_page_batches_match_reference_across_every_boundary() {
     let e = engine_with_big_table();
@@ -460,6 +468,12 @@ fn multi_page_batches_match_reference_across_every_boundary() {
     ]);
     // (envelopes and compilation, memo capacity, predicate)
     let cases = [
+        (true, DEFAULT_MEMO_CAPACITY, not_a0()),
+        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), boxes.clone()])),
+        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![
+            not_a0(),
+            Expr::Or(vec![atom(1, AtomPred::Eq(2)), predict(1)]),
+        ])),
         (true, DEFAULT_MEMO_CAPACITY, boxes),
         (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(0)])),
         (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(1)])),
@@ -483,9 +497,17 @@ fn multi_page_batches_match_reference_across_every_boundary() {
         };
         let check = |guard: QueryGuard, what: &str| {
             let reference = run(guard, None);
+            let mut serial: Option<ExecResult> = None;
             for dop in DOPS {
                 let ctx = format!("{what}, dop {dop}, optimized {optimized}, expr {expr:?}");
-                assert_same_outcome(&reference, &run(guard, Some(dop)), dop, &ctx);
+                let got = run(guard, Some(dop));
+                assert_same_outcome(&reference, &got, dop, &ctx);
+                // What only the pipeline has is equal at every dop.
+                let Ok(got) = got else { continue };
+                let first = serial.get_or_insert_with(|| got.clone());
+                assert_eq!(got.metrics.clauses_reordered, first.metrics.clauses_reordered, "{ctx}");
+                assert_eq!(got.metrics.factor_hits, first.metrics.factor_hits, "{ctx}");
+                assert_eq!(got.feedback, first.feedback, "calibration feedback: {ctx}");
             }
             reference
         };
