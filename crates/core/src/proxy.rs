@@ -44,9 +44,13 @@ pub struct ProxyScore {
     /// one cell are adjacent and a column of members walks one
     /// allocation.
     contrib: Vec<Vec<f64>>,
+    /// The dimensions the sums read, ascending: all of them but those
+    /// [`ProxyScore::with_zero_dim`] inserted, whose terms are `+0.0`.
+    live: Vec<usize>,
 }
 
-/// Class counts up to this many score one row on the stack.
+/// Class counts past the monomorphised ones, up to this many, score a
+/// row on the stack.
 const STACK_CLASSES: usize = 16;
 
 impl ProxyScore {
@@ -67,7 +71,7 @@ impl ProxyScore {
                     .collect()
             })
             .collect();
-        ProxyScore { prior, prior_first, contrib }
+        ProxyScore { prior, prior_first, contrib, live: (0..schema.len()).collect() }
     }
 
     /// Tabulates the naive-Bayes log-posterior: `log_prior` first, then
@@ -111,113 +115,169 @@ impl ProxyScore {
         self.contrib[d].len() / self.prior.len()
     }
 
-    /// The one place the accumulation order is written. Fills `scores`
-    /// (`n × n_classes`, row-major) with the score of every class of
-    /// `n` rows, where `member(d, i)` is row `i`'s member in dimension
-    /// `d`: dimension by dimension across all rows, so a batch reads
-    /// each column once — and, per `(row, class)`, the prior and the
-    /// dimension terms in exactly the scorer's order, so every sum is
-    /// bit-identical to the scorer's whatever `n` is.
-    fn accumulate(&self, scores: &mut [f64], member: impl Fn(usize, usize) -> Member) {
-        let k_n = self.prior.len();
-        for row in scores.chunks_exact_mut(k_n) {
-            if self.prior_first {
-                row.copy_from_slice(&self.prior);
-            } else {
-                row.fill(0.0);
-            }
+    /// The one place the accumulation order is written: leaves in
+    /// `sums` (one per class) the scores of the row whose member in
+    /// dimension `d` is `member(d)` — the prior and the dimension terms
+    /// in exactly the scorer's order, so every sum is bit-identical to
+    /// the scorer's. Both entry points inline it per row; given an
+    /// array, the class count is a constant and the sums stay in
+    /// registers.
+    ///
+    /// The dimensions [`with_zero_dim`] inserted are skipped, which is
+    /// what the inner model's scorer does (it never sees them) and what
+    /// adding their terms would do: adding `+0.0` to a sum that is
+    /// never `−0.0` changes no bit, and a sum here never is — it starts
+    /// at `+0.0` or at a log prior, and a round-to-nearest sum is `−0.0`
+    /// only when both addends are.
+    ///
+    /// [`with_zero_dim`]: ProxyScore::with_zero_dim
+    #[inline(always)]
+    fn accumulate(&self, sums: &mut [f64], member: impl Fn(usize) -> Member) {
+        let k_n = sums.len();
+        if self.prior_first {
+            sums.copy_from_slice(&self.prior);
+        } else {
+            sums.fill(0.0);
         }
-        for (d, table) in self.contrib.iter().enumerate() {
-            for (i, row) in scores.chunks_exact_mut(k_n).enumerate() {
-                let at = member(d, i) as usize * k_n;
-                for (s, term) in row.iter_mut().zip(&table[at..at + k_n]) {
-                    *s += term;
-                }
+        for &d in &self.live {
+            let at = member(d) as usize * k_n;
+            for (s, term) in sums.iter_mut().zip(&self.contrib[d][at..at + k_n]) {
+                *s += term;
             }
         }
         if !self.prior_first {
-            for row in scores.chunks_exact_mut(k_n) {
-                for (s, p) in row.iter_mut().zip(&self.prior) {
-                    *s += p;
-                }
+            for (s, p) in sums.iter_mut().zip(&self.prior) {
+                *s += p;
             }
         }
     }
 
     /// A unique argmax is the model's prediction; ties and NaNs go to
     /// the band. Sound by construction — the proxy never *guesses* on
-    /// an ambiguous score.
-    fn argmax(scores: &[f64]) -> ProxyDecision {
-        if scores.iter().any(|s| s.is_nan()) {
-            return ProxyDecision::Band;
+    /// an ambiguous score. Branch-free: the running maximum, its class
+    /// and its tie count are selected, not branched to, so a row costs
+    /// the same whichever class wins.
+    #[inline(always)]
+    fn argmax(sums: &[f64]) -> ProxyDecision {
+        let (mut top, mut best, mut ties) = (sums[0], 0usize, 1u32);
+        let mut nan = top.is_nan();
+        for (k, &s) in sums.iter().enumerate().skip(1) {
+            nan |= s.is_nan();
+            let above = s > top;
+            ties = if above { 1 } else { ties + u32::from(s == top) };
+            best = if above { k } else { best };
+            top = if above { s } else { top };
         }
-        let mut best = 0usize;
-        let mut ties = 1u32;
-        for (k, &s) in scores.iter().enumerate().skip(1) {
-            if s > scores[best] {
-                best = k;
-                ties = 1;
-            } else if s == scores[best] {
-                ties += 1;
-            }
-        }
-        if ties == 1 {
-            ProxyDecision::Unique(ClassId(best as u16))
-        } else {
+        if nan || ties != 1 {
             ProxyDecision::Band
+        } else {
+            ProxyDecision::Unique(ClassId(best as u16))
+        }
+    }
+
+    /// The row kernel for a class count known at compile time: row
+    /// `i`'s `K` sums live in registers while its members — one read
+    /// per live dimension, `member(d, i)` — are added in.
+    #[inline(always)]
+    fn decide_rows<const K: usize>(
+        &self,
+        member: impl Fn(usize, usize) -> Member,
+        out: &mut [ProxyDecision],
+    ) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            let mut sums = [0.0f64; K];
+            self.accumulate(&mut sums, |d| member(d, i));
+            *slot = Self::argmax(&sums);
+        }
+    }
+
+    /// The row kernel for any other class count: the same sums in the
+    /// caller's buffer of one slot per class.
+    fn decide_rows_generic(
+        &self,
+        member: impl Fn(usize, usize) -> Member,
+        sums: &mut [f64],
+        out: &mut [ProxyDecision],
+    ) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            self.accumulate(sums, |d| member(d, i));
+            *slot = Self::argmax(sums);
+        }
+    }
+
+    /// Decides rows `0..out.len()` into `out`: monomorphised for one to
+    /// eight classes, on the stack up to [`STACK_CLASSES`], in
+    /// `scratch` past that.
+    fn decide_into(
+        &self,
+        member: impl Fn(usize, usize) -> Member,
+        scratch: &mut Vec<f64>,
+        out: &mut [ProxyDecision],
+    ) {
+        match self.n_classes() {
+            1 => self.decide_rows::<1>(member, out),
+            2 => self.decide_rows::<2>(member, out),
+            3 => self.decide_rows::<3>(member, out),
+            4 => self.decide_rows::<4>(member, out),
+            5 => self.decide_rows::<5>(member, out),
+            6 => self.decide_rows::<6>(member, out),
+            7 => self.decide_rows::<7>(member, out),
+            8 => self.decide_rows::<8>(member, out),
+            k_n => {
+                let mut stack = [0.0f64; STACK_CLASSES];
+                let sums = if k_n <= STACK_CLASSES {
+                    &mut stack[..k_n]
+                } else {
+                    scratch.resize(k_n, 0.0);
+                    &mut scratch[..]
+                };
+                self.decide_rows_generic(member, sums, out)
+            }
         }
     }
 
     /// Evaluates the cascade on one encoded row.
     pub fn decide(&self, row: &Row) -> ProxyDecision {
         debug_assert_eq!(row.len(), self.contrib.len());
-        let k_n = self.prior.len();
-        let mut stack = [0.0f64; STACK_CLASSES];
-        let mut heap = Vec::new();
-        let scores = if k_n <= STACK_CLASSES {
-            &mut stack[..k_n]
-        } else {
-            heap.resize(k_n, 0.0);
-            &mut heap[..]
-        };
-        self.accumulate(scores, |d, _| row[d]);
-        Self::argmax(scores)
+        let mut out = [ProxyDecision::Band];
+        self.decide_into(|d, _| row[d], &mut Vec::new(), &mut out);
+        out[0]
     }
 
-    /// Evaluates the cascade on `n` rows at once, column-at-a-time:
-    /// `member(d, i)` is row `i`'s member in dimension `d`. Replaces the
-    /// contents of `out` with one decision per row, each bit-for-bit the
-    /// decision [`decide`] makes on that row; `scores` is the caller's
-    /// reusable scratch.
+    /// Evaluates the cascade on `n` rows at once: `member(d, i)` is row
+    /// `i`'s member in dimension `d`, read once per row and live
+    /// dimension. Replaces the contents of `out` with one decision per
+    /// row, each bit-for-bit the decision [`decide`] makes on that row
+    /// (both run one kernel); `scratch` holds the sums of class counts
+    /// past 16, so a reused one makes the call allocation-free.
     ///
     /// [`decide`]: ProxyScore::decide
     pub fn decide_batch(
         &self,
         n: usize,
         member: impl Fn(usize, usize) -> Member,
-        scores: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
         out: &mut Vec<ProxyDecision>,
     ) {
-        let k_n = self.prior.len();
-        scores.resize(n * k_n, 0.0);
-        self.accumulate(scores, member);
         out.clear();
-        out.extend(scores.chunks_exact(k_n).map(Self::argmax));
+        out.resize(n, ProxyDecision::Band);
+        self.decide_into(member, scratch, out);
     }
 
     /// Lifts the table into a schema with one extra dimension inserted
     /// at `at`, whose contribution is literal `0.0` for every member
     /// and class — the shape projected-model wrappers need: the ignored
-    /// (label) column never affects the score. `s + 0.0` preserves the
-    /// score's *value* at every accumulation step, and [`decide`]
-    /// compares values, never bit patterns, so decisions on lifted rows
-    /// equal the inner model's decisions on projected rows.
+    /// (label) column never affects the score. The sums skip the
+    /// inserted dimension (see [`accumulate`]), so decisions on lifted
+    /// rows are the inner model's decisions on projected rows, bit for
+    /// bit.
     ///
-    /// [`decide`]: ProxyScore::decide
+    /// [`accumulate`]: ProxyScore::accumulate
     pub fn with_zero_dim(&self, at: usize, cardinality: usize) -> ProxyScore {
         let mut contrib = self.contrib.clone();
         contrib.insert(at, vec![0.0; cardinality * self.n_classes()]);
-        ProxyScore { prior: self.prior.clone(), prior_first: self.prior_first, contrib }
+        let live = self.live.iter().map(|&d| if d < at { d } else { d + 1 }).collect();
+        ProxyScore { prior: self.prior.clone(), prior_first: self.prior_first, contrib, live }
     }
 
     /// Fault-injection hook: deterministically corrupt one table entry
@@ -344,32 +404,134 @@ mod tests {
         cells
     }
 
-    /// The batch entry point against `decide(row)` on every cell, as
-    /// one batch and as ragged sub-batches over a reused scratch:
-    /// decisions equal, and the scores behind them equal bit for bit.
-    fn assert_batch_matches_decide(proxy: &ProxyScore) {
+    /// Row `cell`'s scores with no kernel involved: per class, the
+    /// prior and every dimension's term — zero dimensions included — in
+    /// the scorer's order.
+    fn reference_sums(proxy: &ProxyScore, cell: &[Member]) -> Vec<f64> {
+        let k_n = proxy.n_classes();
+        (0..k_n)
+            .map(|k| {
+                let mut s = if proxy.prior_first { proxy.prior[k] } else { 0.0 };
+                for (d, table) in proxy.contrib.iter().enumerate() {
+                    s += table[cell[d] as usize * k_n + k];
+                }
+                if !proxy.prior_first {
+                    s += proxy.prior[k];
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// The argmax rule written the plain way: any NaN is band, else the
+    /// first maximum, band when another class equals it.
+    fn reference_decision(sums: &[f64]) -> ProxyDecision {
+        if sums.iter().any(|s| s.is_nan()) {
+            return ProxyDecision::Band;
+        }
+        let top = sums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut winners = (0..sums.len()).filter(|&k| sums[k] == top);
+        match (winners.next(), winners.next()) {
+            (Some(k), None) => ProxyDecision::Unique(ClassId(k as u16)),
+            _ => ProxyDecision::Band,
+        }
+    }
+
+    /// Equal values, NaN equal to NaN.
+    fn same_values(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+    }
+
+    /// The specialised kernel for `K` classes: its decisions on `cells`
+    /// and the register sums behind them.
+    fn fixed_kernel<const K: usize>(
+        proxy: &ProxyScore,
+        cells: &[Vec<Member>],
+    ) -> (Vec<ProxyDecision>, Vec<Vec<f64>>) {
+        let mut out = vec![ProxyDecision::Band; cells.len()];
+        proxy.decide_rows::<K>(|d, i| cells[i][d], &mut out);
+        let sums = cells
+            .iter()
+            .map(|c| {
+                let mut sums = [0.0f64; K];
+                proxy.accumulate(&mut sums, |d| c[d]);
+                sums.to_vec()
+            })
+            .collect();
+        (out, sums)
+    }
+
+    /// Both instantiations of the row kernel against the plain rule on
+    /// every cell — decision and score value — and `decide_batch`
+    /// against `decide` as one batch and as ragged sub-batches over a
+    /// reused scratch.
+    fn assert_kernels_match_reference(proxy: &ProxyScore) {
         let cells = all_cells(proxy);
         let k_n = proxy.n_classes();
-        let want: Vec<ProxyDecision> = cells.iter().map(|c| proxy.decide(c)).collect();
-        let (mut scores, mut got) = (Vec::new(), Vec::new());
-        for batch in [cells.len(), 1, 7] {
-            for (chunk, want) in cells.chunks(batch).zip(want.chunks(batch)) {
-                proxy.decide_batch(chunk.len(), |d, i| chunk[i][d], &mut scores, &mut got);
-                assert_eq!(got, want);
-                for (cell, batch_scores) in chunk.iter().zip(scores.chunks_exact(k_n)) {
-                    let mut one = vec![0.0; k_n];
-                    proxy.accumulate(&mut one, |d, _| cell[d]);
-                    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(batch_scores), bits(&one), "cell {cell:?}");
-                }
+        let want_sums: Vec<Vec<f64>> = cells.iter().map(|c| reference_sums(proxy, c)).collect();
+        let want: Vec<ProxyDecision> = want_sums.iter().map(|s| reference_decision(s)).collect();
+
+        let mut generic = vec![ProxyDecision::Band; cells.len()];
+        proxy.decide_rows_generic(|d, i| cells[i][d], &mut vec![0.0; k_n], &mut generic);
+        assert_eq!(generic, want, "generic kernel, {k_n} classes");
+        for (cell, want_sums) in cells.iter().zip(&want_sums) {
+            let mut sums = vec![0.0; k_n];
+            proxy.accumulate(&mut sums, |d| cell[d]);
+            assert!(same_values(&sums, want_sums), "generic sums, cell {cell:?}");
+        }
+        let fixed = match k_n {
+            1 => Some(fixed_kernel::<1>(proxy, &cells)),
+            2 => Some(fixed_kernel::<2>(proxy, &cells)),
+            3 => Some(fixed_kernel::<3>(proxy, &cells)),
+            4 => Some(fixed_kernel::<4>(proxy, &cells)),
+            5 => Some(fixed_kernel::<5>(proxy, &cells)),
+            8 => Some(fixed_kernel::<8>(proxy, &cells)),
+            _ => None,
+        };
+        if let Some((decisions, sums)) = fixed {
+            assert_eq!(decisions, want, "specialised kernel, {k_n} classes");
+            for ((cell, got), want) in cells.iter().zip(&sums).zip(&want_sums) {
+                assert!(same_values(got, want), "specialised sums, cell {cell:?}");
             }
         }
-        proxy.decide_batch(0, |_, _| unreachable!("no rows"), &mut scores, &mut got);
+
+        let per_row: Vec<ProxyDecision> = cells.iter().map(|c| proxy.decide(c)).collect();
+        assert_eq!(per_row, want, "decide, {k_n} classes");
+        let (mut scratch, mut got) = (Vec::new(), Vec::new());
+        for batch in [cells.len(), 1, 7] {
+            for (chunk, want) in cells.chunks(batch).zip(want.chunks(batch)) {
+                proxy.decide_batch(chunk.len(), |d, i| chunk[i][d], &mut scratch, &mut got);
+                assert_eq!(got, want);
+            }
+        }
+        proxy.decide_batch(0, |_, _| unreachable!("no rows"), &mut scratch, &mut got);
         assert!(got.is_empty());
     }
 
+    /// A `k_n`-class proxy over a 4×3×5 grid whose terms are mostly
+    /// small integers, so many cells tie (band) and many do not.
+    fn synthetic(k_n: usize, prior_first: bool) -> ProxyScore {
+        let cuts = |n: usize| AttrDomain::binned((1..n).map(|i| i as f64).collect()).unwrap();
+        let schema = Schema::new(vec![
+            Attribute::new("x", cuts(4)),
+            Attribute::new("y", cuts(3)),
+            Attribute::new("z", cuts(5)),
+        ])
+        .unwrap();
+        // Never −0.0, like a log prior; the terms include −0.0.
+        let prior = (0..k_n).map(|k| 0.5 - (k % 3) as f64).collect();
+        ProxyScore::tabulate(&schema, prior, prior_first, |d, m, k| {
+            let h = (d * 31 + m as usize * 7 + k.index() * 13) % 11;
+            if h == 10 {
+                -0.25
+            } else {
+                -((h % 4) as f64)
+            }
+        })
+    }
+
     #[test]
-    fn batch_decisions_equal_per_row_decisions_on_every_cell() {
+    fn both_kernels_equal_the_plain_rule_on_every_cell() {
         let nb = ProxyScore::from_naive_bayes(&crate::paper_table1_model());
         let km = ProxyScore::from_kmeans(
             &KMeans::from_parts(
@@ -388,24 +550,37 @@ mod tests {
             )
             .unwrap(),
         );
-        for proxy in [nb, km, gmm] {
-            assert_batch_matches_decide(&proxy);
+        let mut proxies = vec![nb, km, gmm];
+        for k_n in [1, 2, 3, 4, 5, 8, 17] {
+            for prior_first in [true, false] {
+                let proxy = synthetic(k_n, prior_first);
+                let cells = all_cells(&proxy);
+                let band = cells.iter().filter(|c| proxy.decide(c) == ProxyDecision::Band).count();
+                assert!(k_n == 1 || (band > 0 && band < cells.len()), "{k_n} classes: {band} band");
+                proxies.push(proxy);
+            }
+        }
+        for proxy in proxies {
+            let k_n = proxy.n_classes();
+            assert_kernels_match_reference(&proxy);
             // The projected-model shape: a zero dimension in front, in
-            // the middle and at the end.
+            // the middle and at the end — skipped by the sums, which
+            // still equal the ones that add its terms.
             for at in 0..=proxy.n_dims() {
                 let lifted = proxy.with_zero_dim(at, 3);
                 assert_eq!(lifted.n_dims(), proxy.n_dims() + 1);
                 assert_eq!(lifted.dim_cardinality(at), 3);
-                assert_batch_matches_decide(&lifted);
+                assert!(!lifted.live.contains(&at));
+                assert_kernels_match_reference(&lifted);
             }
             // One NaN term poisons exactly the cells that read it, in
             // both forms alike.
-            let mut poisoned = proxy.clone();
-            poisoned.contrib[1][proxy.n_classes()] = f64::NAN;
-            assert_batch_matches_decide(&poisoned);
+            let mut poisoned = proxy.with_zero_dim(0, 2);
+            poisoned.contrib[2][k_n] = f64::NAN;
+            assert_kernels_match_reference(&poisoned);
             let band: Vec<_> = all_cells(&poisoned)
                 .into_iter()
-                .filter(|c| c[1] == 1)
+                .filter(|c| c[2] == 1)
                 .map(|c| poisoned.decide(&c))
                 .collect();
             assert!(!band.is_empty() && band.iter().all(|d| *d == ProxyDecision::Band));

@@ -47,17 +47,20 @@ pub struct ModelEntry {
     /// recovery. Models created through SQL DDL or
     /// [`crate::Engine::register_durable_model`] always carry one.
     pub stored: Option<crate::persist::StoredModel>,
-    /// The tabulated proxy score for cascade evaluation, precomputed at
-    /// registration for additive-score families (NB/k-means/GMM);
-    /// `None` for families without one (their envelopes are exact
-    /// anyway). Executors re-verify this table against a fresh rebuild
-    /// before trusting it — see [`ModelEntry::cascade_note`].
+    /// The tabulated proxy score for cascade evaluation, built at
+    /// registration (and retrain) for additive-score families
+    /// (NB/k-means/GMM) and verified there, once per model version,
+    /// against a fresh rebuild; `None` for families without one (their
+    /// envelopes are exact anyway) and for a table that failed that
+    /// check. Each execution compares the table it is about to trust
+    /// with this one — see [`ModelEntry::cascade_note`].
     pub proxy: Option<Arc<ProxyScore>>,
-    /// `Some(reason)` when the stored proxy failed its pre-execution
-    /// verification (e.g. under the injected cascade-band fault) and the
-    /// executor fell back to the sound scorer path for this model.
-    /// Cleared by the next successful cascade build. Interior-mutable
-    /// because executors only hold a shared catalog borrow.
+    /// `Some(reason)` when a proxy table failed verification — at
+    /// registration, or before an execution (e.g. under the injected
+    /// cascade-band fault) — and the executor fell back to the sound
+    /// scorer path for this model. An execution's failure is cleared by
+    /// the next successful cascade build. Interior-mutable because
+    /// executors only hold a shared catalog borrow.
     pub cascade_note: Mutex<Option<String>>,
 }
 
@@ -319,7 +322,7 @@ impl Catalog {
             Ok(envs) => (envs, None),
             Err(reason) => (trivial_envelopes(&model), Some(reason)),
         };
-        let proxy = model.proxy().map(Arc::new);
+        let (proxy, note) = crate::compile::verified_proxy(&*model, &name);
         self.models.push(ModelEntry {
             name,
             model,
@@ -329,7 +332,7 @@ impl Catalog {
             degraded,
             stored,
             proxy,
-            cascade_note: Mutex::new(None),
+            cascade_note: Mutex::new(note),
         });
         Ok(self.models.len() - 1)
     }
@@ -382,14 +385,15 @@ impl Catalog {
             Err(reason) => (trivial_envelopes(&model), Some(reason)),
         };
         let entry = &mut self.models[id];
+        let (proxy, note) = crate::compile::verified_proxy(&*model, &entry.name);
         entry.envelopes = envelopes;
-        entry.proxy = model.proxy().map(Arc::new);
+        entry.proxy = proxy;
         entry.model = model;
         entry.version += 1;
         entry.derive_opts = opts;
         entry.degraded = degraded;
         entry.stored = stored;
-        entry.cascade_note = Mutex::new(None);
+        entry.cascade_note = Mutex::new(note);
         Ok(())
     }
 
@@ -532,6 +536,11 @@ impl ModelOracle for Catalog {
         let schema = entry.model.schema();
         let label = schema.attr(column).domain.member_label(m);
         entry.model.class_by_name(&label)
+    }
+
+    fn class_for_class(&self, from: ModelId, class: ClassId, to: ModelId) -> Option<ClassId> {
+        // The pairing `rewrite::common_classes` gives the envelope.
+        self.models[to].model.class_by_name(self.models[from].model.class_name(class))
     }
 }
 

@@ -21,27 +21,30 @@
 //!    `MemoScorer`).
 //!
 //! Both directions are verified defensively: exactness is a per-envelope
-//! flag the derivation proves, and cascade tables are compared against a
-//! fresh rebuild before every execution trusts them — a mismatch (e.g.
-//! the injected cascade-band fault) disables the cascade for that model
-//! and records a typed health note, degrading to the sound
-//! envelope+residual path instead of risking a wrong row set.
+//! flag the derivation proves, and a cascade table is compared against a
+//! fresh rebuild once per model version, when registration or retraining
+//! builds it ([`verified_proxy`]); every execution then compares the
+//! table it is about to trust with that verified one. A mismatch at
+//! either point (e.g. the injected cascade-band fault) disables the
+//! cascade for that model and records a typed health note, degrading to
+//! the sound envelope+residual path instead of risking a wrong row set.
 
 use crate::catalog::Catalog;
 use crate::expr::{Expr, MiningPred, ModelId};
 use crate::stats::TableStats;
-use mpq_core::{ProxyDecision, ProxyScore};
+use mpq_core::{EnvelopeProvider, ProxyDecision, ProxyScore};
 use std::sync::Arc;
 
 /// Whether `mp` can be compiled away entirely: every envelope the
 /// rewrite would AND in is exact, so the envelope expression alone is
 /// equivalent to the mining predicate.
 ///
-/// `ModelsAgree` is never compiled: its runtime evaluation compares the
-/// two models' class *ids*, while the envelope disjunction pairs classes
-/// by *label* — the two only coincide when both models share an
-/// id-to-label mapping, so the conservative envelope+residual form is
-/// kept.
+/// `ModelsAgree` is never compiled: it always keeps the
+/// envelope+residual form. Evaluation and envelope pair the two models'
+/// classes the same way — by *label*, through
+/// [`ModelOracle::class_for_class`](crate::ModelOracle::class_for_class)
+/// and `rewrite::common_classes` — so a pairing whose envelopes are all
+/// exact would be exact too; compiling that case is not done here.
 pub(crate) fn exactly_compiled(mp: &MiningPred, catalog: &Catalog) -> bool {
     match mp {
         MiningPred::ClassEq { model, class } => {
@@ -89,6 +92,31 @@ pub(crate) fn compiled_out_models(before: &Expr, after: &Expr) -> Vec<ModelId> {
     out
 }
 
+/// The health note of a model whose proxy table failed verification.
+fn failed_verification(name: &str) -> String {
+    format!(
+        "cascade disabled for model '{name}': stored proxy table failed \
+         verification against a fresh rebuild; using the sound \
+         envelope+residual scorer path"
+    )
+}
+
+/// The proxy table registration (or retraining) stores for `model`,
+/// checked once against a fresh rebuild: `(Some(table), None)` when the
+/// two builds are equal, `(None, Some(note))` when they are not, and
+/// `(None, None)` for a family without a proxy.
+pub(crate) fn verified_proxy(
+    model: &(dyn EnvelopeProvider + Send + Sync),
+    name: &str,
+) -> (Option<Arc<ProxyScore>>, Option<String>) {
+    let Some(stored) = model.proxy() else { return (None, None) };
+    if model.proxy().as_ref() == Some(&stored) {
+        (Some(Arc::new(stored)), None)
+    } else {
+        (None, Some(failed_verification(name)))
+    }
+}
+
 /// Builds the per-model cascade table for one execution: index = model
 /// id, `Some(proxy)` = cascade verified and enabled.
 ///
@@ -96,12 +124,14 @@ pub(crate) fn compiled_out_models(before: &Expr, after: &Expr) -> Vec<ModelId> {
 /// * **Scorer faults armed** → no cascades at all. An armed scorer
 ///   fault needs the real scorer path live to have a target, exactly
 ///   like index faults degrade to full scans.
-/// * **Cascade-band fault armed** → the stored table is perturbed
-///   first, modelling threshold drift.
-/// * **Verification** — always on: the (possibly perturbed) stored
-///   table must equal a fresh rebuild from the model. A mismatch
-///   disables the cascade for that model and records a health note on
-///   the catalog entry; a pass clears the note.
+/// * **Cascade-band fault armed** → the active table is a perturbed
+///   copy of the stored one, modelling threshold drift.
+/// * **Verification** — always on: the active table must be the
+///   stored one, which [`verified_proxy`] checked against a fresh
+///   rebuild when the model version was registered, or equal to it. A
+///   mismatch disables the cascade for that model and records a health
+///   note on the catalog entry; a pass clears the note. Nothing is
+///   rebuilt per execution.
 pub(crate) fn build_cascades(
     catalog: &Catalog,
     models: &[ModelId],
@@ -112,29 +142,23 @@ pub(crate) fn build_cascades(
     }
     for &model in models {
         let entry = catalog.model(model);
-        let Some(stored) = entry.proxy.as_ref() else { continue };
+        let Some(verified) = entry.proxy.as_ref() else { continue };
         let active: Arc<ProxyScore> = if catalog.faults().cascade_band_perturb_armed() {
-            let mut perturbed = (**stored).clone();
+            let mut perturbed = (**verified).clone();
             perturbed.perturb_for_fault();
             Arc::new(perturbed)
         } else {
-            Arc::clone(stored)
+            Arc::clone(verified)
         };
-        let verified = entry.model.proxy().is_some_and(|fresh| fresh == *active);
         let mut note = entry.cascade_note.lock().unwrap_or_else(|e| e.into_inner());
-        if verified {
+        if Arc::ptr_eq(&active, verified) || *active == **verified {
             *note = None;
             if out.len() <= model {
                 out.resize_with(model + 1, || None);
             }
             out[model] = Some(active);
         } else {
-            *note = Some(format!(
-                "cascade disabled for model '{}': stored proxy table failed \
-                 verification against a fresh rebuild; using the sound \
-                 envelope+residual scorer path",
-                entry.name
-            ));
+            *note = Some(failed_verification(&entry.name));
         }
     }
     out
@@ -193,6 +217,7 @@ mod tests {
     use mpq_core::{paper_table1_model, DeriveOptions};
     use mpq_models::Classifier as _;
     use mpq_types::{ClassId, Dataset};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (Catalog, ModelId) {
         let nb = paper_table1_model();
@@ -260,6 +285,84 @@ mod tests {
         let cascades = build_cascades(&cat, &[id]);
         assert!(cascades.get(id).is_some_and(Option::is_some));
         assert!(cat.model(id).cascade_note.lock().unwrap().is_none());
+    }
+
+    /// A naive Bayes counting its proxy-table builds; with `drift` set,
+    /// every other build comes out different.
+    struct Drifting {
+        inner: mpq_models::NaiveBayes,
+        drift: bool,
+        builds: AtomicUsize,
+    }
+
+    impl Drifting {
+        fn new(drift: bool) -> Arc<Drifting> {
+            Arc::new(Drifting { inner: paper_table1_model(), drift, builds: AtomicUsize::new(0) })
+        }
+
+        fn builds(&self) -> usize {
+            self.builds.load(Ordering::Relaxed)
+        }
+    }
+
+    impl mpq_models::Classifier for Drifting {
+        fn schema(&self) -> &mpq_types::Schema {
+            self.inner.schema()
+        }
+        fn n_classes(&self) -> usize {
+            self.inner.n_classes()
+        }
+        fn class_name(&self, c: ClassId) -> &str {
+            self.inner.class_name(c)
+        }
+        fn predict(&self, row: &mpq_types::Row) -> ClassId {
+            self.inner.predict(row)
+        }
+    }
+
+    impl EnvelopeProvider for Drifting {
+        fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> mpq_core::Envelope {
+            self.inner.envelope(class, opts)
+        }
+        fn proxy(&self) -> Option<ProxyScore> {
+            let n = self.builds.fetch_add(1, Ordering::Relaxed);
+            let mut table = ProxyScore::from_naive_bayes(&self.inner);
+            if self.drift && n % 2 == 1 {
+                table.perturb_for_fault();
+            }
+            Some(table)
+        }
+    }
+
+    /// A table is built and checked against a rebuild when a model
+    /// version is registered, and never rebuilt by an execution: a model
+    /// whose two builds differ registers with no cascade and a note that
+    /// executions leave in place; retrained with one whose builds agree,
+    /// it cascades, and assembling its cascade any number of times builds
+    /// nothing.
+    #[test]
+    fn verification_happens_once_per_model_version() {
+        let (mut cat, _) = setup();
+        let drifting = Drifting::new(true);
+        let id =
+            cat.add_model("drift", Arc::clone(&drifting) as _, DeriveOptions::default()).unwrap();
+        assert_eq!(drifting.builds(), 2, "a build and a check at registration");
+        assert!(cat.model(id).proxy.is_none());
+        for _ in 0..3 {
+            assert!(!build_cascades(&cat, &[id]).get(id).is_some_and(Option::is_some));
+            let note = cat.model(id).cascade_note.lock().unwrap().clone();
+            assert!(note.is_some_and(|n| n.contains("failed verification")));
+        }
+        assert_eq!(drifting.builds(), 2);
+
+        let steady = Drifting::new(false);
+        cat.retrain_model(id, Arc::clone(&steady) as _).unwrap();
+        assert_eq!(steady.builds(), 2, "a build and a check at retrain");
+        assert!(cat.model(id).cascade_note.lock().unwrap().is_none());
+        for _ in 0..3 {
+            assert!(build_cascades(&cat, &[id]).get(id).is_some_and(Option::is_some));
+        }
+        assert_eq!(steady.builds(), 2, "no execution rebuilds the table");
     }
 
     #[test]

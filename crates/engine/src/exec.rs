@@ -356,14 +356,18 @@ pub(crate) fn sync_model_metrics(memo: &MemoScorer<'_>, m: &mut ExecMetrics) {
 }
 
 /// The scorer memo for one execution of `plan`: cascade tables are
-/// built (and verified) from the plan's cascade annotations.
+/// checked (against the verified ones) from the plan's cascade
+/// annotations, and the label pairings its mining predicates compare
+/// are built.
 pub(crate) fn memo_for_plan<'a>(
     plan: &Plan,
     catalog: &'a Catalog,
     opts: &ExecOptions,
 ) -> MemoScorer<'a> {
     let models: Vec<crate::expr::ModelId> = plan.cascades.iter().map(|(m, _)| *m).collect();
-    MemoScorer::with_cascades(catalog, opts.memo_capacity, crate::compile::build_cascades(catalog, &models))
+    let cascades = crate::compile::build_cascades(catalog, &models);
+    MemoScorer::with_cascades(catalog, opts.memo_capacity, cascades)
+        .with_label_maps(std::iter::once(&plan.residual).chain(&plan.skip_or))
 }
 
 /// The row ids stored on heap page `page`.

@@ -155,6 +155,10 @@ pub trait ModelOracle {
     /// Maps member `m` of `column` to the model's class with the same
     /// label, if any (for `PREDICT(M) = column`).
     fn class_for_member(&self, model: ModelId, column: AttrId, m: Member) -> Option<ClassId>;
+    /// Maps class `class` of model `from` to the class of model `to`
+    /// with the same label, if any (for `PREDICT(M1) = PREDICT(M2)`:
+    /// class ids are per-model, so labels are what must agree).
+    fn class_for_class(&self, from: ModelId, class: ClassId, to: ModelId) -> Option<ClassId>;
     /// Evaluates `predict(model, row) ∈ accept`. The default scores the
     /// row; oracles with a sound proxy cascade may answer set membership
     /// without invoking the scorer when the proxy's argmax is unique
@@ -206,8 +210,11 @@ impl Expr {
                 MiningPred::ModelsAgree { m1, m2 } => {
                     *invocations += 2;
                     // Predicted *labels* must agree (class ids are
-                    // per-model).
-                    oracle.predict(*m1, row) == oracle.predict(*m2, row)
+                    // per-model). Both models are always asked, `m1`
+                    // first.
+                    let c1 = oracle.predict(*m1, row);
+                    let c2 = oracle.predict(*m2, row);
+                    oracle.class_for_class(*m1, c1, *m2) == Some(c2)
                 }
                 MiningPred::ClassEqColumn { model, column } => {
                     *invocations += 1;
@@ -531,6 +538,9 @@ mod tests {
             unreachable!("no mining predicates in these tests")
         }
         fn class_for_member(&self, _: ModelId, _: AttrId, _: Member) -> Option<ClassId> {
+            None
+        }
+        fn class_for_class(&self, _: ModelId, _: ClassId, _: ModelId) -> Option<ClassId> {
             None
         }
     }

@@ -533,6 +533,14 @@ mod tests {
             ) -> Option<mpq_types::ClassId> {
                 None
             }
+            fn class_for_class(
+                &self,
+                _: ModelId,
+                _: mpq_types::ClassId,
+                _: ModelId,
+            ) -> Option<mpq_types::ClassId> {
+                None
+            }
         }
         for t in texts {
             let q = sql::parse(t, &cat).unwrap();

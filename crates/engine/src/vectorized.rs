@@ -11,11 +11,24 @@
 //! member bitsets — and evaluates it MonetDB/X100-style over selection
 //! vectors, one column at a time. Mining predicates (and `NOT` over
 //! them) stay as [`NodeKind::Scalar`] escape hatches, so the compiled
-//! program is exact on every input: a lone `PREDICT(m) = c` /
-//! `PREDICT(m) IN (..)` over a cascaded model is decided for the whole
-//! selection vector by the proxy tables, dimension by dimension, with
-//! only band rows going one at a time to the memo/scorer path; every
-//! other scalar shape walks the tree row-at-a-time.
+//! program is exact on every input.
+//!
+//! **The batch cascade.** A lone mining predicate over a model with a
+//! verified proxy cascade — `PREDICT(m) = c`, `PREDICT(m) IN (..)`,
+//! `PREDICT(m) = column`, and `PREDICT(m1) = PREDICT(m2)` when either
+//! model has one — is decided for the whole selection vector by
+//! [`ProxyScore::decide_batch`], one call per cascaded model, whose row
+//! kernel keeps the class sums in registers. Only band rows (and, for an
+//! agreement with one uncascaded model, that model's rows) go one at a
+//! time, in ascending row order, to the memo/scorer path — the calls and
+//! the order the reference's row walk makes, so `band_rows`,
+//! `model_invocations` and `memo_hits` are the reference's. Agreement and
+//! the label column compare *labels*, never class ids, through
+//! [`ModelOracle::class_for_class`] and
+//! [`ModelOracle::class_for_member`]: the memo answers both from
+//! pairings built once per execution from the plan's predicates. Every
+//! other scalar shape — `NOT`, an agreement of two uncascaded models —
+//! walks the tree row-at-a-time.
 //!
 //! **Selections.** A node's incoming selection is an [`Ids`]: the dense
 //! run `start..end` of a scan batch, of which nothing is written down,
@@ -97,7 +110,12 @@
 //! occurrence. `model_invocations` counts memo *misses* — actual model
 //! applications — identically in the serial reference and the
 //! pipeline at every dop, which is what keeps the differential oracles
-//! exact.
+//! exact. The memo is [`MEMO_SHARDS`] independently locked shards,
+//! allocated on first use, so workers missing on different tuples score
+//! in parallel. The proxy tables it applies were checked against a fresh
+//! rebuild when the model version was registered
+//! ([`crate::compile::verified_proxy`]); an execution only compares the
+//! table it is about to use with that one.
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
@@ -107,7 +125,7 @@ use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::{AttrId, ClassId, Member, MemberSet, Row, Schema};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -312,6 +330,11 @@ impl BoxTable {
         let words = self.words;
         acc.clear();
         acc.resize(ids.count(sel) * words, u64::MAX);
+        // Indexed through the vector, the passes re-read its pointer and
+        // length every row, and their speed then hung on where the
+        // compiler placed them (`stmt_wire_wide` statement 2: 99 or
+        // 157 µs between two builds that differ elsewhere).
+        let acc = &mut acc[..];
         for c in &self.cols {
             let (column, lookup) = (table.column(c.col), &c.table[..]);
             if words == 1 {
@@ -1097,9 +1120,10 @@ pub(crate) struct BatchCtx<'a> {
     scratch: Vec<Vec<RowId>>,
     /// The `Boxes` kernel's per-row disjunct bitsets.
     acc: Vec<u64>,
-    /// The cascade's per-batch score and decision buffers.
+    /// The cascade's scratch for class counts past 16, and its
+    /// per-batch decisions: one buffer per model of the predicate.
     scores: Vec<f64>,
-    decisions: Vec<ProxyDecision>,
+    decisions: [Vec<ProxyDecision>; 2],
 }
 
 impl<'a> BatchCtx<'a> {
@@ -1123,7 +1147,7 @@ impl<'a> BatchCtx<'a> {
             scratch: Vec::new(),
             acc: Vec::new(),
             scores: Vec::new(),
-            decisions: Vec::new(),
+            decisions: [Vec::new(), Vec::new()],
         }
     }
 
@@ -1201,15 +1225,19 @@ impl Ids {
                 // through a stack buffer instead measured no different
                 // on the one-leaf statements of `stmt_wire_wide`.
                 sel.resize((end - start) as usize, 0);
+                // A slice, as in `BoxTable::filter`: the loop keeps its
+                // pointer and length in registers.
+                let buf = &mut sel[..];
                 for (i, r) in (start..end).enumerate() {
-                    sel[k] = r;
+                    buf[k] = r;
                     k += usize::from(keep(i, r)?);
                 }
             }
             Ids::Listed => {
-                for i in 0..sel.len() {
-                    let r = sel[i];
-                    sel[k] = r;
+                let buf = &mut sel[..];
+                for i in 0..buf.len() {
+                    let r = buf[i];
+                    buf[k] = r;
                     k += usize::from(keep(i, r)?);
                 }
             }
@@ -1337,26 +1365,45 @@ fn or_filter(
     Ok(())
 }
 
-/// Evaluates a `Scalar` leaf. A lone `PREDICT(m) = c` / `PREDICT(m) IN
-/// (..)` over a cascaded model takes the column-at-a-time cascade;
-/// every other shape walks the expression row by row.
+/// Evaluates a `Scalar` leaf. A lone mining predicate over a cascaded
+/// model — `PREDICT(m) = c`, `PREDICT(m) IN (..)`, `PREDICT(m) =
+/// column`, and `PREDICT(m1) = PREDICT(m2)` when either model is
+/// cascaded — takes the column-at-a-time cascade; every other shape
+/// walks the expression row by row.
 fn scalar_filter(
     expr: &Expr,
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
-    let cascaded = match expr {
-        Expr::Mining(MiningPred::ClassEq { model, class }) => {
-            Some((*model, std::slice::from_ref(class)))
-        }
-        Expr::Mining(MiningPred::ClassIn { model, classes }) => Some((*model, &classes[..])),
-        _ => None,
-    };
     let memo = ctx.oracle;
-    if let Some((model, accept)) = cascaded {
-        if let Some(proxy) = memo.cascade(model) {
-            return cascade_filter(proxy, model, accept, ids, sel, ctx);
+    if let Expr::Mining(mp) = expr {
+        match mp {
+            MiningPred::ClassEq { model, class } => {
+                if let Some(proxy) = memo.cascade(*model) {
+                    return cascade_filter(proxy, *model, |_, c| c == *class, ids, sel, ctx);
+                }
+            }
+            MiningPred::ClassIn { model, classes } => {
+                if let Some(proxy) = memo.cascade(*model) {
+                    let accept = |_, c| classes.contains(&c);
+                    return cascade_filter(proxy, *model, accept, ids, sel, ctx);
+                }
+            }
+            MiningPred::ClassEqColumn { model, column } => {
+                if let Some(proxy) = memo.cascade(*model) {
+                    let values = ctx.table.column(column.index());
+                    let accept = |row: RowId, c| {
+                        memo.class_for_member(*model, *column, values[row as usize]) == Some(c)
+                    };
+                    return cascade_filter(proxy, *model, accept, ids, sel, ctx);
+                }
+            }
+            MiningPred::ModelsAgree { m1, m2 } => {
+                if memo.cascade(*m1).is_some() || memo.cascade(*m2).is_some() {
+                    return agree_filter([*m1, *m2], ids, sel, ctx);
+                }
+            }
         }
     }
     ids.try_compact(sel, |_, row| {
@@ -1370,39 +1417,37 @@ fn scalar_filter(
     })
 }
 
-/// `predict(model, row) ∈ accept` over a whole selection: the proxy
-/// decides every row column-at-a-time, then band rows — and only they —
-/// go one by one, in ascending row order, through the memo/scorer path,
-/// exactly the rows and the order [`MemoScorer::predict_in`] sends there
-/// row by row. The shared cascade counters take one add per batch.
+/// `accept(row, predict(model, row))` over a whole selection — the class
+/// set of `PREDICT(m) = c` / `IN (..)`, or the class carrying the row's
+/// label member for `PREDICT(m) = column`: the proxy decides every row
+/// column-at-a-time, then band rows — and only they — go one by one, in
+/// ascending row order, through the memo/scorer path, exactly the rows
+/// and the order [`MemoScorer::predict_in`] sends there row by row. The
+/// shared cascade counters take one add per batch.
 fn cascade_filter(
     proxy: &ProxyScore,
     model: ModelId,
-    accept: &[ClassId],
+    accept: impl Fn(RowId, ClassId) -> bool,
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
     let (table, memo) = (ctx.table, ctx.oracle);
     let n = ids.count(sel);
-    proxy.decide_batch(
-        n,
-        |d, i| table.cell(ids.id(sel, i), d),
-        &mut ctx.scores,
-        &mut ctx.decisions,
-    );
+    let decisions = &mut ctx.decisions[0];
+    proxy.decide_batch(n, |d, i| table.cell(ids.id(sel, i), d), &mut ctx.scores, decisions);
     let (mut accepts, mut band) = (0u64, 0u64);
     ids.try_compact(sel, |i, row| {
-        Ok::<_, EngineError>(match ctx.decisions[i] {
+        Ok::<_, EngineError>(match ctx.decisions[0][i] {
             ProxyDecision::Unique(c) => {
-                let hit = accept.contains(&c);
+                let hit = accept(row, c);
                 accepts += u64::from(hit);
                 hit
             }
             ProxyDecision::Band => {
                 band += 1;
                 ctx.load_row(row);
-                let hit = accept.contains(&memo.predict_via_memo(model, &ctx.row_buf));
+                let hit = accept(row, memo.predict_via_memo(model, &ctx.row_buf));
                 (ctx.after_scalar_row)()?;
                 hit
             }
@@ -1410,6 +1455,56 @@ fn cascade_filter(
     })?;
     memo.cascade_accepts.fetch_add(accepts, Ordering::Relaxed);
     memo.cascade_rejects.fetch_add(n as u64 - accepts - band, Ordering::Relaxed);
+    memo.band_rows.fetch_add(band, Ordering::Relaxed);
+    (ctx.after_scalar_row)()
+}
+
+/// `PREDICT(m1) = PREDICT(m2)` over a whole selection, compared by
+/// label: each cascaded model decides every row column-at-a-time, and a
+/// row's class under a model is its unique decision or else — a band
+/// row, or any row when that model has no cascade — the memo/scorer's
+/// answer, asked `m1` before `m2` in ascending row order: exactly the
+/// calls `Expr::eval` makes through [`MemoScorer::predict`] row by row,
+/// counted the same way (`band_rows` per banded call, no accepts or
+/// rejects). `after_scalar_row` runs after each row that reached the
+/// memo/scorer path and once per batch.
+fn agree_filter(
+    models: [ModelId; 2],
+    ids: Ids,
+    sel: &mut Vec<RowId>,
+    ctx: &mut BatchCtx<'_>,
+) -> Result<(), EngineError> {
+    let (table, memo) = (ctx.table, ctx.oracle);
+    let n = ids.count(sel);
+    let proxies = models.map(|m| memo.cascade(m));
+    for (proxy, decisions) in proxies.iter().zip(&mut ctx.decisions) {
+        if let Some(proxy) = proxy {
+            proxy.decide_batch(n, |d, i| table.cell(ids.id(sel, i), d), &mut ctx.scores, decisions);
+        }
+    }
+    let mut band = 0u64;
+    let BatchCtx { row_buf, after_scalar_row, decisions, .. } = ctx;
+    ids.try_compact(sel, |i, row| {
+        let mut loaded = false;
+        let mut class = |k: usize| match proxies[k].map(|_| decisions[k][i]) {
+            Some(ProxyDecision::Unique(c)) => c,
+            decided => {
+                band += u64::from(decided.is_some());
+                if !loaded {
+                    for (d, cell) in row_buf.iter_mut().enumerate() {
+                        *cell = table.cell(row, d);
+                    }
+                    loaded = true;
+                }
+                memo.predict_via_memo(models[k], row_buf)
+            }
+        };
+        let (c1, c2) = (class(0), class(1));
+        if loaded {
+            after_scalar_row()?;
+        }
+        Ok::<_, EngineError>(memo.class_for_class(models[0], c1, models[1]) == Some(c2))
+    })?;
     memo.band_rows.fetch_add(band, Ordering::Relaxed);
     (ctx.after_scalar_row)()
 }
@@ -1457,38 +1552,118 @@ fn intersect_sorted(sel: &mut Vec<RowId>, pass: &[RowId]) {
 /// probe without allocating (via `Borrow`).
 type ModelMemo = HashMap<Box<[Member]>, ClassId>;
 
+/// One lock's share of the memo — a table per model id — on cache lines
+/// of its own, so workers missing on different shards share none.
+#[repr(align(128))]
+struct MemoShard(RwLock<Vec<ModelMemo>>);
+
+/// The counters lookups write, on cache lines of their own: apart from
+/// the read-mostly fields every lookup reads, so workers missing at once
+/// bounce one line between them rather than all of them.
+#[derive(Default)]
+#[repr(align(128))]
+struct MemoCounters {
+    /// Entries inserted (reserved) across all shards. `Relaxed` like the
+    /// statistics beside it: it publishes nothing, since each entry is
+    /// published by its shard's lock.
+    len: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    scorer_ns: AtomicU64,
+}
+
+/// How many independently locked shards the memo splits into. Fixed:
+/// enough that two or eight workers missing at once rarely meet on a
+/// lock, few enough that a statement reaching the memo pays one small
+/// allocation for them.
+const MEMO_SHARDS: usize = 16;
+
+/// The shard of key `(model, row)`: the top bits of a multiplicative
+/// hash over the model id and the tuple's members.
+fn memo_shard(model: ModelId, row: &Row) -> usize {
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+    let h = row
+        .iter()
+        .fold((model as u64 + 1).wrapping_mul(MIX), |h, &m| (h ^ u64::from(m)).wrapping_mul(MIX));
+    (h >> (64 - MEMO_SHARDS.trailing_zeros())) as usize
+}
+
+/// The label pairings one execution's label comparisons read, built
+/// once from the plan's mining predicates: for each `PREDICT(m1) =
+/// PREDICT(m2)`, `m1`'s class → `m2`'s class with its label, and for
+/// each `PREDICT(m) = column`, the column's member → `m`'s class with its
+/// label. A pairing not listed is looked up in the catalog.
+#[derive(Default)]
+struct LabelMaps {
+    classes: LabelMap<(ModelId, ModelId)>,
+    members: LabelMap<(ModelId, AttrId)>,
+}
+
+/// Per key, the class each index maps to — `None` where no class carries
+/// that label.
+type LabelMap<K> = Vec<(K, Vec<Option<ClassId>>)>;
+
+impl LabelMaps {
+    fn for_exprs<'e>(catalog: &Catalog, exprs: impl IntoIterator<Item = &'e Expr>) -> LabelMaps {
+        let mut maps = LabelMaps::default();
+        let mut add = |e: &Expr| match *e {
+            Expr::Mining(MiningPred::ModelsAgree { m1, m2 })
+                if maps.classes.iter().all(|(k, _)| *k != (m1, m2)) =>
+            {
+                let k1 = catalog.model(m1).model.n_classes();
+                let map =
+                    (0..k1).map(|c| catalog.class_for_class(m1, ClassId(c as u16), m2)).collect();
+                maps.classes.push(((m1, m2), map));
+            }
+            Expr::Mining(MiningPred::ClassEqColumn { model, column })
+                if maps.members.iter().all(|(k, _)| *k != (model, column)) =>
+            {
+                let schema = catalog.model(model).model.schema();
+                let card = schema.attr(column).domain.cardinality();
+                let map = (0..card).map(|m| catalog.class_for_member(model, column, m)).collect();
+                maps.members.push(((model, column), map));
+            }
+            _ => {}
+        };
+        for e in exprs {
+            e.walk(&mut add);
+        }
+        maps
+    }
+}
+
 /// A bounded per-query memo over the catalog's [`ModelOracle`].
 ///
-/// `predict` answers repeated `(model, tuple)` questions from the memo;
-/// a miss computes under the write lock (double-checked), so each
-/// distinct key is scored exactly once no matter how many workers race
-/// on it — miss counts are deterministic across degrees of parallelism.
-/// The capacity bound stops *inserting* when full (no eviction): the
-/// memo can only shrink `model_invocations`, and counts stay identical
-/// across executors as long as the distinct-tuple count fits. Injected
-/// scorer faults still fire: the miss path calls straight into the
-/// catalog, and the memo never outlives one execution.
+/// `predict` answers repeated `(model, tuple)` questions from the memo.
+/// The memo is [`MEMO_SHARDS`] `RwLock`ed shards keyed by a hash of
+/// `(model, tuple)`, allocated on the first lookup, so a statement that
+/// never reaches the memo allocates none of it. A miss computes under
+/// its shard's write lock (double-checked), so each distinct key is
+/// scored exactly once no matter how many workers race on it — miss
+/// counts are deterministic across degrees of parallelism — while
+/// misses on other shards score in parallel. The capacity bound stops
+/// *inserting* when full (no eviction): an insert first reserves a slot
+/// with one atomic update that fails at `capacity`, so the memo never
+/// holds more. The memo can only shrink `model_invocations`, and counts
+/// stay identical across executors as long as the distinct-tuple count
+/// fits. Injected scorer faults still fire: the miss path calls
+/// straight into the catalog, and the memo never outlives one
+/// execution.
 pub(crate) struct MemoScorer<'a> {
     catalog: &'a Catalog,
     capacity: usize,
-    memo: RwLock<MemoState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    shards: OnceLock<Box<[MemoShard]>>,
+    counters: MemoCounters,
     /// Verified proxy cascades, indexed by model id (`None` = the plan
     /// enabled no cascade for this model, or verification rejected it).
     /// Living on the shared oracle means the scalar reference, the
     /// vectorized executor, and every parallel worker make identical
     /// cascade decisions — the differential oracles hold for free.
     cascades: Vec<Option<Arc<ProxyScore>>>,
+    labels: LabelMaps,
     cascade_accepts: AtomicU64,
     cascade_rejects: AtomicU64,
     band_rows: AtomicU64,
-    scorer_ns: AtomicU64,
-}
-
-struct MemoState {
-    per_model: Vec<ModelMemo>,
-    len: usize,
 }
 
 impl<'a> MemoScorer<'a> {
@@ -1503,25 +1678,34 @@ impl<'a> MemoScorer<'a> {
         MemoScorer {
             catalog,
             capacity,
-            memo: RwLock::new(MemoState { per_model: Vec::new(), len: 0 }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            shards: OnceLock::new(),
+            counters: MemoCounters::default(),
             cascades,
+            labels: LabelMaps::default(),
             cascade_accepts: AtomicU64::new(0),
             cascade_rejects: AtomicU64::new(0),
             band_rows: AtomicU64::new(0),
-            scorer_ns: AtomicU64::new(0),
         }
+    }
+
+    /// Builds the label pairings the mining predicates of `exprs`
+    /// compare, once for the whole execution.
+    pub(crate) fn with_label_maps<'e>(
+        mut self,
+        exprs: impl IntoIterator<Item = &'e Expr>,
+    ) -> MemoScorer<'a> {
+        self.labels = LabelMaps::for_exprs(self.catalog, exprs);
+        self
     }
 
     /// Memo hits so far (predictions answered without the model).
     pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.counters.hits.load(Ordering::Relaxed)
     }
 
     /// Memo misses so far = actual black-box model applications.
     pub(crate) fn invocations(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.counters.misses.load(Ordering::Relaxed)
     }
 
     /// Rows whose mining predicate the cascade answered positively.
@@ -1542,7 +1726,7 @@ impl<'a> MemoScorer<'a> {
 
     /// Wall nanoseconds spent inside the real scorer (memo misses only).
     pub(crate) fn scorer_ns(&self) -> u64 {
-        self.scorer_ns.load(Ordering::Relaxed)
+        self.counters.scorer_ns.load(Ordering::Relaxed)
     }
 
     /// The verified proxy cascade enabled for `model`, if any.
@@ -1554,7 +1738,7 @@ impl<'a> MemoScorer<'a> {
     fn scored_predict(&self, model: ModelId, row: &Row) -> ClassId {
         let t0 = Instant::now();
         let c = self.catalog.predict(model, row);
-        self.scorer_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.counters.scorer_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         c
     }
 }
@@ -1565,31 +1749,41 @@ impl MemoScorer<'_> {
     /// verified proxy.
     fn predict_via_memo(&self, model: ModelId, row: &Row) -> ClassId {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return self.scored_predict(model, row);
         }
+        let shards = self
+            .shards
+            .get_or_init(|| (0..MEMO_SHARDS).map(|_| MemoShard(RwLock::new(Vec::new()))).collect());
+        let shard = &shards[memo_shard(model, row)].0;
         {
-            let state = self.memo.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(&c) = state.per_model.get(model).and_then(|m| m.get(row)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            let tables = shard.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(&c) = tables.get(model).and_then(|m| m.get(row)) {
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return c;
             }
         }
-        let mut state = self.memo.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(&c) = state.per_model.get(model).and_then(|m| m.get(row)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut tables = shard.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(&c) = tables.get(model).and_then(|m| m.get(row)) {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return c;
         }
         // Counted before the (possibly panicking) model runs, matching
         // the reference interpreter's increment-then-predict order.
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let c = self.scored_predict(model, row);
-        if state.len < self.capacity {
-            if state.per_model.len() <= model {
-                state.per_model.resize_with(model + 1, ModelMemo::new);
+        let reserved = self
+            .counters
+            .len
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.capacity).then_some(n + 1)
+            })
+            .is_ok();
+        if reserved {
+            if tables.len() <= model {
+                tables.resize_with(model + 1, ModelMemo::new);
             }
-            state.per_model[model].insert(Box::from(row), c);
-            state.len += 1;
+            tables[model].insert(Box::from(row), c);
         }
         c
     }
@@ -1598,10 +1792,11 @@ impl MemoScorer<'_> {
 impl ModelOracle for MemoScorer<'_> {
     fn predict(&self, model: ModelId, row: &Row) -> ClassId {
         // A unique proxy argmax IS the model's prediction (bit-identical
-        // score tables), so `ModelsAgree`-style direct predictions ride
-        // the cascade too. Only tied rows — the band — reach the
-        // memo/scorer path, and they are counted here so `band_rows`
-        // equals the fallback-scorer set on every query shape.
+        // score tables), so direct predictions — the row walk's
+        // `ModelsAgree` — ride the cascade too. Only tied rows — the
+        // band — reach the memo/scorer path, and they are counted here
+        // so `band_rows` equals the fallback-scorer set on every query
+        // shape.
         if let Some(proxy) = self.cascade(model) {
             match proxy.decide(row) {
                 ProxyDecision::Unique(c) => return c,
@@ -1615,7 +1810,17 @@ impl ModelOracle for MemoScorer<'_> {
 
     fn class_for_member(&self, model: ModelId, column: AttrId, m: Member) -> Option<ClassId> {
         // Pure metadata lookup — not an invocation; no memo needed.
-        self.catalog.class_for_member(model, column, m)
+        match self.labels.members.iter().find(|(k, _)| *k == (model, column)) {
+            Some((_, map)) => map.get(usize::from(m)).copied().flatten(),
+            None => self.catalog.class_for_member(model, column, m),
+        }
+    }
+
+    fn class_for_class(&self, from: ModelId, class: ClassId, to: ModelId) -> Option<ClassId> {
+        match self.labels.classes.iter().find(|(k, _)| *k == (from, to)) {
+            Some((_, map)) => map.get(class.index()).copied().flatten(),
+            None => self.catalog.class_for_class(from, class, to),
+        }
     }
 
     fn predict_in(&self, model: ModelId, row: &Row, accept: &[ClassId]) -> bool {
@@ -1671,6 +1876,9 @@ mod tests {
             unreachable!("no mining predicates here")
         }
         fn class_for_member(&self, _: ModelId, _: AttrId, _: Member) -> Option<ClassId> {
+            None
+        }
+        fn class_for_class(&self, _: ModelId, _: ClassId, _: ModelId) -> Option<ClassId> {
             None
         }
     }
@@ -2212,6 +2420,150 @@ mod tests {
         assert_eq!(sel, vec![2, 8]);
         intersect_sorted(&mut sel, &[]);
         assert!(sel.is_empty());
+    }
+
+    // -- The fused model-agreement leaf and the sharded memo ----------
+
+    /// A naive Bayes over `schema` whose classes are `names`: class
+    /// `names[k]` has prior `priors[k]` and, on every column, the
+    /// conditional `cond(d, m, k)`.
+    fn bayes(
+        schema: &Schema,
+        names: &[&str],
+        priors: &[f64],
+        cond: impl Fn(usize, u16, usize) -> f64,
+    ) -> mpq_models::NaiveBayes {
+        let tables: Vec<Vec<Vec<f64>>> = (0..schema.len())
+            .map(|d| {
+                (0..schema.attrs()[d].domain.cardinality())
+                    .map(|m| (0..names.len()).map(|k| cond(d, m, k)).collect())
+                    .collect()
+            })
+            .collect();
+        let names = names.iter().map(|n| n.to_string()).collect();
+        mpq_models::NaiveBayes::from_probabilities(schema.clone(), names, priors, &tables).unwrap()
+    }
+
+    /// Model 0 over the 4×3 grid has classes `y` and `z` trained alike,
+    /// so every cell they win ties (band); model 1 is model 0 with its
+    /// classes stored in reverse order — other ids, the same labels.
+    fn agreeing_catalog(n_rows: usize) -> Catalog {
+        let s = schema();
+        let cond = |d: usize, m: u16, k: usize| match (d, k) {
+            (0, 0) => [0.5, 0.3, 0.1, 0.1][m as usize],
+            (0, _) => [0.1, 0.2, 0.3, 0.4][m as usize],
+            (_, 0) => [0.2, 0.5, 0.3][m as usize],
+            _ => [0.4, 0.3, 0.3][m as usize],
+        };
+        let m0 = bayes(&s, &["x", "y", "z"], &[0.4, 0.3, 0.3], cond);
+        let m1 = bayes(&s, &["z", "y", "x"], &[0.3, 0.3, 0.4], |d, m, k| cond(d, m, 2 - k));
+        let rows = (0..n_rows).map(|i| vec![(i % 4) as u16, (i / 4 % 3) as u16]);
+        let mut cat = Catalog::new();
+        cat.add_table(Table::with_page_bytes("t", &Dataset::from_rows(s, rows).unwrap(), 256))
+            .unwrap();
+        for (name, m) in [("m0", m0), ("m1", m1)] {
+            cat.add_model(name, Arc::new(m), mpq_core::DeriveOptions::default()).unwrap();
+        }
+        cat
+    }
+
+    /// The fused `MODELS AGREE` leaf, over batches of 100 rows: the rows
+    /// the label rule gives, one `band_rows` per banded decision, and
+    /// the invocation hook called once per row that reached the scorer
+    /// path — a band row under either model — plus once per batch.
+    #[test]
+    fn a_fused_models_agree_leaf_hooks_each_band_row_and_each_batch() {
+        let cat = agreeing_catalog(1_000);
+        let t = &cat.table(0).table;
+        let expr = Expr::Mining(MiningPred::ModelsAgree { m1: 0, m2: 1 });
+        let pred = CompiledPredicate::compile(&expr, t.schema(), true);
+        let cascades = crate::compile::build_cascades(&cat, &[0, 1]);
+        let proxies: Vec<Arc<ProxyScore>> = cascades.iter().flatten().cloned().collect();
+        assert_eq!(proxies.len(), 2);
+        let memo = MemoScorer::with_cascades(&cat, DEFAULT_MEMO_CAPACITY, cascades)
+            .with_label_maps([&expr]);
+
+        let (mut calls, mut rows) = (0u64, Vec::new());
+        let batches = t.n_rows().div_ceil(100) as u64;
+        {
+            let mut after = || {
+                calls += 1;
+                Ok(())
+            };
+            let mut ctx = BatchCtx::new(t, &memo, &mut after, pred.factor_slots(), None);
+            let clock = CalibClock::new(0);
+            let mut sel = Vec::new();
+            for start in (0..t.n_rows() as RowId).step_by(100) {
+                let end = (start + 100).min(t.n_rows() as RowId);
+                pred.filter_range_at(start..end, &mut sel, &mut ctx, &clock, &mut rows).unwrap();
+            }
+        }
+        let banded = |row: &[Member]| {
+            proxies.iter().filter(|p| p.decide(row) == ProxyDecision::Band).count() as u64
+        };
+        let band: u64 = (0..t.n_rows() as RowId).map(|r| banded(&t.row(r))).sum();
+        let band_resolving = (0..t.n_rows() as RowId).filter(|&r| banded(&t.row(r)) > 0).count();
+        assert!(band_resolving > 100 && band_resolving < t.n_rows(), "{band_resolving}");
+        assert_eq!(calls, band_resolving as u64 + batches);
+        assert_eq!(memo.band_rows(), band);
+        assert_eq!((memo.cascade_accepts(), memo.cascade_rejects()), (0, 0));
+        // The label rule, row by row through the catalog: the models
+        // agree wherever the proxy decides, and on cells where `y` and
+        // `z` tie at the top their tie-breaks (lowest id) name different
+        // labels.
+        let mut inv = 0;
+        let want: Vec<RowId> =
+            (0..t.n_rows() as RowId).filter(|&r| expr.eval(&t.row(r), &cat, &mut inv)).collect();
+        assert_eq!(rows, want);
+        let decided: Vec<RowId> =
+            (0..t.n_rows() as RowId).filter(|&r| banded(&t.row(r)) == 0).collect();
+        assert!(!decided.is_empty() && decided.iter().all(|r| rows.binary_search(r).is_ok()));
+        assert!(rows.len() < t.n_rows());
+    }
+
+    /// Eight workers race over the same 600 distinct tuples in different
+    /// orders: the memo never holds more than its capacity, and when
+    /// every tuple fits, each is scored exactly once.
+    #[test]
+    fn the_sharded_memo_holds_its_capacity_under_racing_workers() {
+        let s = grid_schema(&[10, 10, 6]);
+        let model = bayes(&s, &["a", "b"], &[0.5, 0.5], |d, m, k| {
+            (1 + (d + m as usize + k) % 3) as f64 / 10.0
+        });
+        let mut cat = Catalog::new();
+        cat.add_model("m", Arc::new(model), mpq_core::DeriveOptions::default()).unwrap();
+        let tuples: Vec<Vec<Member>> =
+            (0..600u16).map(|i| vec![i % 10, i / 10 % 10, i / 100]).collect();
+        for capacity in [0, 1, 37, 600, 10_000] {
+            let memo = MemoScorer::with_cascades(&cat, capacity, Vec::new());
+            std::thread::scope(|scope| {
+                for w in 0..8usize {
+                    let (memo, tuples, cat) = (&memo, &tuples, &cat);
+                    scope.spawn(move || {
+                        for i in 0..2 * tuples.len() {
+                            let tuple = &tuples[(i * (2 * w + 1) + w * 75) % tuples.len()];
+                            assert_eq!(memo.predict(0, tuple), cat.predict(0, tuple));
+                        }
+                    });
+                }
+            });
+            let held: usize = memo.shards.get().map_or(0, |shards| {
+                shards
+                    .iter()
+                    .map(|s| s.0.read().unwrap().iter().map(HashMap::len).sum::<usize>())
+                    .sum()
+            });
+            assert_eq!(held, memo.counters.len.load(Ordering::Relaxed), "capacity {capacity}");
+            assert!(held <= capacity, "{held} entries in a memo of {capacity}");
+            let lookups = 8 * 2 * tuples.len() as u64;
+            assert_eq!(memo.hits() + memo.invocations(), lookups);
+            if capacity >= tuples.len() {
+                assert_eq!(memo.invocations(), tuples.len() as u64, "capacity {capacity}");
+            }
+            if capacity == 0 {
+                assert!(memo.shards.get().is_none(), "a disabled memo allocates no shard");
+            }
+        }
     }
 
     #[test]

@@ -206,3 +206,63 @@ fn a_wrong_estimate_reserves_a_bounded_hit_list() {
         assert_eq!(low.rows, high.rows);
     }
 }
+
+/// A naive Bayes over the test schema with classes `x` and `y` whose
+/// scores never tie on the grid; `shift` moves its decision surface.
+fn bayes(shift: usize) -> mpq_models::NaiveBayes {
+    let tables: Vec<Vec<Vec<f64>>> = [4usize, 3, 5]
+        .iter()
+        .enumerate()
+        .map(|(d, &card)| {
+            let weights = |k: usize| -> Vec<f64> {
+                let w: Vec<f64> =
+                    (0..card).map(|m| 1.0 + ((m + d + k * shift) % card) as f64 * 0.37).collect();
+                let total: f64 = w.iter().sum();
+                w.into_iter().map(|v| v / total).collect()
+            };
+            let (x, y) = (weights(0), weights(1));
+            (0..card).map(|m| vec![x[m], y[m]]).collect()
+        })
+        .collect();
+    mpq_models::NaiveBayes::from_probabilities(
+        schema(),
+        vec!["x".into(), "y".into()],
+        &[0.45, 0.55],
+        &tables,
+    )
+    .unwrap()
+}
+
+/// Cascaded scans whose proxies decide every row never reach the scorer
+/// memo: a lone `PREDICT(m) = c` and the fused `PREDICT(m1) =
+/// PREDICT(m2)` leaf allocate nothing per batch — no memo shard, no
+/// per-batch buffer — so twice the batches cost the same allocations.
+#[test]
+fn a_cascaded_scan_that_never_scores_allocates_nothing_per_batch() {
+    use mpq_engine::MiningPred;
+    let preds = [
+        MiningPred::ClassEq { model: 0, class: mpq_types::ClassId(1) },
+        MiningPred::ModelsAgree { m1: 0, m2: 1 },
+    ];
+    let opts = OptimizerOptions { use_envelopes: false, ..OptimizerOptions::default() };
+    for pred in preds {
+        let mut seen = Vec::new();
+        for n in [24_000, 48_000] {
+            let mut cat = catalog(n);
+            for (name, shift) in [("m", 1), ("m2", 2)] {
+                let model = std::sync::Arc::new(bayes(shift));
+                cat.add_model(name, model, mpq_core::DeriveOptions::default()).unwrap();
+            }
+            let plan = choose_plan(Expr::Mining(pred.clone()), 0, &schema(), &cat, &opts);
+            assert_eq!(plan.cascades.len(), pred.models().len(), "{pred:?}");
+            let (result, calls, _) = counting(|| {
+                execute_opts(&plan, &cat, QueryGuard::unlimited(), &ExecOptions::default())
+            });
+            let m = result.expect("an unlimited scan cannot fail").metrics;
+            assert_eq!((m.rows_examined, m.band_rows, m.model_invocations), (n as u64, 0, 0));
+            assert!(m.output_rows > 0 && m.output_rows < n as u64, "{pred:?}");
+            seen.push(calls);
+        }
+        assert_eq!(seen[0], seen[1], "{pred:?}: twice the batches, the same allocations");
+    }
+}

@@ -475,3 +475,181 @@ fn batched_cascade_equals_the_per_row_cascade_across_every_boundary() {
         }
     }
 }
+
+// -- The fused model-agreement and label-column kernels ------------------
+
+/// [`engine_with_big_table`] plus a second training table `train2`
+/// (id 2) whose classes `c1` and `c2` also train alike but lose to `c0`
+/// on `b < 2` instead of `a < 2`, and two models of it: `m_alt` (id 2),
+/// by DDL, whose class ids are `m_tied`'s, and `m_perm` (id 3), the same
+/// model trained on labels stored in reverse order — every label under
+/// another id.
+fn engine_with_agreeing_models_on_big_table() -> Engine {
+    let e = engine_with_big_table();
+    let schema = e.catalog().table(0).table.schema().clone();
+    let mut train2 = Dataset::new(schema.clone());
+    for a in 0..4u16 {
+        for b in 0..3u16 {
+            for label in [1, 2] {
+                train2.push_encoded(&[a, b, label]).unwrap();
+            }
+            for _ in 0..3 * u16::from(b < 2) {
+                train2.push_encoded(&[a, b, 0]).unwrap();
+            }
+        }
+    }
+    e.create_table(Table::from_dataset("train2", &train2)).unwrap();
+    let out =
+        e.execute_sql("CREATE MINING MODEL m_alt ON train2 PREDICT label USING bayes").unwrap();
+    assert!(matches!(out, StatementOutcome::ModelCreated { .. }));
+    let view = mpq_engine::labeled_view(&e.catalog(), 2, AttrId(2)).unwrap();
+    let n_classes = view.class_names.len() as u16;
+    let labels = view.labels.iter().map(|c| ClassId(n_classes - 1 - c.0)).collect();
+    let names = view.class_names.iter().rev().cloned().collect();
+    let permuted = LabeledDataset::new(view.data, labels, names).unwrap();
+    let nb = NaiveBayes::train(&permuted).unwrap();
+    let model = mpq_engine::ProjectedModel::new(schema, AttrId(2), std::sync::Arc::new(nb));
+    e.register_model("m_perm", std::sync::Arc::new(model), DeriveOptions::default()).unwrap();
+    e
+}
+
+/// Scorer calls the memo-free reference makes on rows `rows` for `pred`:
+/// one per banded decision of each model the predicate asks.
+fn banded_calls(e: &Engine, pred: &MiningPred, rows: impl Iterator<Item = Vec<u16>>) -> u64 {
+    let proxies: Vec<ProxyScore> = pred.models().iter().map(|&m| fresh_proxy(e, m)).collect();
+    rows.map(|row| proxies.iter().filter(|p| p.decide(&row) == ProxyDecision::Band).count() as u64)
+        .sum()
+}
+
+/// `PREDICT(m1) = PREDICT(m2)` over models sharing class ids and over
+/// models storing the same labels under other ids, and `PREDICT(m) =
+/// label` for both id layouts, alone and behind a `Col` leaf, on the
+/// 9,000-row table of five batches: every dop returns the reference's
+/// rows and every deterministic counter — band rows, scorer calls, memo
+/// hits — with the memo on and off, and every invocation budget across
+/// the first batch boundary trips the pipeline with the reference's
+/// exact error at dop 1 (its resource and limit elsewhere).
+#[test]
+fn fused_agreement_and_label_column_kernels_equal_the_reference() {
+    let e = engine_with_agreeing_models_on_big_table();
+    e.set_use_envelopes(false); // every reached row meets the mining predicate
+    let catalog = e.catalog();
+    let t = &catalog.table(1).table;
+    assert_eq!(catalog.model(3).model.class_name(ClassId(0)), "c2", "ids permuted");
+    let batch_end = (BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE) as u32;
+    let not_a0 = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Range { lo: 1, hi: 3 } });
+    let preds = [
+        MiningPred::ModelsAgree { m1: 0, m2: 2 },
+        MiningPred::ModelsAgree { m1: 0, m2: 3 },
+        MiningPred::ModelsAgree { m1: 3, m2: 2 },
+        MiningPred::ClassEqColumn { model: 0, column: AttrId(2) },
+        MiningPred::ClassEqColumn { model: 3, column: AttrId(2) },
+    ];
+    for pred in &preds {
+        for behind_col in [false, true] {
+            let expr = if behind_col {
+                Expr::And(vec![not_a0(), Expr::Mining(pred.clone())])
+            } else {
+                Expr::Mining(pred.clone())
+            };
+            let plan = e.plan_predicate(1, expr);
+            assert_eq!(plan.cascades.len(), pred.models().len(), "{pred:?}");
+            for memo_capacity in [ExecOptions::default().memo_capacity, 0] {
+                let reference = execute_opts(
+                    &plan,
+                    &catalog,
+                    QueryGuard::unlimited(),
+                    &ExecOptions { memo_capacity, ..reference_opts() },
+                )
+                .expect("reference run cannot fail");
+                let r = &reference.metrics;
+                assert!(r.band_rows > 100, "the tied classes band: {pred:?}");
+                assert_eq!(r.pages_skipped, u64::from(behind_col));
+                for dop in DOPS {
+                    let got = execute_opts(
+                        &plan,
+                        &catalog,
+                        QueryGuard::unlimited(),
+                        &ExecOptions { memo_capacity, ..ExecOptions::with_parallelism(dop) },
+                    )
+                    .expect("pipeline run cannot fail");
+                    let ctx = format!(
+                        "{pred:?}, behind col {behind_col}, memo {memo_capacity}, dop {dop}"
+                    );
+                    assert_eq!(got.rows, reference.rows, "{ctx}");
+                    let m = &got.metrics;
+                    assert_eq!(
+                        (m.cascade_accepts, m.cascade_rejects, m.band_rows),
+                        (r.cascade_accepts, r.cascade_rejects, r.band_rows),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        (m.model_invocations, m.memo_hits, m.rows_examined, m.output_rows),
+                        (r.model_invocations, r.memo_hits, r.rows_examined, r.output_rows),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        (m.heap_pages_read, m.pages_skipped),
+                        (r.heap_pages_read, r.pages_skipped)
+                    );
+                }
+            }
+
+            let first_batch =
+                (0..batch_end).map(|r| t.row(r)).filter(|row| !behind_col || row[0] != 0);
+            let calls = banded_calls(&e, pred, first_batch);
+            assert!(calls > 100, "{pred:?}");
+            for limit in calls - 3..=calls + 3 {
+                let guard = QueryGuard::default().with_max_model_invocations(limit);
+                let no_memo = |opts: ExecOptions| ExecOptions { memo_capacity: 0, ..opts };
+                let reference = execute_opts(&plan, &catalog, guard, &no_memo(reference_opts()))
+                    .expect_err("the table holds thousands of band rows");
+                let EngineError::BudgetExceeded { resource, spent, .. } = &reference else {
+                    panic!("limit {limit}: {reference:?}");
+                };
+                assert_eq!(*resource, GuardResource::ModelInvocations);
+                assert!(*spent > limit && *spent <= limit + pred.models().len() as u64);
+                for dop in DOPS {
+                    let got = execute_opts(
+                        &plan,
+                        &catalog,
+                        guard,
+                        &no_memo(ExecOptions::with_parallelism(dop)),
+                    )
+                    .expect_err("the pipeline must breach where the reference does");
+                    if dop == 1 {
+                        assert_eq!(got, reference, "{pred:?}, limit {limit}");
+                        continue;
+                    }
+                    match got {
+                        EngineError::BudgetExceeded { resource, limit: l, spent } => {
+                            assert_eq!((resource, l), (GuardResource::ModelInvocations, limit));
+                            assert!(spent > limit, "limit {limit}, dop {dop}");
+                        }
+                        other => panic!("{pred:?}, limit {limit}, dop {dop}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+    // Agreement is by label: wherever all three proxies decide, `m_perm`
+    // names the label `m_alt` does under another id, so each agrees with
+    // `m_tied` on the same rows and the two always agree with each other.
+    let rows_of = |pred: &MiningPred| {
+        let plan = e.plan_predicate(1, Expr::Mining(pred.clone()));
+        execute_opts(&plan, &catalog, QueryGuard::unlimited(), &reference_opts()).unwrap().rows
+    };
+    let (same_ids, permuted, pair) = (rows_of(&preds[0]), rows_of(&preds[1]), rows_of(&preds[2]));
+    let proxies: Vec<ProxyScore> = [0, 2, 3].iter().map(|&m| fresh_proxy(&e, m)).collect();
+    let mut decided = 0;
+    for r in 0..t.n_rows() as u32 {
+        let row = t.row(r);
+        if proxies.iter().all(|p| p.decide(&row) != ProxyDecision::Band) {
+            decided += 1;
+            let has = |rows: &[u32]| rows.binary_search(&r).is_ok();
+            assert_eq!(has(&same_ids), has(&permuted), "row {r}");
+            assert!(has(&pair), "row {r}");
+        }
+    }
+    assert!(decided > 1_000 && !same_ids.is_empty() && same_ids.len() < t.n_rows());
+}

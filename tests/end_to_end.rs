@@ -52,6 +52,52 @@ fn all_predicate_shapes_agree_with_baseline() {
     }
 }
 
+/// `PREDICT(m1) = PREDICT(m2)` compares the predicted *labels*: two
+/// naive Bayes models of Diabetes, the second trained with its labels
+/// stored in reverse order (every label under the other id), agree on
+/// the rows where their predictions name the same label — nearly all of
+/// them — with envelopes on and off, through the batch cascade and the
+/// row walk alike.
+#[test]
+fn models_agree_compares_labels_not_class_ids() {
+    let spec = table2().into_iter().find(|s| s.name == "Diabetes").expect("known dataset");
+    let train = generate_train(&spec, 7);
+    let top = train.n_classes() as u16 - 1;
+    let reversed = LabeledDataset::new(
+        train.data.clone(),
+        train.labels.iter().map(|c| ClassId(top - c.0)).collect(),
+        train.class_names.iter().rev().cloned().collect(),
+    )
+    .expect("aligned labels");
+    let nb = Arc::new(NaiveBayes::train(&train).expect("data"));
+    let nb2 = Arc::new(NaiveBayes::train(&reversed).expect("data"));
+    assert_eq!(nb2.class_name(ClassId(0)), nb.class_name(ClassId(top)), "ids permuted");
+    let test = generate_test(&spec, 7, 0.003);
+    let rows: Vec<Vec<u16>> = test.rows().take(4_096).map(<[u16]>::to_vec).collect();
+    assert_eq!(rows.len(), 4_096);
+    let agree: Vec<u32> = (0..rows.len() as u32)
+        .filter(|&r| {
+            let row = &rows[r as usize];
+            nb.class_name(nb.predict(row)) == nb2.class_name(nb2.predict(row))
+        })
+        .collect();
+    assert!(agree.len() > 4_000, "the two models are one model: {}", agree.len());
+
+    let mut cat = Catalog::new();
+    let table = Dataset::from_rows(test.schema().clone(), rows).expect("rows");
+    cat.add_table(Table::from_dataset("t", &table)).expect("fresh");
+    cat.add_model("nb", nb, DeriveOptions::default()).expect("fresh");
+    cat.add_model("nb2", nb2, DeriveOptions::default()).expect("fresh");
+    let engine = Engine::new(cat);
+    // Compilation off leaves the models uncascaded: the row walk decides.
+    for (envelopes, compile) in [(true, true), (false, true), (true, false), (false, false)] {
+        engine.set_use_envelopes(envelopes);
+        engine.set_compile_models(compile);
+        let out = engine.query("SELECT * FROM t WHERE PREDICT(nb) = PREDICT(nb2)").expect("valid");
+        assert_eq!(out.rows, agree, "envelopes {envelopes}, compile {compile}");
+    }
+}
+
 #[test]
 fn mixed_schema_dataset_works_end_to_end() {
     let (mut engine, n_rows) = engine_for("Anneal-U", 0.002);

@@ -11,6 +11,7 @@ use mpq_engine::{
     choose_plan, execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, ExecResult,
     StatementOutcome, ASSUMED_COLUMN_BYTES, DEFAULT_MEMO_CAPACITY,
 };
+use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::MemberSet;
 use proptest::prelude::*;
 
@@ -542,6 +543,118 @@ fn multi_page_batches_match_reference_across_every_boundary() {
                         resource: GuardResource::ModelInvocations, spent, ..
                     }) if spent == limit + 1
                 ));
+            }
+        }
+    }
+}
+
+/// The fused kernels for `PREDICT(m1) = PREDICT(m2)` and `PREDICT(m) =
+/// label` on the five-batch table, alone and behind a `Col` leaf, with
+/// the cascade on and envelopes off so every reached row meets the
+/// mining predicate: model agreement between the Bayes model and
+/// `m_perm` — the same model trained on labels stored in reverse order,
+/// every label under another id — and between the uncascaded tree and
+/// the Bayes model, which share ids; the label column against both
+/// Bayes models. Every dop agrees with the reference on rows and every
+/// counter, with the memo on and off, and breaches every rows, pages
+/// and invocations limit across the first batch boundary as the
+/// reference does.
+#[test]
+fn fused_agreement_and_label_column_batches_match_reference() {
+    let e = engine_with_big_table();
+    let schema = schema();
+    let view = mpq_engine::labeled_view(&e.catalog(), 0, AttrId(2)).unwrap();
+    let labels = view.labels.iter().map(|c| ClassId(1 - c.0)).collect();
+    let names = view.class_names.iter().rev().cloned().collect();
+    let nb = NaiveBayes::train(&LabeledDataset::new(view.data, labels, names).unwrap()).unwrap();
+    let model = mpq_engine::ProjectedModel::new(schema, AttrId(2), std::sync::Arc::new(nb));
+    e.register_model("m_perm", std::sync::Arc::new(model), DeriveOptions::default()).unwrap();
+    e.set_use_envelopes(false);
+    e.set_compile_models(true);
+    let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
+
+    let not_a0 = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Range { lo: 1, hi: 3 } });
+    let preds = [
+        MiningPred::ModelsAgree { m1: 1, m2: 2 },
+        MiningPred::ModelsAgree { m1: 0, m2: 1 },
+        MiningPred::ClassEqColumn { model: 1, column: AttrId(2) },
+        MiningPred::ClassEqColumn { model: 2, column: AttrId(2) },
+    ];
+    for pred in &preds {
+        for behind_col in [false, true] {
+            let expr = if behind_col {
+                Expr::And(vec![not_a0(), Expr::Mining(pred.clone())])
+            } else {
+                Expr::Mining(pred.clone())
+            };
+            let plan = e.plan_predicate(1, expr.clone());
+            assert!(matches!(plan.access, AccessPath::FullScan), "plan: {:?}", plan.access);
+            let catalog = e.catalog();
+            let cascaded: Vec<bool> =
+                pred.models().iter().map(|m| plan.cascades.iter().any(|(c, _)| c == m)).collect();
+            assert_eq!(
+                cascaded.iter().filter(|&&c| c).count(),
+                1 + usize::from(pred.models() == [1, 2])
+            );
+            for memo_capacity in [DEFAULT_MEMO_CAPACITY, 0] {
+                let run = |guard: QueryGuard, dop: Option<usize>| {
+                    let opts = dop.map_or_else(reference_opts, ExecOptions::with_parallelism);
+                    execute_opts(&plan, &catalog, guard, &ExecOptions { memo_capacity, ..opts })
+                };
+                let check = |guard: QueryGuard, what: &str| {
+                    let reference = run(guard, None);
+                    for dop in DOPS {
+                        let ctx = format!("{what}, memo {memo_capacity}, dop {dop}, expr {expr:?}");
+                        assert_same_outcome(&reference, &run(guard, Some(dop)), dop, &ctx);
+                    }
+                    reference
+                };
+                let unlimited = check(QueryGuard::unlimited(), "unlimited").expect("cannot breach");
+                assert_eq!(unlimited.metrics.pages_skipped, u64::from(behind_col), "{expr:?}");
+                for limit in [batch_end - 1, batch_end, batch_end + 1].map(|l| l as u64) {
+                    assert!(
+                        check(QueryGuard::default().with_max_rows_examined(limit), "rows").is_err()
+                    );
+                }
+                let boundary_page = (batch_end / ROWS_PER_PAGE) as u64;
+                for limit in boundary_page - 1..=boundary_page + 1 {
+                    assert!(check(QueryGuard::default().with_max_pages(limit), "pages").is_err());
+                }
+                if memo_capacity > 0 {
+                    continue;
+                }
+                // Memo off: one scorer call per banded decision of a
+                // cascaded model and per reached row of the tree.
+                let proxies: Vec<Option<_>> = pred
+                    .models()
+                    .iter()
+                    .zip(&cascaded)
+                    .map(|(&m, &c)| c.then(|| catalog.model(m).proxy.clone().unwrap()))
+                    .collect();
+                let t = &catalog.table(1).table;
+                let calls: u64 = (0..batch_end as u32)
+                    .map(|r| t.row(r))
+                    .filter(|row| !behind_col || row[0] != 0)
+                    .map(|row| {
+                        let banded = |p: &&Option<std::sync::Arc<ProxyScore>>| {
+                            p.as_ref().is_none_or(|p| p.decide(&row) == ProxyDecision::Band)
+                        };
+                        proxies.iter().filter(banded).count() as u64
+                    })
+                    .sum();
+                if calls < 4 {
+                    continue; // a proxy that decides every row calls no scorer
+                }
+                for limit in calls - 3..=calls + 3 {
+                    let breach =
+                        check(QueryGuard::default().with_max_model_invocations(limit), "calls");
+                    assert!(matches!(
+                        breach,
+                        Err(EngineError::BudgetExceeded {
+                            resource: GuardResource::ModelInvocations, spent, ..
+                        }) if spent > limit
+                    ));
+                }
             }
         }
     }
