@@ -1,18 +1,19 @@
-//! Per-statement timings of the benchmark's `wire_wide` statements,
-//! in-process at dop 1: where `mpq_benchmark`'s `exec.execute_us` layer
-//! goes, one statement at a time.
+//! Per-statement timings of the benchmark's `wire_wide` or `wire_point`
+//! statements, in-process at dop 1: where `mpq_benchmark`'s
+//! `exec.execute_us` layer goes, one statement at a time.
 //!
-//! The table, model and statement pool are the benchmark's own — its
+//! The table, model and statement pools are the benchmark's own — its
 //! generator is compiled in from `mpq_benchmark/src/gen.rs`, unedited —
 //! so a row here is one of the eight statements a `wire_wide` window
-//! issues. Per statement: the median wall time of `execute_opts` at
-//! dop 1 (and per examined row), the reference interpreter on the same
-//! plan (row sets asserted equal), the zone pass alone
-//! (`page_may_match` over every page, per page) and the per-execution
-//! compile alone. Timings are this machine's; compare two checkouts by
-//! alternating runs of each.
+//! issues, or one of `wire_point`'s 64 (the same table and model). Per
+//! statement: the median wall time of `execute_opts` at dop 1 (and per
+//! examined row), the reference interpreter on the same plan (row sets
+//! asserted equal), the zone pass alone (`page_may_match` over every
+//! page, per page) and the per-execution compile alone. Timings are
+//! this machine's; compare two checkouts by alternating runs of each.
 //!
-//! Usage: `stmt_wire_wide [seed] [runs]` (defaults: 7, 300).
+//! Usage: `stmt_wire_wide [wide|point] [seed] [runs]` (defaults: wide,
+//! 7, 300).
 
 #[allow(dead_code)]
 #[path = "mpq_benchmark/src/gen.rs"]
@@ -31,9 +32,14 @@ fn median(v: &mut [f64]) -> f64 {
 
 fn main() {
     let mut args = std::env::args().skip(1);
+    let pool = match args.next().as_deref() {
+        None | Some("wide") => gen::wire_wide,
+        Some("point") => gen::wire_point,
+        Some(other) => panic!("pool `{other}`: expected `wide` or `point`"),
+    };
     let mut arg = |default: u64| args.next().map_or(default, |s| s.parse().expect("a number"));
     let (seed, runs) = (arg(7), arg(300) as usize);
-    let inputs = gen::wire_wide(seed, gen::Scale::Full);
+    let inputs = pool(seed, gen::Scale::Full);
     let engine = Engine::new(Catalog::new());
     for t in [&inputs.train, &inputs.table] {
         engine.create_table(t.to_table()).expect("generated tables load");
@@ -43,7 +49,7 @@ fn main() {
         engine.create_index(inputs.table.name, &cols).expect("generated indexes build");
     }
     for m in &inputs.models {
-        let gen::ModelSpec::Sql(ddl) = m else { panic!("wire_wide registers its model by DDL") };
+        let gen::ModelSpec::Sql(ddl) = m else { panic!("the wire pools register models by DDL") };
         engine.execute_sql(ddl).expect("generated DDL runs");
     }
     println!(

@@ -61,18 +61,10 @@ fn print_outcome(outcome: &StatementOutcome) {
                 q.metrics.elapsed,
                 if q.cached_plan { " [cached plan]" } else { "" },
             );
-            // Adaptive-evaluation counters (protocol v7); zero against
-            // an older server or with SET ADAPTIVE OFF.
-            if q.metrics.clauses_reordered > 0
-                || q.metrics.factor_hits > 0
-                || q.metrics.feedback_entries > 0
-            {
-                println!(
-                    "adaptive: {} clauses reordered, {} factor hits, {} feedback entries",
-                    q.metrics.clauses_reordered,
-                    q.metrics.factor_hits,
-                    q.metrics.feedback_entries,
-                );
+            // The feedback store's size (protocol v7); zero against an
+            // older server.
+            if q.metrics.feedback_entries > 0 {
+                println!("feedback: {} entries", q.metrics.feedback_entries);
             }
             if q.rows.is_empty() && !q.plan.is_empty() && q.metrics.rows_examined == 0 {
                 // EXPLAIN returns no rows and zero metrics: show the plan.
@@ -105,9 +97,6 @@ fn print_outcome(outcome: &StatementOutcome) {
         }
         StatementOutcome::ParallelismSet { dop } => {
             println!("session parallelism set to {dop}");
-        }
-        StatementOutcome::AdaptiveSet { on } => {
-            println!("session adaptive evaluation {}", if *on { "on" } else { "off" });
         }
         StatementOutcome::GuardSet { guard } => {
             println!("session guard set: {guard:?}");

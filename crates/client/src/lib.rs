@@ -682,7 +682,6 @@ impl ReliableClient {
         }
         let key = match up[1].as_str() {
             "PARALLELISM" => "PARALLELISM".to_string(),
-            "ADAPTIVE" => "ADAPTIVE".to_string(),
             "GUARD" => match up.get(2).map(String::as_str) {
                 Some("OFF") => {
                     // OFF wipes every budget: earlier guard entries are
@@ -868,15 +867,6 @@ mod tests {
         // Non-SET statements are ignored.
         rc.note_set("SELECT * FROM t");
         assert_eq!(rc.session_sets.len(), 3);
-        // ADAPTIVE is its own knob and supersedes itself.
-        rc.note_set("SET ADAPTIVE OFF");
-        rc.note_set("SET ADAPTIVE ON");
-        let sqls: Vec<&str> =
-            rc.session_sets.iter().map(|(_, s)| s.as_str()).collect();
-        assert_eq!(
-            sqls,
-            ["SET PARALLELISM 4", "SET GUARD OFF", "SET GUARD TIME_MS 1000", "SET ADAPTIVE ON"]
-        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ use mpq_types::{AttrId, Member};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -158,11 +158,6 @@ pub enum StatementOutcome {
     ParallelismSet {
         /// The degree now in effect (after clamping).
         dop: usize,
-    },
-    /// `SET ADAPTIVE {ON|OFF}` toggled adaptive predicate evaluation.
-    AdaptiveSet {
-        /// Whether adaptive evaluation is now in effect.
-        on: bool,
     },
     /// `SET GUARD ...` changed the session's query guard.
     GuardSet {
@@ -287,9 +282,6 @@ pub struct Engine {
     guard: RwLock<QueryGuard>,
     /// Degree of parallelism for query execution (`SET PARALLELISM n`).
     parallelism: AtomicUsize,
-    /// Whether vectorized filters calibrate and reorder DNF clauses at
-    /// runtime (`SET ADAPTIVE {ON|OFF}`).
-    adaptive: AtomicBool,
     /// `Some` when the engine was opened from a durability directory.
     persist: Mutex<Option<PersistState>>,
     /// Replication role, fence, and standby-acknowledgement progress.
@@ -334,7 +326,6 @@ impl Engine {
             plan_cache: Mutex::new(HashMap::new()),
             guard: RwLock::new(QueryGuard::unlimited()),
             parallelism: AtomicUsize::new(default_parallelism()),
-            adaptive: AtomicBool::new(true),
             persist: Mutex::new(None),
             repl: Mutex::new(ReplState::default()),
             repl_cv: Condvar::new(),
@@ -369,7 +360,6 @@ impl Engine {
             plan_cache: Mutex::new(HashMap::new()),
             guard: RwLock::new(QueryGuard::unlimited()),
             parallelism: AtomicUsize::new(default_parallelism()),
-            adaptive: AtomicBool::new(true),
             persist: Mutex::new(Some(PersistState {
                 dir,
                 wal,
@@ -638,19 +628,6 @@ impl Engine {
     /// `SET PARALLELISM n`.
     pub fn set_parallelism(&self, dop: usize) {
         self.parallelism.store(dop.clamp(1, 256), Ordering::Relaxed);
-    }
-
-    /// Whether adaptive predicate evaluation (runtime DNF reordering,
-    /// shared-subexpression factoring, selectivity feedback) is on.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive.load(Ordering::Relaxed)
-    }
-
-    /// Turns adaptive predicate evaluation on or off engine-wide. Off
-    /// restores the fixed compile-time evaluation order exactly. Also
-    /// reachable as `SET ADAPTIVE {ON|OFF}`.
-    pub fn set_adaptive(&self, on: bool) {
-        self.adaptive.store(on, Ordering::Relaxed);
     }
 
     /// The catalog's fault injector (test hook; all faults off by
@@ -1216,15 +1193,12 @@ impl Engine {
         let plan_text = plan_to_string(&plan, &schema, &catalog);
         let plan_changed = plan.access.changed_from_scan();
         let dop = session.parallelism().unwrap_or_else(|| self.parallelism());
-        let adaptive = session.adaptive().unwrap_or_else(|| self.adaptive());
         if parsed.explain {
             // EXPLAIN doubles as the operational status surface: the
-            // effective degree of parallelism and adaptivity, plus (for
-            // durable engines) what recovery found at open time.
+            // effective degree of parallelism, plus (for durable engines)
+            // what recovery found at open time.
             let mut plan_text = plan_text;
             plan_text.push_str(&format!("\nparallelism: {dop}"));
-            plan_text
-                .push_str(&format!("\nadaptive: {}", if adaptive { "on" } else { "off" }));
             if let Some(p) = self.lock_persist().as_ref() {
                 plan_text.push_str(&format!("\n{}", p.report));
             }
@@ -1240,10 +1214,10 @@ impl Engine {
             &plan,
             &catalog,
             session.guard().unwrap_or_else(|| self.guard()),
-            &ExecOptions { adaptive, ..ExecOptions::with_parallelism(dop) },
+            &ExecOptions::with_parallelism(dop),
         )?;
         let mut metrics = result.metrics;
-        // Fold the calibration's observed clause selectivities into the
+        // Fold the execution's observed clause selectivities into the
         // table's bounded feedback store; later plannings of repeated
         // queries cost access paths from what actually happened instead
         // of the independence assumption. When the fed-back estimates
@@ -1378,16 +1352,6 @@ impl Engine {
                     }
                 };
                 Ok(StatementOutcome::ParallelismSet { dop })
-            }
-            Statement::SetAdaptive(on) => {
-                let on = match session.as_mut() {
-                    Some(s) => s.set_adaptive(on),
-                    None => {
-                        self.set_adaptive(on);
-                        self.adaptive()
-                    }
-                };
-                Ok(StatementOutcome::AdaptiveSet { on })
             }
             Statement::SetGuard { resource, limit } => {
                 let guard = match session.as_mut() {
@@ -1862,35 +1826,6 @@ mod tests {
         e.set_parallelism(8);
         let out = e.query("EXPLAIN SELECT * FROM t WHERE d0 = 'm0'").unwrap();
         assert!(out.plan.contains("parallelism: 8"), "plan: {}", out.plan);
-    }
-
-    #[test]
-    fn set_adaptive_statement_round_trips() {
-        let e = engine();
-        assert!(e.adaptive(), "adaptive evaluation is on by default");
-        match e.execute_sql("SET ADAPTIVE OFF").unwrap() {
-            StatementOutcome::AdaptiveSet { on } => assert!(!on),
-            other => panic!("expected AdaptiveSet, got {other:?}"),
-        }
-        assert!(!e.adaptive());
-        // OFF restores fixed-order evaluation with identical results.
-        let sql = "SELECT * FROM t WHERE PREDICT(m) = 'c2' OR d0 = 'm1'";
-        let off = e.query(sql).unwrap();
-        e.set_adaptive(true);
-        let on = e.query(sql).unwrap();
-        assert_eq!(on.rows, off.rows);
-        assert_eq!(on.metrics.model_invocations, off.metrics.model_invocations);
-        // A session-scoped SET stays local and shows up in EXPLAIN.
-        let mut s = SessionState::new();
-        match e.execute_sql_in("SET ADAPTIVE OFF", &mut s).unwrap() {
-            StatementOutcome::AdaptiveSet { on } => assert!(!on),
-            other => panic!("expected AdaptiveSet, got {other:?}"),
-        }
-        assert!(e.adaptive(), "engine default untouched by session SET");
-        let out = e.query_in("EXPLAIN SELECT * FROM t WHERE d0 = 'm0'", &s).unwrap();
-        assert!(out.plan.contains("adaptive: off"), "plan: {}", out.plan);
-        let out = e.query("EXPLAIN SELECT * FROM t WHERE d0 = 'm0'").unwrap();
-        assert!(out.plan.contains("adaptive: on"), "plan: {}", out.plan);
     }
 
     #[test]

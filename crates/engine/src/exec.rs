@@ -63,8 +63,7 @@ use crate::guard::{GuardHeadroom, GuardState, QueryGuard};
 use crate::optimizer::{AccessPath, Plan};
 use crate::table::{RowId, Table};
 use crate::vectorized::{
-    BatchCtx, CalibClock, CompiledPredicate, FeedbackObservation, MemoScorer,
-    CALIBRATION_ROWS, DEFAULT_MEMO_CAPACITY,
+    BatchCtx, CompiledPredicate, FeedbackObservation, MemoScorer, DEFAULT_MEMO_CAPACITY,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,14 +123,11 @@ pub struct ExecMetrics {
     /// pruned without evaluating the rewritten predicate. Always zero
     /// for SELECTs.
     pub subs_index_pruned: u64,
-    /// And/Or child positions the adaptive mid-scan re-plan moved away
-    /// from their compile-time order (0 when adaptive evaluation is off,
-    /// when calibration saw no reason to reorder, or on the reference
-    /// interpreter). Deterministic at every parallelism level.
+    /// Always 0: clause order is chosen at plan time, never changed
+    /// during a scan. Kept for the wire format and existing readers.
     pub clauses_reordered: u64,
-    /// Rows answered from a factored shared-subexpression result instead
-    /// of re-evaluating the duplicated subtree (one count per row per
-    /// shared occurrence). Deterministic at every parallelism level.
+    /// Always 0: no subexpression is factored out. Kept for the wire
+    /// format and existing readers.
     pub factor_hits: u64,
     /// Entries in the table's selectivity feedback store after this
     /// statement's observations were folded in. Filled by the engine;
@@ -153,13 +149,13 @@ pub struct ExecResult {
     pub rows: Vec<RowId>,
     /// Observed metrics.
     pub metrics: ExecMetrics,
-    /// Per-clause selectivities observed during calibration, keyed by
-    /// structural clause fingerprint — the raw material for the
-    /// optimizer's feedback store. Empty when adaptive evaluation was
-    /// off or nothing was observed.
+    /// Per-clause row counts observed over every evaluated row — the
+    /// root clause and its children, of the residual and then of the
+    /// `skip_or` residual — keyed by structural clause fingerprint: the
+    /// raw material for the optimizer's feedback store. Clauses no row
+    /// reached are left out; the reference interpreter reports none.
     pub feedback: Vec<FeedbackObservation>,
 }
-
 
 /// Tuning knobs for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,24 +168,18 @@ pub struct ExecOptions {
     /// `true` (the default) runs the production pipeline, which
     /// evaluates residuals through the compiled column-at-a-time
     /// program. `false` selects the row-at-a-time reference
-    /// interpreter: serial — it ignores `parallelism` — and
-    /// fixed-order. Both use zone-map pruning and the scorer memo, so
-    /// on success their metrics are identical — the reference exists as
-    /// the differential-testing baseline.
+    /// interpreter, which is serial — it ignores `parallelism`. Both
+    /// evaluate the plan's residual in its written order and use
+    /// zone-map pruning and the scorer memo, so on success their
+    /// metrics are identical — the reference exists as the
+    /// differential-testing baseline.
     pub vectorized: bool,
     /// Scorer memo capacity in cached `(model, tuple)` entries;
     /// `0` disables memoization (every prediction hits the model).
     pub memo_capacity: usize,
-    /// `true` (the default) arms adaptive predicate evaluation: the
-    /// compiled predicate observes per-node selectivity and work over
-    /// the first `CALIBRATION_ROWS` scan positions, re-plans the And/Or
-    /// evaluation order mid-scan (scalar-bearing children never move, so
-    /// exactly the same rows reach every model scorer in the same
-    /// order), factors shared scalar-free subexpressions across
-    /// disjuncts, and reports per-clause observed selectivities for the
-    /// optimizer's feedback store. `false` restores the fixed
-    /// compile-time order exactly. Only meaningful with `vectorized`;
-    /// the reference interpreter is always fixed-order.
+    /// Ignored. The clause order is the plan's, chosen by the optimizer,
+    /// and feedback is always collected; the field stays so existing
+    /// callers compile.
     pub adaptive: bool,
 }
 
@@ -262,18 +252,12 @@ pub fn execute_opts(
     let table = &catalog.table(plan.table).table;
     let memo = memo_for_plan(plan, catalog, opts);
     let schema = table.schema();
-    let compiled = CompiledPredicate::compile(&plan.residual, schema, opts.adaptive);
-    let compiled_skip =
-        plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, opts.adaptive));
+    let compiled = CompiledPredicate::compile(&plan.residual, schema, false);
+    let compiled_skip = plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, false));
 
     let Coordinated { fetched, jobs, positions, metrics: mut m } =
         coordinate(plan, catalog, &gs, dop)?;
 
-    // One calibration clock per execution. Workers claim jobs in
-    // ascending index order, so the calibration positions (the lowest
-    // ones) are always in flight first and a worker waiting for the
-    // clock cannot starve it.
-    let clock = CalibClock::new(CALIBRATION_ROWS.min(positions));
     // The coordinator's pages are pre-charged so scan-phase page
     // breaches see the true total.
     let shared = SharedProgress::new(guard, m.total_pages());
@@ -288,32 +272,33 @@ pub fn execute_opts(
         shared: &shared,
         gs: &gs,
         faults: catalog.faults(),
-        clock: &clock,
         est_hits_per_position: est_rows / positions.max(1) as f64,
     };
     // The one place a worker panic is caught, whichever thread runs it.
     let run = || {
         catch_unwind(AssertUnwindSafe(|| run_worker(&wctx))).unwrap_or_else(|payload| {
             shared.fail(EngineError::Internal { detail: panic_message(&*payload) });
-            Vec::new()
+            Worked::default()
         })
     };
     let workers = dop.min(jobs.len());
-    let mut segments = if workers <= 1 {
+    let worked = if workers <= 1 {
         run()
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("`run` catches worker panics"))
-                .collect()
+                .map(|h| h.join().expect("`run` catches worker panics"))
+                .reduce(Worked::merge)
+                .expect("more than one worker")
         })
     };
     if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
         return Err(err);
     }
 
+    let Worked { mut segments, counts: [mut feedback, mut skip_feedback] } = worked;
     // Jobs are row-ordered and each job's hits are ascending, so
     // concatenating segments by job index yields ascending row order.
     segments.sort_unstable_by_key(|(i, _)| *i);
@@ -328,9 +313,6 @@ pub fn execute_opts(
     m.rows_examined = shared.rows.load(Ordering::Relaxed);
     m.pages_skipped = shared.skipped.load(Ordering::Relaxed);
     m.heap_pages_read = shared.pages.load(Ordering::Relaxed) - m.index_pages_read;
-    m.factor_hits = shared.factor_hits.load(Ordering::Relaxed);
-    m.clauses_reordered = compiled.reordered_clauses()
-        + compiled_skip.as_ref().map_or(0, |c| c.reordered_clauses());
     sync_model_metrics(&memo, &mut m);
     // Covers paths that examined nothing (constant scans past the
     // deadline, fully zone-pruned scans).
@@ -338,10 +320,8 @@ pub fn execute_opts(
     m.output_rows = out.len() as u64;
     m.elapsed = start.elapsed();
     m.guard = gs.headroom(&m);
-    let mut feedback = compiled.feedback();
-    if let Some(c) = &compiled_skip {
-        feedback.extend(c.feedback());
-    }
+    feedback.append(&mut skip_feedback);
+    feedback.retain(|o| o.rows_in > 0);
     Ok(ExecResult { rows: out, metrics: m, feedback })
 }
 
@@ -393,7 +373,7 @@ pub(crate) enum Job {
     /// A page-aligned heap range (full scan).
     Scan(Range<RowId>),
     /// A range of positions in the coordinator's fetch list (index
-    /// paths); its start is the adaptive calibration position.
+    /// paths).
     Fetch(Range<usize>),
 }
 
@@ -552,9 +532,6 @@ struct SharedProgress {
     pages: AtomicU64,
     /// Heap pages proven empty by zone maps and skipped.
     skipped: AtomicU64,
-    /// Factored shared-subexpression hits, flushed once per worker at
-    /// exit (per-row additive, so the total is batching-independent).
-    factor_hits: AtomicU64,
     /// Cooperative stop: set after a breach or panic; workers poll it
     /// per page read / per scored row, so no worker does more than one
     /// batch's work past a breach — a batch being up to
@@ -573,7 +550,6 @@ impl SharedProgress {
             rows: AtomicU64::new(0),
             pages: AtomicU64::new(pre_charged_pages),
             skipped: AtomicU64::new(0),
-            factor_hits: AtomicU64::new(0),
             cancel: AtomicBool::new(false),
             failure: Mutex::new(None),
         }
@@ -643,7 +619,6 @@ struct WorkerCtx<'a> {
     shared: &'a SharedProgress,
     gs: &'a GuardState,
     faults: &'a FaultInjector,
-    clock: &'a CalibClock,
     /// The plan's estimated output rows per scan position (row of a
     /// scan, entry of a fetch list).
     est_hits_per_position: f64,
@@ -675,19 +650,41 @@ impl WorkerCtx<'_> {
 }
 
 /// Sentinel error a worker returns when it observes cooperative
-/// cancellation mid-batch (also raised by the compiled predicate's
-/// calibration wait loop). It never surfaces: `fail` keeps the first
+/// cancellation mid-batch. It never surfaces: `fail` keeps the first
 /// error, and cancellation is only ever set after a real failure (or
 /// this same sentinel racing it) was recorded.
-pub(crate) fn cancelled_sentinel() -> EngineError {
+fn cancelled_sentinel() -> EngineError {
     EngineError::Internal { detail: "query cancelled".into() }
 }
 
+/// What one worker hands back: its `(job index, hits)` segments, and its
+/// clause counts for the residual and for the `skip_or` residual
+/// ([`CompiledPredicate::clause_counts`]).
+#[derive(Default)]
+struct Worked {
+    segments: Vec<(usize, Vec<RowId>)>,
+    counts: [Vec<FeedbackObservation>; 2],
+}
+
+impl Worked {
+    /// Folds another worker's output into this one; counts add clause by
+    /// clause, so the sums do not depend on which worker ran which job.
+    fn merge(mut self, mut other: Worked) -> Worked {
+        self.segments.append(&mut other.segments);
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                a.rows_in += b.rows_in;
+                a.rows_out += b.rows_out;
+            }
+        }
+        self
+    }
+}
+
 /// One worker: pulls jobs off the shared dispatcher until the list is
-/// drained or the query is cancelled, returning `(job index, hits)`
-/// segments. Budget breaches are recorded in `shared` and stop every
-/// worker; panics are caught by the caller.
-fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
+/// drained or the query is cancelled. Budget breaches are recorded in
+/// `shared` and stop every worker; panics are caught by the caller.
+fn run_worker(w: &WorkerCtx<'_>) -> Worked {
     let mut segments = Vec::new();
     // Scored rows hook the invocation budget, the deadline and the
     // cancellation flag — the per-row cadence at which the reference
@@ -699,18 +696,10 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
         w.shared.check_invocations(w.memo.invocations())?;
         w.gs.check_deadline()
     };
-    let factor_slots = w
-        .compiled
-        .factor_slots()
-        .max(w.compiled_skip.map_or(0, |c| c.factor_slots()));
-    let mut ctx = BatchCtx::new(
-        w.table,
-        w.memo,
-        &mut after_scalar,
-        factor_slots,
-        Some(&w.shared.cancel),
-    );
+    let mut ctx = BatchCtx::new(w.table, w.memo, &mut after_scalar);
     let mut sel: Vec<RowId> = Vec::with_capacity(SCAN_BATCH_ROWS);
+    let mut counts =
+        [w.compiled.clause_counts(), w.compiled_skip.map_or_else(Vec::new, |c| c.clause_counts())];
 
     loop {
         if w.shared.cancelled() {
@@ -733,8 +722,12 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
 
         let mut hits: Vec<RowId> = Vec::with_capacity(w.expected_hits(&w.jobs[i]));
         let result = match &w.jobs[i] {
-            Job::Scan(range) => scan_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
-            Job::Fetch(range) => fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
+            Job::Scan(range) => {
+                scan_job(w, range.clone(), &mut ctx, &mut sel, &mut counts[0], &mut hits)
+            }
+            Job::Fetch(range) => {
+                fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut counts, &mut hits)
+            }
         };
         match result {
             Ok(()) => segments.push((i, hits)),
@@ -746,8 +739,7 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
             }
         }
     }
-    w.shared.factor_hits.fetch_add(ctx.factor_hits, Ordering::Relaxed);
-    segments
+    Worked { segments, counts }
 }
 
 /// Most rows a scan hands the compiled predicate at once: a run of
@@ -766,14 +758,13 @@ const SCAN_BATCH_ROWS: usize = 2048;
 /// consecutive surviving pages of up to [`SCAN_BATCH_ROWS`] rows (one
 /// page alone, if a page holds more). A run ends at a skipped page, at
 /// the batch limit and at the job's end, so a batch is always the exact
-/// scan positions `start..end`, and it is handed to the predicate as
-/// that range — calibration positions are row ids, and zone-skipped
-/// pages credit their row range so the clock still completes.
+/// rows `start..end`, and it is handed to the predicate as that range.
 fn scan_job(
     w: &WorkerCtx<'_>,
     range: Range<RowId>,
     ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
+    counts: &mut [FeedbackObservation],
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {
     let table = w.table;
@@ -786,7 +777,7 @@ fn scan_job(
         if start == end {
             return Ok(());
         }
-        w.compiled.filter_range_at(start..end, sel, ctx, w.clock, hits)?;
+        w.compiled.filter_range(start..end, sel, ctx, counts, hits)?;
         w.gs.check_deadline()
     };
     // A zone-pruned scan skips most of its pages in nanoseconds each,
@@ -802,7 +793,6 @@ fn scan_job(
             flush(start, end)?;
             (start, end) = (rows.end, rows.end);
             skipped += 1;
-            w.clock.credit_range(rows.start as u64, rows.end as u64);
             continue;
         }
         if w.shared.cancelled() {
@@ -824,13 +814,14 @@ fn scan_job(
 
 /// Evaluates one chunk of the fetch list. Maximal runs of rows sharing
 /// a residual choice batch together; runs stay ascending, so output
-/// order holds. Both residuals share the calibration clock; positions
-/// are fetch-list indexes.
+/// order holds. `counts` are the residual's and the `skip_or`
+/// residual's.
 fn fetch_job(
     w: &WorkerCtx<'_>,
     range: Range<usize>,
     ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
+    counts: &mut [Vec<FeedbackObservation>; 2],
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {
     let slice = &w.fetched[range.clone()];
@@ -847,8 +838,11 @@ fn fetch_job(
         w.shared.charge_rows((j - i) as u64)?;
         sel.clear();
         sel.extend(slice[i..j].iter().map(|(r, _)| *r));
-        let pred = if flag { w.compiled_skip.unwrap_or(w.compiled) } else { w.compiled };
-        pred.filter_batch_at(sel, ctx, (range.start + i) as u64, w.clock, hits)?;
+        let (pred, counts) = match (flag, w.compiled_skip) {
+            (true, Some(skip)) => (skip, &mut counts[1]),
+            _ => (w.compiled, &mut counts[0]),
+        };
+        pred.filter_batch(sel, ctx, counts, hits)?;
         w.gs.check_deadline()?;
         i = j;
     }
@@ -1091,7 +1085,7 @@ mod tests {
         assert_eq!(s.clauses_reordered, p.clauses_reordered);
         assert_eq!(s.factor_hits, p.factor_hits);
         assert_eq!(s.feedback_entries, p.feedback_entries);
-        assert_eq!(serial.feedback, parallel.feedback, "calibration feedback must be dop-deterministic");
+        assert_eq!(serial.feedback, parallel.feedback, "feedback must be dop-deterministic");
         assert_eq!(s.guard.rows_remaining, p.guard.rows_remaining);
         assert_eq!(s.guard.pages_remaining, p.guard.pages_remaining);
         assert_eq!(

@@ -9,6 +9,9 @@
 //! are costed with the Cardenas distinct-page estimate, which is what
 //! makes low-selectivity envelope predicates win and high-selectivity
 //! ones lose (Figure 6's shape).
+//!
+//! The plan also fixes the residual's evaluation order
+//! (`order_conjuncts`): the executor runs conjuncts as written.
 
 use crate::catalog::Catalog;
 use crate::expr::{Atom, AtomPred, Expr, MiningPred, ModelId};
@@ -163,7 +166,7 @@ pub struct Plan {
     /// (the only rows that reach the real scorer). Surfaced in EXPLAIN
     /// as `cascade: band ~N%`.
     pub cascades: Vec<(ModelId, f64)>,
-    /// Clauses whose selectivity came from the adaptive feedback store
+    /// Clauses whose selectivity came from the feedback store
     /// (observed by a previous execution of a structurally identical
     /// clause) rather than the attribute-independence model. Surfaced in
     /// EXPLAIN as `feedback: N clauses`.
@@ -194,8 +197,8 @@ pub fn estimate_selectivity(expr: &Expr, stats: &TableStats, catalog: &Catalog) 
 }
 
 /// Estimates the selectivity of `expr`, preferring per-clause
-/// selectivities observed by previous executions (the adaptive feedback
-/// store on [`TableStats`]) over the independence model. Only compound
+/// selectivities observed by previous executions (the feedback store
+/// on [`TableStats`]) over the independence model. Only compound
 /// nodes and mining predicates are looked up — atom selectivities come
 /// from exact member histograms and cannot be improved by observation.
 /// Each hit increments `hits`. With an empty feedback store the fallback
@@ -259,8 +262,57 @@ fn mining_selectivity(mp: &MiningPred, catalog: &Catalog) -> f64 {
     }
 }
 
+/// Orders every `And` of `expr` for evaluation: each maximal run of
+/// mining-free conjuncts is stable-sorted by Kim/Ileri/Madden's rank,
+/// cost ÷ (1 − selectivity), with cost the distinct columns a conjunct
+/// reads (a lookup per column per row) and selectivity its exact
+/// column marginals ([`estimate_selectivity`]). Not the feedback store:
+/// a root conjunct's observation is conditional on the conjuncts before
+/// it, so ranking by it could swap two conjuncts, and evict the cached
+/// plan, on every run. A conjunct that bears a mining predicate never
+/// moves and no other crosses one, so every model sees the rows, in the
+/// order, that the written order gives it. A disjunction that compiles
+/// to one `Boxes` leaf has no order and is left as it is. Ordering an
+/// ordered expression changes nothing.
+fn order_conjuncts(expr: Expr, stats: &TableStats, catalog: &Catalog) -> Expr {
+    let rank = |e: &Expr| {
+        let mut cols = Vec::new();
+        e.walk(&mut |n| {
+            if let Expr::Atom(a) = n {
+                cols.push(a.attr);
+            }
+        });
+        cols.sort_unstable();
+        cols.dedup();
+        let rejected = 1.0 - estimate_selectivity(e, stats, catalog);
+        if rejected > 0.0 {
+            cols.len() as f64 / rejected
+        } else {
+            f64::INFINITY
+        }
+    };
+    match expr {
+        Expr::And(ps) => {
+            let mut ps: Vec<Expr> =
+                ps.into_iter().map(|p| order_conjuncts(p, stats, catalog)).collect();
+            for run in ps.split_mut(Expr::has_mining) {
+                // Ranks are never negative or NaN, and such floats order
+                // as their bits do. The sort is stable.
+                run.sort_by_cached_key(|p| rank(p).to_bits());
+            }
+            Expr::And(ps)
+        }
+        Expr::Or(ps) if !crate::vectorized::is_box_dnf(&ps) => {
+            Expr::Or(ps.into_iter().map(|p| order_conjuncts(p, stats, catalog)).collect())
+        }
+        other => other,
+    }
+}
+
 /// Chooses the cheapest access path for `expr` against `table_id`.
 /// `expr` must already be normalized (and envelope-rewritten if enabled).
+/// The plan's residual is `expr` with its conjuncts in evaluation order
+/// (`order_conjuncts`).
 pub fn choose_plan(
     expr: Expr,
     table_id: usize,
@@ -270,6 +322,7 @@ pub fn choose_plan(
 ) -> Plan {
     let entry = catalog.table(table_id);
     let stats = &entry.stats;
+    let expr = order_conjuncts(expr, stats, catalog);
     let n_rows = entry.table.n_rows() as f64;
     let cost = &opts.cost;
     // Page accounting uses an assumed on-disk row width.
@@ -796,6 +849,142 @@ mod tests {
         assert!(matches!(after.access, AccessPath::IndexSeek(_)), "{after:?}");
         assert_eq!(after.feedback_clauses, 1);
         assert!((after.est_selectivity - 0.001).abs() < 1e-9);
+    }
+
+    // -- Plan-time conjunct order ---------------------------------------
+
+    fn mining(model: ModelId) -> Expr {
+        Expr::Mining(MiningPred::ClassEq { model, class: ClassId(0) })
+    }
+
+    fn ordered(e: Expr, cat: &Catalog) -> Expr {
+        order_conjuncts(e, &cat.table(0).stats, cat)
+    }
+
+    /// Mining conjuncts keep their positions and split the `And` into
+    /// runs; each run is sorted by columns ÷ rejected fraction on its
+    /// own, so nothing crosses a mining conjunct.
+    #[test]
+    fn order_sorts_each_mining_free_run_in_place() {
+        let cat = catalog();
+        let [a0, a2, a3] = [0, 2, 3].map(|m| atom(0, AtomPred::Eq(m)));
+        let b_wide = atom(1, AtomPred::Range { lo: 0, hi: 2 }); // 75%: rank 4
+        let b1 = atom(1, AtomPred::Eq(1)); // 25%: rank 1.33
+        // a = 3 (70%) ranks 3.33, a = 0 (0.5%) 1.005, a = 2 (28.5%) 1.40.
+        let e = Expr::And(vec![
+            b_wide.clone(),
+            a3.clone(),
+            mining(0),
+            b1.clone(),
+            a0.clone(),
+            mining(1),
+            a2.clone(),
+        ]);
+        let want = Expr::And(vec![a3, b_wide, mining(0), a0, b1, mining(1), a2]);
+        assert_eq!(ordered(e, &cat), want);
+        // A mining conjunct at either end pins the run beside it too.
+        let e = Expr::And(vec![mining(0), atom(1, AtomPred::Eq(2)), atom(0, AtomPred::Eq(1))]);
+        let want = Expr::And(vec![mining(0), atom(0, AtomPred::Eq(1)), atom(1, AtomPred::Eq(2))]);
+        assert_eq!(ordered(e, &cat), want);
+        // The `And`s under a disjunction with a mining disjunct are
+        // ordered; a column DNF compiles to one order-free leaf and is
+        // left as written.
+        let (b_wide, a0) = (atom(1, AtomPred::Range { lo: 0, hi: 2 }), atom(0, AtomPred::Eq(0)));
+        let broad_first = || Expr::And(vec![b_wide.clone(), a0.clone()]);
+        let narrow_first = Expr::And(vec![a0.clone(), b_wide.clone()]);
+        let generic = Expr::Or(vec![broad_first(), mining(0)]);
+        assert_eq!(ordered(generic, &cat), Expr::Or(vec![narrow_first, mining(0)]));
+        let dnf = Expr::Or(vec![broad_first(), atom(1, AtomPred::Eq(3))]);
+        assert_eq!(ordered(dnf.clone(), &cat), dnf);
+    }
+
+    #[test]
+    fn order_keeps_source_order_among_ties() {
+        let cat = catalog();
+        // One column each at 25%: equal ranks.
+        for (x, y) in [(0, 2), (2, 0)] {
+            let e = Expr::And(vec![atom(1, AtomPred::Eq(x)), atom(1, AtomPred::Eq(y))]);
+            assert_eq!(ordered(e.clone(), &cat), e);
+        }
+        // Conjuncts that reject nothing rank last, in source order.
+        let all_a = atom(0, AtomPred::Range { lo: 0, hi: 3 });
+        let all_b = atom(1, AtomPred::Range { lo: 0, hi: 3 });
+        let e = Expr::And(vec![all_b.clone(), all_a.clone(), atom(1, AtomPred::Eq(1))]);
+        assert_eq!(ordered(e, &cat), Expr::And(vec![atom(1, AtomPred::Eq(1)), all_b, all_a]));
+    }
+
+    /// Planning a plan's own residual returns it unchanged, so the order
+    /// of a cached plan and of its re-plan after feedback cannot flap.
+    #[test]
+    fn order_is_idempotent_through_choose_plan() {
+        let mut cat = catalog();
+        let nb = mpq_core::paper_table1_model();
+        let id = cat
+            .add_model("m", std::sync::Arc::new(nb), mpq_core::DeriveOptions::default())
+            .unwrap();
+        let schema = cat.table(0).table.schema().clone();
+        let e = Expr::And(vec![
+            atom(1, AtomPred::Range { lo: 0, hi: 2 }),
+            atom(0, AtomPred::Eq(3)),
+            mining(id),
+            Expr::or(vec![
+                Expr::and(vec![atom(1, AtomPred::Eq(3)), atom(0, AtomPred::Eq(2))]),
+                atom(0, AtomPred::Eq(0)),
+            ]),
+            atom(1, AtomPred::Eq(1)),
+        ]);
+        let plan = choose_plan(e.clone(), 0, &schema, &cat, &no_zone());
+        assert_ne!(plan.residual, e, "the source order is not the plan's");
+        let again = choose_plan(plan.residual.clone(), 0, &schema, &cat, &no_zone());
+        assert_eq!(again.residual, plan.residual);
+        assert_eq!(ordered(plan.residual.clone(), &cat), plan.residual);
+    }
+
+    #[test]
+    fn a_broad_first_pair_of_columns_comes_out_narrow_first() {
+        let cat = catalog();
+        let broad = atom(1, AtomPred::Range { lo: 0, hi: 2 }); // 75%
+        let narrow = atom(0, AtomPred::Eq(1)); // 1%
+        let schema = cat.table(0).table.schema().clone();
+        let e = Expr::And(vec![broad.clone(), narrow.clone()]);
+        let plan = choose_plan(e, 0, &schema, &cat, &OptimizerOptions::default());
+        assert_eq!(plan.residual, Expr::And(vec![narrow, broad]));
+    }
+
+    /// `scan_cascade`'s shape: a 50% range on one column, a box DNF over
+    /// four others and the mining predicate. One column at 50% ranks 2;
+    /// four columns rank at least 4 whatever the DNF rejects, so the
+    /// range stays first, or comes first when written second.
+    #[test]
+    fn a_range_column_stays_ahead_of_a_four_column_box_dnf() {
+        let schema = Schema::new(
+            ["r", "c0", "c1", "c2", "c3"]
+                .iter()
+                .enumerate()
+                .map(|(k, name)| {
+                    let card = if k == 0 { 8 } else { 4 };
+                    let members = (0..card).map(|m| format!("m{m}"));
+                    Attribute::new(*name, AttrDomain::categorical(members))
+                })
+                .collect(),
+        )
+        .unwrap();
+        // Every (r, c0..c3) cell twice: the columns are independent.
+        let rows = (0..4096u16).map(|i| {
+            let cell = i % 2048;
+            vec![cell % 8, cell / 8 % 4, cell / 32 % 4, cell / 128 % 4, cell / 512]
+        });
+        let mut cat = Catalog::new();
+        let ds = Dataset::from_rows(schema, rows).unwrap();
+        cat.add_table(Table::from_dataset("t", &ds)).unwrap();
+        let range = atom(0, AtomPred::Range { lo: 2, hi: 5 });
+        let boxes = Expr::Or(vec![
+            Expr::And(vec![atom(1, AtomPred::Eq(0)), atom(2, AtomPred::Eq(0))]),
+            Expr::And(vec![atom(3, AtomPred::Eq(0)), atom(4, AtomPred::Eq(0))]),
+        ]);
+        let want = Expr::And(vec![range.clone(), boxes.clone(), mining(0)]);
+        assert_eq!(ordered(want.clone(), &cat), want);
+        assert_eq!(ordered(Expr::And(vec![boxes, range, mining(0)]), &cat), want);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! optimized path is differentially tested against.
 //!
 //! Selected by [`ExecOptions::vectorized`]` = false`. It is serial by
-//! construction (it ignores [`ExecOptions::parallelism`]) and
-//! fixed-order (it ignores [`ExecOptions::adaptive`]). It shares the
-//! pipeline's coordinator phase — access-path resolution, index probes
-//! and their page accounting — and its zone-map pruning and scorer
-//! memo, which are semantics rather than optimizations. Everything
-//! after that is the plainest thing that can be right: materialize the
-//! row, walk the [`Expr`] tree, count, and check every budget after
-//! every row.
+//! construction (it ignores [`ExecOptions::parallelism`]) and walks the
+//! plan's residual in its written order, as the pipeline does. It
+//! shares the pipeline's coordinator phase — access-path resolution,
+//! index probes and their page accounting — and its zone-map pruning
+//! and scorer memo, which are semantics rather than optimizations.
+//! Everything after that is the plainest thing that can be right:
+//! materialize the row, walk the [`Expr`] tree, count, and check every
+//! budget after every row.
 //!
 //! Unlike the pipeline it does not catch panics: a scorer panic
 //! unwinds to the caller.

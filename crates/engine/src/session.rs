@@ -41,7 +41,6 @@ pub(crate) const MAX_DOP: usize = 256;
 pub struct SessionState {
     parallelism: Option<usize>,
     guard: Option<QueryGuard>,
-    adaptive: Option<bool>,
 }
 
 impl SessionState {
@@ -84,24 +83,6 @@ impl SessionState {
     /// guard.
     pub fn clear_guard(&mut self) {
         self.guard = None;
-    }
-
-    /// This session's adaptive-evaluation override, if set.
-    pub fn adaptive(&self) -> Option<bool> {
-        self.adaptive
-    }
-
-    /// Overrides adaptive predicate evaluation for this session only
-    /// (`SET ADAPTIVE {ON|OFF}` through a session).
-    pub fn set_adaptive(&mut self, on: bool) -> bool {
-        self.adaptive = Some(on);
-        on
-    }
-
-    /// Removes the adaptive override; queries fall back to the
-    /// engine-wide setting.
-    pub fn clear_adaptive(&mut self) {
-        self.adaptive = None;
     }
 }
 

@@ -87,10 +87,6 @@ pub enum Statement {
     /// `SET PARALLELISM <n>`: the session knob for the degree of
     /// parallelism query execution uses (1 = serial).
     SetParallelism(usize),
-    /// `SET ADAPTIVE {ON|OFF}`: the session knob for adaptive predicate
-    /// evaluation (runtime DNF reordering + factoring + feedback). OFF
-    /// restores the fixed compile-time evaluation order exactly.
-    SetAdaptive(bool),
     /// `SET GUARD <ROWS|PAGES|MODEL_CALLS|TIME_MS> <n>`: replaces one
     /// budget of the session's query guard (`n = 0` lifts that budget).
     SetGuard {
@@ -356,17 +352,6 @@ impl<'a> Parser<'a> {
     fn set_statement(&mut self) -> Result<Statement, EngineError> {
         if self.eat_kw("GUARD") {
             return self.set_guard();
-        }
-        if self.eat_kw("ADAPTIVE") {
-            let on = if self.eat_kw("ON") {
-                true
-            } else if self.eat_kw("OFF") {
-                false
-            } else {
-                return Err(self.err("SET ADAPTIVE expects ON or OFF".to_string()));
-            };
-            self.expect_end()?;
-            return Ok(Statement::SetAdaptive(on));
         }
         self.expect_kw("PARALLELISM")?;
         let dop = match self.bump() {
@@ -832,22 +817,6 @@ mod tests {
         assert!(parse_statement("SET PARALLELISM", &cat).is_err());
         assert!(parse_statement("SET PARALLELISM 2 4", &cat).is_err());
         assert!(parse_statement("SET SOMETHING 2", &cat).is_err());
-    }
-
-    #[test]
-    fn parses_set_adaptive() {
-        let cat = catalog();
-        assert_eq!(
-            parse_statement("SET ADAPTIVE ON", &cat).unwrap(),
-            Statement::SetAdaptive(true)
-        );
-        assert_eq!(
-            parse_statement("set adaptive off", &cat).unwrap(),
-            Statement::SetAdaptive(false)
-        );
-        assert!(parse_statement("SET ADAPTIVE", &cat).is_err());
-        assert!(parse_statement("SET ADAPTIVE MAYBE", &cat).is_err());
-        assert!(parse_statement("SET ADAPTIVE ON OFF", &cat).is_err());
     }
 
     #[test]

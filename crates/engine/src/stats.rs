@@ -124,16 +124,17 @@ const FEEDBACK_CAPACITY: usize = 256;
 
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FeedbackInner {
-    /// fingerprint → (rows_in, rows_out) from the latest calibration.
+    /// fingerprint → (rows_in, rows_out) from the latest execution.
     map: HashMap<u64, (u64, u64)>,
     /// Insertion order, for FIFO eviction at capacity.
     order: VecDeque<u64>,
 }
 
 /// Bounded per-table store of measured clause selectivities, fed by
-/// the adaptive executor's calibration counters and consulted by the
-/// optimizer when re-costing repeated queries. Interior-mutable so
-/// executions can record under the catalog *read* lock; rebuilt empty
+/// the executor's per-clause row counts over whole executions and
+/// consulted by the optimizer when re-costing repeated queries.
+/// Interior-mutable so executions can record under the catalog *read*
+/// lock; rebuilt empty
 /// whenever the table's statistics are rebuilt (a data change
 /// invalidates old measurements along with the histograms).
 pub struct FeedbackStore {

@@ -1,7 +1,6 @@
 //! Vectorized predicate evaluation: compiled column programs, the
-//! box-DNF kernel, adaptive reordering, shared-subexpression factoring,
-//! zone-map pruning, the column-at-a-time cascade and the scorer memo
-//! cache.
+//! box-DNF kernel, zone-map pruning, the column-at-a-time cascade and
+//! the scorer memo cache.
 //!
 //! The paper's §4.2 rewrite turns opaque mining predicates into
 //! data-column predicates; this module exploits that form one layer
@@ -10,7 +9,7 @@
 //! [`CompiledPredicate`] — a flat program whose leaves are per-column
 //! member bitsets — and evaluates it MonetDB/X100-style over selection
 //! vectors, one column at a time. Mining predicates (and `NOT` over
-//! them) stay as [`NodeKind::Scalar`] escape hatches, so the compiled
+//! them) stay as [`CompiledNode::Scalar`] escape hatches, so the compiled
 //! program is exact on every input.
 //!
 //! **The batch cascade.** A lone mining predicate over a model with a
@@ -33,15 +32,15 @@
 //! **Selections.** A node's incoming selection is an [`Ids`]: the dense
 //! run `start..end` of a scan batch, of which nothing is written down,
 //! or the selection vector itself. A scan batch enters the program as a
-//! run ([`CompiledPredicate::filter_range_at`]); the first
+//! run ([`CompiledPredicate::filter_range`]); the first
 //! column-reading leaf on the path — `Col`, `Boxes`, the cascade's
 //! member accessor or the row-by-row `Scalar` walk — iterates it
 //! directly and writes only its survivors, and every later node narrows
 //! that list where it stands. Ids are written out up front only where a
-//! node needs the list itself: the generic `Or`, a `FactorRef`, and
-//! `Const(true)`. Index fetches and later conjuncts are lists from the
-//! start and run the same kernels — each body is written once against
-//! `Ids`. Narrowing is branch-free ([`Ids::try_compact`]): every id is
+//! node needs the list itself: the generic `Or` and `Const(true)`.
+//! Index fetches and later conjuncts are lists from the start and run
+//! the same kernels — each body is written once against `Ids`.
+//! Narrowing is branch-free ([`Ids::try_compact`]): every id is
 //! stored at the write cursor and the cursor advances by the test's
 //! result, so a leaf at 25–40% selectivity pays a store per row rather
 //! than a mispredicted branch every few rows.
@@ -50,47 +49,29 @@
 //! axis-aligned regions, and so is every compiled-out tree or rule
 //! predicate and every hand-written column DNF: an `Or` whose disjuncts
 //! are `Col` leaves or conjunctions of them. Such an `Or` compiles to
-//! one [`NodeKind::Boxes`] leaf holding, per referenced column, a table
+//! one [`CompiledNode::Boxes`] leaf holding, per referenced column, a table
 //! from member to the bitset of disjuncts admitting it ([`BoxTable`]).
 //! A row passes iff the AND of its members' bitsets is non-zero — one
 //! lookup per column per row whatever the disjunct count, a column at a
 //! time into a reused accumulator, after
 //! Kim/Ileri/Madden's point that a disjunction over columns need not
-//! re-touch them per disjunct. The kernel has no evaluation order, so
-//! there is nothing inside it to reorder or factor and it runs
-//! identically with adaptation on or off; as a node it still takes
-//! part in its parent's rank ordering (one row-touch per row) and is
-//! factorable when shared. The generic `Or` path below serves only
-//! disjunctions with a `Scalar` or nested child.
+//! re-touch them per disjunct. The kernel has no evaluation order. The
+//! generic `Or` path below serves only disjunctions with a `Scalar` or
+//! nested child.
 //!
-//! **Adaptive reordering** (Kim/Ileri/Madden-style rank ordering):
-//! instead of trusting the rewriter's clause order, an adaptive
-//! predicate instruments every node with observed `rows_in`/`rows_out`
-//! counters over the first [`CALIBRATION_ROWS`] rows of the scan, then
-//! re-plans mid-scan: within each maximal run of consecutive
-//! *scalar-free* children, `And` children are sorted by ascending
-//! `cost / (rows_in - rows_out)` and `Or` children by ascending
-//! `cost / rows_out`, where `cost` is the total row-touch count of the
-//! child's subtree during calibration. Dividing the rank's numerator
-//! and denominator by `rows_in` recovers the textbook forms
-//! `cost_per_row / (1 - selectivity)` and `cost_per_row / selectivity`;
-//! keeping the raw totals makes every comparison exact integer
-//! arithmetic, so the reordering decision — and the
-//! `clauses_reordered` counter — is bit-deterministic at every degree
-//! of parallelism (a wall-clock timer would not be). Scalar-bearing
-//! children never move and pure filters never cross one, so the row
-//! set *and order* reaching every `Scalar` leaf is unchanged — which
-//! is what keeps `model_invocations`, memo, and cascade accounting
-//! identical to the fixed-order reference and lets the differential
-//! oracles pin the whole mechanism.
+//! **Evaluation order** is the expression's: children run exactly as
+//! written, as in the reference interpreter. The order was chosen at
+//! plan time — [`crate::choose_plan`] sorts each run of mining-free
+//! conjuncts by exact column marginals — so the program has nothing to
+//! decide while it runs.
 //!
-//! **Shared-subexpression factoring**: at compile time, structurally
-//! identical scalar-free subtrees appearing under one `Or` in two or
-//! more disjuncts (directly, or as a conjunct of an `And` disjunct)
-//! are assigned a *factor slot*. The `Or` evaluates each factor once
-//! per selection vector; every occurrence becomes a [`NodeKind::FactorRef`]
-//! that intersects with the cached pass set instead of re-evaluating
-//! the subtree. `factor_hits` counts rows answered by the cache.
+//! **Feedback.** An evaluation counts, for the root clause and each of
+//! its children, the rows that reached it and the rows that passed, over
+//! every row it evaluates. The counts are a worker's own
+//! ([`CompiledPredicate::clause_counts`]) and sums of per-row counts, so
+//! once the workers' counts are added up they are the same at every
+//! degree of parallelism. They become the optimizer's
+//! [`FeedbackObservation`]s.
 //!
 //! The same compiled form doubles as a page-pruning test: a page whose
 //! zone map ([`crate::Table::page_zones`]) is disjoint from a `Col`
@@ -125,7 +106,7 @@ use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::{AttrId, ClassId, Member, MemberSet, Row, Schema};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -134,26 +115,8 @@ use std::time::Instant;
 /// few megabytes; capacity `0` disables memoization entirely.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
 
-/// Rows observed before an adaptive predicate re-plans itself. Counted
-/// by *global scan position* (row id on a full scan, fetch-list index
-/// on index paths), so the calibration set — and every decision made
-/// from it — is identical at every degree of parallelism.
-pub(crate) const CALIBRATION_ROWS: u64 = 4096;
-
-/// One node of a compiled predicate program, tagged with a tree-unique
-/// id indexing its calibration counters.
-#[derive(Clone)]
-pub(crate) struct CompiledNode {
-    /// Pre-order id, unique within one compiled predicate; indexes the
-    /// `rows_in`/`rows_out` slots of [`AdaptiveState`].
-    pub(crate) id: usize,
-    /// What the node computes.
-    pub(crate) kind: NodeKind,
-}
-
-/// The operator of a [`CompiledNode`].
-#[derive(Clone)]
-pub(crate) enum NodeKind {
+/// One node of a compiled predicate program.
+pub(crate) enum CompiledNode {
     /// Constant truth value.
     Const(bool),
     /// Column leaf: row qualifies iff `mask` contains its member in
@@ -172,29 +135,10 @@ pub(crate) enum NodeKind {
     /// evaluated (model, tuple) set matches short-circuit `&&` exactly.
     And(Vec<CompiledNode>),
     /// Disjunction with a `Scalar` or nested child (a flat column DNF
-    /// compiles to [`NodeKind::Boxes`] instead): children run over
-    /// not-yet-matched rows only, which preserves short-circuit `||`
-    /// semantics per row. `factors` are
-    /// the shared subtrees hoisted out of this node's disjuncts; each
-    /// is evaluated once on the incoming selection (before any child)
-    /// and its pass set cached for the [`NodeKind::FactorRef`]
-    /// occurrences below.
-    Or {
-        /// The disjuncts, in evaluation order.
-        children: Vec<CompiledNode>,
-        /// `(slot, representative subtree)` pairs, ascending by slot.
-        factors: Vec<(usize, CompiledNode)>,
-    },
-    /// An occurrence of a factored shared subtree: intersects the
-    /// selection with the pass set the owning `Or` cached under `slot`.
-    /// `node` is the original subtree, kept as a fallback (and for
-    /// zone-map pruning) but never evaluated on the factored path.
-    FactorRef {
-        /// Index into [`BatchCtx::factor_pass`].
-        slot: usize,
-        /// The original (scalar-free) subtree this reference replaced.
-        node: Box<CompiledNode>,
-    },
+    /// compiles to [`CompiledNode::Boxes`] instead): children run over
+    /// not-yet-matched rows only, in order, which preserves
+    /// short-circuit `||` semantics per row.
+    Or(Vec<CompiledNode>),
     /// Escape hatch for mining predicates and `NOT` over them: exact
     /// row-at-a-time tree evaluation through the oracle.
     Scalar(Expr),
@@ -214,7 +158,6 @@ pub(crate) enum NodeKind {
 ///
 /// The page test asks, per column, which disjuncts meet the page's zone
 /// there, and ANDs the answers (see [`BoxTable::may_match`]).
-#[derive(Clone)]
 pub(crate) struct BoxTable {
     /// How many disjuncts there are.
     disjuncts: usize,
@@ -223,7 +166,6 @@ pub(crate) struct BoxTable {
     cols: Vec<BoxColumn>,
 }
 
-#[derive(Clone)]
 struct BoxColumn {
     /// Column index into the table's schema.
     col: usize,
@@ -274,7 +216,7 @@ impl BoxTable {
     /// atom on the same column clears it under those it does not, and
     /// one last pass per column ORs in the disjuncts left unconstrained.
     fn build(disjuncts: &[Expr], schema: &Schema) -> Option<BoxTable> {
-        if disjuncts.is_empty() || !disjuncts.iter().all(|d| Self::box_atoms(d).is_some()) {
+        if !is_box_dnf(disjuncts) {
             return None;
         }
         let words = disjuncts.len().div_ceil(64);
@@ -377,129 +319,57 @@ impl BoxTable {
     }
 }
 
-/// Per-node calibration counters plus the once-published re-planned
-/// tree. Counters are `Relaxed` atomics: every add is commutative and
-/// the publisher synchronizes with all writers through the
-/// [`CalibClock`]'s release/acquire edge, so the published ordering is
-/// a pure function of the calibration row set.
-struct AdaptiveState {
-    rows_in: Vec<AtomicU64>,
-    rows_out: Vec<AtomicU64>,
-    reordered: OnceLock<Reordered>,
-}
-
-/// The re-planned tree plus how many children changed position.
-struct Reordered {
-    root: CompiledNode,
-    moved: u64,
-}
-
 /// One measured data point for the optimizer feedback loop: a clause's
-/// observed input/output row counts over the calibration window.
+/// observed input/output row counts over a whole execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeedbackObservation {
     /// Fingerprint of the normalized clause ([`Expr::fingerprint`]).
     pub fingerprint: u64,
-    /// Calibration rows the clause was evaluated over. For the k-th
-    /// child of an `And`/`Or` this is conditional on its siblings
-    /// (rows surviving / not yet matched by earlier children), which
-    /// is exactly the form the optimizer's chain-style combination
-    /// multiplies back together.
+    /// Rows the clause was evaluated over. For the k-th child of an
+    /// `And`/`Or` this is conditional on its siblings (rows surviving /
+    /// not yet matched by earlier children), which is exactly the form
+    /// the optimizer's chain-style combination multiplies back together.
     pub rows_in: u64,
     /// How many of those rows satisfied the clause.
     pub rows_out: u64,
 }
 
-/// Counts global scan positions processed so far, so every thread can
-/// tell when the calibration window `[0, total)` has been fully
-/// observed. `credit` uses `Release` and `complete` uses `Acquire`,
-/// publishing all (relaxed) counter updates that preceded each credit
-/// to whoever re-plans the tree.
-pub(crate) struct CalibClock {
-    total: u64,
-    done: AtomicU64,
+/// Whether the disjunction of `disjuncts` compiles to one `Boxes` leaf:
+/// there is at least one, and each is a column atom or a conjunction of
+/// them. Such a disjunction has no evaluation order.
+pub(crate) fn is_box_dnf(disjuncts: &[Expr]) -> bool {
+    !disjuncts.is_empty() && disjuncts.iter().all(|d| BoxTable::box_atoms(d).is_some())
 }
 
-impl CalibClock {
-    /// A clock over a calibration window of `total` scan positions.
-    pub(crate) fn new(total: u64) -> CalibClock {
-        CalibClock { total, done: AtomicU64::new(0) }
-    }
-
-    /// Marks `n` positions of the window observed (evaluated rows).
-    pub(crate) fn credit(&self, n: u64) {
-        if n > 0 {
-            self.done.fetch_add(n, Ordering::Release);
-        }
-    }
-
-    /// Credits the overlap of position range `[first, last)` with the
-    /// calibration window — used when zone maps prune a whole page, so
-    /// skipped positions don't stall re-planning.
-    pub(crate) fn credit_range(&self, first: u64, last: u64) {
-        let capped = last.min(self.total);
-        if first < capped {
-            self.credit(capped - first);
-        }
-    }
-
-    fn complete(&self) -> bool {
-        self.done.load(Ordering::Acquire) >= self.total
-    }
-}
-
-/// A predicate compiled for vectorized evaluation and zone-map pruning,
-/// optionally instrumented for adaptive mid-scan reordering.
+/// A predicate compiled for vectorized evaluation and zone-map pruning.
 pub struct CompiledPredicate {
     root: CompiledNode,
     n_nodes: usize,
-    n_factor_slots: usize,
-    /// `(fingerprint, node id)` for the root clause and each root-level
-    /// child clause, in source order — the units the feedback loop
-    /// reports on.
-    clause_map: Vec<(u64, usize)>,
-    adaptive: Option<AdaptiveState>,
+    /// Fingerprints of the clauses feedback reports on: the root clause,
+    /// then each of its children when it compiled to an `And` or a
+    /// generic `Or` (a `Boxes` root has none to count).
+    clauses: Vec<u64>,
 }
 
 impl CompiledPredicate {
     /// Compiles `expr` against `schema`. Total: every expression
     /// compiles; shapes with no columnar form become `Scalar` leaves,
-    /// and every flat column DNF becomes one `Boxes` leaf, adaptive or
-    /// not.
-    ///
-    /// With `adaptive` set, shared scalar-free subtrees across
-    /// disjuncts are factored and the tree carries calibration
-    /// counters so the executor can re-plan mid-scan.
-    /// With it clear the program evaluates children exactly in the
-    /// rewriter's order — the fixed-order shape the differential
-    /// oracles (and `SET ADAPTIVE OFF`) pin against.
-    pub fn compile(expr: &Expr, schema: &Schema, adaptive: bool) -> CompiledPredicate {
-        let mut root = compile_node(expr, schema);
-        let mut n_factor_slots = 0;
-        if adaptive {
-            factor_tree(&mut root, &mut n_factor_slots);
-        }
-        let mut next_id = 0;
-        assign_ids(&mut root, &mut next_id);
-        let n_nodes = count_nodes(&root);
-        let clause_map = build_clause_map(expr, &root);
-        let adaptive = adaptive.then(|| AdaptiveState {
-            rows_in: (0..next_id).map(|_| AtomicU64::new(0)).collect(),
-            rows_out: (0..next_id).map(|_| AtomicU64::new(0)).collect(),
-            reordered: OnceLock::new(),
-        });
-        CompiledPredicate { root, n_nodes, n_factor_slots, clause_map, adaptive }
+    /// and every flat column DNF becomes one `Boxes` leaf. Children keep
+    /// the expression's order. The `bool` is ignored; it is kept so that
+    /// existing callers compile.
+    pub fn compile(expr: &Expr, schema: &Schema, _adaptive: bool) -> CompiledPredicate {
+        let root = compile_node(expr, schema);
+        let children: &[Expr] = match (expr, &root) {
+            (Expr::And(ps), CompiledNode::And(_)) | (Expr::Or(ps), CompiledNode::Or(_)) => ps,
+            _ => &[],
+        };
+        let clauses = std::iter::once(expr).chain(children).map(Expr::fingerprint).collect();
+        CompiledPredicate { n_nodes: count_nodes(&root), root, clauses }
     }
 
     /// Number of nodes in the compiled program.
     pub fn node_count(&self) -> usize {
         self.n_nodes
-    }
-
-    /// Number of factor slots this program caches per selection vector
-    /// (0 unless compiled adaptive and shared subtrees were found).
-    pub(crate) fn factor_slots(&self) -> usize {
-        self.n_factor_slots
     }
 
     /// Whether any row of a page with zone summary `zones` *may*
@@ -514,572 +384,104 @@ impl CompiledPredicate {
         may_match(&self.root, zones)
     }
 
+    /// Zeroed counts for one worker's evaluations: one observation per
+    /// feedback clause, the root first. [`Self::filter_range`] and
+    /// [`Self::filter_batch`] add to them.
+    pub(crate) fn clause_counts(&self) -> Vec<FeedbackObservation> {
+        let zero = |&fingerprint| FeedbackObservation { fingerprint, rows_in: 0, rows_out: 0 };
+        self.clauses.iter().map(zero).collect()
+    }
+
     /// Appends to `out` the rows of the scan run `rows` that satisfy the
     /// predicate. The run enters the program as a range: its ids are
     /// written down only by the first node that emits survivors (or that
-    /// needs the list), into the scratch vector `sel`. Scan positions
-    /// are row ids, so the run's calibration position is its first row;
-    /// otherwise as [`Self::filter_batch_at`].
-    pub(crate) fn filter_range_at(
+    /// needs the list), into the scratch vector `sel`. Otherwise as
+    /// [`Self::filter_batch`].
+    pub(crate) fn filter_range(
         &self,
         rows: Range<RowId>,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
-        clock: &CalibClock,
+        counts: &mut [FeedbackObservation],
         out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
         debug_assert!(rows.start <= rows.end);
-        let ids = Ids::Run { start: rows.start, end: rows.end };
-        self.filter_ids_at(ids, sel, ctx, u64::from(rows.start), clock, out)
+        self.filter_ids(Ids::Run { start: rows.start, end: rows.end }, sel, ctx, counts, out)
     }
 
     /// Appends to `out` the rows of `sel` (ascending row ids) that
     /// satisfy the predicate, evaluating column leaves over column
     /// slices and `Scalar` leaves through `ctx`; `sel` is consumed.
-    ///
-    /// `pos` is the global scan position of `sel[0]` (the fetch-list
-    /// index on index paths) and `clock` tracks how much of the
-    /// calibration window the whole execution has covered. A fixed-order
-    /// program ignores both. An adaptive one runs batches inside the
-    /// window instrumented in compile-time order; batches past it wait
-    /// for the window to complete (workers holding later positions spin
-    /// briefly — the window lives in the lowest-indexed morsels, whose
-    /// owners never wait before finishing it) and then run the
-    /// re-planned tree. A straddling batch is split at the boundary,
-    /// which keeps the calibration row set exact and
-    /// position-determined at every dop.
-    pub(crate) fn filter_batch_at(
+    /// `counts` ([`Self::clause_counts`]) gains this batch's rows in and
+    /// out per feedback clause.
+    pub(crate) fn filter_batch(
         &self,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
-        pos: u64,
-        clock: &CalibClock,
+        counts: &mut [FeedbackObservation],
         out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
-        self.filter_ids_at(Ids::Listed, sel, ctx, pos, clock, out)
+        self.filter_ids(Ids::Listed, sel, ctx, counts, out)
     }
 
-    fn filter_ids_at(
+    fn filter_ids(
         &self,
         ids: Ids,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
-        pos: u64,
-        clock: &CalibClock,
+        counts: &mut [FeedbackObservation],
         out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
-        let cancel = ctx.cancel;
-        let mut run = |root: &CompiledNode, ids: Ids, sel: &mut Vec<RowId>, stats| {
-            filter(root, ids, sel, ctx, stats)?;
-            out.extend_from_slice(sel);
-            Ok(())
-        };
-        let Some(ad) = &self.adaptive else {
-            return run(&self.root, ids, sel, None);
-        };
-        let n = ids.count(sel) as u64;
-        if n == 0 {
-            return Ok(());
-        }
-        let total = clock.total;
-        if pos.saturating_add(n) <= total {
-            run(&self.root, ids, sel, Some(ad))?;
-            clock.credit(n);
-            return Ok(());
-        }
-        if pos >= total {
-            let planned = self.wait_replanned(ad, clock, cancel)?;
-            return run(&planned.root, ids, sel, None);
-        }
-        // Straddling batch: the calibration window ends inside it. A
-        // run splits into two runs over the one scratch vector; a
-        // list's second half moves to a vector of its own.
-        let in_window = (total - pos) as usize;
-        let (head, rest, mut tail) = match ids {
-            Ids::Run { start, end } => {
-                let mid = start + in_window as RowId;
-                (Ids::Run { start, end: mid }, Ids::Run { start: mid, end }, None)
-            }
-            Ids::Listed => (Ids::Listed, Ids::Listed, Some(sel.split_off(in_window))),
-        };
-        run(&self.root, head, sel, Some(ad))?;
-        clock.credit(total - pos);
-        let planned = self.wait_replanned(ad, clock, cancel)?;
-        run(&planned.root, rest, tail.as_mut().unwrap_or(sel), None)
+        let (root, children) = counts.split_first_mut().expect("the root clause is counted");
+        let n = ids.count(sel);
+        filter(&self.root, ids, sel, ctx, children)?;
+        observe(root, n, sel.len());
+        out.extend_from_slice(sel);
+        Ok(())
     }
+}
 
-    /// Blocks until the calibration window is fully credited, then
-    /// returns the once-computed re-planned tree. A lone worker
-    /// processes positions in ascending order, so the window is always
-    /// complete by the time it gets here and the loop never spins.
-    fn wait_replanned<'s>(
-        &'s self,
-        ad: &'s AdaptiveState,
-        clock: &CalibClock,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<&'s Reordered, EngineError> {
-        while !clock.complete() {
-            if let Some(c) = cancel {
-                if c.load(Ordering::Relaxed) {
-                    return Err(crate::exec::cancelled_sentinel());
-                }
-            }
-            std::thread::yield_now();
-        }
-        Ok(ad.reordered.get_or_init(|| replan(&self.root, ad)))
-    }
-
-    /// Publishes (if not already) and returns how many children the
-    /// adaptive re-plan moved. 0 for fixed-order programs and for
-    /// calibration sets whose measured ranks keep the source order.
-    pub(crate) fn reordered_clauses(&self) -> u64 {
-        match &self.adaptive {
-            Some(ad) => ad.reordered.get_or_init(|| replan(&self.root, ad)).moved,
-            None => 0,
-        }
-    }
-
-    /// The calibration window's per-clause observations (root clause
-    /// plus each root-level child clause), for the optimizer feedback
-    /// store. Empty when fixed-order or when nothing was observed.
-    pub(crate) fn feedback(&self) -> Vec<FeedbackObservation> {
-        let Some(ad) = &self.adaptive else {
-            return Vec::new();
-        };
-        self.clause_map
-            .iter()
-            .map(|&(fingerprint, id)| FeedbackObservation {
-                fingerprint,
-                rows_in: ad.rows_in[id].load(Ordering::Relaxed),
-                rows_out: ad.rows_out[id].load(Ordering::Relaxed),
-            })
-            .filter(|o| o.rows_in > 0)
-            .collect()
-    }
+/// Adds one evaluation's rows in and out to a clause's counts.
+fn observe(clause: &mut FeedbackObservation, rows_in: usize, rows_out: usize) {
+    clause.rows_in += rows_in as u64;
+    clause.rows_out += rows_out as u64;
 }
 
 fn compile_node(expr: &Expr, schema: &Schema) -> CompiledNode {
-    let kind = match expr {
-        Expr::Const(b) => NodeKind::Const(*b),
+    match expr {
+        Expr::Const(b) => CompiledNode::Const(*b),
         Expr::Atom(a) => {
             let card = schema.attr(a.attr).domain.cardinality();
-            NodeKind::Col { col: a.attr.index(), mask: a.pred.member_set(card) }
+            CompiledNode::Col { col: a.attr.index(), mask: a.pred.member_set(card) }
         }
-        Expr::And(ps) => NodeKind::And(ps.iter().map(|p| compile_node(p, schema)).collect()),
+        Expr::And(ps) => CompiledNode::And(ps.iter().map(|p| compile_node(p, schema)).collect()),
         Expr::Or(ps) => match BoxTable::build(ps, schema) {
-            Some(boxes) => NodeKind::Boxes(boxes),
-            None => NodeKind::Or {
-                children: ps.iter().map(|p| compile_node(p, schema)).collect(),
-                factors: Vec::new(),
-            },
+            Some(boxes) => CompiledNode::Boxes(boxes),
+            None => CompiledNode::Or(ps.iter().map(|p| compile_node(p, schema)).collect()),
         },
         // Mining predicates and NOT (normalize pushes NOT down to atoms
         // except over mining predicates) stay scalar.
-        other => NodeKind::Scalar(other.clone()),
-    };
-    CompiledNode { id: 0, kind }
-}
-
-fn has_scalar(node: &CompiledNode) -> bool {
-    match &node.kind {
-        NodeKind::Scalar(_) => true,
-        NodeKind::And(ps) => ps.iter().any(has_scalar),
-        NodeKind::Or { children, .. } => children.iter().any(has_scalar),
-        // Factored subtrees are scalar-free by construction, and the
-        // fallback is the same subtree.
-        NodeKind::FactorRef { .. } => false,
-        _ => false,
+        other => CompiledNode::Scalar(other.clone()),
     }
 }
 
 fn count_nodes(node: &CompiledNode) -> usize {
-    match &node.kind {
-        NodeKind::And(ps) => 1 + ps.iter().map(count_nodes).sum::<usize>(),
-        NodeKind::Or { children, .. } => {
-            1 + children.iter().map(count_nodes).sum::<usize>()
+    match node {
+        CompiledNode::And(ps) | CompiledNode::Or(ps) => {
+            1 + ps.iter().map(count_nodes).sum::<usize>()
         }
-        NodeKind::FactorRef { node, .. } => count_nodes(node),
         _ => 1,
     }
 }
 
 fn may_match(node: &CompiledNode, zones: &[MemberSet]) -> bool {
-    match &node.kind {
-        NodeKind::Const(b) => *b,
-        NodeKind::Col { col, mask } => !mask.is_disjoint(&zones[*col]),
-        NodeKind::Boxes(boxes) => boxes.may_match(zones),
-        NodeKind::And(ps) => ps.iter().all(|p| may_match(p, zones)),
-        // Factors are cached computations, not extra disjuncts: the
-        // node's value is the union of its children alone.
-        NodeKind::Or { children, .. } => children.iter().any(|p| may_match(p, zones)),
-        NodeKind::FactorRef { node, .. } => may_match(node, zones),
-        NodeKind::Scalar(_) => true,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared-subexpression factoring (compile time)
-// ---------------------------------------------------------------------
-
-/// A subtree is worth factoring when re-evaluating it beats an
-/// intersection: scalar-free (the cache must never change which rows
-/// reach a model) and either a `Boxes` leaf (a lookup per column per
-/// row) or at least two nodes (a lone `Col` probe is as cheap as the
-/// intersection that would replace it).
-fn factorable(node: &CompiledNode) -> bool {
-    !has_scalar(node) && (matches!(node.kind, NodeKind::Boxes(_)) || count_nodes(node) >= 2)
-}
-
-fn placeholder() -> CompiledNode {
-    CompiledNode { id: 0, kind: NodeKind::Const(false) }
-}
-
-/// Replaces `target` with a `FactorRef` to `slot`, remembering the
-/// first replaced subtree as the factor's representative.
-fn replace_with_factor(target: &mut CompiledNode, slot: usize, rep: &mut Option<CompiledNode>) {
-    if rep.is_none() {
-        *rep = Some(target.clone());
-    }
-    let inner = std::mem::replace(target, placeholder());
-    *target = CompiledNode { id: 0, kind: NodeKind::FactorRef { slot, node: Box::new(inner) } };
-}
-
-/// Top-down factoring: detect shared subtrees among this `Or`'s
-/// disjuncts first (on pristine children), then recurse into the factor
-/// representatives and remaining children so nested disjunctions factor
-/// their own sharing. Slots are numbered globally in first-occurrence
-/// order, which makes the factored shape — and `factor_hits` — a pure
-/// function of the input expression.
-fn factor_tree(node: &mut CompiledNode, next_slot: &mut usize) {
-    match &mut node.kind {
-        NodeKind::And(ps) => {
-            for p in ps {
-                factor_tree(p, next_slot);
-            }
-        }
-        NodeKind::Or { children, factors } => {
-            factor_or(children, factors, next_slot);
-            for (_, rep) in factors.iter_mut() {
-                factor_tree(rep, next_slot);
-            }
-            for p in children.iter_mut() {
-                factor_tree(p, next_slot);
-            }
-        }
-        // The fallback under a FactorRef is never evaluated; leave it
-        // pristine.
-        _ => {}
-    }
-}
-
-/// Finds factor candidates among `children`: each disjunct itself, or
-/// each conjunct of an `And` disjunct. A structural key appearing under
-/// two or more *distinct* disjuncts gets a slot; every occurrence is
-/// replaced by a `FactorRef`.
-fn factor_or(
-    children: &mut [CompiledNode],
-    factors: &mut Vec<(usize, CompiledNode)>,
-    next_slot: &mut usize,
-) {
-    // (disjunct index, Some(conjunct index) | None for the disjunct
-    // itself) per structural key, in first-seen key order.
-    let mut order: Vec<u64> = Vec::new();
-    let mut occs: HashMap<u64, Vec<(usize, Option<usize>)>> = HashMap::new();
-    for (di, d) in children.iter().enumerate() {
-        let mut note = |key_node: &CompiledNode, at: Option<usize>| {
-            if factorable(key_node) {
-                let k = structural_key(key_node);
-                occs.entry(k)
-                    .or_insert_with(|| {
-                        order.push(k);
-                        Vec::new()
-                    })
-                    .push((di, at));
-            }
-        };
-        match &d.kind {
-            NodeKind::And(gs) => {
-                for (gi, g) in gs.iter().enumerate() {
-                    note(g, Some(gi));
-                }
-            }
-            _ => note(d, None),
-        }
-    }
-    for k in order {
-        let list = &occs[&k];
-        let mut disjuncts: Vec<usize> = list.iter().map(|&(di, _)| di).collect();
-        disjuncts.dedup(); // pushed in ascending disjunct order
-        if disjuncts.len() < 2 {
-            continue;
-        }
-        let slot = *next_slot;
-        *next_slot += 1;
-        let mut rep = None;
-        for &(di, gi) in list {
-            match gi {
-                Some(g) => {
-                    let NodeKind::And(gs) = &mut children[di].kind else {
-                        unreachable!("occurrence was collected from an And disjunct");
-                    };
-                    replace_with_factor(&mut gs[g], slot, &mut rep);
-                }
-                None => replace_with_factor(&mut children[di], slot, &mut rep),
-            }
-        }
-        factors.push((slot, rep.expect("a factor has at least two occurrences")));
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Id-free structural fingerprint of a compiled subtree: two subtrees
-/// share a key iff they compute the same function the same way.
-fn structural_key(node: &CompiledNode) -> u64 {
-    let mut h = FNV_OFFSET;
-    key_node(node, &mut h);
-    h
-}
-
-fn key_node(node: &CompiledNode, h: &mut u64) {
-    match &node.kind {
-        NodeKind::Const(b) => {
-            fnv_u64(h, 1);
-            fnv_u64(h, u64::from(*b));
-        }
-        NodeKind::Col { col, mask } => {
-            fnv_u64(h, 2);
-            fnv_u64(h, *col as u64);
-            fnv_u64(h, u64::from(mask.domain()));
-            for m in 0..mask.domain() {
-                if mask.contains(m) {
-                    fnv_u64(h, u64::from(m));
-                }
-            }
-        }
-        NodeKind::Boxes(boxes) => {
-            fnv_u64(h, 7);
-            fnv_u64(h, boxes.words as u64);
-            for c in &boxes.cols {
-                fnv_u64(h, c.col as u64);
-                fnv_u64(h, c.table.len() as u64);
-                for &t in &c.table {
-                    fnv_u64(h, t);
-                }
-            }
-        }
-        NodeKind::And(ps) => {
-            fnv_u64(h, 3);
-            fnv_u64(h, ps.len() as u64);
-            for p in ps {
-                key_node(p, h);
-            }
-        }
-        NodeKind::Or { children, .. } => {
-            fnv_u64(h, 4);
-            fnv_u64(h, children.len() as u64);
-            for p in children {
-                key_node(p, h);
-            }
-        }
-        // Same slot ⇒ same factored subtree of the same owner.
-        NodeKind::FactorRef { slot, .. } => {
-            fnv_u64(h, 5);
-            fnv_u64(h, *slot as u64);
-        }
-        NodeKind::Scalar(e) => {
-            fnv_u64(h, 6);
-            fnv_u64(h, e.fingerprint());
-        }
-    }
-}
-
-/// Pre-order id assignment over the complete tree — including factor
-/// representatives and `FactorRef` fallbacks — so every counter slot is
-/// distinct. Fallbacks are never evaluated and simply keep zero stats.
-fn assign_ids(node: &mut CompiledNode, next: &mut usize) {
-    node.id = *next;
-    *next += 1;
-    match &mut node.kind {
-        NodeKind::And(ps) => {
-            for p in ps {
-                assign_ids(p, next);
-            }
-        }
-        NodeKind::Or { children, factors } => {
-            for (_, rep) in factors {
-                assign_ids(rep, next);
-            }
-            for p in children {
-                assign_ids(p, next);
-            }
-        }
-        NodeKind::FactorRef { node, .. } => assign_ids(node, next),
-        _ => {}
-    }
-}
-
-/// `(fingerprint, node id)` for the root and each root-level child, in
-/// source order. Root-level children line up positionally because
-/// compilation maps them 1:1 and factoring replaces in place.
-fn build_clause_map(expr: &Expr, root: &CompiledNode) -> Vec<(u64, usize)> {
-    let mut map = vec![(expr.fingerprint(), root.id)];
-    let kids: &[CompiledNode] = match &root.kind {
-        NodeKind::And(ps) => ps,
-        NodeKind::Or { children, .. } => children,
-        _ => &[],
-    };
-    let subs: &[Expr] = match expr {
-        Expr::And(ps) | Expr::Or(ps) => ps,
-        _ => &[],
-    };
-    if kids.len() == subs.len() {
-        for (e, k) in subs.iter().zip(kids) {
-            map.push((e.fingerprint(), k.id));
-        }
-    }
-    map
-}
-
-// ---------------------------------------------------------------------
-// Mid-scan re-planning (rank ordering from calibration counters)
-// ---------------------------------------------------------------------
-
-/// A rank `cost / den` compared without division: exact u128
-/// cross-multiplication, `den == 0` ⇒ infinite (orders after every
-/// finite rank, ties keep source order under the stable sort).
-#[derive(Clone, Copy)]
-struct Rank {
-    cost: u64,
-    den: u64,
-}
-
-impl Rank {
-    fn cmp(self, other: Rank) -> std::cmp::Ordering {
-        match (self.den, other.den) {
-            (0, 0) => std::cmp::Ordering::Equal,
-            (0, _) => std::cmp::Ordering::Greater,
-            (_, 0) => std::cmp::Ordering::Less,
-            _ => (u128::from(self.cost) * u128::from(other.den))
-                .cmp(&(u128::from(other.cost) * u128::from(self.den))),
-        }
-    }
-}
-
-/// Total row-touches of a subtree during calibration: the sum of every
-/// node's `rows_in`, factors included. Proportional to the work the
-/// subtree cost per incoming row — the `cost` numerator of its rank.
-fn subtree_cost(node: &CompiledNode, ad: &AdaptiveState) -> u64 {
-    let mut sum = ad.rows_in[node.id].load(Ordering::Relaxed);
-    match &node.kind {
-        NodeKind::And(ps) => {
-            for p in ps {
-                sum = sum.saturating_add(subtree_cost(p, ad));
-            }
-        }
-        NodeKind::Or { children, factors } => {
-            for (_, rep) in factors {
-                sum = sum.saturating_add(subtree_cost(rep, ad));
-            }
-            for p in children {
-                sum = sum.saturating_add(subtree_cost(p, ad));
-            }
-        }
-        // The fallback never ran; the reference's own intersection work
-        // is its `rows_in`, already counted above.
-        NodeKind::FactorRef { .. } => {}
-        _ => {}
-    }
-    sum
-}
-
-fn rank_of(node: &CompiledNode, conjunction: bool, ad: &AdaptiveState) -> Rank {
-    let rows_in = ad.rows_in[node.id].load(Ordering::Relaxed);
-    let rows_out = ad.rows_out[node.id].load(Ordering::Relaxed);
-    let cost = subtree_cost(node, ad);
-    // cost/(in−out) == (cost/in)/(1−out/in): per-row cost over
-    // rejection rate. cost/out == (cost/in)/(out/in): per-row cost
-    // over match rate.
-    let den = if conjunction { rows_in.saturating_sub(rows_out) } else { rows_out };
-    Rank { cost, den }
-}
-
-/// Clones the calibrated tree and sorts each maximal run of
-/// consecutive scalar-free children by ascending rank. Scalar-bearing
-/// children never move and pure filters never cross one, so the rows
-/// routed to every `Scalar` leaf — set and order — are exactly the
-/// fixed-order reference's.
-fn replan(root: &CompiledNode, ad: &AdaptiveState) -> Reordered {
-    let mut root = root.clone();
-    let mut moved = 0;
-    replan_node(&mut root, ad, &mut moved);
-    Reordered { root, moved }
-}
-
-fn replan_node(node: &mut CompiledNode, ad: &AdaptiveState, moved: &mut u64) {
-    match &mut node.kind {
-        NodeKind::And(ps) => {
-            for p in ps.iter_mut() {
-                replan_node(p, ad, moved);
-            }
-            reorder_runs(ps, true, ad, moved);
-        }
-        NodeKind::Or { children, factors } => {
-            for (_, rep) in factors.iter_mut() {
-                replan_node(rep, ad, moved);
-            }
-            for p in children.iter_mut() {
-                replan_node(p, ad, moved);
-            }
-            reorder_runs(children, false, ad, moved);
-        }
-        _ => {}
-    }
-}
-
-fn reorder_runs(
-    children: &mut [CompiledNode],
-    conjunction: bool,
-    ad: &AdaptiveState,
-    moved: &mut u64,
-) {
-    let mut i = 0;
-    while i < children.len() {
-        if has_scalar(&children[i]) {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < children.len() && !has_scalar(&children[j]) {
-            j += 1;
-        }
-        if j - i > 1 {
-            let run = &mut children[i..j];
-            let ranks: Vec<Rank> = run.iter().map(|c| rank_of(c, conjunction, ad)).collect();
-            let mut idx: Vec<usize> = (0..run.len()).collect();
-            idx.sort_by(|&a, &b| ranks[a].cmp(ranks[b]));
-            if idx.iter().enumerate().any(|(p, &s)| p != s) {
-                let mut tmp: Vec<Option<CompiledNode>> = run
-                    .iter_mut()
-                    .map(|c| Some(std::mem::replace(c, placeholder())))
-                    .collect();
-                for (p, &s) in idx.iter().enumerate() {
-                    run[p] = tmp[s].take().expect("each source index used exactly once");
-                    if p != s {
-                        *moved += 1;
-                    }
-                }
-            }
-        }
-        i = j;
+    match node {
+        CompiledNode::Const(b) => *b,
+        CompiledNode::Col { col, mask } => !mask.is_disjoint(&zones[*col]),
+        CompiledNode::Boxes(boxes) => boxes.may_match(zones),
+        CompiledNode::And(ps) => ps.iter().all(|p| may_match(p, zones)),
+        CompiledNode::Or(ps) => ps.iter().any(|p| may_match(p, zones)),
+        CompiledNode::Scalar(_) => true,
     }
 }
 
@@ -1103,17 +505,6 @@ pub(crate) struct BatchCtx<'a> {
     /// checks here so breach classification matches the row-at-a-time
     /// reference.
     after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
-    /// Per-slot factor pass sets. An owning `Or` always rewrites its
-    /// slots on the current selection before any `FactorRef` below it
-    /// reads them, so entries never need clearing between batches.
-    factor_pass: Vec<Option<Vec<RowId>>>,
-    /// Rows answered from a factor's cached pass set instead of
-    /// re-evaluating the shared subtree. Summed per row, so the total
-    /// is batching- and dop-independent.
-    pub factor_hits: u64,
-    /// Cooperative cancellation flag probed while waiting out the
-    /// calibration window (`None` outside the executor).
-    cancel: Option<&'a AtomicBool>,
     /// Selection vectors the generic `Or` path borrows (two per
     /// nesting level) and returns, so it allocates only until the pool
     /// has grown to the tree's depth.
@@ -1127,23 +518,17 @@ pub(crate) struct BatchCtx<'a> {
 }
 
 impl<'a> BatchCtx<'a> {
-    /// State for evaluating programs with up to `factor_slots` factor
-    /// slots over `table`.
+    /// State for evaluating programs over `table`.
     pub(crate) fn new(
         table: &'a Table,
         oracle: &'a MemoScorer<'a>,
         after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
-        factor_slots: usize,
-        cancel: Option<&'a AtomicBool>,
     ) -> BatchCtx<'a> {
         BatchCtx {
             table,
             oracle,
             row_buf: vec![0; table.schema().len()],
             after_scalar_row,
-            factor_pass: vec![None; factor_slots],
-            factor_hits: 0,
-            cancel,
             scratch: Vec::new(),
             acc: Vec::new(),
             scores: Vec::new(),
@@ -1254,86 +639,61 @@ impl Ids {
 
 /// Narrows the selection `ids` to the rows satisfying `node`, leaving
 /// them in `sel`. Column-reading leaves (`Col`, `Boxes`, the cascade)
-/// and the row-by-row `Scalar` walk read a run directly; `Or`,
-/// `FactorRef` and `Const(true)` need the list and write it down first.
+/// and the row-by-row `Scalar` walk read a run directly; `Or` and
+/// `Const(true)` need the list and write it down first. `children`
+/// holds the feedback counts of `node`'s children — empty below the
+/// root, whose children alone are counted.
 fn filter(
     node: &CompiledNode,
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
-    stats: Option<&AdaptiveState>,
+    children: &mut [FeedbackObservation],
 ) -> Result<(), EngineError> {
-    let rows_in = ids.count(sel) as u64;
-    match &node.kind {
-        NodeKind::Const(true) => ids.materialize(sel),
-        NodeKind::Const(false) => sel.clear(),
-        NodeKind::Col { col, mask } => {
+    match node {
+        CompiledNode::Const(true) => ids.materialize(sel),
+        CompiledNode::Const(false) => sel.clear(),
+        CompiledNode::Col { col, mask } => {
             let (column, blocks) = (ctx.table.column(*col), mask.blocks());
             ids.compact(sel, |_, r| {
                 let m = column[r as usize] as usize;
                 blocks.get(m / 64).is_some_and(|b| b >> (m % 64) & 1 != 0)
             });
         }
-        NodeKind::Boxes(boxes) => boxes.filter(ctx.table, ids, sel, &mut ctx.acc),
-        NodeKind::And(ps) => {
+        CompiledNode::Boxes(boxes) => boxes.filter(ctx.table, ids, sel, &mut ctx.acc),
+        CompiledNode::And(ps) => {
             // The first conjunct reads the incoming ids; what it leaves
             // in `sel` is what the others narrow.
             let mut ids = ids;
-            for p in ps {
-                if ids.count(sel) == 0 {
+            for (k, p) in ps.iter().enumerate() {
+                let n = ids.count(sel);
+                if n == 0 {
                     break;
                 }
-                filter(p, ids, sel, ctx, stats)?;
+                filter(p, ids, sel, ctx, &mut [])?;
+                if let Some(clause) = children.get_mut(k) {
+                    observe(clause, n, sel.len());
+                }
                 ids = Ids::Listed;
             }
             // No conjunct ran: the result is the input.
             ids.materialize(sel);
         }
-        NodeKind::Or { children, factors } => {
+        CompiledNode::Or(ps) => {
             ids.materialize(sel);
-            or_filter(children, factors, sel, ctx, stats)?;
+            or_filter(ps, sel, ctx, children)?;
         }
-        NodeKind::FactorRef { slot, node } => {
-            if ctx.factor_pass[*slot].is_some() {
-                ids.materialize(sel);
-                ctx.factor_hits += rows_in;
-                let pass = ctx.factor_pass[*slot].as_deref().expect("just checked");
-                intersect_sorted(sel, pass);
-            } else {
-                // The slot was never primed (fixed-order evaluation of
-                // a factored tree, e.g. tests driving `filter`
-                // directly): fall back to the original subtree.
-                filter(node, ids, sel, ctx, stats)?;
-            }
-        }
-        NodeKind::Scalar(expr) => scalar_filter(expr, ids, sel, ctx)?,
-    }
-    if let Some(ad) = stats {
-        ad.rows_in[node.id].fetch_add(rows_in, Ordering::Relaxed);
-        ad.rows_out[node.id].fetch_add(sel.len() as u64, Ordering::Relaxed);
+        CompiledNode::Scalar(expr) => scalar_filter(expr, ids, sel, ctx)?,
     }
     Ok(())
 }
 
 fn or_filter(
-    children: &[CompiledNode],
-    factors: &[(usize, CompiledNode)],
+    disjuncts: &[CompiledNode],
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
-    stats: Option<&AdaptiveState>,
+    children: &mut [FeedbackObservation],
 ) -> Result<(), EngineError> {
-    // Prime every factor on the incoming selection: each shared
-    // subtree is evaluated once per selection vector, and the
-    // `FactorRef` occurrences below intersect with the cached result.
-    // Factors are scalar-free, so this touches no model. The slot's
-    // previous vector is refilled in place.
-    for (slot, rep) in factors {
-        let mut pass = ctx.factor_pass[*slot].take().unwrap_or_default();
-        pass.clear();
-        pass.extend_from_slice(sel);
-        filter(rep, Ids::Listed, &mut pass, ctx, stats)?;
-        ctx.factor_pass[*slot] = Some(pass);
-    }
     // Each child sees only rows no earlier child matched — exactly the
     // rows short-circuit `||` would evaluate it on. `sel` becomes the
     // matched set; the two working vectors come from the pool and go
@@ -1342,13 +702,16 @@ fn or_filter(
     let mut pass = ctx.scratch.pop().unwrap_or_default();
     sel.clear();
     let mut contributors = 0;
-    for p in children {
+    for (k, p) in disjuncts.iter().enumerate() {
         if remaining.is_empty() {
             break;
         }
         pass.clear();
         pass.extend_from_slice(&remaining);
-        filter(p, Ids::Listed, &mut pass, ctx, stats)?;
+        filter(p, Ids::Listed, &mut pass, ctx, &mut [])?;
+        if let Some(clause) = children.get_mut(k) {
+            observe(clause, remaining.len(), pass.len());
+        }
         if pass.is_empty() {
             continue;
         }
@@ -1524,24 +887,6 @@ fn subtract_sorted(remaining: &mut Vec<RowId>, pass: &[RowId]) {
         }
     }
     remaining.truncate(kept);
-}
-
-/// Keeps only the `sel` rows present in the sorted `pass` set, in one
-/// merge pass. `sel` need not be a subset of `pass`, only sorted.
-fn intersect_sorted(sel: &mut Vec<RowId>, pass: &[RowId]) {
-    let mut pi = 0;
-    let mut kept = 0;
-    for i in 0..sel.len() {
-        let r = sel[i];
-        while pi < pass.len() && pass[pi] < r {
-            pi += 1;
-        }
-        if pi < pass.len() && pass[pi] == r {
-            sel[kept] = r;
-            kept += 1;
-        }
-    }
-    sel.truncate(kept);
 }
 
 // ---------------------------------------------------------------------
@@ -1888,30 +1233,21 @@ mod tests {
     }
 
     /// Runs `f` with a batch context over `t` and an empty catalog.
-    fn with_ctx<R>(pred: &CompiledPredicate, t: &Table, f: impl FnOnce(&mut BatchCtx<'_>) -> R) -> R {
+    fn with_ctx<R>(t: &Table, f: impl FnOnce(&mut BatchCtx<'_>) -> R) -> R {
         let cat = Catalog::new();
         let memo = MemoScorer::with_cascades(&cat, 0, Vec::new());
         let mut after = || Ok(());
-        f(&mut BatchCtx::new(t, &memo, &mut after, pred.factor_slots(), None))
+        f(&mut BatchCtx::new(t, &memo, &mut after))
     }
 
-    fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, u64) {
-        with_ctx(pred, t, |ctx| {
-            let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-            filter(&pred.root, Ids::Listed, &mut sel, ctx, None).unwrap();
-            (sel, ctx.factor_hits)
-        })
-    }
-
-    /// Drives the adaptive path end to end: calibration window of
-    /// `calib` rows, one straddling batch over the whole table.
-    fn run_adaptive(pred: &CompiledPredicate, t: &Table, calib: u64) -> (Vec<RowId>, u64) {
-        with_ctx(pred, t, |ctx| {
-            let clock = CalibClock::new(calib.min(t.n_rows() as u64));
-            let mut sel: Vec<RowId> = (0..t.n_rows() as RowId).collect();
-            let mut rows = Vec::new();
-            pred.filter_batch_at(&mut sel, ctx, 0, &clock, &mut rows).unwrap();
-            (rows, pred.reordered_clauses())
+    /// The whole table as one batch: the rows and the clause counts.
+    fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, Vec<FeedbackObservation>) {
+        with_ctx(t, |ctx| {
+            let mut counts = pred.clause_counts();
+            let (mut sel, mut rows) = (Vec::new(), Vec::new());
+            let all = 0..t.n_rows() as RowId;
+            pred.filter_range(all, &mut sel, ctx, &mut counts, &mut rows).unwrap();
+            (rows, counts)
         })
     }
 
@@ -1940,83 +1276,52 @@ mod tests {
             ]),
         ];
         for e in &exprs {
-            let fixed = CompiledPredicate::compile(e, &s, false);
-            let adaptive = CompiledPredicate::compile(e, &s, true);
-            let want = reference(e, &t);
-            assert_eq!(run(&fixed, &t), want, "fixed {e:?}");
-            assert_eq!(run(&adaptive, &t), want, "adaptive fixed-path {e:?}");
-            let (rows, _) = run_adaptive(&adaptive, &t, 16);
-            assert_eq!(rows, want, "adaptive replanned {e:?}");
+            let pred = CompiledPredicate::compile(e, &s, false);
+            assert_eq!(run(&pred, &t), reference(e, &t), "{e:?}");
         }
     }
 
+    /// The root and its children are counted over every evaluated row,
+    /// each child over the rows its earlier siblings left it, and the
+    /// counts do not depend on how the rows were cut into batches.
     #[test]
-    fn adaptive_replans_and_stays_exact() {
-        let s = schema();
-        let t = table();
-        let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
-        // First conjunct keeps ~3/4 of rows, second ~1/4: rank ordering
-        // must swap them once calibrated.
-        let e = Expr::and(vec![
-            a(0, AtomPred::In(mpq_types::MemberSet::of(4, [0, 1, 2]))),
-            a(0, AtomPred::Eq(1)),
-        ]);
-        let pred = CompiledPredicate::compile(&e, &s, true);
-        let (rows, moved) = run_adaptive(&pred, &t, 16);
-        assert_eq!(rows, reference(&e, &t));
-        assert_eq!(moved, 2, "both conjuncts change position");
-        // Publishing is sticky and deterministic.
-        assert_eq!(pred.reordered_clauses(), 2);
-    }
-
-    #[test]
-    fn factoring_shares_subtrees_across_disjuncts() {
-        let s = schema();
-        let t = table();
-        let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
-        let shared = || {
-            Expr::and(vec![
-                a(0, AtomPred::In(mpq_types::MemberSet::of(4, [1, 2]))),
-                a(1, AtomPred::Range { lo: 0, hi: 1 }),
-            ])
-        };
-        // Or(And(shared, b=x), And(shared, b=z)) — the shared conjunct
-        // appears in both disjuncts and must get one factor slot.
-        let e = Expr::or(vec![
-            Expr::and(vec![shared(), a(1, AtomPred::Eq(0))]),
-            Expr::and(vec![shared(), a(1, AtomPred::Eq(2))]),
-        ]);
-        let pred = CompiledPredicate::compile(&e, &s, true);
-        assert_eq!(pred.factor_slots(), 1);
-        let (rows, hits) = run_counting(&pred, &t);
-        assert_eq!(rows, reference(&e, &t));
-        assert!(hits > 0, "factor cache must answer rows");
-        // Fixed-order compile has no factors and agrees.
-        let fixed = CompiledPredicate::compile(&e, &s, false);
-        assert_eq!(fixed.factor_slots(), 0);
-        assert_eq!(run(&fixed, &t), rows);
-        // The adaptive replanned path agrees too.
-        let (rows2, _) = run_adaptive(&pred, &t, 16);
-        assert_eq!(rows2, rows);
-    }
-
-    #[test]
-    fn feedback_reports_root_and_clauses() {
+    fn feedback_counts_the_root_and_its_children_over_every_row() {
         let s = schema();
         let t = table();
         let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
         let e = Expr::and(vec![a(0, AtomPred::Eq(1)), a(1, AtomPred::Eq(0))]);
-        let pred = CompiledPredicate::compile(&e, &s, true);
-        let (_, _) = run_adaptive(&pred, &t, 64);
-        let obs = pred.feedback();
-        // Root + 2 conjuncts, all observed over the full table.
-        assert_eq!(obs.len(), 3);
-        assert_eq!(obs[0].fingerprint, e.fingerprint());
-        assert_eq!(obs[0].rows_in, 64);
-        // a==1 matches 16 of 64; root matches those with b==0.
-        assert_eq!(obs[1].rows_out, 16);
-        assert_eq!(obs[2].rows_in, 16);
-        assert_eq!(obs[0].rows_out, obs[2].rows_out);
+        let pred = CompiledPredicate::compile(&e, &s, false);
+        let (rows, obs) = run_counting(&pred, &t);
+        let Expr::And(children) = &e else { unreachable!() };
+        let fps: Vec<u64> = std::iter::once(&e).chain(children).map(Expr::fingerprint).collect();
+        assert_eq!(obs.iter().map(|o| o.fingerprint).collect::<Vec<_>>(), fps);
+        // a = 1 passes 16 of 64 rows; b = 0 passes 6 of those.
+        let counts: Vec<(u64, u64)> = obs.iter().map(|o| (o.rows_in, o.rows_out)).collect();
+        assert_eq!(counts, [(64, 6), (64, 16), (16, 6)]);
+        assert_eq!(rows.len(), 6);
+        // Batches of 7 rows, some entered as ranges and some as lists,
+        // sum to the same counts.
+        let by_batches = with_ctx(&t, |ctx| {
+            let mut counts = pred.clause_counts();
+            let (mut sel, mut out) = (Vec::new(), Vec::new());
+            for start in (0..t.n_rows() as RowId).step_by(7) {
+                let end = (start + 7).min(t.n_rows() as RowId);
+                if start % 2 == 0 {
+                    pred.filter_range(start..end, &mut sel, ctx, &mut counts, &mut out).unwrap();
+                } else {
+                    sel.clear();
+                    sel.extend(start..end);
+                    pred.filter_batch(&mut sel, ctx, &mut counts, &mut out).unwrap();
+                }
+            }
+            assert_eq!(out, rows);
+            counts
+        });
+        assert_eq!(by_batches, obs);
+        // A root `Boxes` leaf has no children to count.
+        let dnf = Expr::or(vec![a(0, AtomPred::Eq(0)), a(1, AtomPred::Eq(2))]);
+        let boxes = CompiledPredicate::compile(&dnf, &s, false);
+        assert_eq!(boxes.clause_counts().len(), 1);
     }
 
     #[test]
@@ -2164,7 +1469,7 @@ mod tests {
     }
 
     fn is_boxes(pred: &CompiledPredicate) -> bool {
-        matches!(pred.root.kind, NodeKind::Boxes(_))
+        matches!(pred.root, CompiledNode::Boxes(_))
     }
 
     /// The hand-written corner shapes plus generated DNFs of one to
@@ -2206,17 +1511,10 @@ mod tests {
         assert_eq!(t.n_rows(), 360);
         let mut g = Gen(22);
         for e in box_dnfs(&mut g, &cards) {
-            let want = reference(&e, &t);
-            for adaptive in [false, true] {
-                let pred = CompiledPredicate::compile(&e, &s, adaptive);
-                assert!(is_boxes(&pred), "{e:?}");
-                assert_eq!(pred.node_count(), 1);
-                assert_eq!(run(&pred, &t), want, "adaptive={adaptive} {e:?}");
-            }
-            let pred = CompiledPredicate::compile(&e, &s, true);
-            let (rows, moved) = run_adaptive(&pred, &t, 100);
-            assert_eq!(rows, want, "replanned {e:?}");
-            assert_eq!(moved, 0, "a Boxes leaf has no order to change");
+            let pred = CompiledPredicate::compile(&e, &s, false);
+            assert!(is_boxes(&pred), "{e:?}");
+            assert_eq!(pred.node_count(), 1);
+            assert_eq!(run(&pred, &t), reference(&e, &t), "{e:?}");
         }
     }
 
@@ -2254,34 +1552,18 @@ mod tests {
 
     // -- Range entry, list entry and tree walk are one function --------
 
-    /// What one run of a batch leaves behind: the rows, and every
-    /// node's calibration counters.
-    type Observed = (Vec<RowId>, Vec<(u64, u64)>);
+    /// What one batch leaves behind: the rows, and the clause counts.
+    type Observed = (Vec<RowId>, Vec<FeedbackObservation>);
 
-    fn counters(pred: &CompiledPredicate) -> Vec<(u64, u64)> {
-        let Some(ad) = &pred.adaptive else { return Vec::new() };
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ad.rows_in.iter().zip(&ad.rows_out).map(|(i, o)| (load(i), load(o))).collect()
-    }
-
-    /// Compiles `e` afresh and runs one batch at scan position `pos`
-    /// under a calibration window of `calib` positions, everything
-    /// before the batch credited as a zone-skipped page credits it.
+    /// Runs one batch through `pred` with fresh counts.
     fn run_batch(
-        e: &Expr,
-        s: &Schema,
+        pred: &CompiledPredicate,
         t: &Table,
-        adaptive: bool,
-        calib: u64,
-        pos: RowId,
-        batch: impl FnOnce(&CompiledPredicate, &mut BatchCtx<'_>, &CalibClock, &mut Vec<RowId>),
+        batch: impl FnOnce(&mut BatchCtx<'_>, &mut [FeedbackObservation], &mut Vec<RowId>),
     ) -> Observed {
-        let pred = CompiledPredicate::compile(e, s, adaptive);
-        let clock = CalibClock::new(calib);
-        clock.credit_range(0, u64::from(pos));
-        let mut rows = Vec::new();
-        with_ctx(&pred, t, |ctx| batch(&pred, ctx, &clock, &mut rows));
-        (rows, counters(&pred))
+        let (mut counts, mut rows) = (pred.clause_counts(), Vec::new());
+        with_ctx(t, |ctx| batch(ctx, &mut counts, &mut rows));
+        (rows, counts)
     }
 
     #[test]
@@ -2290,9 +1572,6 @@ mod tests {
         let s = grid_schema(&cards);
         let t = grid_table(&s);
         let (n, page) = (t.n_rows() as RowId, t.rows_per_page() as RowId);
-        // The calibration window ends inside a page, as a batch boundary
-        // would in a scan of bigger pages.
-        let calib = 101u64;
         let mut points = vec![0, 1, page, 3 * page, 63, 64, 65, 100, 101, 102, n - page, n - 1, n];
         points.sort_unstable();
         points.dedup();
@@ -2322,6 +1601,7 @@ mod tests {
         exprs.extend([Expr::Const(true), Expr::Const(false), Expr::And(vec![])]);
 
         for e in &exprs {
+            let pred = CompiledPredicate::compile(e, &s, false);
             let mut inv = 0;
             let pass: Vec<bool> =
                 (0..n).map(|r| e.eval(&t.row(r), &NoModels, &mut inv)).collect();
@@ -2333,25 +1613,23 @@ mod tests {
                     let sparse: Vec<RowId> = (start..end).filter(|r| r % 3 != 1).collect();
                     let want_sparse: Vec<RowId> =
                         sparse.iter().copied().filter(|&r| pass[r as usize]).collect();
-                    for adaptive in [false, true] {
-                        let what = format!("{start}..{end}, adaptive {adaptive}, {e:?}");
-                        let by_range = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
-                            // Whatever the scratch vector held is ignored.
-                            let mut sel = vec![7, 7, 7];
-                            p.filter_range_at(start..end, &mut sel, ctx, clock, out).unwrap();
-                        });
-                        let by_list = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
-                            let mut sel: Vec<RowId> = (start..end).collect();
-                            p.filter_batch_at(&mut sel, ctx, u64::from(start), clock, out).unwrap();
-                        });
-                        assert_eq!(by_range.0, want, "range entry, {what}");
-                        assert_eq!(by_list, by_range, "list entry against range entry, {what}");
-                        let by_sparse = run_batch(e, &s, &t, adaptive, calib, start, |p, ctx, clock, out| {
-                            let mut sel = sparse.clone();
-                            p.filter_batch_at(&mut sel, ctx, u64::from(start), clock, out).unwrap();
-                        });
-                        assert_eq!(by_sparse.0, want_sparse, "sparse list, {what}");
-                    }
+                    let what = format!("{start}..{end}, {e:?}");
+                    let by_range = run_batch(&pred, &t, |ctx, counts, out| {
+                        // Whatever the scratch vector held is ignored.
+                        let mut sel = vec![7, 7, 7];
+                        pred.filter_range(start..end, &mut sel, ctx, counts, out).unwrap();
+                    });
+                    let by_list = run_batch(&pred, &t, |ctx, counts, out| {
+                        let mut sel: Vec<RowId> = (start..end).collect();
+                        pred.filter_batch(&mut sel, ctx, counts, out).unwrap();
+                    });
+                    assert_eq!(by_range.0, want, "range entry, {what}");
+                    assert_eq!(by_list, by_range, "list entry against range entry, {what}");
+                    let by_sparse = run_batch(&pred, &t, |ctx, counts, out| {
+                        let mut sel = sparse.clone();
+                        pred.filter_batch(&mut sel, ctx, counts, out).unwrap();
+                    });
+                    assert_eq!(by_sparse.0, want_sparse, "sparse list, {what}");
                 }
             }
         }
@@ -2364,8 +1642,8 @@ mod tests {
         let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
         let mining = Expr::Mining(MiningPred::ClassEq { model: 0, class: ClassId(0) });
         let with_scalar = Expr::Or(vec![a(0, AtomPred::Eq(0)), a(1, AtomPred::Eq(1)), mining]);
-        let pred = CompiledPredicate::compile(&with_scalar, &s, true);
-        assert!(matches!(pred.root.kind, NodeKind::Or { .. }));
+        let pred = CompiledPredicate::compile(&with_scalar, &s, false);
+        assert!(matches!(pred.root, CompiledNode::Or(_)));
         assert_eq!(pred.node_count(), 4);
         // A nested disjunction is not a box either, but its flat inner
         // `Or` is — and the two evaluate together exactly.
@@ -2376,30 +1654,37 @@ mod tests {
             ]),
             a(0, AtomPred::Eq(1)),
         ]);
-        let pred = CompiledPredicate::compile(&nested, &s, true);
-        let NodeKind::Or { children, .. } = &pred.root.kind else { panic!("generic Or") };
-        let NodeKind::And(conj) = &children[0].kind else { panic!("And disjunct") };
-        assert!(matches!(conj[1].kind, NodeKind::Boxes(_)));
-        assert_eq!(run(&pred, &t), reference(&nested, &t));
-        assert_eq!(run_adaptive(&pred, &t, 16).0, reference(&nested, &t));
+        let pred = CompiledPredicate::compile(&nested, &s, false);
+        let CompiledNode::Or(children) = &pred.root else { panic!("generic Or") };
+        let CompiledNode::And(conj) = &children[0] else { panic!("And disjunct") };
+        assert!(matches!(conj[1], CompiledNode::Boxes(_)));
+        let (rows, obs) = run_counting(&pred, &t);
+        assert_eq!(rows, reference(&nested, &t));
+        // Each disjunct is counted over the rows no earlier one matched.
+        let disjuncts: Vec<(u64, u64)> = obs[1..].iter().map(|o| (o.rows_in, o.rows_out)).collect();
+        let first = obs[1].rows_out;
+        assert_eq!(disjuncts, [(64, first), (64 - first, rows.len() as u64 - first)]);
     }
 
-    /// The work gate: calibrating a 16-box envelope touches each row
-    /// once, at the `Boxes` leaf — not once per disjunct and atom that
-    /// the row reaches, which is what the generic `Or` walk costs.
+    /// A 16-box envelope is one leaf: one node, one clause counted once
+    /// per row.
     #[test]
-    fn a_sixteen_box_envelope_calibrates_in_one_touch_per_row() {
+    fn a_sixteen_box_envelope_is_one_leaf_counted_once_per_row() {
         let cards = [6u16, 5, 4, 3];
         let s = grid_schema(&cards);
         let t = grid_table(&s);
         let mut g = Gen(16);
         let envelope = gen_dnf(&mut g, &cards, 16);
-        let pred = CompiledPredicate::compile(&envelope, &s, true);
-        let n = t.n_rows() as u64;
-        let (rows, _) = run_adaptive(&pred, &t, n);
+        let pred = CompiledPredicate::compile(&envelope, &s, false);
+        assert_eq!(pred.node_count(), 1);
+        let (rows, obs) = run_counting(&pred, &t);
         assert_eq!(rows, reference(&envelope, &t));
-        let ad = pred.adaptive.as_ref().expect("compiled adaptive");
-        assert_eq!(subtree_cost(&pred.root, ad), n);
+        let root = FeedbackObservation {
+            fingerprint: envelope.fingerprint(),
+            rows_in: t.n_rows() as u64,
+            rows_out: rows.len() as u64,
+        };
+        assert_eq!(obs, [root]);
     }
 
     #[test]
@@ -2411,15 +1696,6 @@ mod tests {
         assert_eq!(rem, vec![1, 5, 7]);
         subtract_sorted(&mut rem, &[1, 5, 7]);
         assert!(rem.is_empty());
-    }
-
-    #[test]
-    fn intersect_sorted_keeps_common_rows() {
-        let mut sel: Vec<RowId> = vec![1, 2, 5, 8, 9];
-        intersect_sorted(&mut sel, &[0, 2, 3, 8, 11]);
-        assert_eq!(sel, vec![2, 8]);
-        intersect_sorted(&mut sel, &[]);
-        assert!(sel.is_empty());
     }
 
     // -- The fused model-agreement leaf and the sharded memo ----------
@@ -2490,12 +1766,11 @@ mod tests {
                 calls += 1;
                 Ok(())
             };
-            let mut ctx = BatchCtx::new(t, &memo, &mut after, pred.factor_slots(), None);
-            let clock = CalibClock::new(0);
-            let mut sel = Vec::new();
+            let mut ctx = BatchCtx::new(t, &memo, &mut after);
+            let (mut sel, mut counts) = (Vec::new(), pred.clause_counts());
             for start in (0..t.n_rows() as RowId).step_by(100) {
                 let end = (start + 100).min(t.n_rows() as RowId);
-                pred.filter_range_at(start..end, &mut sel, &mut ctx, &clock, &mut rows).unwrap();
+                pred.filter_range(start..end, &mut sel, &mut ctx, &mut counts, &mut rows).unwrap();
             }
         }
         let banded = |row: &[Member]| {
@@ -2564,15 +1839,5 @@ mod tests {
                 assert!(memo.shards.get().is_none(), "a disabled memo allocates no shard");
             }
         }
-    }
-
-    #[test]
-    fn rank_orders_by_exact_cross_multiplication() {
-        use std::cmp::Ordering as O;
-        let r = |cost, den| Rank { cost, den };
-        assert_eq!(r(1, 2).cmp(r(2, 4)), O::Equal);
-        assert_eq!(r(1, 3).cmp(r(1, 2)), O::Less);
-        assert_eq!(r(5, 1).cmp(r(1, 0)), O::Less, "finite beats infinite");
-        assert_eq!(r(1, 0).cmp(r(2, 0)), O::Equal, "infinities tie (stable order)");
     }
 }

@@ -74,10 +74,11 @@
 //! v5 the cascade counters on query outcomes and the per-model
 //! `cascade_note` on `Health`, v6 the subscription counters, the
 //! `Health` subscriptions tail and the `Notify` push, v7 the
-//! adaptive-evaluation counters. A decoder rejects trailing bytes it
-//! does not know, so the encoder omits each tail for a peer below its
-//! version (`Notify` is never sent below v6, and such a peer may not
-//! `SUBSCRIBE`); our decoder reads whatever tails are present and
+//! `clauses_reordered`/`factor_hits`/`feedback_entries` counters. A
+//! decoder rejects trailing bytes it does not know, so the encoder
+//! omits each tail for a peer below its version (`Notify` is never sent
+//! below v6, and such a peer may not `SUBSCRIBE`); our decoder reads
+//! whatever tails are present and
 //! leaves the rest at their defaults, which is how the client keeps
 //! working against an older server — it dials v7 first and falls back
 //! to a v3 hello when the server refuses the version.
@@ -111,9 +112,9 @@ use std::time::Duration;
 /// the server-push `Notify` frame, the `subs_matched`/
 /// `subs_index_pruned` tails on `Inserted` and on query metrics, the
 /// subscriptions tail on `Health`, and the unknown-subscription error;
-/// version 7 added the adaptive-evaluation counter tail on query
-/// outcomes (`clauses_reordered`/`factor_hits`/`feedback_entries`) and
-/// the `SET ADAPTIVE` outcome.
+/// version 7 added the `clauses_reordered`/`factor_hits`/
+/// `feedback_entries` counter tail on query outcomes (the first two now
+/// always 0) and an outcome tag since retired.
 /// A v7 server still accepts [`PROTO_VERSION_V6`], [`PROTO_VERSION_V5`],
 /// [`PROTO_VERSION_V4`] and [`PROTO_VERSION_V3`] hellos and answers
 /// them with frames of the matching shape (`Notify` is never sent to a
@@ -122,7 +123,7 @@ pub const PROTO_VERSION: u32 = 7;
 
 /// The previous protocol version, still accepted by the server's
 /// handshake. A v6 peer understands the subscription channel but not
-/// the adaptive-evaluation counter tail.
+/// the v7 counter tail.
 pub const PROTO_VERSION_V6: u32 = 6;
 
 /// Still accepted by the server's handshake. A v5 peer understands the
@@ -1040,7 +1041,6 @@ const OUTCOME_GUARD_SET: u8 = 3;
 const OUTCOME_INSERTED: u8 = 4;
 const OUTCOME_SUBSCRIBED: u8 = 5;
 const OUTCOME_UNSUBSCRIBED: u8 = 6;
-const OUTCOME_ADAPTIVE_SET: u8 = 7;
 
 fn put_outcome(w: &mut WireWriter, o: &StatementOutcome, proto_version: u32) {
     match o {
@@ -1082,10 +1082,6 @@ fn put_outcome(w: &mut WireWriter, o: &StatementOutcome, proto_version: u32) {
             w.put_u8(OUTCOME_UNSUBSCRIBED);
             w.put_u64(*id);
         }
-        StatementOutcome::AdaptiveSet { on } => {
-            w.put_u8(OUTCOME_ADAPTIVE_SET);
-            w.put_bool(*on);
-        }
     }
 }
 
@@ -1121,7 +1117,6 @@ fn get_outcome(r: &mut WireReader<'_>) -> Result<StatementOutcome, WireError> {
         }
         OUTCOME_SUBSCRIBED => StatementOutcome::Subscribed { id: r.get_u64()? },
         OUTCOME_UNSUBSCRIBED => StatementOutcome::Unsubscribed { id: r.get_u64()? },
-        OUTCOME_ADAPTIVE_SET => StatementOutcome::AdaptiveSet { on: r.get_bool()? },
         other => {
             return Err(WireError::Invalid { detail: format!("outcome tag {other}") })
         }
@@ -1793,7 +1788,7 @@ mod tests {
             panic!("not a query outcome")
         };
         assert_eq!(q.metrics.subs_matched, 3, "v6 keeps the subscription tail");
-        assert_eq!(q.metrics.clauses_reordered, 0, "v6 drops the adaptive tail");
+        assert_eq!(q.metrics.clauses_reordered, 0, "v6 drops the v7 counter tail");
         assert_eq!(q.metrics.factor_hits, 0);
         assert_eq!(q.metrics.feedback_entries, 0);
         let v5 = Response::decode(&query.encode_versioned(PROTO_VERSION_V5)).unwrap();
@@ -1803,11 +1798,6 @@ mod tests {
         assert_eq!(q.metrics.cascade_accepts, 2, "v5 keeps the cascade tail");
         assert_eq!(q.metrics.subs_matched, 0, "v5 drops the subscription tail");
         assert_eq!(q.metrics.subs_index_pruned, 0);
-        // The SET ADAPTIVE outcome round-trips.
-        for on in [true, false] {
-            let resp = Response::Outcome(StatementOutcome::AdaptiveSet { on });
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        }
         // ...and for the health subscriptions tail.
         let health = Response::Health(EngineHealth {
             models: Vec::new(),
@@ -1839,7 +1829,7 @@ mod tests {
         }));
         let payload = resp.encode();
         // The prefixes that are exactly an older version's shape
-        // (cascade tail absent, subscription tail absent, adaptive tail
+        // (cascade tail absent, subscription tail absent, v7 counter tail
         // absent) decode by design — those are the downgrade paths.
         // Every other strict prefix must fail cleanly.
         let v4_len = resp.encode_versioned(PROTO_VERSION_V4).len();

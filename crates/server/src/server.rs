@@ -310,8 +310,8 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) -> ConnExit {
     // natively, v6/v5/v4/v3 for old clients (the shape differences are
     // the Health replication tail, absent below v4, the cascade tails,
     // absent below v5, the subscription machinery — counters, Notify
-    // push frames, SUBSCRIBE/UNSUBSCRIBE — absent below v6, and the
-    // adaptive-evaluation counter tail, absent below v7).
+    // push frames, SUBSCRIBE/UNSUBSCRIBE — absent below v6, and the v7
+    // counter tail, absent below v7).
     let (proto, session_id) = match hello {
         Request::Hello { proto_version, client: _ }
             if proto_version == PROTO_VERSION
