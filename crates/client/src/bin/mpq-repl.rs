@@ -61,8 +61,7 @@ fn print_outcome(outcome: &StatementOutcome) {
                 q.metrics.elapsed,
                 if q.cached_plan { " [cached plan]" } else { "" },
             );
-            // The feedback store's size (protocol v7); zero against an
-            // older server.
+            // The feedback store's size, once it holds anything.
             if q.metrics.feedback_entries > 0 {
                 println!("feedback: {} entries", q.metrics.feedback_entries);
             }
@@ -209,10 +208,8 @@ fn run() -> Result<(), String> {
                     if let Some(note) = &h.sub_index_note {
                         println!("  subscription matcher: {note}");
                     }
-                    // Replication fields arrived with protocol v4; a v3
-                    // server's report decodes with the defaults (role
-                    // primary, epoch 0, no lag), so print the lag line
-                    // only when the server actually measured one.
+                    // Only a primary with synchronous replication on
+                    // measures lag; other nodes report none.
                     println!("  role: {}, epoch: {}", h.role, h.epoch);
                     if let (Some(records), Some(bytes)) =
                         (h.replica_lag_records, h.replica_lag_bytes)

@@ -36,12 +36,12 @@ use mpq_engine::{
     EngineError, EngineHealth, FaultInjector, QueryOutcome, StatementId, StatementOutcome,
 };
 use mpq_server::protocol::{
-    decode_frame, FrameError, Request, Response, ServerError, DEFAULT_MAX_FRAME_LEN,
-    PROTO_VERSION, PROTO_VERSION_V3,
+    consume_frame, decode_frame, read_into, FrameError, Request, Response, ServerError,
+    DEFAULT_MAX_FRAME_LEN, PROTO_VERSION,
 };
 pub use mpq_server::protocol::Notification;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -132,50 +132,6 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// Most bytes one read asks the socket for, and so the most the receive
-/// buffer grows ahead of the bytes that have arrived.
-const READ_STEP_MAX: usize = 64 << 10;
-
-/// Bytes one read asks for when less than that is known to be missing
-/// (no header yet, or the frame is nearly complete): enough for a run
-/// of small frames in one system call.
-const READ_STEP_MIN: usize = 4 << 10;
-
-/// Capacity the empty receive buffer may keep. One reply of a million
-/// rows would otherwise pin four megabytes for the rest of the
-/// connection's life.
-const IDLE_BUF_CAPACITY: usize = 256 << 10;
-
-/// Reads once from `stream` onto the end of the receive buffer — no
-/// intermediate chunk (the server's connections read the same way).
-/// `needed` is the total length of the frame at the front of `buf`
-/// when its header has arrived (what [`FrameError::Incomplete`]
-/// reports): the read then asks for the missing bytes, at most
-/// [`READ_STEP_MAX`] at a time, so a length prefix alone never makes
-/// the buffer grow — only received bytes do.
-fn read_into(
-    stream: &mut impl Read,
-    buf: &mut Vec<u8>,
-    needed: Option<usize>,
-) -> std::io::Result<usize> {
-    let missing = needed.map_or(0, |total| total.saturating_sub(buf.len()));
-    let filled = buf.len();
-    buf.resize(filled + missing.clamp(READ_STEP_MIN, READ_STEP_MAX), 0);
-    let read = stream.read(&mut buf[filled..]);
-    buf.truncate(filled + *read.as_ref().unwrap_or(&0));
-    read
-}
-
-/// Drops a decoded frame's `consumed` bytes from the front of the
-/// receive buffer, and gives back the capacity a large frame left
-/// behind once the buffer is empty.
-fn consume_frame(buf: &mut Vec<u8>, consumed: usize) {
-    buf.drain(..consumed);
-    if buf.is_empty() && buf.capacity() > IDLE_BUF_CAPACITY {
-        *buf = Vec::new();
-    }
-}
-
 /// A connected, handshaken session with an `mpq-server`.
 #[derive(Debug)]
 pub struct Client {
@@ -201,7 +157,7 @@ impl Client {
         addr: impl ToSocketAddrs,
         name: &str,
     ) -> Result<Client, ClientError> {
-        Client::connect_inner(addr, name, None)
+        Client::open(addr, name, None, None)
     }
 
     /// Test hook: a client that honours connection-level fault
@@ -212,7 +168,7 @@ impl Client {
         addr: impl ToSocketAddrs,
         faults: Arc<FaultInjector>,
     ) -> Result<Client, ClientError> {
-        Client::connect_inner(addr, "mpq-client-faulty", Some(faults))
+        Client::open(addr, "mpq-client-faulty", Some(faults), None)
     }
 
     /// Like [`Client::connect_named`], additionally arming a read
@@ -224,42 +180,15 @@ impl Client {
         name: &str,
         read_timeout: Duration,
     ) -> Result<Client, ClientError> {
-        Client::connect_full(addr, name, None, Some(read_timeout))
+        Client::open(addr, name, None, Some(read_timeout))
     }
 
-    fn connect_inner(
-        addr: impl ToSocketAddrs,
-        name: &str,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Client, ClientError> {
-        Client::connect_full(addr, name, faults, None)
-    }
-
-    fn connect_full(
+    /// Connects and performs the handshake at [`PROTO_VERSION`].
+    fn open(
         addr: impl ToSocketAddrs,
         name: &str,
         faults: Option<Arc<FaultInjector>>,
         read_timeout: Option<Duration>,
-    ) -> Result<Client, ClientError> {
-        // Newest first: a v3 server refuses the v4 hello (and hangs up),
-        // so the fallback dials again at v3. One extra round-trip, only
-        // against old servers, only at connect time.
-        match Client::connect_at(&addr, name, faults.clone(), read_timeout, PROTO_VERSION) {
-            Err(ClientError::Remote(ServerError::Protocol { detail }))
-                if detail.contains("protocol version") =>
-            {
-                Client::connect_at(&addr, name, faults, read_timeout, PROTO_VERSION_V3)
-            }
-            other => other,
-        }
-    }
-
-    fn connect_at(
-        addr: impl ToSocketAddrs,
-        name: &str,
-        faults: Option<Arc<FaultInjector>>,
-        read_timeout: Option<Duration>,
-        proto_version: u32,
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -272,7 +201,7 @@ impl Client {
             notifications: VecDeque::new(),
         };
         let resp = client.exchange(&Request::Hello {
-            proto_version,
+            proto_version: PROTO_VERSION,
             client: name.to_string(),
         })?;
         match resp {
@@ -776,67 +705,6 @@ mod tests {
         ] {
             assert!(!e.is_retryable(), "{e:?}");
         }
-    }
-
-    /// Drives the receive buffer the way `recv` does — decode what is
-    /// there, read what is missing — and returns the row counts of the
-    /// query outcomes seen.
-    fn pump(mut stream: &[u8], buf: &mut Vec<u8>) -> Vec<usize> {
-        let mut rows = Vec::new();
-        loop {
-            let needed = match decode_frame(buf, DEFAULT_MAX_FRAME_LEN) {
-                Ok((payload, consumed)) => {
-                    let decoded = Response::decode(&payload);
-                    consume_frame(buf, consumed);
-                    match decoded.unwrap() {
-                        Response::Outcome(StatementOutcome::Query(q)) => rows.push(q.rows.len()),
-                        other => panic!("{other:?}"),
-                    }
-                    continue;
-                }
-                Err(FrameError::Incomplete { needed }) => needed,
-                Err(e) => panic!("{e}"),
-            };
-            if read_into(&mut stream, buf, needed).unwrap() == 0 {
-                return rows;
-            }
-        }
-    }
-
-    fn reply(n_rows: u32) -> Vec<u8> {
-        Response::Outcome(StatementOutcome::Query(QueryOutcome {
-            rows: (0..n_rows).collect(),
-            metrics: Default::default(),
-            plan: "full scan".into(),
-            plan_changed: false,
-            cached_plan: true,
-        }))
-        .to_frame(PROTO_VERSION)
-    }
-
-    #[test]
-    fn receive_buffer_releases_a_large_replys_capacity() {
-        let stream = [reply(3), reply(1_000_000), reply(3)].concat();
-        let mut buf = Vec::new();
-        assert_eq!(pump(&stream, &mut buf), [3, 1_000_000, 3]);
-        assert!(buf.is_empty());
-        assert!(buf.capacity() <= IDLE_BUF_CAPACITY, "kept {} bytes", buf.capacity());
-    }
-
-    #[test]
-    fn a_stream_of_small_replies_never_reallocates() {
-        let frame = reply(16);
-        let stream = frame.repeat(10_000);
-        let mut buf = Vec::new();
-        // The first reads size the buffer (one step plus the torn frame
-        // a read can end in); nothing after them may.
-        let warm = 100 * frame.len() + 7;
-        let warm_rows = pump(&stream[..warm], &mut buf);
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        let rows = pump(&stream[warm..], &mut buf);
-        assert_eq!(warm_rows.len() + rows.len(), 10_000);
-        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
-        assert!(cap <= 2 * READ_STEP_MIN, "{cap}");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!                [--check-interval-ms N] [--fail-threshold N]
 //! ```
 //!
-//! The supervisor probes the primary once per interval (a protocol-v4
-//! `ReplState` round trip). After `--fail-threshold` consecutive
+//! The supervisor probes the primary once per interval (a `ReplState`
+//! round trip). After `--fail-threshold` consecutive
 //! failures it promotes the standby (epoch bump + fence, see DESIGN.md
 //! §12), publishes the new primary's address to `--primary-file`
 //! (write-then-rename, so watchers and writers never read a torn

@@ -42,8 +42,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionError, Admiss
 pub use notify::{NotifyQueue, SubRegistry, DEFAULT_NOTIFY_QUEUE_CAP};
 pub use protocol::{
     decode_frame, encode_frame, FrameError, Notification, Request, Response, ServerError,
-    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTO_VERSION, PROTO_VERSION_V3,
-    PROTO_VERSION_V4, PROTO_VERSION_V5,
+    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTO_VERSION,
 };
 pub use replication::{start_shipper, PeerError, PeerState, ReplPeer, ShipperConfig, ShipperHandle};
 pub use server::{DrainReport, Server, ServerConfig};

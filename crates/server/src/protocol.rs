@@ -29,8 +29,8 @@
 //!   cannot be resynchronized, so the connection is severed);
 //! * inside a payload every element count is checked against the bytes
 //!   remaining before anything is allocated for it;
-//! * a message has exactly one encoding per protocol version, and every
-//!   byte of a payload must be consumed.
+//! * a message has exactly one encoding, and every byte of a payload
+//!   must be consumed.
 //!
 //! A frame lives in one buffer on each side: [`Request::to_frame`] /
 //! [`Response::to_frame`] encode the message behind eight reserved
@@ -53,35 +53,25 @@
 //! | C→S | `Health` (3) | — |
 //! | C→S | `Shutdown` (4) | — |
 //! | C→S | `Goodbye` (5) | — |
-//! | C→S | `ReplState` (6) | — (v4; asks role/epoch/next LSN) |
-//! | C→S | `ReplAppend` (7) | epoch `u64`, concatenated WAL frames (v4) |
-//! | C→S | `ReplSnapshot` (8) | checksummed snapshot bytes (v4) |
-//! | C→S | `Promote` (9) | — (v4; standby → primary) |
+//! | C→S | `ReplState` (6) | — (asks role/epoch/next LSN) |
+//! | C→S | `ReplAppend` (7) | epoch `u64`, concatenated WAL frames |
+//! | C→S | `ReplSnapshot` (8) | checksummed snapshot bytes |
+//! | C→S | `Promote` (9) | — (standby → primary) |
 //! | S→C | `Hello` (128) | proto version `u32`, session id `u64`, server name |
 //! | S→C | `Outcome` (129) | a [`StatementOutcome`]: rows + metrics + plan, model-created, parallelism-set, guard-set |
 //! | S→C | `Health` (130) | an [`EngineHealth`], recovery report included |
 //! | S→C | `ShutdownStarted` (131) | — |
 //! | S→C | `Goodbye` (132) | — |
 //! | S→C | `Error` (133) | a [`ServerError`] |
-//! | S→C | `ReplState` (134) | role `u8`, epoch `u64`, next LSN `u64` (v4) |
-//! | S→C | `ReplAck` (135) | next LSN `u64`, epoch `u64` (v4) |
-//! | S→C | `Notify` (136) | a subscription push: match (sub id, row id, row, match metrics) or gap marker (v6) |
+//! | S→C | `ReplState` (134) | role `u8`, epoch `u64`, next LSN `u64` |
+//! | S→C | `ReplAck` (135) | next LSN `u64`, epoch `u64` |
+//! | S→C | `Notify` (136) | a subscription push: match (sub id, row id, row, match metrics) or gap marker |
 //!
-//! Version compatibility: the server speaks v7 and accepts v3–v7
-//! hellos, answering each connection with frames of the version its
-//! hello named. Every version after v3 only *appended* to a message:
-//! v4 the replication tail on `Health` (and the replication requests),
-//! v5 the cascade counters on query outcomes and the per-model
-//! `cascade_note` on `Health`, v6 the subscription counters, the
-//! `Health` subscriptions tail and the `Notify` push, v7 the
-//! `clauses_reordered`/`factor_hits`/`feedback_entries` counters. A
-//! decoder rejects trailing bytes it does not know, so the encoder
-//! omits each tail for a peer below its version (`Notify` is never sent
-//! below v6, and such a peer may not `SUBSCRIBE`); our decoder reads
-//! whatever tails are present and
-//! leaves the rest at their defaults, which is how the client keeps
-//! working against an older server — it dials v7 first and falls back
-//! to a v3 hello when the server refuses the version.
+//! Version compatibility: there is one version, [`PROTO_VERSION`]. The
+//! server refuses a hello naming any other with a typed
+//! [`ServerError::Protocol`] and closes the connection; decoders read
+//! exactly the shapes this file writes. How the format got here is in
+//! DESIGN.md §9.
 //!
 //! Every engine type crossing the wire ([`QueryOutcome`],
 //! [`ExecMetrics`], [`EngineHealth`], [`RecoveryReport`],
@@ -99,44 +89,9 @@ use mpq_types::wire::{crc32, WireError, WireReader, WireWriter};
 use std::borrow::Cow;
 use std::time::Duration;
 
-/// Protocol version spoken by this build. Version 2 added the
-/// `pages_skipped` and `memo_hits` metrics fields; version 3 added the
-/// optional exactly-once statement id on `Statement` and the
-/// `Inserted` outcome; version 4 added the replication channel
-/// (`ReplState`/`ReplAppend`/`ReplSnapshot`/`Promote`), the
-/// role/epoch/lag tail on `Health`, and the read-only/stale-epoch
-/// errors; version 5 added the cascade metrics tail on query outcomes
-/// (`cascade_accepts`/`cascade_rejects`/`band_rows`/`scorer_ns`) and
-/// the per-model `cascade_note` tail on `Health`; version 6 added
-/// standing subscriptions — the `SUBSCRIBE`/`UNSUBSCRIBE` outcomes,
-/// the server-push `Notify` frame, the `subs_matched`/
-/// `subs_index_pruned` tails on `Inserted` and on query metrics, the
-/// subscriptions tail on `Health`, and the unknown-subscription error;
-/// version 7 added the `clauses_reordered`/`factor_hits`/
-/// `feedback_entries` counter tail on query outcomes (the first two now
-/// always 0) and an outcome tag since retired.
-/// A v7 server still accepts [`PROTO_VERSION_V6`], [`PROTO_VERSION_V5`],
-/// [`PROTO_VERSION_V4`] and [`PROTO_VERSION_V3`] hellos and answers
-/// them with frames of the matching shape (`Notify` is never sent to a
-/// pre-v6 peer).
+/// The protocol version spoken by this build — the only one the
+/// server's handshake accepts and the one every client dials.
 pub const PROTO_VERSION: u32 = 7;
-
-/// The previous protocol version, still accepted by the server's
-/// handshake. A v6 peer understands the subscription channel but not
-/// the v7 counter tail.
-pub const PROTO_VERSION_V6: u32 = 6;
-
-/// Still accepted by the server's handshake. A v5 peer understands the
-/// cascade tails but not the subscription channel.
-pub const PROTO_VERSION_V5: u32 = 5;
-
-/// Still accepted by the server's handshake. A v4 peer understands the
-/// replication channel but not the cascade tails.
-pub const PROTO_VERSION_V4: u32 = 4;
-
-/// The oldest protocol version still accepted by the server's
-/// handshake and used by the client's fallback hello.
-pub const PROTO_VERSION_V3: u32 = 3;
 
 /// Default ceiling on one frame's payload length. Large enough for a
 /// multi-million-row result (row ids are 4 bytes), small enough that a
@@ -273,7 +228,9 @@ const IDLE_BUF_CAPACITY: usize = 256 << 10;
 /// missing bytes, at most [`READ_STEP_MAX`] at a time, so a length
 /// prefix alone never makes the buffer grow — only received bytes do,
 /// and capacity stays within `max(2 x received, received + step)`.
-pub(crate) fn read_into(
+/// Server connections, the replication peer and the client all read
+/// this way.
+pub fn read_into(
     stream: &mut impl std::io::Read,
     buf: &mut Vec<u8>,
     needed: Option<usize>,
@@ -289,7 +246,7 @@ pub(crate) fn read_into(
 /// Drops a decoded frame's `consumed` bytes from the front of the
 /// connection buffer, and gives back the capacity a large frame left
 /// behind once the buffer is empty.
-pub(crate) fn consume_frame(buf: &mut Vec<u8>, consumed: usize) {
+pub fn consume_frame(buf: &mut Vec<u8>, consumed: usize) {
     buf.drain(..consumed);
     if buf.is_empty() && buf.capacity() > IDLE_BUF_CAPACITY {
         *buf = Vec::new();
@@ -338,7 +295,7 @@ pub enum Request {
         /// sequence). When present, a retried mutation with the same id
         /// is deduplicated — the server replies with the original
         /// outcome instead of applying it twice. `None` means the
-        /// client takes its chances on retry (the pre-v3 behaviour).
+        /// client takes its chances on retry.
         stmt_id: Option<StatementId>,
     },
     /// Asks for the engine's health report.
@@ -347,10 +304,10 @@ pub enum Request {
     Shutdown,
     /// Announces the client is closing the connection.
     Goodbye,
-    /// (v4) Asks for the node's replication state — the shipper's first
+    /// Asks for the node's replication state — the shipper's first
     /// message after connecting, to learn where the standby left off.
     ReplState,
-    /// (v4) Ships a batch of WAL frames to a standby, stamped with the
+    /// Ships a batch of WAL frames to a standby, stamped with the
     /// sender's epoch. A stale epoch is refused — that is the fence.
     ReplAppend {
         /// The sending primary's replication epoch.
@@ -358,13 +315,13 @@ pub enum Request {
         /// Concatenated on-disk-format WAL frames.
         frames: Vec<u8>,
     },
-    /// (v4) Ships a full checksummed snapshot for standby bootstrap
+    /// Ships a full checksummed snapshot for standby bootstrap
     /// (the snapshot payload carries the epoch internally).
     ReplSnapshot {
         /// Serialized snapshot bytes (`MPQSNAP1`-framed).
         snapshot: Vec<u8>,
     },
-    /// (v4) Promotes a standby to primary, durably bumping the epoch.
+    /// Promotes a standby to primary, durably bumping the epoch.
     Promote,
 }
 
@@ -393,7 +350,7 @@ pub enum Response {
     /// The request failed with a typed error; the connection stays
     /// usable unless the error says otherwise.
     Error(ServerError),
-    /// (v4) The node's replication state.
+    /// The node's replication state.
     ReplState {
         /// The node's role.
         role: ReplRole,
@@ -403,7 +360,7 @@ pub enum Response {
         /// `next_lsn - 1`.
         next_lsn: u64,
     },
-    /// (v4) A replication batch or snapshot was applied.
+    /// A replication batch or snapshot was applied.
     ReplAck {
         /// The standby's next LSN after applying.
         next_lsn: u64,
@@ -411,15 +368,15 @@ pub enum Response {
         /// even on the success path).
         epoch: u64,
     },
-    /// (v6) A server push on a subscriber's connection: an inserted row
+    /// A server push on a subscriber's connection: an inserted row
     /// matched one of the session's standing subscriptions, or matches
     /// were dropped because the session's notification queue
-    /// overflowed. Delivered between request/response exchanges (never
-    /// splitting one), only to peers that negotiated v6.
+    /// overflowed. Delivered between request/response exchanges, never
+    /// splitting one.
     Notify(Notification),
 }
 
-/// The body of a (v6) `Notify` push frame.
+/// The body of a `Notify` push frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Notification {
     /// An inserted row matched a standing subscription.
@@ -609,46 +566,31 @@ fn get_metrics(r: &mut WireReader<'_>) -> Result<ExecMetrics, WireError> {
             time_remaining_ms: get_opt_u64(r)?,
         },
         index_fallback: r.get_bool()?,
-        // The cascade counters travel in the v5 tail of the query
-        // outcome (after `cached_plan`), so a v4 decoder — which
-        // rejects trailing bytes — keeps working against this layout.
+        // The remaining counters travel after the query outcome's
+        // `cached_plan` (see `put_query_outcome`).
         ..ExecMetrics::default()
     })
 }
 
-/// Encodes a query outcome. The cascade metrics
-/// (`cascade_accepts`/`cascade_rejects`/`band_rows`/`scorer_ns`) ride
-/// as a v5 tail after `cached_plan`, and the subscription counters
-/// (`subs_matched`/`subs_index_pruned`) as a v6 tail after those; an
-/// older peer's decoder rejects trailing bytes, so each tail is
-/// omitted for peers below its version.
-fn put_query_outcome(w: &mut WireWriter, q: &QueryOutcome, proto_version: u32) {
+/// Encodes a query outcome. The counters [`put_metrics`] leaves out
+/// follow `cached_plan`: cascade, then subscription, then feedback.
+fn put_query_outcome(w: &mut WireWriter, q: &QueryOutcome) {
     w.put_u32s(&q.rows);
     put_metrics(w, &q.metrics);
     w.put_str(&q.plan);
     w.put_bool(q.plan_changed);
     w.put_bool(q.cached_plan);
-    if proto_version >= PROTO_VERSION_V5 {
-        w.put_u64(q.metrics.cascade_accepts);
-        w.put_u64(q.metrics.cascade_rejects);
-        w.put_u64(q.metrics.band_rows);
-        w.put_u64(q.metrics.scorer_ns);
-    }
-    if proto_version >= PROTO_VERSION_V6 {
-        w.put_u64(q.metrics.subs_matched);
-        w.put_u64(q.metrics.subs_index_pruned);
-    }
-    if proto_version >= PROTO_VERSION {
-        w.put_u64(q.metrics.clauses_reordered);
-        w.put_u64(q.metrics.factor_hits);
-        w.put_u64(q.metrics.feedback_entries);
-    }
+    w.put_u64(q.metrics.cascade_accepts);
+    w.put_u64(q.metrics.cascade_rejects);
+    w.put_u64(q.metrics.band_rows);
+    w.put_u64(q.metrics.scorer_ns);
+    w.put_u64(q.metrics.subs_matched);
+    w.put_u64(q.metrics.subs_index_pruned);
+    w.put_u64(q.metrics.clauses_reordered);
+    w.put_u64(q.metrics.factor_hits);
+    w.put_u64(q.metrics.feedback_entries);
 }
 
-/// Decodes a query outcome from any shape: bytes remaining after
-/// `cached_plan` are the v5 cascade tail, bytes remaining after that
-/// are the v6 subscription tail; counters a shorter (older-server)
-/// payload stops before keep their zero defaults.
 fn get_query_outcome(r: &mut WireReader<'_>) -> Result<QueryOutcome, WireError> {
     let mut out = QueryOutcome {
         rows: r.get_u32s()?,
@@ -657,21 +599,16 @@ fn get_query_outcome(r: &mut WireReader<'_>) -> Result<QueryOutcome, WireError> 
         plan_changed: r.get_bool()?,
         cached_plan: r.get_bool()?,
     };
-    if !r.is_exhausted() {
-        out.metrics.cascade_accepts = r.get_u64()?;
-        out.metrics.cascade_rejects = r.get_u64()?;
-        out.metrics.band_rows = r.get_u64()?;
-        out.metrics.scorer_ns = r.get_u64()?;
-    }
-    if !r.is_exhausted() {
-        out.metrics.subs_matched = r.get_u64()?;
-        out.metrics.subs_index_pruned = r.get_u64()?;
-    }
-    if !r.is_exhausted() {
-        out.metrics.clauses_reordered = r.get_u64()?;
-        out.metrics.factor_hits = r.get_u64()?;
-        out.metrics.feedback_entries = r.get_u64()?;
-    }
+    let m = &mut out.metrics;
+    m.cascade_accepts = r.get_u64()?;
+    m.cascade_rejects = r.get_u64()?;
+    m.band_rows = r.get_u64()?;
+    m.scorer_ns = r.get_u64()?;
+    m.subs_matched = r.get_u64()?;
+    m.subs_index_pruned = r.get_u64()?;
+    m.clauses_reordered = r.get_u64()?;
+    m.factor_hits = r.get_u64()?;
+    m.feedback_entries = r.get_u64()?;
     Ok(out)
 }
 
@@ -770,11 +707,10 @@ fn get_role(r: &mut WireReader<'_>) -> Result<ReplRole, WireError> {
     })
 }
 
-/// Encodes a health report at the peer's negotiated version. A v3
-/// peer's decoder rejects trailing bytes, so the v4 replication tail
-/// (role, epoch, lag) is omitted for it; likewise the v5 per-model
-/// `cascade_note` tail is omitted for v3 and v4 peers.
-fn put_health(w: &mut WireWriter, h: &EngineHealth, proto_version: u32) {
+/// Encodes a health report: the per-model fields, table and plan
+/// counts and the recovery report, then replication role, epoch and
+/// lag, one `cascade_note` per model, and the subscription fields.
+fn put_health(w: &mut WireWriter, h: &EngineHealth) {
     w.put_u32(h.models.len() as u32);
     for m in &h.models {
         w.put_str(&m.name);
@@ -792,28 +728,17 @@ fn put_health(w: &mut WireWriter, h: &EngineHealth, proto_version: u32) {
         }
         None => w.put_bool(false),
     }
-    if proto_version >= PROTO_VERSION_V4 {
-        put_role(w, h.role);
-        w.put_u64(h.epoch);
-        put_opt_u64(w, h.replica_lag_records);
-        put_opt_u64(w, h.replica_lag_bytes);
+    put_role(w, h.role);
+    w.put_u64(h.epoch);
+    put_opt_u64(w, h.replica_lag_records);
+    put_opt_u64(w, h.replica_lag_bytes);
+    for m in &h.models {
+        put_opt_str(w, m.cascade_note.as_deref());
     }
-    if proto_version >= PROTO_VERSION_V5 {
-        for m in &h.models {
-            put_opt_str(w, m.cascade_note.as_deref());
-        }
-    }
-    if proto_version >= PROTO_VERSION_V6 {
-        w.put_u64(h.subscriptions as u64);
-        put_opt_str(w, h.sub_index_note.as_deref());
-    }
+    w.put_u64(h.subscriptions as u64);
+    put_opt_str(w, h.sub_index_note.as_deref());
 }
 
-/// Decodes a health report from either shape: when bytes remain after
-/// the v3 fields, they are the v4 replication tail; when none do (a v3
-/// server answered), the replication fields take their defaults —
-/// which is how the repl's `.health` degrades gracefully against an
-/// old server.
 fn get_health(r: &mut WireReader<'_>) -> Result<EngineHealth, WireError> {
     let n = r.get_u32()? as usize;
     if n > r.remaining() {
@@ -834,25 +759,13 @@ fn get_health(r: &mut WireReader<'_>) -> Result<EngineHealth, WireError> {
     let tables = r.get_u64()? as usize;
     let cached_plans = r.get_u64()? as usize;
     let recovery = if r.get_bool()? { Some(get_recovery_report(r)?) } else { None };
-    let (role, epoch, lag_records, lag_bytes) = if r.is_exhausted() {
-        (ReplRole::Primary, 0, None, None)
-    } else {
-        (get_role(r)?, r.get_u64()?, get_opt_u64(r)?, get_opt_u64(r)?)
-    };
-    // v5 appends one optional cascade note per model; a v4 or v3
-    // server stops before them and the notes stay `None`.
-    if !r.is_exhausted() {
-        for m in &mut models {
-            m.cascade_note = get_opt_str(r)?;
-        }
+    let role = get_role(r)?;
+    let epoch = r.get_u64()?;
+    let replica_lag_records = get_opt_u64(r)?;
+    let replica_lag_bytes = get_opt_u64(r)?;
+    for m in &mut models {
+        m.cascade_note = get_opt_str(r)?;
     }
-    // v6 appends the subscription count and the degraded-matcher note;
-    // an older server stops before them and the defaults hold.
-    let (subscriptions, sub_index_note) = if r.is_exhausted() {
-        (0, None)
-    } else {
-        (r.get_u64()? as usize, get_opt_str(r)?)
-    };
     Ok(EngineHealth {
         models,
         tables,
@@ -860,10 +773,10 @@ fn get_health(r: &mut WireReader<'_>) -> Result<EngineHealth, WireError> {
         recovery,
         role,
         epoch,
-        replica_lag_records: lag_records,
-        replica_lag_bytes: lag_bytes,
-        subscriptions,
-        sub_index_note,
+        replica_lag_records,
+        replica_lag_bytes,
+        subscriptions: r.get_u64()? as usize,
+        sub_index_note: get_opt_str(r)?,
     })
 }
 
@@ -1042,11 +955,11 @@ const OUTCOME_INSERTED: u8 = 4;
 const OUTCOME_SUBSCRIBED: u8 = 5;
 const OUTCOME_UNSUBSCRIBED: u8 = 6;
 
-fn put_outcome(w: &mut WireWriter, o: &StatementOutcome, proto_version: u32) {
+fn put_outcome(w: &mut WireWriter, o: &StatementOutcome) {
     match o {
         StatementOutcome::Query(q) => {
             w.put_u8(OUTCOME_QUERY);
-            put_query_outcome(w, q, proto_version);
+            put_query_outcome(w, q);
         }
         StatementOutcome::ModelCreated { name, model, n_classes, degraded } => {
             w.put_u8(OUTCOME_MODEL_CREATED);
@@ -1067,12 +980,8 @@ fn put_outcome(w: &mut WireWriter, o: &StatementOutcome, proto_version: u32) {
             w.put_u8(OUTCOME_INSERTED);
             w.put_str(table);
             w.put_u64(*rows_inserted);
-            // The subscription counters ride as a v6 tail; a pre-v6
-            // peer's decoder rejects trailing bytes.
-            if proto_version >= PROTO_VERSION_V6 {
-                w.put_u64(*subs_matched);
-                w.put_u64(*subs_index_pruned);
-            }
+            w.put_u64(*subs_matched);
+            w.put_u64(*subs_index_pruned);
         }
         StatementOutcome::Subscribed { id } => {
             w.put_u8(OUTCOME_SUBSCRIBED);
@@ -1098,23 +1007,12 @@ fn get_outcome(r: &mut WireReader<'_>) -> Result<StatementOutcome, WireError> {
             StatementOutcome::ParallelismSet { dop: r.get_u64()? as usize }
         }
         OUTCOME_GUARD_SET => StatementOutcome::GuardSet { guard: get_guard(r)? },
-        OUTCOME_INSERTED => {
-            let table = r.get_str()?;
-            let rows_inserted = r.get_u64()?;
-            // Remaining bytes are the v6 subscription-counter tail; a
-            // pre-v6 server stops here and the counters stay zero.
-            let (subs_matched, subs_index_pruned) = if r.is_exhausted() {
-                (0, 0)
-            } else {
-                (r.get_u64()?, r.get_u64()?)
-            };
-            StatementOutcome::Inserted {
-                table,
-                rows_inserted,
-                subs_matched,
-                subs_index_pruned,
-            }
-        }
+        OUTCOME_INSERTED => StatementOutcome::Inserted {
+            table: r.get_str()?,
+            rows_inserted: r.get_u64()?,
+            subs_matched: r.get_u64()?,
+            subs_index_pruned: r.get_u64()?,
+        },
         OUTCOME_SUBSCRIBED => StatementOutcome::Subscribed { id: r.get_u64()? },
         OUTCOME_UNSUBSCRIBED => StatementOutcome::Unsubscribed { id: r.get_u64()? },
         other => {
@@ -1230,30 +1128,25 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes this response to a frame payload at the current
-    /// protocol version.
+    /// Serializes this response to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTO_VERSION)
-    }
-
-    /// Serializes this response for a peer that negotiated
-    /// `proto_version`. Older peers' decoders reject trailing bytes,
-    /// so the `Health` replication tail is only written for v4+ peers
-    /// and the cascade tails (query-outcome counters, per-model
-    /// `cascade_note`) only for v5+ peers; all other responses are
-    /// shape-identical across versions.
-    pub fn encode_versioned(&self, proto_version: u32) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(self.payload_hint());
-        self.encode_into(&mut w, proto_version);
+        self.encode_into(&mut w);
         w.into_bytes()
     }
 
-    /// Serializes this response straight into its frame for a peer that
-    /// negotiated `proto_version`: one buffer, the same bytes as
-    /// `encode_frame(&self.encode_versioned(proto_version))`.
-    pub fn to_frame(&self, proto_version: u32) -> Vec<u8> {
+    /// The same bytes as [`Response::encode`]. The argument is ignored:
+    /// there is one protocol version. Kept for callers that still pass
+    /// one.
+    pub fn encode_versioned(&self, _proto_version: u32) -> Vec<u8> {
+        self.encode()
+    }
+
+    /// Serializes this response straight into its frame: one buffer,
+    /// the same bytes as `encode_frame(&self.encode())`.
+    pub fn to_frame(&self) -> Vec<u8> {
         let mut w = frame_writer(self.payload_hint());
-        self.encode_into(&mut w, proto_version);
+        self.encode_into(&mut w);
         seal_frame(w.into_bytes())
     }
 
@@ -1270,7 +1163,7 @@ impl Response {
         }
     }
 
-    fn encode_into(&self, w: &mut WireWriter, proto_version: u32) {
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Response::Hello { proto_version, session_id, server } => {
                 w.put_u8(RESP_HELLO);
@@ -1280,11 +1173,11 @@ impl Response {
             }
             Response::Outcome(o) => {
                 w.put_u8(RESP_OUTCOME);
-                put_outcome(w, o, proto_version);
+                put_outcome(w, o);
             }
             Response::Health(h) => {
                 w.put_u8(RESP_HEALTH);
-                put_health(w, h, proto_version);
+                put_health(w, h);
             }
             Response::ShutdownStarted => w.put_u8(RESP_SHUTDOWN_STARTED),
             Response::Goodbye => w.put_u8(RESP_GOODBYE),
@@ -1480,7 +1373,8 @@ mod tests {
             plan_changed: true,
             cached_plan: false,
         }));
-        assert_eq!(resp.to_frame(PROTO_VERSION), GOLDEN_OUTCOME_FRAME);
+        assert_eq!(resp.to_frame(), GOLDEN_OUTCOME_FRAME);
+        assert_eq!(encode_frame(&resp.encode()), GOLDEN_OUTCOME_FRAME);
         assert_eq!(encode_frame(&resp.encode_versioned(PROTO_VERSION)), GOLDEN_OUTCOME_FRAME);
         let (payload, consumed) =
             decode_frame(GOLDEN_OUTCOME_FRAME, DEFAULT_MAX_FRAME_LEN).unwrap();
@@ -1639,224 +1533,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn health_downgrades_to_v3_shape_and_decodes_both_ways() {
-        let health = EngineHealth {
-            models: Vec::new(),
-            tables: 1,
-            cached_plans: 0,
-            recovery: None,
-            role: ReplRole::Standby,
-            epoch: 7,
-            replica_lag_records: Some(5),
-            replica_lag_bytes: Some(333),
-            subscriptions: 0,
-            sub_index_note: None,
-        };
-        let resp = Response::Health(health);
-        // v4 encoding carries the replication tail verbatim.
-        assert_eq!(Response::decode(&resp.encode_versioned(PROTO_VERSION)).unwrap(), resp);
-        // v3 encoding omits the tail (a v3 decoder rejects trailing
-        // bytes); our decoder fills the defaults back in.
-        let v3 = Response::decode(&resp.encode_versioned(PROTO_VERSION_V3)).unwrap();
-        let Response::Health(h) = v3 else { panic!("not a health response") };
-        assert_eq!(h.tables, 1);
-        assert_eq!(h.role, ReplRole::Primary);
-        assert_eq!(h.epoch, 0);
-        assert_eq!(h.replica_lag_records, None);
-        assert_eq!(h.replica_lag_bytes, None);
-        // And the v3 payload is strictly shorter.
-        assert!(
-            resp.encode_versioned(PROTO_VERSION_V3).len()
-                < resp.encode_versioned(PROTO_VERSION).len()
-        );
-    }
-
-    #[test]
-    fn outcome_downgrades_to_v4_shape_and_decodes_both_ways() {
-        let resp = Response::Outcome(StatementOutcome::Query(QueryOutcome {
-            rows: vec![2, 4],
-            metrics: ExecMetrics {
-                rows_examined: 10,
-                output_rows: 2,
-                cascade_accepts: 6,
-                cascade_rejects: 2,
-                band_rows: 2,
-                scorer_ns: 777,
-                ..ExecMetrics::default()
-            },
-            plan: "full scan".into(),
-            plan_changed: false,
-            cached_plan: false,
-        }));
-        // v5 encoding carries the cascade tail verbatim.
-        assert_eq!(Response::decode(&resp.encode_versioned(PROTO_VERSION)).unwrap(), resp);
-        // v4 encoding omits the tail (a v4 decoder rejects trailing
-        // bytes); our decoder fills the zero defaults back in.
-        let v4 = Response::decode(&resp.encode_versioned(PROTO_VERSION_V4)).unwrap();
-        let Response::Outcome(StatementOutcome::Query(q)) = v4 else {
-            panic!("not a query outcome")
-        };
-        assert_eq!(q.rows, vec![2, 4]);
-        assert_eq!(q.metrics.rows_examined, 10);
-        assert_eq!(q.metrics.cascade_accepts, 0);
-        assert_eq!(q.metrics.cascade_rejects, 0);
-        assert_eq!(q.metrics.band_rows, 0);
-        assert_eq!(q.metrics.scorer_ns, 0);
-        // And the v4 payload is strictly shorter.
-        assert!(
-            resp.encode_versioned(PROTO_VERSION_V4).len()
-                < resp.encode_versioned(PROTO_VERSION).len()
-        );
-        // A health report with models downgrades the same way: the v4
-        // shape keeps the replication tail but drops the notes.
-        let health = Response::Health(EngineHealth {
-            models: vec![ModelHealth {
-                name: "m".into(),
-                version: 1,
-                degraded: None,
-                n_envelopes: 2,
-                exact_envelopes: 2,
-                cascade_note: Some("disabled".into()),
-            }],
-            tables: 1,
-            cached_plans: 0,
-            recovery: None,
-            role: ReplRole::Standby,
-            epoch: 3,
-            replica_lag_records: None,
-            replica_lag_bytes: None,
-            subscriptions: 2,
-            sub_index_note: None,
-        });
-        assert_eq!(Response::decode(&health.encode_versioned(PROTO_VERSION)).unwrap(), health);
-        let v4 = Response::decode(&health.encode_versioned(PROTO_VERSION_V4)).unwrap();
-        let Response::Health(h) = v4 else { panic!("not a health response") };
-        assert_eq!(h.role, ReplRole::Standby, "v4 keeps the replication tail");
-        assert_eq!(h.models[0].cascade_note, None, "v4 drops the cascade notes");
-        assert_eq!(h.subscriptions, 0, "v4 drops the subscription tail");
-    }
-
-    #[test]
-    fn subscription_fields_downgrade_to_v5_shape() {
-        // The Inserted counters ride a v6 tail: a v5 encoding drops
-        // them and the decoder restores zeros.
-        let inserted = Response::Outcome(StatementOutcome::Inserted {
-            table: "t".into(),
-            rows_inserted: 2,
-            subs_matched: 5,
-            subs_index_pruned: 40,
-        });
-        assert_eq!(
-            Response::decode(&inserted.encode_versioned(PROTO_VERSION)).unwrap(),
-            inserted
-        );
-        let v5 = Response::decode(&inserted.encode_versioned(PROTO_VERSION_V5)).unwrap();
-        let Response::Outcome(StatementOutcome::Inserted {
-            subs_matched, subs_index_pruned, rows_inserted, ..
-        }) = v5
-        else {
-            panic!("not an inserted outcome")
-        };
-        assert_eq!(rows_inserted, 2);
-        assert_eq!(subs_matched, 0);
-        assert_eq!(subs_index_pruned, 0);
-        assert!(
-            inserted.encode_versioned(PROTO_VERSION_V5).len()
-                < inserted.encode_versioned(PROTO_VERSION).len()
-        );
-        // Same for the query-metrics tail...
-        let query = Response::Outcome(StatementOutcome::Query(QueryOutcome {
-            rows: vec![1],
-            metrics: ExecMetrics {
-                rows_examined: 4,
-                cascade_accepts: 2,
-                subs_matched: 3,
-                subs_index_pruned: 9,
-                clauses_reordered: 5,
-                factor_hits: 17,
-                feedback_entries: 2,
-                ..ExecMetrics::default()
-            },
-            plan: "full scan".into(),
-            plan_changed: false,
-            cached_plan: false,
-        }));
-        assert_eq!(Response::decode(&query.encode_versioned(PROTO_VERSION)).unwrap(), query);
-        let v6 = Response::decode(&query.encode_versioned(PROTO_VERSION_V6)).unwrap();
-        let Response::Outcome(StatementOutcome::Query(q)) = v6 else {
-            panic!("not a query outcome")
-        };
-        assert_eq!(q.metrics.subs_matched, 3, "v6 keeps the subscription tail");
-        assert_eq!(q.metrics.clauses_reordered, 0, "v6 drops the v7 counter tail");
-        assert_eq!(q.metrics.factor_hits, 0);
-        assert_eq!(q.metrics.feedback_entries, 0);
-        let v5 = Response::decode(&query.encode_versioned(PROTO_VERSION_V5)).unwrap();
-        let Response::Outcome(StatementOutcome::Query(q)) = v5 else {
-            panic!("not a query outcome")
-        };
-        assert_eq!(q.metrics.cascade_accepts, 2, "v5 keeps the cascade tail");
-        assert_eq!(q.metrics.subs_matched, 0, "v5 drops the subscription tail");
-        assert_eq!(q.metrics.subs_index_pruned, 0);
-        // ...and for the health subscriptions tail.
-        let health = Response::Health(EngineHealth {
-            models: Vec::new(),
-            tables: 0,
-            cached_plans: 0,
-            recovery: None,
-            role: ReplRole::Primary,
-            epoch: 0,
-            replica_lag_records: None,
-            replica_lag_bytes: None,
-            subscriptions: 11,
-            sub_index_note: Some("degraded".into()),
-        });
-        assert_eq!(Response::decode(&health.encode_versioned(PROTO_VERSION)).unwrap(), health);
-        let v5 = Response::decode(&health.encode_versioned(PROTO_VERSION_V5)).unwrap();
-        let Response::Health(h) = v5 else { panic!("not a health response") };
-        assert_eq!(h.subscriptions, 0);
-        assert_eq!(h.sub_index_note, None);
-    }
-
+    /// There is one shape per message, so every strict prefix of a
+    /// payload is a truncation and fails typed — the fixed tails of a
+    /// query outcome, an `Inserted` outcome and a health report with
+    /// models included.
     #[test]
     fn truncated_payloads_fail_cleanly() {
-        let resp = Response::Outcome(StatementOutcome::Query(QueryOutcome {
-            rows: vec![3, 4, 5],
-            metrics: ExecMetrics::default(),
-            plan: "full scan".into(),
-            plan_changed: false,
-            cached_plan: true,
-        }));
-        let payload = resp.encode();
-        // The prefixes that are exactly an older version's shape
-        // (cascade tail absent, subscription tail absent, v7 counter tail
-        // absent) decode by design — those are the downgrade paths.
-        // Every other strict prefix must fail cleanly.
-        let v4_len = resp.encode_versioned(PROTO_VERSION_V4).len();
-        let v5_len = resp.encode_versioned(PROTO_VERSION_V5).len();
-        let v6_len = resp.encode_versioned(PROTO_VERSION_V6).len();
-        for cut in 0..payload.len() {
-            if cut == v4_len || cut == v5_len || cut == v6_len {
-                assert!(
-                    Response::decode(&payload[..cut]).is_ok(),
-                    "version-shaped cut at {cut}"
-                );
-            } else {
-                assert!(Response::decode(&payload[..cut]).is_err(), "cut at {cut}");
+        let resps = [
+            Response::Outcome(StatementOutcome::Query(QueryOutcome {
+                rows: vec![3, 4, 5],
+                metrics: ExecMetrics::default(),
+                plan: "full scan".into(),
+                plan_changed: false,
+                cached_plan: true,
+            })),
+            Response::Outcome(StatementOutcome::Inserted {
+                table: "t".into(),
+                rows_inserted: 2,
+                subs_matched: 5,
+                subs_index_pruned: 40,
+            }),
+            Response::Health(EngineHealth {
+                models: vec![ModelHealth {
+                    name: "m".into(),
+                    version: 1,
+                    degraded: None,
+                    n_envelopes: 2,
+                    exact_envelopes: 2,
+                    cascade_note: Some("disabled".into()),
+                }],
+                tables: 1,
+                cached_plans: 0,
+                recovery: None,
+                role: ReplRole::Standby,
+                epoch: 3,
+                replica_lag_records: None,
+                replica_lag_bytes: None,
+                subscriptions: 2,
+                sub_index_note: None,
+            }),
+            Response::Notify(Notification::Match {
+                subscription: 3,
+                table: "t".into(),
+                row_id: 9,
+                row: vec![1, 2],
+                metrics: MatchMetrics::default(),
+            }),
+        ];
+        for resp in &resps {
+            let payload = resp.encode();
+            assert_eq!(&Response::decode(&payload).unwrap(), resp);
+            for cut in 0..payload.len() {
+                assert!(Response::decode(&payload[..cut]).is_err(), "{resp:?} cut at {cut}");
             }
-        }
-        // A torn Notify frame fails cleanly too (no downgrade shapes:
-        // the frame itself is v6-only).
-        let notify = Response::Notify(Notification::Match {
-            subscription: 3,
-            table: "t".into(),
-            row_id: 9,
-            row: vec![1, 2],
-            metrics: MatchMetrics::default(),
-        });
-        let payload = notify.encode();
-        for cut in 0..payload.len() {
-            assert!(Response::decode(&payload[..cut]).is_err(), "notify cut at {cut}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! stream decoding, LSN-deduplicated replay — see the engine's
 //! `persist::replicate`); this module owns the control plane: a
 //! background thread on the primary that tails the WAL and pushes
-//! batches to the standby over the protocol-v4 replication requests,
+//! batches to the standby over the protocol's replication requests,
 //! plus [`ReplPeer`], the minimal blocking protocol client it (and the
 //! supervisor) speaks through.
 //!
@@ -86,7 +86,7 @@ pub struct PeerState {
     pub next_lsn: u64,
 }
 
-/// A minimal blocking protocol-v4 session, used by the shipper and the
+/// A minimal blocking protocol session, used by the shipper and the
 /// supervisor (which live in this crate and therefore cannot use the
 /// full `mpq-client`).
 pub struct ReplPeer {
@@ -96,7 +96,7 @@ pub struct ReplPeer {
 
 impl ReplPeer {
     /// Connects, arms `timeout` on connect and every read, and
-    /// performs the v4 handshake.
+    /// performs the handshake.
     pub fn connect(addr: &str, timeout: Duration) -> Result<ReplPeer, PeerError> {
         let sock_addr = addr
             .parse()

@@ -23,8 +23,7 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionError};
 use crate::notify::{NotifyQueue, SubRegistry, DEFAULT_NOTIFY_QUEUE_CAP};
 use crate::protocol::{
     consume_frame, decode_frame, read_into, FrameError, Request, Response, ServerError,
-    DEFAULT_MAX_FRAME_LEN, PROTO_VERSION, PROTO_VERSION_V3, PROTO_VERSION_V4,
-    PROTO_VERSION_V5, PROTO_VERSION_V6,
+    DEFAULT_MAX_FRAME_LEN, PROTO_VERSION,
 };
 use mpq_engine::{Engine, FaultInjector, SessionState, StatementId, StatementOutcome};
 use std::io::{self, Write};
@@ -301,67 +300,36 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) -> ConnExit {
     // it must arrive within the read-timeout budget — a pre-Hello
     // connection holds server resources while having proven nothing.
     let mut buf: Vec<u8> = Vec::new();
-    let hello = match read_request(&mut stream, &mut buf, &shared, true, None, PROTO_VERSION) {
+    let hello = match read_request(&mut stream, &mut buf, &shared, true, None) {
         Ok(Some(req)) => req,
         Ok(None) => return ConnExit::Clean,
         Err(exit) => return exit,
     };
-    // The connection speaks the version the client asked for: v7
-    // natively, v6/v5/v4/v3 for old clients (the shape differences are
-    // the Health replication tail, absent below v4, the cascade tails,
-    // absent below v5, the subscription machinery — counters, Notify
-    // push frames, SUBSCRIBE/UNSUBSCRIBE — absent below v6, and the v7
-    // counter tail, absent below v7).
-    let (proto, session_id) = match hello {
-        Request::Hello { proto_version, client: _ }
-            if proto_version == PROTO_VERSION
-                || proto_version == PROTO_VERSION_V6
-                || proto_version == PROTO_VERSION_V5
-                || proto_version == PROTO_VERSION_V4
-                || proto_version == PROTO_VERSION_V3 =>
-        {
-            let session_id = shared.next_session_id.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Hello {
-                proto_version,
-                session_id,
-                server: shared.cfg.server_name.clone(),
-            };
-            if send_response(&mut stream, &resp, proto_version, &faults).is_err() {
-                return ConnExit::Abrupt;
-            }
-            (proto_version, session_id)
-        }
-        Request::Hello { proto_version, .. } => {
-            let _ = send_response(
-                &mut stream,
-                &Response::Error(ServerError::Protocol {
-                    detail: format!(
-                        "protocol version {proto_version} not supported (server speaks {PROTO_VERSION})"
-                    ),
-                }),
-                PROTO_VERSION,
-                &faults,
-            );
-            return ConnExit::Abrupt;
-        }
-        _ => {
-            let _ = send_response(
-                &mut stream,
-                &Response::Error(ServerError::Protocol {
-                    detail: "first request must be Hello".to_string(),
-                }),
-                PROTO_VERSION,
-                &faults,
-            );
-            return ConnExit::Abrupt;
-        }
+    // One protocol version: any other hello is refused and the
+    // connection closed.
+    let refusal = match hello {
+        Request::Hello { proto_version: PROTO_VERSION, .. } => None,
+        Request::Hello { proto_version, .. } => Some(format!(
+            "protocol version {proto_version} not supported (server speaks {PROTO_VERSION})"
+        )),
+        _ => Some("first request must be Hello".to_string()),
     };
+    if let Some(detail) = refusal {
+        return refuse(&mut stream, detail, &faults);
+    }
+    let session_id = shared.next_session_id.fetch_add(1, Ordering::Relaxed);
+    let resp = Response::Hello {
+        proto_version: PROTO_VERSION,
+        session_id,
+        server: shared.cfg.server_name.clone(),
+    };
+    if send_response(&mut stream, &resp, &faults).is_err() {
+        return ConnExit::Abrupt;
+    }
 
-    // Push queue: only a v6+ peer understands Notify frames, so only
-    // such a session gets one (and may SUBSCRIBE).
-    let notify = (proto >= PROTO_VERSION_V6)
-        .then(|| shared.subs.register_session(session_id, shared.cfg.notify_queue_cap));
-    let exit = session_loop(&mut stream, &mut buf, &shared, proto, session_id, notify.as_deref());
+    // Every session gets a push queue, so any session may SUBSCRIBE.
+    let notify = shared.subs.register_session(session_id, shared.cfg.notify_queue_cap);
+    let exit = session_loop(&mut stream, &mut buf, &shared, session_id, &notify);
     // Whatever way the connection ended, the session's queue and its
     // claim on subscriptions go with it (the subscriptions themselves
     // are durable engine state and survive).
@@ -373,9 +341,8 @@ fn session_loop(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
     shared: &Arc<Shared>,
-    proto: u32,
     session_id: u64,
-    notify: Option<&NotifyQueue>,
+    notify: &NotifyQueue,
 ) -> ConnExit {
     let faults = shared.engine.fault_injector();
     // Session scope: SET statements on this connection land here, not
@@ -383,7 +350,7 @@ fn session_loop(
     let mut session = SessionState::new();
 
     loop {
-        let req = match read_request(stream, buf, shared, false, notify, proto) {
+        let req = match read_request(stream, buf, shared, false, Some(notify)) {
             Ok(Some(req)) => req,
             Ok(None) => return ConnExit::Clean,
             Err(exit) => return exit,
@@ -393,7 +360,7 @@ fn session_loop(
                 detail: "duplicate Hello".to_string(),
             }),
             Request::Statement { sql, stmt_id } => {
-                let resp = handle_statement(shared, &mut session, &sql, stmt_id, proto);
+                let resp = handle_statement(shared, &mut session, &sql, stmt_id);
                 // Ownership bookkeeping *before* the ack goes out: once
                 // the client sees `Subscribed`, matches from any later
                 // acked INSERT are guaranteed a queue to land in.
@@ -414,7 +381,7 @@ fn session_loop(
                 Response::ShutdownStarted
             }
             Request::Goodbye => {
-                let _ = send_response(stream, &Response::Goodbye, proto, &faults);
+                let _ = send_response(stream, &Response::Goodbye, &faults);
                 let _ = stream.shutdown(SockShutdown::Both);
                 return ConnExit::Clean;
             }
@@ -451,7 +418,7 @@ fn session_loop(
                 Err(e) => Response::Error(ServerError::Engine(e)),
             },
         };
-        let failed = send_response(stream, &resp, proto, &faults).is_err();
+        let failed = send_response(stream, &resp, &faults).is_err();
         if failed || matches!(resp, Response::Error(ServerError::Protocol { .. })) {
             let _ = stream.shutdown(SockShutdown::Both);
             return ConnExit::Abrupt;
@@ -459,11 +426,9 @@ fn session_loop(
         // Flush pushes eagerly after each response: the common case is
         // a session whose own INSERT just matched its own subscription
         // — the Notify lands right behind the Inserted ack.
-        if let Some(q) = notify {
-            if flush_notifications(stream, q, proto, &faults).is_err() {
-                let _ = stream.shutdown(SockShutdown::Both);
-                return ConnExit::Abrupt;
-            }
+        if flush_notifications(stream, notify, &faults).is_err() {
+            let _ = stream.shutdown(SockShutdown::Both);
+            return ConnExit::Abrupt;
         }
     }
 }
@@ -473,11 +438,10 @@ fn session_loop(
 fn flush_notifications(
     stream: &mut TcpStream,
     queue: &NotifyQueue,
-    proto: u32,
     faults: &FaultInjector,
 ) -> io::Result<()> {
     while let Some(n) = queue.pop() {
-        send_response(stream, &Response::Notify(n), proto, faults)?;
+        send_response(stream, &Response::Notify(n), faults)?;
     }
     Ok(())
 }
@@ -487,20 +451,9 @@ fn handle_statement(
     session: &mut SessionState,
     sql: &str,
     stmt_id: Option<StatementId>,
-    proto: u32,
 ) -> Response {
     if shared.is_shutting_down() {
         return Response::Error(ServerError::ShuttingDown);
-    }
-    // A pre-v6 peer has no way to receive the Notify frames a
-    // subscription exists to produce — registering one would be a
-    // silent black hole, so it is a protocol violation instead.
-    if proto < PROTO_VERSION_V6 && is_subscription_sql(sql) {
-        return Response::Error(ServerError::Protocol {
-            detail: format!(
-                "SUBSCRIBE/UNSUBSCRIBE require protocol v{PROTO_VERSION_V6} (peer speaks v{proto})"
-            ),
-        });
     }
     // Two refusal sources: a statically read-only server (`--read-only`)
     // and the engine's *live* role — a standby refuses mutations until
@@ -545,16 +498,9 @@ fn handle_statement(
 /// even for tables it does not know about yet.
 fn is_mutation_sql(sql: &str) -> bool {
     let first = sql.split_whitespace().next().unwrap_or("");
-    first.eq_ignore_ascii_case("insert")
-        || first.eq_ignore_ascii_case("create")
-        || is_subscription_sql(sql)
-}
-
-/// True when the statement's leading keyword is `SUBSCRIBE` or
-/// `UNSUBSCRIBE` — the statements only a v6 peer may issue.
-fn is_subscription_sql(sql: &str) -> bool {
-    let first = sql.split_whitespace().next().unwrap_or("");
-    first.eq_ignore_ascii_case("subscribe") || first.eq_ignore_ascii_case("unsubscribe")
+    ["insert", "create", "subscribe", "unsubscribe"]
+        .iter()
+        .any(|kw| first.eq_ignore_ascii_case(kw))
 }
 
 /// Reads one request frame. `Ok(None)` means the connection ended
@@ -573,14 +519,13 @@ fn read_request(
     shared: &Shared,
     timebox_idle: bool,
     notify: Option<&NotifyQueue>,
-    proto: u32,
 ) -> Result<Option<Request>, ConnExit> {
     let faults = shared.engine.fault_injector();
     let mut partial_since: Option<Instant> =
         if timebox_idle { Some(Instant::now()) } else { None };
     loop {
         if let Some(q) = notify {
-            if flush_notifications(stream, q, proto, &faults).is_err() {
+            if flush_notifications(stream, q, &faults).is_err() {
                 let _ = stream.shutdown(SockShutdown::Both);
                 return Err(ConnExit::Abrupt);
             }
@@ -592,33 +537,13 @@ fn read_request(
                 consume_frame(buf, consumed);
                 return match decoded {
                     Ok(req) => Ok(Some(req)),
-                    Err(e) => {
-                        let _ = send_response(
-                            stream,
-                            &Response::Error(ServerError::Protocol {
-                                detail: format!("undecodable request: {e}"),
-                            }),
-                            PROTO_VERSION,
-                            &faults,
-                        );
-                        let _ = stream.shutdown(SockShutdown::Both);
-                        Err(ConnExit::Abrupt)
-                    }
+                    Err(e) => Err(refuse(stream, format!("undecodable request: {e}"), &faults)),
                 };
             }
             Err(FrameError::Incomplete { needed }) => needed,
             Err(e) => {
                 // TooLong / BadCrc: the stream cannot be resynchronized.
-                let _ = send_response(
-                    stream,
-                    &Response::Error(ServerError::Protocol {
-                        detail: format!("bad frame: {e}"),
-                    }),
-                    PROTO_VERSION,
-                    &faults,
-                );
-                let _ = stream.shutdown(SockShutdown::Both);
-                return Err(ConnExit::Abrupt);
+                return Err(refuse(stream, format!("bad frame: {e}"), &faults));
             }
         };
 
@@ -628,7 +553,7 @@ fn read_request(
             }
             if shared.is_shutting_down() {
                 // Idle at shutdown: wave goodbye and drain out.
-                let _ = send_response(stream, &Response::Goodbye, PROTO_VERSION, &faults);
+                let _ = send_response(stream, &Response::Goodbye, &faults);
                 let _ = stream.shutdown(SockShutdown::Both);
                 return Ok(None);
             }
@@ -640,19 +565,9 @@ fn read_request(
                 // Slow-loris: a partial frame (or an unfinished
                 // handshake) has been dribbling in for longer than any
                 // honest client needs.
-                let detail = if timebox_idle {
-                    "handshake timed out".to_string()
-                } else {
-                    "request read timed out".to_string()
-                };
-                let _ = send_response(
-                    stream,
-                    &Response::Error(ServerError::Protocol { detail }),
-                    PROTO_VERSION,
-                    &faults,
-                );
-                let _ = stream.shutdown(SockShutdown::Both);
-                return Err(ConnExit::Abrupt);
+                let detail =
+                    if timebox_idle { "handshake timed out" } else { "request read timed out" };
+                return Err(refuse(stream, detail.to_string(), &faults));
             }
         }
 
@@ -671,17 +586,20 @@ fn read_request(
     }
 }
 
+/// Answers a protocol violation with a typed [`ServerError::Protocol`]
+/// and severs the connection.
+fn refuse(stream: &mut TcpStream, detail: String, faults: &FaultInjector) -> ConnExit {
+    let _ = send_response(stream, &Response::Error(ServerError::Protocol { detail }), faults);
+    let _ = stream.shutdown(SockShutdown::Both);
+    ConnExit::Abrupt
+}
+
 /// Writes one response frame, honouring armed connection faults:
 /// `conn_torn_frame` flips a payload byte (CRC now fails on the
 /// client), `conn_drop_mid_response` writes half the frame and severs
 /// the socket.
-fn send_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    proto_version: u32,
-    faults: &FaultInjector,
-) -> io::Result<()> {
-    let mut frame = resp.to_frame(proto_version);
+fn send_response(stream: &mut TcpStream, resp: &Response, faults: &FaultInjector) -> io::Result<()> {
+    let mut frame = resp.to_frame();
     if faults.take_conn_torn_frame() {
         // Corrupt one payload byte *after* the CRC was computed.
         let last = frame.len() - 1;

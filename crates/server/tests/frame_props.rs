@@ -2,20 +2,21 @@
 //! for arbitrary payloads, and every mangled input — truncated at any
 //! byte, bit-flipped anywhere, or carrying a hostile length prefix —
 //! fails with a *typed* error, never a panic and never a wrong payload.
-//! The same discipline is checked for the replication layer: the v4
+//! The same discipline is checked for the replication layer: the
 //! replication messages and the shipped WAL-frame stream they carry —
 //! and, deterministically rather than sampled, for the two messages
 //! that go through the bulk slice codecs: a query outcome's row ids
-//! (up to a million) and a `Notify` match's row.
+//! (up to a million) and a `Notify` match's row — and for the two
+//! other messages with fixed counter tails, an `Inserted` outcome and
+//! a health report.
 
 use mpq_engine::{
-    decode_stream, encode_stream, ExecMetrics, LogOp, MatchMetrics, QueryOutcome, ReplRole,
-    StatementOutcome,
+    decode_stream, encode_stream, EngineHealth, ExecMetrics, LogOp, MatchMetrics, ModelHealth,
+    QueryOutcome, ReplRole, StatementOutcome,
 };
 use mpq_server::protocol::{
     decode_frame, encode_frame, FrameError, Notification, Request, Response, ServerError,
-    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTO_VERSION, PROTO_VERSION_V4,
-    PROTO_VERSION_V5, PROTO_VERSION_V6,
+    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
 };
 use mpq_types::wire::WireError;
 use proptest::prelude::*;
@@ -143,7 +144,7 @@ proptest! {
             session_id,
             server: sql,
         };
-        let frame = resp.to_frame(PROTO_VERSION);
+        let frame = resp.to_frame();
         prop_assert_eq!(&frame, &encode_frame(&resp.encode()));
         let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
         prop_assert_eq!(Response::decode(&payload).unwrap(), resp);
@@ -185,7 +186,7 @@ proptest! {
             Response::ReplState { role, epoch, next_lsn },
             Response::ReplAck { next_lsn, epoch },
         ] {
-            let frame = resp.to_frame(PROTO_VERSION);
+            let frame = resp.to_frame();
             let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             prop_assert_eq!(Response::decode(&payload).unwrap(), resp);
         }
@@ -309,7 +310,7 @@ fn notify_match() -> Response {
 fn outcomes_roundtrip_from_no_rows_to_a_million() {
     for n_rows in [0, 1, 14_000, 1_000_000] {
         let resp = outcome(n_rows);
-        let frame = resp.to_frame(PROTO_VERSION);
+        let frame = resp.to_frame();
         assert_eq!(frame, encode_frame(&resp.encode()), "{n_rows} rows: one encoding");
         let (payload, consumed) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
         assert_eq!(consumed, frame.len());
@@ -318,11 +319,9 @@ fn outcomes_roundtrip_from_no_rows_to_a_million() {
 }
 
 /// Every strict prefix of the frame is `Incomplete`; every strict
-/// prefix of the payload inside an intact frame is a typed `WireError`
-/// — except, for a query outcome, the cuts that are exactly an older
-/// protocol version's shape, which decode by design.
-fn assert_prefixes_fail_typed(resp: &Response, version_shaped: &[usize]) {
-    let frame = resp.to_frame(PROTO_VERSION);
+/// prefix of the payload inside an intact frame is a typed `WireError`.
+fn assert_prefixes_fail_typed(resp: &Response) {
+    let frame = resp.to_frame();
     for cut in 0..frame.len() {
         match decode_frame(&frame[..cut], DEFAULT_MAX_FRAME_LEN) {
             Err(FrameError::Incomplete { needed }) => {
@@ -334,25 +333,53 @@ fn assert_prefixes_fail_typed(resp: &Response, version_shaped: &[usize]) {
     let payload = &frame[FRAME_HEADER_LEN..];
     for cut in 0..payload.len() {
         match Response::decode(&payload[..cut]) {
-            Ok(_) => assert!(version_shaped.contains(&cut), "payload cut at {cut} decoded"),
-            Err(WireError::Truncated { .. } | WireError::Invalid { .. }) => {
-                assert!(!version_shaped.contains(&cut), "version-shaped cut at {cut} refused");
-            }
+            Ok(_) => panic!("payload cut at {cut} decoded"),
+            Err(WireError::Truncated { .. } | WireError::Invalid { .. }) => {}
         }
     }
 }
 
 #[test]
 fn every_prefix_of_a_wide_outcome_fails_typed() {
-    let resp = outcome(14_000);
-    let older_shapes = [PROTO_VERSION_V4, PROTO_VERSION_V5, PROTO_VERSION_V6]
-        .map(|v| resp.encode_versioned(v).len());
-    assert_prefixes_fail_typed(&resp, &older_shapes);
+    assert_prefixes_fail_typed(&outcome(14_000));
 }
 
 #[test]
 fn every_prefix_of_a_notify_match_fails_typed() {
-    assert_prefixes_fail_typed(&notify_match(), &[]);
+    assert_prefixes_fail_typed(&notify_match());
+}
+
+/// The counter tails of an `Inserted` outcome and of a health report
+/// are part of the one shape: a payload cut where an older protocol
+/// version's message ended is a truncation like any other.
+#[test]
+fn every_prefix_of_an_insert_and_a_health_report_fails_typed() {
+    assert_prefixes_fail_typed(&Response::Outcome(StatementOutcome::Inserted {
+        table: "t".into(),
+        rows_inserted: 3,
+        subs_matched: 7,
+        subs_index_pruned: 1_893,
+    }));
+    let model = |name: &str, cascade_note: Option<&str>| ModelHealth {
+        name: name.into(),
+        version: 2,
+        degraded: None,
+        n_envelopes: 4,
+        exact_envelopes: 3,
+        cascade_note: cascade_note.map(Into::into),
+    };
+    assert_prefixes_fail_typed(&Response::Health(EngineHealth {
+        models: vec![model("m1", Some("cascade disabled")), model("m2", None)],
+        tables: 2,
+        cached_plans: 5,
+        recovery: None,
+        role: ReplRole::Standby,
+        epoch: 3,
+        replica_lag_records: Some(4),
+        replica_lag_bytes: None,
+        subscriptions: 6,
+        sub_index_note: None,
+    }));
 }
 
 /// Flipping `bit` of `frame[idx]` must never decode: a flip in the CRC
@@ -372,7 +399,7 @@ fn assert_flip_is_caught(frame: &mut [u8], idx: usize, bit: usize) {
 #[test]
 fn any_single_bit_flip_is_caught_by_the_crc() {
     // Exhaustively on frames short enough to afford it ...
-    for mut frame in [outcome(100).to_frame(PROTO_VERSION), notify_match().to_frame(PROTO_VERSION)]
+    for mut frame in [outcome(100).to_frame(), notify_match().to_frame()]
     {
         for idx in 0..frame.len() {
             for bit in 0..8 {
@@ -383,7 +410,7 @@ fn any_single_bit_flip_is_caught_by_the_crc() {
     // ... and on the wide frame: all of the header, both ends of the
     // payload, and a stride through the row ids that visits every
     // position within a sixteen-byte CRC block (977 = 61 x 16 + 1).
-    let mut frame = outcome(14_000).to_frame(PROTO_VERSION);
+    let mut frame = outcome(14_000).to_frame();
     let ends = (0..32).chain(frame.len() - 32..frame.len());
     for idx in ends.chain((32..frame.len() - 32).step_by(977)) {
         for bit in 0..8 {

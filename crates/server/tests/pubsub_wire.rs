@@ -1,17 +1,12 @@
 //! Wire-level tests for standing subscriptions: `SUBSCRIBE` over the
 //! protocol, server-push `Notify` frames to the subscribing session,
-//! the lagging-subscriber gap marker, the one-shot overflow-pulse
-//! fault, and the v6 gate.
+//! the lagging-subscriber gap marker, and the one-shot overflow-pulse
+//! fault.
 
 use mpq_client::{Client, ClientError, Notification};
 use mpq_engine::{Catalog, Engine, EngineError, StatementOutcome, Table};
-use mpq_server::protocol::{
-    decode_frame, encode_frame, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTO_VERSION_V5,
-};
 use mpq_server::{Server, ServerConfig, ServerError};
 use mpq_types::{AttrDomain, Attribute, Dataset, Schema};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,52 +168,5 @@ fn overflow_pulse_fault_surfaces_as_wire_gap() {
         "{delivered:?}"
     );
     assert!(!faults.notify_overflow_pulse_armed(), "the pulse is one-shot");
-    server.shutdown();
-}
-
-/// A pre-v6 peer cannot receive Notify frames, so its SUBSCRIBE is a
-/// protocol violation, refused before it reaches the engine.
-#[test]
-fn pre_v6_peer_may_not_subscribe() {
-    let engine = demo_engine();
-    let server = start_with_cap(engine, 256);
-    let addr = server.local_addr();
-
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut buf = Vec::new();
-    let exchange = |stream: &mut TcpStream, buf: &mut Vec<u8>, req: &Request| -> Response {
-        stream.write_all(&encode_frame(&req.encode())).unwrap();
-        stream.flush().unwrap();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Ok((payload, consumed)) = decode_frame(buf, DEFAULT_MAX_FRAME_LEN) {
-                let resp = Response::decode(&payload).unwrap();
-                buf.drain(..consumed);
-                return resp;
-            }
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server hung up mid-exchange");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-    };
-
-    let hello = exchange(
-        &mut stream,
-        &mut buf,
-        &Request::Hello { proto_version: PROTO_VERSION_V5, client: "old".into() },
-    );
-    assert!(matches!(hello, Response::Hello { .. }), "v5 still handshakes: {hello:?}");
-
-    let resp = exchange(
-        &mut stream,
-        &mut buf,
-        &Request::Statement { sql: "SUBSCRIBE SELECT * FROM t".into(), stmt_id: None },
-    );
-    match resp {
-        Response::Error(ServerError::Protocol { detail }) => {
-            assert!(detail.contains("protocol v6"), "{detail}");
-        }
-        other => panic!("expected a protocol refusal, got {other:?}"),
-    }
     server.shutdown();
 }

@@ -81,59 +81,6 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// A protocol-v3 session against a v4 server: the server downgrades
-/// its `Health` response to the v3 shape (no replication tail), and
-/// the decoder fills the documented defaults — this is the mechanism
-/// behind `mpq-repl`'s graceful `.health` degradation against old
-/// servers, proven here over a real socket.
-#[test]
-fn v3_sessions_decode_health_without_replication_fields() {
-    use mpq_server::protocol::{
-        decode_frame, encode_frame, Request, Response, DEFAULT_MAX_FRAME_LEN,
-    };
-    use std::io::{Read, Write};
-
-    fn roundtrip(stream: &mut std::net::TcpStream, req: &Request) -> Response {
-        stream.write_all(&encode_frame(&req.encode())).unwrap();
-        let mut buf = Vec::new();
-        let mut tmp = [0u8; 4096];
-        loop {
-            if let Ok((payload, _)) = decode_frame(&buf, DEFAULT_MAX_FRAME_LEN) {
-                return Response::decode(&payload).expect("decode response");
-            }
-            let n = stream.read(&mut tmp).expect("read frame bytes");
-            assert!(n > 0, "server closed mid-response");
-            buf.extend_from_slice(&tmp[..n]);
-        }
-    }
-
-    let engine = Arc::new(Engine::new(Catalog::new()));
-    engine.create_table(demo_table("t")).unwrap();
-    // Live replication state a v4 Health would report...
-    engine.set_standby();
-    let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
-
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    let hello = roundtrip(
-        &mut stream,
-        &Request::Hello { proto_version: mpq_server::PROTO_VERSION_V3, client: "old".into() },
-    );
-    let Response::Hello { proto_version, .. } = hello else { panic!("got {hello:?}") };
-    assert_eq!(proto_version, mpq_server::PROTO_VERSION_V3, "server echoes the old version");
-
-    let Response::Health(h) = roundtrip(&mut stream, &Request::Health) else {
-        panic!("expected Health")
-    };
-    assert_eq!(h.tables, 1);
-    // ...but the v3-shaped response omits the tail, so the decoder's
-    // defaults come back: no role, no epoch, no lag.
-    assert_eq!(h.role, ReplRole::Primary);
-    assert_eq!(h.epoch, 0);
-    assert_eq!(h.replica_lag_records, None);
-    assert_eq!(h.replica_lag_bytes, None);
-    server.shutdown();
-}
-
 /// Satellite: a `--read-only` server refuses every mutation with the
 /// typed server-level error before the engine sees it, while reads and
 /// session statements work normally.

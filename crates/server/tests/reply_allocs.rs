@@ -17,9 +17,7 @@
 //! so the test harness's other threads cannot disturb them.
 
 use mpq_engine::{ExecMetrics, MatchMetrics, QueryOutcome, StatementOutcome};
-use mpq_server::protocol::{
-    decode_frame, Notification, Response, DEFAULT_MAX_FRAME_LEN, PROTO_VERSION,
-};
+use mpq_server::protocol::{decode_frame, Notification, Response, DEFAULT_MAX_FRAME_LEN};
 use mpq_types::wire::WireError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,7 +102,7 @@ fn wide_outcome() -> Response {
 fn a_wide_reply_is_framed_in_one_allocation() {
     const FRAME_ALLOCATIONS: u64 = 1;
     let resp = wide_outcome();
-    let (frame, calls, bytes) = counting(|| resp.to_frame(PROTO_VERSION));
+    let (frame, calls, bytes) = counting(|| resp.to_frame());
     assert!(frame.len() > 4 * ROWS as usize);
     assert_eq!(calls, FRAME_ALLOCATIONS, "allocator calls to build a {}-byte frame", frame.len());
     assert!(
@@ -119,7 +117,7 @@ fn a_wide_reply_is_framed_in_one_allocation() {
 #[test]
 fn a_wide_reply_decodes_into_its_rows_and_plan_only() {
     let resp = wide_outcome();
-    let frame = resp.to_frame(PROTO_VERSION);
+    let frame = resp.to_frame();
     let (decoded, calls, bytes) = counting(|| {
         let (payload, _) = decode_frame(&frame, DEFAULT_MAX_FRAME_LEN).expect("intact frame");
         Response::decode(&payload).expect("intact payload")

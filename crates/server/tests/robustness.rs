@@ -1,14 +1,16 @@
 //! Wire-level robustness: the handshake timebox (a stalled client
-//! cannot pin an accept slot), exactly-once retries over real sockets
+//! cannot pin an accept slot), the one-version handshake (any other
+//! hello is refused, typed), exactly-once retries over real sockets
 //! (a response lost mid-flight must not double-apply the INSERT), and
 //! the bounded dedup cache's refusal to silently re-apply an evicted
 //! statement.
 
 use mpq_client::{Client, ClientError, ReliableClient, RetryPolicy};
 use mpq_engine::{Catalog, Engine, EngineError, StatementId, StatementOutcome, Table};
+use mpq_server::protocol::{decode_frame, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTO_VERSION};
 use mpq_server::{Server, ServerConfig, ServerError};
 use mpq_types::{AttrDomain, Attribute, Dataset, Schema};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +66,6 @@ fn stalled_handshake_cannot_pin_an_accept_slot() {
     // Two stallers: one totally silent, one dribbling a single byte.
     let silent = TcpStream::connect(addr).expect("silent staller connects");
     let mut dribble = TcpStream::connect(addr).expect("dribbling staller connects");
-    use std::io::Write;
     dribble.write_all(&[0x01]).expect("one lonely byte");
 
     // Both must be severed within the budget (plus scheduling slack):
@@ -92,6 +93,42 @@ fn stalled_handshake_cannot_pin_an_accept_slot() {
     // The drain must not hang on a phantom connection.
     let report = server.shutdown();
     assert_eq!(report.connections, 3, "both stallers were counted and released");
+}
+
+/// There is one protocol version. A hello naming any other — older,
+/// newer, or nonsense — gets a typed `Protocol` refusal that names both
+/// versions, and then the server closes the connection. A current
+/// client is unaffected.
+#[test]
+fn only_the_current_protocol_version_may_shake_hands() {
+    let engine = Arc::new(Engine::new(Catalog::new()));
+    let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    for version in [0, 3, 6, PROTO_VERSION + 1] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("set deadline");
+        let hello = Request::Hello { proto_version: version, client: "old".into() };
+        stream.write_all(&hello.to_frame()).expect("send hello");
+        // The refusal, then EOF: `read_to_end` returns only once the
+        // server has closed its side.
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("the server closes after refusing");
+        let (payload, consumed) = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN).expect("one frame");
+        assert_eq!(consumed, bytes.len(), "v{version}: nothing follows the refusal");
+        match Response::decode(&payload).expect("decodes") {
+            Response::Error(ServerError::Protocol { detail }) => {
+                assert!(detail.contains(&format!("version {version} ")), "{detail}");
+                assert!(detail.contains(&format!("speaks {PROTO_VERSION}")), "{detail}");
+            }
+            other => panic!("v{version} hello answered with {other:?}"),
+        }
+    }
+
+    let mut ok = Client::connect(addr).expect("a current client connects");
+    ok.statement("SET PARALLELISM 2").expect("and executes");
+    drop(ok);
+    server.shutdown();
 }
 
 /// The acceptance-criterion retry, over real sockets: the server

@@ -22,7 +22,7 @@
 //!
 //! The format is little-endian and length-prefixed. Values carry no
 //! version tag of their own: files are versioned by their magic header,
-//! protocol frames by the version negotiated in the handshake.
+//! protocol frames by the version checked in the handshake.
 
 use crate::attribute::{AttrDomain, Attribute, Schema};
 
