@@ -9,7 +9,9 @@
 //! 128-member column), a DNF envelope shape (OR of ANDs mixing both
 //! columns), a clustered predicate where zone maps prove most pages
 //! empty, and two mining predicates: a decision tree the rewrite
-//! compiles out entirely (`mining_memo`) and a two-model agreement
+//! compiles out entirely (`mining_memo`, a name kept from when a scorer
+//! memo served it, so the checked-in JSON still compares) and a
+//! two-model agreement
 //! predicate — never compilable, since agreement is decided on raw
 //! class ids at prediction time — served through the proxy cascade
 //! (`mining_cascade`).
@@ -70,13 +72,13 @@ fn main() {
         // per-band selections touch every page and measure pure
         // predicate-evaluation speed; `label` follows a deterministic
         // concept over `band`/`region` the tree model learns exactly —
-        // its predicate compiles away completely (`mining_memo`).
+        // its predicate compiles away completely (the `mining_memo`
+        // bucket).
         // `label2` is the same band concept with ~10% label noise, so
         // the two Bayes models `mb` (on label2) and `mb2` (on label)
         // learn *different* surfaces and their agreement predicate
         // (`mining_cascade`) has a non-trivial answer; `c1`/`c2` are
-        // high-cardinality noise that defeats the prediction memo at
-        // scale, so the scalar leg pays real per-row scorer calls.
+        // high-cardinality noise columns.
         let region = (i * 8 / n_rows) as u16;
         let band = ((i * 37 + i / 11) % BAND_CARD as usize) as u16;
         let label = u16::from(band < 32 && region != 3);
@@ -185,19 +187,15 @@ fn main() {
         }
 
         let m = &vector.metrics;
-        // Every row the cascade decides is accounted as accept, reject
-        // or band (envelope pushdown may reject rows before the mining
-        // residual, so `<=`), and the scorer only ever runs on band
-        // rows.
-        if m.cascade_accepts + m.cascade_rejects + m.band_rows > 0 {
+        // Every row the cascade decides is accounted as accept or reject
+        // (envelope pushdown may reject rows before the mining residual,
+        // so `<=`), and a cascaded scan never calls the scorer.
+        if m.cascade_accepts + m.cascade_rejects > 0 {
             assert!(
-                m.cascade_accepts + m.cascade_rejects + m.band_rows <= m.rows_examined,
+                m.cascade_accepts + m.cascade_rejects <= m.rows_examined,
                 "{name}: cascade decided more rows than were examined"
             );
-            assert!(
-                m.model_invocations <= m.band_rows,
-                "{name}: scorer ran outside the uncertainty band"
-            );
+            assert_eq!(m.model_invocations, 0, "{name}: a cascaded scan called the scorer");
         }
         let scalar_scorer_ms = scalar.metrics.scorer_ns as f64 / 1e6;
         let scorer_ms = m.scorer_ns as f64 / 1e6;
@@ -206,9 +204,8 @@ fn main() {
         eprintln!(
             "{name}: sel {:.4} scalar {scalar_ms:.1} ms (scorer {scalar_scorer_ms:.1} ms), \
              vectorized {vector_ms:.1} ms (scorer {scorer_ms:.1} ms) ({speedup:.2}x), \
-             heap {} pages, {} skipped, {} scorer calls ({} memo hits, {} band rows)",
-            selectivity, m.heap_pages_read, m.pages_skipped, m.model_invocations, m.memo_hits,
-            m.band_rows
+             heap {} pages, {} skipped, {} scorer calls",
+            selectivity, m.heap_pages_read, m.pages_skipped, m.model_invocations
         );
         results.push(format!(
             "    {{\"bucket\": \"{name}\", \"selectivity\": {selectivity:.4}, \

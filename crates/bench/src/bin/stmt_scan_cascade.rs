@@ -10,7 +10,8 @@
 //! dop 1 and dop 2; the same plan at dop 1 with its mining predicates
 //! replaced by `TRUE` (what the envelope and the column predicates
 //! cost); the reference interpreter on the plan (row sets asserted
-//! equal); the per-execution compile; and the cascade's counters. Per
+//! equal); the per-execution compile; and the rows examined, returned
+//! and sent to the real scorer. Per
 //! model: a proxy-table rebuild, and `decide_batch` over the table in
 //! 2,048-row batches against `decide` row by row, per row. Timings are
 //! this machine's; compare two checkouts by alternating runs of each.
@@ -21,7 +22,7 @@
 #[path = "mpq_benchmark/src/gen.rs"]
 mod gen;
 
-use mpq_core::{DeriveOptions, EnvelopeProvider, ProxyDecision};
+use mpq_core::{DeriveOptions, EnvelopeProvider};
 use mpq_engine::{
     execute_opts, labeled_view, parse, Catalog, CompiledPredicate, Engine, ExecOptions, Expr, Plan,
     ProjectedModel, QueryGuard,
@@ -117,7 +118,7 @@ fn main() {
     let table = &catalog.table(table_id).table;
     let n = table.n_rows();
 
-    println!("model  classes  rebuild_us  decide_batch_ns/row  decide_ns/row  band");
+    println!("model  classes  rebuild_us  decide_batch_ns/row  decide_ns/row");
     let rows: Vec<Vec<Member>> = (0..n as u32).map(|r| table.row(r)).collect();
     for id in 0..catalog.n_models() {
         let entry = catalog.model(id);
@@ -145,16 +146,15 @@ fn main() {
             }
         }) * 1e3
             / n as f64;
-        let band = rows.iter().filter(|r| proxy.decide(r) == ProxyDecision::Band).count();
         println!(
-            "{:5}  {:7}  {rebuild_us:10.1}  {batch_ns:19.2}  {row_ns:13.2}  {band:5}",
+            "{:5}  {:7}  {rebuild_us:10.1}  {batch_ns:19.2}  {row_ns:13.2}",
             entry.name,
             proxy.n_classes(),
         );
     }
 
     println!(
-        "stmt  dop1_us  dop2_us  true_us    ref_us  compile_us  examined    out   band  invoked  hits  sql"
+        "stmt  dop1_us  dop2_us  true_us    ref_us  compile_us  examined    out  invoked  sql"
     );
     let dop1 = ExecOptions::default();
     let dop2 = ExecOptions::with_parallelism(2);
@@ -195,12 +195,10 @@ fn main() {
         });
         let m = &result.metrics;
         println!(
-            "{i:4}  {dop1_us:7.0}  {dop2_us:7.0}  {true_us:7.0}  {ref_us:8.0}  {compile_us:10.1}  {:8}  {:5}  {:5}  {:7}  {:4}  {}",
+            "{i:4}  {dop1_us:7.0}  {dop2_us:7.0}  {true_us:7.0}  {ref_us:8.0}  {compile_us:10.1}  {:8}  {:5}  {:7}  {}",
             m.rows_examined,
             m.output_rows,
-            m.band_rows,
             m.model_invocations,
-            m.memo_hits,
             &sql[..sql.len().min(72)],
         );
     }

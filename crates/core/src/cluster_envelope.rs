@@ -40,10 +40,11 @@ pub trait EnvelopeProvider: Classifier {
         (0..self.n_classes()).map(|k| self.try_envelope(ClassId(k as u16), opts)).collect()
     }
 
-    /// A tabulated proxy score reproducing this model's argmax
-    /// bit-for-bit wherever the argmax is unique (see [`ProxyScore`]),
-    /// or `None` for model families without an additive-score form.
-    /// Engines use it to cascade: proxy-decided rows skip the scorer.
+    /// A tabulated proxy score reproducing this model's prediction
+    /// bit-for-bit on every row (see [`ProxyScore`]), or `None` for
+    /// model families without an additive-score form (or whose table
+    /// could sum to NaN). Engines use it to cascade: the proxy decides
+    /// the model's mining predicates without the scorer.
     fn proxy(&self) -> Option<ProxyScore> {
         None
     }
@@ -95,7 +96,7 @@ impl EnvelopeProvider for NaiveBayes {
     }
 
     fn proxy(&self) -> Option<ProxyScore> {
-        Some(ProxyScore::from_naive_bayes(self))
+        ProxyScore::from_naive_bayes(self)
     }
 }
 
@@ -141,7 +142,7 @@ impl EnvelopeProvider for KMeans {
     }
 
     fn proxy(&self) -> Option<ProxyScore> {
-        Some(ProxyScore::from_kmeans(self))
+        ProxyScore::from_kmeans(self)
     }
 }
 
@@ -187,7 +188,7 @@ impl EnvelopeProvider for Gmm {
     }
 
     fn proxy(&self) -> Option<ProxyScore> {
-        Some(ProxyScore::from_gmm(self))
+        ProxyScore::from_gmm(self)
     }
 }
 

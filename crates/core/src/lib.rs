@@ -66,7 +66,7 @@ pub use enumerate::{derive_enumerate, DEFAULT_CELL_LIMIT};
 pub use envelope::{DeriveOptions, DeriveStats, Envelope, SplitHeuristic, TraceStep};
 pub use error::CoreError;
 pub use nb_example::{paper_table1_model, paper_table1_winners};
-pub use proxy::{ProxyDecision, ProxyScore};
+pub use proxy::ProxyScore;
 pub use region::{range_region, DimSet, Region};
 pub use score_model::{BoundMode, DimTable, QuadDim, QuadTerm, RegionStatus, ScoreModel};
 pub use sql::{envelope_to_sql, region_to_sql};

@@ -220,7 +220,7 @@ impl ScoreModel {
         use mpq_models::Classifier as _;
         let k = km.n_classes();
         let prior = vec![0.0; k];
-        let tie_rank = (0..k as u16).collect();
+        let tie_rank = tie_rank_by_id(&prior);
         let mut quads = Vec::with_capacity(km.schema().len());
         let mut point_model = true;
         let dims = km
@@ -280,7 +280,7 @@ impl ScoreModel {
         use mpq_models::Classifier as _;
         let k = km.n_classes();
         let prior = vec![0.0; k];
-        let tie_rank = (0..k as u16).collect();
+        let tie_rank = tie_rank_by_id(&prior);
         let dims = km
             .schema()
             .iter()
@@ -321,7 +321,7 @@ impl ScoreModel {
         const LOG_2PI: f64 = 1.8378770664093453;
         let k = gmm.n_classes();
         let prior: Vec<f64> = (0..k).map(|c| gmm.log_tau(ClassId(c as u16))).collect();
-        let tie_rank = (0..k as u16).collect();
+        let tie_rank = tie_rank_by_id(&prior);
         let dims = gmm
             .schema()
             .iter()
@@ -352,7 +352,7 @@ impl ScoreModel {
         const LOG_2PI: f64 = 1.8378770664093453;
         let k = gmm.n_classes();
         let prior: Vec<f64> = (0..k).map(|c| gmm.log_tau(ClassId(c as u16))).collect();
-        let tie_rank = (0..k as u16).collect();
+        let tie_rank = tie_rank_by_id(&prior);
         let mut quads = Vec::with_capacity(gmm.schema().len());
         let dims = gmm
             .schema()
@@ -871,8 +871,9 @@ impl ScoreModel {
 }
 
 /// Ranks classes by descending prior (ties by class id): the paper's
-/// naive-Bayes tie resolution.
-fn tie_rank_by_prior(prior: &[f64]) -> Vec<u16> {
+/// naive-Bayes tie resolution. The proxy cascade orders its classes by
+/// the same rank.
+pub(crate) fn tie_rank_by_prior(prior: &[f64]) -> Vec<u16> {
     let mut order: Vec<usize> = (0..prior.len()).collect();
     order.sort_by(|&a, &b| {
         prior[b].partial_cmp(&prior[a]).expect("finite priors").then(a.cmp(&b))
@@ -882,6 +883,12 @@ fn tie_rank_by_prior(prior: &[f64]) -> Vec<u16> {
         rank[cls] = r as u16;
     }
     rank
+}
+
+/// Ranks classes by id: the clusterers' tie resolution (the first
+/// cluster reaching the maximum score wins).
+pub(crate) fn tie_rank_by_id(prior: &[f64]) -> Vec<u16> {
+    (0..prior.len() as u16).collect()
 }
 
 /// Extrema of `−w (x − c)²` over the interval `(lo, hi]`, allowing

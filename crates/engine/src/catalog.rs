@@ -51,8 +51,8 @@ pub struct ModelEntry {
     /// registration (and retrain) for additive-score families
     /// (NB/k-means/GMM) and verified there, once per model version,
     /// against a fresh rebuild; `None` for families without one (their
-    /// envelopes are exact anyway) and for a table that failed that
-    /// check. Each execution compares the table it is about to trust
+    /// envelopes are exact anyway), for a model whose table could sum to
+    /// NaN, and for a table that failed that check. Each execution compares the table it is about to trust
     /// with this one — see [`ModelEntry::cascade_note`].
     pub proxy: Option<Arc<ProxyScore>>,
     /// `Some(reason)` when a proxy table failed verification — at

@@ -15,10 +15,10 @@
 //!    `rewrite::augment`).
 //! 2. **Proxy cascades.** Additive-score models (NB/k-means/GMM) carry
 //!    a tabulated [`ProxyScore`] whose per-class sums reproduce the
-//!    scorer bit-for-bit; a unique argmax decides the predicate without
-//!    the scorer, and only tied rows (the *uncertainty band*) fall
-//!    through ([`build_cascades`], consumed by the executors through
-//!    `MemoScorer`).
+//!    scorer bit-for-bit, its classes in the model's tie-break order:
+//!    its decision is the model's prediction on every row, so a
+//!    cascaded model's predicates never reach the scorer
+//!    ([`build_cascades`], consumed by the executors through `Scorer`).
 //!
 //! Both directions are verified defensively: exactness is a per-envelope
 //! flag the derivation proves, and a cascade table is compared against a
@@ -31,8 +31,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{Expr, MiningPred, ModelId};
-use crate::stats::TableStats;
-use mpq_core::{EnvelopeProvider, ProxyDecision, ProxyScore};
+use mpq_core::{EnvelopeProvider, ProxyScore};
 use std::sync::Arc;
 
 /// Whether `mp` can be compiled away entirely: every envelope the
@@ -164,52 +163,6 @@ pub(crate) fn build_cascades(
     out
 }
 
-/// Estimates the fraction of scanned rows that fall inside the proxy's
-/// uncertainty band, by enumerating (or evenly striding, past 4096
-/// cells) the attribute grid and weighting each cell by the per-column
-/// member frequencies under the independence assumption the optimizer
-/// already makes.
-pub(crate) fn estimate_band_fraction(proxy: &ProxyScore, stats: &TableStats) -> f64 {
-    const CELL_CAP: u128 = 4096;
-    let dims: Vec<usize> = (0..proxy.n_dims()).map(|d| proxy.dim_cardinality(d)).collect();
-    let total_cells = dims.iter().fold(1u128, |a, &c| a.saturating_mul(c as u128));
-    if total_cells == 0 {
-        return 0.0;
-    }
-    if total_cells > (1 << 40) {
-        // A grid this size cannot be meaningfully strided; report the
-        // conservative midpoint so costing does not assume a free ride.
-        return 0.5;
-    }
-    let total_cells = total_cells as u64;
-    let stride = total_cells.div_ceil(CELL_CAP as u64).max(1);
-    let mut row = vec![0u16; dims.len()];
-    let mut band_weight = 0.0f64;
-    let mut total_weight = 0.0f64;
-    let mut idx = 0u64;
-    while idx < total_cells {
-        let mut x = idx;
-        for (d, &card) in dims.iter().enumerate() {
-            row[d] = (x % card as u64) as u16;
-            x /= card as u64;
-        }
-        let w: f64 =
-            row.iter().enumerate().map(|(d, &m)| stats.column(d).eq_selectivity(m)).product();
-        if w > 0.0 {
-            total_weight += w;
-            if proxy.decide(&row) == ProxyDecision::Band {
-                band_weight += w;
-            }
-        }
-        idx += stride;
-    }
-    if total_weight <= 0.0 {
-        0.0
-    } else {
-        (band_weight / total_weight).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +279,7 @@ mod tests {
         }
         fn proxy(&self) -> Option<ProxyScore> {
             let n = self.builds.fetch_add(1, Ordering::Relaxed);
-            let mut table = ProxyScore::from_naive_bayes(&self.inner);
+            let mut table = ProxyScore::from_naive_bayes(&self.inner)?;
             if self.drift && n % 2 == 1 {
                 table.perturb_for_fault();
             }
@@ -363,13 +316,5 @@ mod tests {
             assert!(build_cascades(&cat, &[id]).get(id).is_some_and(Option::is_some));
         }
         assert_eq!(steady.builds(), 2, "no execution rebuilds the table");
-    }
-
-    #[test]
-    fn band_fraction_is_a_sane_probability() {
-        let (cat, id) = setup();
-        let proxy = cat.model(id).model.proxy().unwrap();
-        let frac = estimate_band_fraction(&proxy, &cat.table(0).stats);
-        assert!((0.0..=1.0).contains(&frac), "got {frac}");
     }
 }

@@ -154,12 +154,8 @@ pub fn plan_to_string(plan: &Plan, schema: &Schema, catalog: &Catalog) -> String
             plan.compiled_exact.iter().map(|m| catalog.model(*m).name.as_str()).collect();
         text.push_str(&format!("\n  compiled: exact ({})", names.join(", ")));
     }
-    for (m, band) in &plan.cascades {
-        text.push_str(&format!(
-            "\n  cascade: model '{}' band ~{:.1}%",
-            catalog.model(*m).name,
-            band * 100.0
-        ));
+    for m in &plan.cascades {
+        text.push_str(&format!("\n  cascade: model '{}'", catalog.model(*m).name));
     }
     for m in &plan.degraded_models {
         let entry = catalog.model(*m);

@@ -28,7 +28,7 @@ use crate::session::SessionState;
 use crate::sql::{parse, parse_statement, Statement};
 use crate::subscribe::{MatchEvent, SubIndex};
 use crate::table::{RowId, Table};
-use crate::vectorized::{MemoScorer, DEFAULT_MEMO_CAPACITY};
+use crate::vectorized::Scorer;
 use crate::EngineError;
 use mpq_core::{DeriveOptions, EnvelopeProvider};
 use mpq_types::{AttrId, Member};
@@ -698,14 +698,14 @@ impl Engine {
                 .to_string()
         }));
         let cascades = crate::compile::build_cascades(catalog, idx.models(table));
-        let memo = MemoScorer::with_cascades(catalog, DEFAULT_MEMO_CAPACITY, cascades);
+        let scorer = Scorer::with_cascades(catalog, cascades);
         let t = &catalog.table(table).table;
         let name = t.name().to_string();
         let mut events = Vec::new();
         let (mut matched, mut pruned) = (0u64, 0u64);
         for row_id in first_row..t.n_rows() as RowId {
             let row = t.row(row_id);
-            let (subs, metrics) = idx.match_row(table, &row, &memo, naive);
+            let (subs, metrics) = idx.match_row(table, &row, &scorer, naive);
             matched += subs.len() as u64;
             pruned += metrics.index_pruned;
             for sub in subs {

@@ -4,9 +4,8 @@
 //!
 //! 1. **prologue** — compile the residual once into a
 //!    [`CompiledPredicate`](crate::CompiledPredicate) and build the
-//!    bounded [`MemoScorer`] keyed by the dictionary-encoded input
-//!    tuple, so `model_invocations` counts actual model applications
-//!    (memo misses);
+//!    execution's [`Scorer`]: the verified proxy cascades in front of
+//!    the models, so `model_invocations` counts real scorer calls;
 //! 2. **coordinator** (`coordinate`, serial, on the calling thread) —
 //!    resolve the access path, run the index probes, merge a union's
 //!    postings, charge index pages and index-path heap pages against
@@ -37,8 +36,8 @@
 //! the limit, where a per-row count trips — at every degree of
 //! parallelism; the invocation budget, the deadline and the
 //! cancellation flag are checked after every row a `Scalar` (mining)
-//! leaf hands to the memo/scorer path or evaluates row by row, and once
-//! per batch the cascade decides column-at-a-time. The first error cancels the
+//! leaf hands to the scorer or evaluates row by row, and once per batch
+//! the cascade decides column-at-a-time. The first error cancels the
 //! remaining jobs. A panic inside the worker loop (model code or an
 //! injected scorer fault) is caught in one place and surfaces as
 //! [`EngineError::Internal`], at dop 1 as at any other.
@@ -62,9 +61,7 @@ use crate::fault::FaultInjector;
 use crate::guard::{GuardHeadroom, GuardState, QueryGuard};
 use crate::optimizer::{AccessPath, Plan};
 use crate::table::{RowId, Table};
-use crate::vectorized::{
-    BatchCtx, CompiledPredicate, FeedbackObservation, MemoScorer, DEFAULT_MEMO_CAPACITY,
-};
+use crate::vectorized::{BatchCtx, CompiledPredicate, FeedbackObservation, Scorer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -87,22 +84,23 @@ pub struct ExecMetrics {
     pub pages_skipped: u64,
     /// Rows fetched and tested against the residual predicate.
     pub rows_examined: u64,
-    /// Black-box model applications performed (scorer memo misses).
+    /// Black-box model applications performed: every real scorer call.
     pub model_invocations: u64,
-    /// Model predictions answered from the scorer memo without running
-    /// the model.
+    /// Always 0: no prediction is memoized. Kept for the wire format
+    /// and existing readers.
     pub memo_hits: u64,
-    /// Mining-predicate rows decided `true` by a proxy cascade's unique
-    /// argmax, without invoking the model or the memo.
+    /// Mining-predicate rows decided `true` by a proxy cascade, without
+    /// invoking the model.
     pub cascade_accepts: u64,
-    /// Mining-predicate rows decided `false` by a proxy cascade's unique
-    /// argmax, without invoking the model or the memo.
+    /// Mining-predicate rows decided `false` by a proxy cascade, without
+    /// invoking the model.
     pub cascade_rejects: u64,
-    /// Rows that fell in a cascade's uncertainty band (tied or
-    /// non-finite proxy scores) and were handed to the real scorer path.
+    /// Always 0: a proxy cascade decides every row, breaking ties by
+    /// the model's own rule, so no row is left to the scorer. Kept for
+    /// the wire format and existing readers.
     pub band_rows: u64,
-    /// Wall-clock nanoseconds spent inside real model scoring calls
-    /// (memo misses only). Excluded from determinism oracles.
+    /// Wall-clock nanoseconds spent inside real model scoring calls.
+    /// Excluded from determinism oracles.
     pub scorer_ns: u64,
     /// Rows in the result.
     pub output_rows: u64,
@@ -170,13 +168,10 @@ pub struct ExecOptions {
     /// program. `false` selects the row-at-a-time reference
     /// interpreter, which is serial — it ignores `parallelism`. Both
     /// evaluate the plan's residual in its written order and use
-    /// zone-map pruning and the scorer memo, so on success their
+    /// zone-map pruning and the proxy cascades, so on success their
     /// metrics are identical — the reference exists as the
     /// differential-testing baseline.
     pub vectorized: bool,
-    /// Scorer memo capacity in cached `(model, tuple)` entries;
-    /// `0` disables memoization (every prediction hits the model).
-    pub memo_capacity: usize,
     /// Ignored. The clause order is the plan's, chosen by the optimizer,
     /// and feedback is always collected; the field stays so existing
     /// callers compile.
@@ -188,7 +183,6 @@ impl Default for ExecOptions {
         ExecOptions {
             parallelism: 1,
             vectorized: true,
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
             adaptive: true,
         }
     }
@@ -244,13 +238,13 @@ pub fn execute_opts(
     opts: &ExecOptions,
 ) -> Result<ExecResult, EngineError> {
     if !opts.vectorized {
-        return crate::reference::execute(plan, catalog, guard, opts);
+        return crate::reference::execute(plan, catalog, guard);
     }
     let start = Instant::now();
     let dop = opts.parallelism.clamp(1, 256);
     let gs = GuardState::new(guard);
     let table = &catalog.table(plan.table).table;
-    let memo = memo_for_plan(plan, catalog, opts);
+    let scorer = scorer_for_plan(plan, catalog);
     let schema = table.schema();
     let compiled = CompiledPredicate::compile(&plan.residual, schema, false);
     let compiled_skip = plan.skip_or.as_ref().map(|e| CompiledPredicate::compile(e, schema, false));
@@ -266,7 +260,7 @@ pub fn execute_opts(
         jobs: &jobs,
         fetched: &fetched,
         table,
-        memo: &memo,
+        scorer: &scorer,
         compiled: &compiled,
         compiled_skip: compiled_skip.as_ref(),
         shared: &shared,
@@ -313,7 +307,7 @@ pub fn execute_opts(
     m.rows_examined = shared.rows.load(Ordering::Relaxed);
     m.pages_skipped = shared.skipped.load(Ordering::Relaxed);
     m.heap_pages_read = shared.pages.load(Ordering::Relaxed) - m.index_pages_read;
-    sync_model_metrics(&memo, &mut m);
+    sync_model_metrics(&scorer, &mut m);
     // Covers paths that examined nothing (constant scans past the
     // deadline, fully zone-pruned scans).
     gs.check(&m)?;
@@ -325,28 +319,20 @@ pub fn execute_opts(
     Ok(ExecResult { rows: out, metrics: m, feedback })
 }
 
-/// Copies the memo's counters into the metrics the guard checks.
-pub(crate) fn sync_model_metrics(memo: &MemoScorer<'_>, m: &mut ExecMetrics) {
-    m.model_invocations = memo.invocations();
-    m.memo_hits = memo.hits();
-    m.cascade_accepts = memo.cascade_accepts();
-    m.cascade_rejects = memo.cascade_rejects();
-    m.band_rows = memo.band_rows();
-    m.scorer_ns = memo.scorer_ns();
+/// Copies the scorer's counters into the metrics the guard checks.
+pub(crate) fn sync_model_metrics(scorer: &Scorer<'_>, m: &mut ExecMetrics) {
+    m.model_invocations = scorer.invocations();
+    m.cascade_accepts = scorer.cascade_accepts();
+    m.cascade_rejects = scorer.cascade_rejects();
+    m.scorer_ns = scorer.scorer_ns();
 }
 
-/// The scorer memo for one execution of `plan`: cascade tables are
-/// checked (against the verified ones) from the plan's cascade
-/// annotations, and the label pairings its mining predicates compare
-/// are built.
-pub(crate) fn memo_for_plan<'a>(
-    plan: &Plan,
-    catalog: &'a Catalog,
-    opts: &ExecOptions,
-) -> MemoScorer<'a> {
-    let models: Vec<crate::expr::ModelId> = plan.cascades.iter().map(|(m, _)| *m).collect();
-    let cascades = crate::compile::build_cascades(catalog, &models);
-    MemoScorer::with_cascades(catalog, opts.memo_capacity, cascades)
+/// The scorer for one execution of `plan`: cascade tables are checked
+/// (against the verified ones) from the plan's cascade annotations, and
+/// the label pairings its mining predicates compare are built.
+pub(crate) fn scorer_for_plan<'a>(plan: &Plan, catalog: &'a Catalog) -> Scorer<'a> {
+    let cascades = crate::compile::build_cascades(catalog, &plan.cascades);
+    Scorer::with_cascades(catalog, cascades)
         .with_label_maps(std::iter::once(&plan.residual).chain(&plan.skip_or))
 }
 
@@ -535,8 +521,8 @@ struct SharedProgress {
     /// Cooperative stop: set after a breach or panic; workers poll it
     /// per page read / per scored row, so no worker does more than one
     /// batch's work past a breach — a batch being up to
-    /// [`SCAN_BATCH_ROWS`] rows of column lookups, of which only band
-    /// rows reach a model, each polling the flag.
+    /// [`SCAN_BATCH_ROWS`] rows of column lookups, of which only an
+    /// uncascaded model's rows reach a model, each polling the flag.
     cancel: AtomicBool,
     /// First error wins; later ones are dropped.
     failure: Mutex<Option<EngineError>>,
@@ -595,7 +581,7 @@ impl SharedProgress {
         }
     }
 
-    /// Checks the (memo-counted) invocation total against the budget.
+    /// Checks the scorer's invocation total against the budget.
     fn check_invocations(&self, spent: u64) -> Result<(), EngineError> {
         match self.guard.max_model_invocations {
             Some(limit) if spent > limit => Err(EngineError::BudgetExceeded {
@@ -613,7 +599,7 @@ struct WorkerCtx<'a> {
     jobs: &'a [Job],
     fetched: &'a [(RowId, bool)],
     table: &'a Table,
-    memo: &'a MemoScorer<'a>,
+    scorer: &'a Scorer<'a>,
     compiled: &'a CompiledPredicate,
     compiled_skip: Option<&'a CompiledPredicate>,
     shared: &'a SharedProgress,
@@ -693,10 +679,10 @@ fn run_worker(w: &WorkerCtx<'_>) -> Worked {
         if w.shared.cancelled() {
             return Err(cancelled_sentinel());
         }
-        w.shared.check_invocations(w.memo.invocations())?;
+        w.shared.check_invocations(w.scorer.invocations())?;
         w.gs.check_deadline()
     };
-    let mut ctx = BatchCtx::new(w.table, w.memo, &mut after_scalar);
+    let mut ctx = BatchCtx::new(w.table, w.scorer, &mut after_scalar);
     let mut sel: Vec<RowId> = Vec::with_capacity(SCAN_BATCH_ROWS);
     let mut counts =
         [w.compiled.clause_counts(), w.compiled_skip.map_or_else(Vec::new, |c| c.clause_counts())];

@@ -71,4 +71,4 @@ pub use stats::{ColumnStats, FeedbackStore, TableStats};
 pub use subscribe::{MatchEvent, MatchMetrics, Subscription};
 pub use table::{RowId, Table, ASSUMED_COLUMN_BYTES, DEFAULT_PAGE_BYTES};
 pub use tuner::{tune_indexes, TuningReport};
-pub use vectorized::{CompiledPredicate, FeedbackObservation, DEFAULT_MEMO_CAPACITY};
+pub use vectorized::{CompiledPredicate, FeedbackObservation};

@@ -68,9 +68,9 @@ pub struct OptimizerOptions {
     pub use_zone_maps: bool,
     /// Whether models may be compiled out of the query: exact envelopes
     /// replace their mining predicate outright, and additive-score
-    /// models get a proxy cascade so only uncertainty-band rows reach
-    /// the real scorer. Off = the classic envelope+residual reference
-    /// path.
+    /// models get a proxy cascade, which decides their predicates
+    /// without the real scorer. Off = the classic envelope+residual
+    /// reference path.
     pub compile_models: bool,
     /// Cost constants.
     pub cost: CostModel,
@@ -161,11 +161,10 @@ pub struct Plan {
     /// engine, which sees the pre-rewrite expression. Surfaced in
     /// EXPLAIN as `compiled: exact`.
     pub compiled_exact: Vec<ModelId>,
-    /// Residual mining models with a verified proxy cascade, paired with
-    /// the estimated fraction of rows falling in the uncertainty band
-    /// (the only rows that reach the real scorer). Surfaced in EXPLAIN
-    /// as `cascade: band ~N%`.
-    pub cascades: Vec<(ModelId, f64)>,
+    /// Residual mining models with a verified proxy cascade: their
+    /// predicates never reach the real scorer. Surfaced in EXPLAIN as
+    /// `cascade: model 'm'`.
+    pub cascades: Vec<ModelId>,
     /// Clauses whose selectivity came from the feedback store
     /// (observed by a previous execution of a structurally identical
     /// clause) rather than the attribute-independence model. Surfaced in
@@ -358,27 +357,23 @@ pub fn choose_plan(
     } else {
         1.0
     };
-    // Residual mining models with a proxy table cascade: only the
-    // estimated uncertainty-band fraction of rows pays the real scorer.
-    let cascades: Vec<(ModelId, f64)> = if opts.compile_models {
+    // Residual mining models with a proxy table cascade never pay the
+    // real scorer.
+    let cascades: Vec<ModelId> = if opts.compile_models {
         model_versions
             .iter()
-            .filter_map(|(m, _)| {
-                let proxy = catalog.model(*m).proxy.as_ref()?;
-                Some((*m, crate::compile::estimate_band_fraction(proxy, stats)))
-            })
+            .map(|(m, _)| *m)
+            .filter(|m| catalog.model(*m).proxy.is_some())
             .collect()
     } else {
         Vec::new()
     };
-    let invoke_frac = |m: &ModelId| -> f64 {
-        cascades.iter().find(|(cm, _)| cm == m).map_or(1.0, |(_, band)| *band)
-    };
-    let expected_invokes: f64 = expr
+    let expected_invokes = expr
         .mining_preds()
         .iter()
-        .map(|mp| mp.models().iter().map(invoke_frac).sum::<f64>())
-        .sum();
+        .flat_map(|mp| mp.models())
+        .filter(|m| !cascades.contains(m))
+        .count() as f64;
     let per_row_residual = cost.cpu_row + expected_invokes * cost.model_invoke;
 
     if expr == Expr::Const(false) {

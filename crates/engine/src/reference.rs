@@ -5,33 +5,36 @@
 //! construction (it ignores [`ExecOptions::parallelism`]) and walks the
 //! plan's residual in its written order, as the pipeline does. It
 //! shares the pipeline's coordinator phase — access-path resolution,
-//! index probes and their page accounting — and its zone-map pruning
-//! and scorer memo, which are semantics rather than optimizations.
+//! index probes and their page accounting — its zone-map pruning and
+//! its scorer, whose proxy cascades return the models' own predictions.
 //! Everything after that is the plainest thing that can be right:
 //! materialize the row, walk the [`Expr`] tree, count, and check every
 //! budget after every row.
 //!
 //! Unlike the pipeline it does not catch panics: a scorer panic
 //! unwinds to the caller.
+//!
+//! [`ExecOptions::vectorized`]: crate::ExecOptions::vectorized
+//! [`ExecOptions::parallelism`]: crate::ExecOptions::parallelism
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{
-    coordinate, fire_page_fault, memo_for_plan, page_rows, sync_model_metrics, ExecMetrics,
-    ExecOptions, ExecResult, Job,
+    coordinate, fire_page_fault, page_rows, scorer_for_plan, sync_model_metrics, ExecMetrics,
+    ExecResult, Job,
 };
 use crate::expr::Expr;
 use crate::guard::{GuardState, QueryGuard};
 use crate::optimizer::Plan;
 use crate::table::{RowId, Table};
-use crate::vectorized::{CompiledPredicate, MemoScorer};
+use crate::vectorized::{CompiledPredicate, Scorer};
 use mpq_types::Member;
 use std::time::Instant;
 
 /// Interpreter state for one execution.
 struct Interp<'a> {
     table: &'a Table,
-    memo: &'a MemoScorer<'a>,
+    scorer: &'a Scorer<'a>,
     gs: &'a GuardState,
     m: ExecMetrics,
     out: Vec<RowId>,
@@ -47,10 +50,10 @@ impl Interp<'_> {
         }
         self.m.rows_examined += 1;
         let mut tree_inv = 0u64;
-        if pred.eval(&self.row_buf, self.memo, &mut tree_inv) {
+        if pred.eval(&self.row_buf, self.scorer, &mut tree_inv) {
             self.out.push(row);
         }
-        sync_model_metrics(self.memo, &mut self.m);
+        sync_model_metrics(self.scorer, &mut self.m);
         self.gs.check(&self.m)
     }
 }
@@ -59,18 +62,17 @@ pub(crate) fn execute(
     plan: &Plan,
     catalog: &Catalog,
     guard: QueryGuard,
-    opts: &ExecOptions,
 ) -> Result<ExecResult, EngineError> {
     let start = Instant::now();
     let gs = GuardState::new(guard);
     let table = &catalog.table(plan.table).table;
-    let memo = memo_for_plan(plan, catalog, opts);
+    let scorer = scorer_for_plan(plan, catalog);
     // Compiled for its zone-map test only; no row is evaluated with it.
     let zones = CompiledPredicate::compile(&plan.residual, table.schema(), false);
     let co = coordinate(plan, catalog, &gs, 1)?;
     let mut it = Interp {
         table,
-        memo: &memo,
+        scorer: &scorer,
         gs: &gs,
         m: co.metrics,
         out: Vec::new(),
@@ -110,7 +112,7 @@ pub(crate) fn execute(
     // Covers paths that examined nothing (constant scans past the
     // deadline, fully zone-pruned scans).
     let Interp { mut m, out, .. } = it;
-    sync_model_metrics(&memo, &mut m);
+    sync_model_metrics(&scorer, &mut m);
     gs.check(&m)?;
     m.output_rows = out.len() as u64;
     m.elapsed = start.elapsed();

@@ -15,7 +15,7 @@
 //! per-(column, member) postings table. Matching a row probes one
 //! postings list per column, verifies the few candidate groups' other
 //! atoms, and only then evaluates the candidates' *full* rewritten
-//! predicates through a shared memo scorer. Because candidates always
+//! predicates through the shared scorer. Because candidates always
 //! run the full predicate, the index is pure pruning: disabling it (the
 //! `sub_index_corrupt` fault) changes cost, never the match set.
 
@@ -31,7 +31,7 @@ type ClauseKey = Vec<(u16, Vec<Member>)>;
 use crate::catalog::Catalog;
 use crate::expr::{Expr, ModelId};
 use crate::rewrite::rewrite_mining_opts;
-use crate::vectorized::MemoScorer;
+use crate::vectorized::Scorer;
 
 /// Per-row match accounting, reported in `Notify` frames and summed
 /// into the insert's `subs_*` counters.
@@ -43,9 +43,9 @@ pub struct MatchMetrics {
     /// Candidate subscriptions whose full rewritten predicate was
     /// evaluated against the row.
     pub residual_evaluated: u64,
-    /// Proxy-score uncertainty-band hits during candidate evaluation —
-    /// evaluations that had to fall through a cascade to the real
-    /// scorer (or its memo).
+    /// Always 0: a proxy cascade decides every row, so no evaluation
+    /// falls through a cascade to the real scorer. Kept for the wire
+    /// format and existing readers.
     pub scorer_banded: u64,
 }
 
@@ -170,12 +170,6 @@ struct CompiledSub {
     id: u64,
     /// Full rewritten predicate — what candidates actually evaluate.
     rewritten: Expr,
-    /// Static verification cost: surviving mining predicates dominate
-    /// (each weighs as much as a thousand plain nodes), then expression
-    /// size. Candidates verify cheapest-first so model-free
-    /// subscriptions populate the shared memo's row state before any
-    /// model-invoking one runs.
-    cost: u64,
     /// No mining predicate survived the rewrite: evaluation never
     /// touches a model. (Read by test assertions; production code gets
     /// the same guarantee for free from `Expr::eval` on a model-free
@@ -211,7 +205,7 @@ struct TableSubs {
     /// Groups with no anchor: checked against every row.
     always: Vec<u32>,
     /// Every model referenced by any subscription on this table, for
-    /// sizing the shared memo scorer's cascades.
+    /// sizing the shared scorer's cascades.
     models: Vec<ModelId>,
 }
 
@@ -262,16 +256,7 @@ impl SubIndex {
                     }
                 }
             }
-            let mut nodes = 0u64;
-            let mut mining = 0u64;
-            rewritten.walk(&mut |e| {
-                nodes += 1;
-                if matches!(e, Expr::Mining(_)) {
-                    mining += 1;
-                }
-            });
-            let cost = mining * 1_000 + nodes;
-            ts.subs.push(CompiledSub { id: sub.id, rewritten, cost, exact });
+            ts.subs.push(CompiledSub { id: sub.id, rewritten, exact });
             for clause in clauses {
                 let key: ClauseKey = clause
                     .atoms
@@ -355,7 +340,7 @@ impl SubIndex {
         &self,
         table: usize,
         row: &Row,
-        memo: &MemoScorer<'_>,
+        scorer: &Scorer<'_>,
         naive: bool,
     ) -> (Vec<u64>, MatchMetrics) {
         let Some(ts) = self.tables.get(table) else {
@@ -383,19 +368,11 @@ impl SubIndex {
                 }
             }
         }
-        let banded0 = memo.band_rows();
-        // Verify cheapest-first: model-free candidates run before any
-        // model-invoking one, warming the shared memo's row entry at
-        // the lowest possible price. The counters below only depend on
-        // the candidate *set*, and the match list re-sorts, so the
-        // order is pure cost — deterministic at any dop.
-        let mut ordered: Vec<u32> = candidates.iter().copied().collect();
-        ordered.sort_by_key(|&slot| (ts.subs[slot as usize].cost, slot));
         let mut matched = Vec::new();
         let mut invocations = 0u64;
-        for &slot in &ordered {
+        for &slot in &candidates {
             let sub = &ts.subs[slot as usize];
-            if sub.rewritten.eval(row, memo, &mut invocations) {
+            if sub.rewritten.eval(row, scorer, &mut invocations) {
                 matched.push(sub.id);
             }
         }
@@ -405,7 +382,7 @@ impl SubIndex {
         let metrics = MatchMetrics {
             index_pruned: n as u64 - candidates.len() as u64,
             residual_evaluated: candidates.len() as u64,
-            scorer_banded: memo.band_rows().saturating_sub(banded0),
+            scorer_banded: 0,
         };
         (matched, metrics)
     }
@@ -460,10 +437,10 @@ mod tests {
         subscribe(&mut cat, "SELECT * FROM people WHERE NOT region = 'US'");
         subscribe(&mut cat, "SELECT * FROM people WHERE region IN ('US', 'APAC')");
         let idx = SubIndex::build(&cat, true);
-        let memo = MemoScorer::with_cascades(&cat, 1024, build_cascades(&cat, &[]));
+        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
         for row in all_rows() {
-            let (fast, fm) = idx.match_row(0, &row, &memo, false);
-            let (slow, sm) = idx.match_row(0, &row, &memo, true);
+            let (fast, fm) = idx.match_row(0, &row, &scorer, false);
+            let (slow, sm) = idx.match_row(0, &row, &scorer, true);
             assert_eq!(fast, slow, "row {row:?}");
             assert_eq!(fm.index_pruned + fm.residual_evaluated, 5);
             assert_eq!(sm.index_pruned, 0);
@@ -478,9 +455,9 @@ mod tests {
             subscribe(&mut cat, "SELECT * FROM people WHERE region = 'EU'");
         }
         let idx = SubIndex::build(&cat, true);
-        let memo = MemoScorer::with_cascades(&cat, 1024, build_cascades(&cat, &[]));
+        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
         // A US row is pruned by every group without any evaluation.
-        let (matched, m) = idx.match_row(0, &[1, 0, 0], &memo, false);
+        let (matched, m) = idx.match_row(0, &[1, 0, 0], &scorer, false);
         assert!(matched.is_empty());
         assert_eq!(m.index_pruned, 10);
         assert_eq!(m.residual_evaluated, 0);
@@ -501,10 +478,10 @@ mod tests {
             "SELECT * FROM people WHERE region IN ('EU', 'US', 'APAC')",
         );
         let idx = SubIndex::build(&cat, true);
-        let memo = MemoScorer::with_cascades(&cat, 1024, build_cascades(&cat, &[]));
+        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
         for row in all_rows() {
-            let (fast, _) = idx.match_row(0, &row, &memo, false);
-            let (slow, _) = idx.match_row(0, &row, &memo, true);
+            let (fast, _) = idx.match_row(0, &row, &scorer, false);
+            let (slow, _) = idx.match_row(0, &row, &scorer, true);
             assert_eq!(fast, slow, "row {row:?}");
             assert_eq!(fast, vec![2], "only the tautology matches");
         }

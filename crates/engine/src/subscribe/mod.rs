@@ -14,10 +14,10 @@
 //! DNF clauses by (column, member-mask) so one inserted row walks
 //! shared clause prefixes instead of evaluating every predicate
 //! independently; candidate subscriptions then evaluate their full
-//! rewritten predicate through a shared [`crate::vectorized` memo
-//! scorer](crate::vectorized), so subscriptions sharing a model pay for
-//! at most one scorer call per row — and exactly-compiled subscriptions
-//! pay zero by construction.
+//! rewritten predicate through a shared [`crate::vectorized`] scorer,
+//! whose proxy cascades decide additive models' predicates without a
+//! scorer call — and exactly-compiled subscriptions pay zero by
+//! construction.
 
 mod index;
 

@@ -1,6 +1,6 @@
 //! Vectorized predicate evaluation: compiled column programs, the
 //! box-DNF kernel, zone-map pruning, the column-at-a-time cascade and
-//! the scorer memo cache.
+//! the execution's scorer.
 //!
 //! The paper's §4.2 rewrite turns opaque mining predicates into
 //! data-column predicates; this module exploits that form one layer
@@ -17,14 +17,14 @@
 //! `PREDICT(m) = column`, and `PREDICT(m1) = PREDICT(m2)` when either
 //! model has one — is decided for the whole selection vector by
 //! [`ProxyScore::decide_batch`], one call per cascaded model, whose row
-//! kernel keeps the class sums in registers. Only band rows (and, for an
-//! agreement with one uncascaded model, that model's rows) go one at a
-//! time, in ascending row order, to the memo/scorer path — the calls and
-//! the order the reference's row walk makes, so `band_rows`,
-//! `model_invocations` and `memo_hits` are the reference's. Agreement and
+//! kernel keeps the class sums in registers and returns the model's
+//! prediction on every row. Only an agreement with one uncascaded model
+//! sends rows to the real scorer: that model's, one at a time, in
+//! ascending row order — the calls and the order the reference's row
+//! walk makes, so `model_invocations` is the reference's. Agreement and
 //! the label column compare *labels*, never class ids, through
 //! [`ModelOracle::class_for_class`] and
-//! [`ModelOracle::class_for_member`]: the memo answers both from
+//! [`ModelOracle::class_for_member`]: the scorer answers both from
 //! pairings built once per execution from the plan's predicates. Every
 //! other scalar shape — `NOT`, an agreement of two uncascaded models —
 //! walks the tree row-at-a-time.
@@ -84,17 +84,13 @@
 //! The pipeline and the reference both consult
 //! [`CompiledPredicate::page_may_match`] before touching a heap page.
 //!
-//! Finally, [`MemoScorer`] wraps the catalog's [`ModelOracle`] with a
-//! bounded per-query memo keyed by the dictionary-encoded input tuple:
-//! rows are small `u16` member vectors, so distinct tuples are few and
-//! black-box residual checks collapse to hash lookups after the first
-//! occurrence. `model_invocations` counts memo *misses* — actual model
-//! applications — identically in the serial reference and the
-//! pipeline at every dop, which is what keeps the differential oracles
-//! exact. The memo is [`MEMO_SHARDS`] independently locked shards,
-//! allocated on first use, so workers missing on different tuples score
-//! in parallel. The proxy tables it applies were checked against a fresh
-//! rebuild when the model version was registered
+//! Finally, [`Scorer`] is the execution's [`ModelOracle`]: the verified
+//! proxy cascades in front of the catalog's models. A cascaded model's
+//! prediction is its proxy's decision; any other model's is a call into
+//! the catalog, counted in `model_invocations` identically in the serial
+//! reference and the pipeline at every dop, which is what keeps the
+//! differential oracles exact. The proxy tables it applies were checked
+//! against a fresh rebuild when the model version was registered
 //! ([`crate::compile::verified_proxy`]); an execution only compares the
 //! table it is about to use with that one.
 
@@ -102,18 +98,12 @@ use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::expr::{Expr, MiningPred, ModelId, ModelOracle};
 use crate::table::{RowId, Table};
-use mpq_core::{ProxyDecision, ProxyScore};
+use mpq_core::ProxyScore;
 use mpq_types::{AttrId, ClassId, Member, MemberSet, Row, Schema};
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Default capacity (in cached `(model, tuple)` entries) of the scorer
-/// memo. Tuples are a handful of `u16`s, so even the full cache is a
-/// few megabytes; capacity `0` disables memoization entirely.
-pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
 
 /// One node of a compiled predicate program.
 pub(crate) enum CompiledNode {
@@ -494,13 +484,13 @@ pub(crate) struct BatchCtx<'a> {
     /// Table being scanned (column access for `Col`/`Boxes` leaves and
     /// the cascade, row materialization for `Scalar` leaves).
     pub table: &'a Table,
-    /// The execution's scorer: proxy cascades in front of the memo.
-    pub oracle: &'a MemoScorer<'a>,
+    /// The execution's scorer: proxy cascades in front of the models.
+    pub oracle: &'a Scorer<'a>,
     /// Reused row buffer — filled only for the rows a `Scalar` leaf
     /// evaluates one at a time.
     row_buf: Vec<Member>,
-    /// Called after each row a `Scalar` leaf hands to the memo/scorer
-    /// path or evaluates row-at-a-time, and once per cascaded batch;
+    /// Called after each row a `Scalar` leaf hands to the scorer or
+    /// evaluates row-at-a-time, and once per cascaded batch;
     /// the executors hook invocation-budget, deadline and cancellation
     /// checks here so breach classification matches the row-at-a-time
     /// reference.
@@ -512,16 +502,16 @@ pub(crate) struct BatchCtx<'a> {
     /// The `Boxes` kernel's per-row disjunct bitsets.
     acc: Vec<u64>,
     /// The cascade's scratch for class counts past 16, and its
-    /// per-batch decisions: one buffer per model of the predicate.
+    /// per-batch classes: one buffer per model of the predicate.
     scores: Vec<f64>,
-    decisions: [Vec<ProxyDecision>; 2],
+    decisions: [Vec<ClassId>; 2],
 }
 
 impl<'a> BatchCtx<'a> {
     /// State for evaluating programs over `table`.
     pub(crate) fn new(
         table: &'a Table,
-        oracle: &'a MemoScorer<'a>,
+        oracle: &'a Scorer<'a>,
         after_scalar_row: &'a mut dyn FnMut() -> Result<(), EngineError>,
     ) -> BatchCtx<'a> {
         BatchCtx {
@@ -739,31 +729,30 @@ fn scalar_filter(
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
-    let memo = ctx.oracle;
+    let scorer = ctx.oracle;
     if let Expr::Mining(mp) = expr {
         match mp {
             MiningPred::ClassEq { model, class } => {
-                if let Some(proxy) = memo.cascade(*model) {
-                    return cascade_filter(proxy, *model, |_, c| c == *class, ids, sel, ctx);
+                if let Some(proxy) = scorer.cascade(*model) {
+                    return cascade_filter(proxy, |_, c| c == *class, ids, sel, ctx);
                 }
             }
             MiningPred::ClassIn { model, classes } => {
-                if let Some(proxy) = memo.cascade(*model) {
-                    let accept = |_, c| classes.contains(&c);
-                    return cascade_filter(proxy, *model, accept, ids, sel, ctx);
+                if let Some(proxy) = scorer.cascade(*model) {
+                    return cascade_filter(proxy, |_, c| classes.contains(&c), ids, sel, ctx);
                 }
             }
             MiningPred::ClassEqColumn { model, column } => {
-                if let Some(proxy) = memo.cascade(*model) {
+                if let Some(proxy) = scorer.cascade(*model) {
                     let values = ctx.table.column(column.index());
                     let accept = |row: RowId, c| {
-                        memo.class_for_member(*model, *column, values[row as usize]) == Some(c)
+                        scorer.class_for_member(*model, *column, values[row as usize]) == Some(c)
                     };
-                    return cascade_filter(proxy, *model, accept, ids, sel, ctx);
+                    return cascade_filter(proxy, accept, ids, sel, ctx);
                 }
             }
             MiningPred::ModelsAgree { m1, m2 } => {
-                if memo.cascade(*m1).is_some() || memo.cascade(*m2).is_some() {
+                if scorer.cascade(*m1).is_some() || scorer.cascade(*m2).is_some() {
                     return agree_filter([*m1, *m2], ids, sel, ctx);
                 }
             }
@@ -771,10 +760,10 @@ fn scalar_filter(
     }
     ids.try_compact(sel, |_, row| {
         ctx.load_row(row);
-        // Invocations are counted by the memo oracle (misses),
-        // not by the tree walk — the counter here is discarded.
+        // Invocations are counted by the scorer, not by the tree walk —
+        // the counter here is discarded.
         let mut tree_inv = 0u64;
-        let hit = expr.eval(&ctx.row_buf, memo, &mut tree_inv);
+        let hit = expr.eval(&ctx.row_buf, scorer, &mut tree_inv);
         (ctx.after_scalar_row)()?;
         Ok(hit)
     })
@@ -783,92 +772,63 @@ fn scalar_filter(
 /// `accept(row, predict(model, row))` over a whole selection — the class
 /// set of `PREDICT(m) = c` / `IN (..)`, or the class carrying the row's
 /// label member for `PREDICT(m) = column`: the proxy decides every row
-/// column-at-a-time, then band rows — and only they — go one by one, in
-/// ascending row order, through the memo/scorer path, exactly the rows
-/// and the order [`MemoScorer::predict_in`] sends there row by row. The
-/// shared cascade counters take one add per batch.
+/// column-at-a-time and the selection keeps the rows its class passes,
+/// with no scorer call. The shared cascade counters take one add per
+/// batch, and `after_scalar_row` runs once per batch.
 fn cascade_filter(
     proxy: &ProxyScore,
-    model: ModelId,
     accept: impl Fn(RowId, ClassId) -> bool,
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
-    let (table, memo) = (ctx.table, ctx.oracle);
+    let (table, scorer) = (ctx.table, ctx.oracle);
     let n = ids.count(sel);
-    let decisions = &mut ctx.decisions[0];
-    proxy.decide_batch(n, |d, i| table.cell(ids.id(sel, i), d), &mut ctx.scores, decisions);
-    let (mut accepts, mut band) = (0u64, 0u64);
-    ids.try_compact(sel, |i, row| {
-        Ok::<_, EngineError>(match ctx.decisions[0][i] {
-            ProxyDecision::Unique(c) => {
-                let hit = accept(row, c);
-                accepts += u64::from(hit);
-                hit
-            }
-            ProxyDecision::Band => {
-                band += 1;
-                ctx.load_row(row);
-                let hit = accept(row, memo.predict_via_memo(model, &ctx.row_buf));
-                (ctx.after_scalar_row)()?;
-                hit
-            }
-        })
-    })?;
-    memo.cascade_accepts.fetch_add(accepts, Ordering::Relaxed);
-    memo.cascade_rejects.fetch_add(n as u64 - accepts - band, Ordering::Relaxed);
-    memo.band_rows.fetch_add(band, Ordering::Relaxed);
+    let classes = &mut ctx.decisions[0];
+    proxy.decide_batch(n, |d, i| table.cell(ids.id(sel, i), d), &mut ctx.scores, classes);
+    ids.compact(sel, |i, row| accept(row, classes[i]));
+    let accepts = sel.len() as u64;
+    scorer.cascade_accepts.fetch_add(accepts, Ordering::Relaxed);
+    scorer.cascade_rejects.fetch_add(n as u64 - accepts, Ordering::Relaxed);
     (ctx.after_scalar_row)()
 }
 
 /// `PREDICT(m1) = PREDICT(m2)` over a whole selection, compared by
-/// label: each cascaded model decides every row column-at-a-time, and a
-/// row's class under a model is its unique decision or else — a band
-/// row, or any row when that model has no cascade — the memo/scorer's
-/// answer, asked `m1` before `m2` in ascending row order: exactly the
-/// calls `Expr::eval` makes through [`MemoScorer::predict`] row by row,
-/// counted the same way (`band_rows` per banded call, no accepts or
-/// rejects). `after_scalar_row` runs after each row that reached the
-/// memo/scorer path and once per batch.
+/// label: each cascaded model decides every row column-at-a-time, and
+/// an uncascaded one — at most one of the two — is asked row by row, in
+/// ascending row order, through the scorer: exactly the calls
+/// `Expr::eval` makes through [`Scorer::predict`] row by row, counted
+/// the same way (no accepts or rejects). `after_scalar_row` runs after
+/// each scorer call and once per batch.
 fn agree_filter(
     models: [ModelId; 2],
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
 ) -> Result<(), EngineError> {
-    let (table, memo) = (ctx.table, ctx.oracle);
+    let (table, scorer) = (ctx.table, ctx.oracle);
     let n = ids.count(sel);
-    let proxies = models.map(|m| memo.cascade(m));
+    let proxies = models.map(|m| scorer.cascade(m));
     for (proxy, decisions) in proxies.iter().zip(&mut ctx.decisions) {
         if let Some(proxy) = proxy {
             proxy.decide_batch(n, |d, i| table.cell(ids.id(sel, i), d), &mut ctx.scores, decisions);
         }
     }
-    let mut band = 0u64;
     let BatchCtx { row_buf, after_scalar_row, decisions, .. } = ctx;
     ids.try_compact(sel, |i, row| {
-        let mut loaded = false;
-        let mut class = |k: usize| match proxies[k].map(|_| decisions[k][i]) {
-            Some(ProxyDecision::Unique(c)) => c,
-            decided => {
-                band += u64::from(decided.is_some());
-                if !loaded {
-                    for (d, cell) in row_buf.iter_mut().enumerate() {
-                        *cell = table.cell(row, d);
-                    }
-                    loaded = true;
-                }
-                memo.predict_via_memo(models[k], row_buf)
+        let mut class = |k: usize| {
+            if proxies[k].is_some() {
+                return Ok(decisions[k][i]);
             }
+            for (d, cell) in row_buf.iter_mut().enumerate() {
+                *cell = table.cell(row, d);
+            }
+            let c = scorer.score(models[k], row_buf);
+            after_scalar_row().map(|()| c)
         };
-        let (c1, c2) = (class(0), class(1));
-        if loaded {
-            after_scalar_row()?;
-        }
-        Ok::<_, EngineError>(memo.class_for_class(models[0], c1, models[1]) == Some(c2))
+        let (c1, c2) = (class(0)?, class(1)?);
+        Ok::<_, EngineError>(scorer.class_for_class(models[0], c1, models[1]) == Some(c2))
     })?;
-    memo.band_rows.fetch_add(band, Ordering::Relaxed);
     (ctx.after_scalar_row)()
 }
 
@@ -890,48 +850,8 @@ fn subtract_sorted(remaining: &mut Vec<RowId>, pass: &[RowId]) {
 }
 
 // ---------------------------------------------------------------------
-// Scorer memo cache
+// The execution's scorer
 // ---------------------------------------------------------------------
-
-/// Per-model memo table. `Box<[Member]>` keys let `&[Member]` rows
-/// probe without allocating (via `Borrow`).
-type ModelMemo = HashMap<Box<[Member]>, ClassId>;
-
-/// One lock's share of the memo — a table per model id — on cache lines
-/// of its own, so workers missing on different shards share none.
-#[repr(align(128))]
-struct MemoShard(RwLock<Vec<ModelMemo>>);
-
-/// The counters lookups write, on cache lines of their own: apart from
-/// the read-mostly fields every lookup reads, so workers missing at once
-/// bounce one line between them rather than all of them.
-#[derive(Default)]
-#[repr(align(128))]
-struct MemoCounters {
-    /// Entries inserted (reserved) across all shards. `Relaxed` like the
-    /// statistics beside it: it publishes nothing, since each entry is
-    /// published by its shard's lock.
-    len: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    scorer_ns: AtomicU64,
-}
-
-/// How many independently locked shards the memo splits into. Fixed:
-/// enough that two or eight workers missing at once rarely meet on a
-/// lock, few enough that a statement reaching the memo pays one small
-/// allocation for them.
-const MEMO_SHARDS: usize = 16;
-
-/// The shard of key `(model, row)`: the top bits of a multiplicative
-/// hash over the model id and the tuple's members.
-fn memo_shard(model: ModelId, row: &Row) -> usize {
-    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-    let h = row
-        .iter()
-        .fold((model as u64 + 1).wrapping_mul(MIX), |h, &m| (h ^ u64::from(m)).wrapping_mul(MIX));
-    (h >> (64 - MEMO_SHARDS.trailing_zeros())) as usize
-}
 
 /// The label pairings one execution's label comparisons read, built
 /// once from the plan's mining predicates: for each `PREDICT(m1) =
@@ -977,59 +897,44 @@ impl LabelMaps {
     }
 }
 
-/// A bounded per-query memo over the catalog's [`ModelOracle`].
+/// The execution's [`ModelOracle`]: verified proxy cascades in front
+/// of the catalog's models, shared by the scalar reference, the
+/// vectorized executor and every parallel worker, so all of them make
+/// identical decisions and count identical scorer calls.
 ///
-/// `predict` answers repeated `(model, tuple)` questions from the memo.
-/// The memo is [`MEMO_SHARDS`] `RwLock`ed shards keyed by a hash of
-/// `(model, tuple)`, allocated on the first lookup, so a statement that
-/// never reaches the memo allocates none of it. A miss computes under
-/// its shard's write lock (double-checked), so each distinct key is
-/// scored exactly once no matter how many workers race on it — miss
-/// counts are deterministic across degrees of parallelism — while
-/// misses on other shards score in parallel. The capacity bound stops
-/// *inserting* when full (no eviction): an insert first reserves a slot
-/// with one atomic update that fails at `capacity`, so the memo never
-/// holds more. The memo can only shrink `model_invocations`, and counts
-/// stay identical across executors as long as the distinct-tuple count
-/// fits. Injected scorer faults still fire: the miss path calls
-/// straight into the catalog, and the memo never outlives one
-/// execution.
-pub(crate) struct MemoScorer<'a> {
+/// A cascaded model's prediction is its proxy's decision, which is the
+/// model's on every row; any other model is scored through the catalog,
+/// and every such call counts one invocation. Injected scorer faults
+/// disable every cascade ([`crate::compile::build_cascades`]), so they
+/// always reach a real scorer call.
+pub(crate) struct Scorer<'a> {
     catalog: &'a Catalog,
-    capacity: usize,
-    shards: OnceLock<Box<[MemoShard]>>,
-    counters: MemoCounters,
     /// Verified proxy cascades, indexed by model id (`None` = the plan
     /// enabled no cascade for this model, or verification rejected it).
-    /// Living on the shared oracle means the scalar reference, the
-    /// vectorized executor, and every parallel worker make identical
-    /// cascade decisions — the differential oracles hold for free.
     cascades: Vec<Option<Arc<ProxyScore>>>,
     labels: LabelMaps,
     cascade_accepts: AtomicU64,
     cascade_rejects: AtomicU64,
-    band_rows: AtomicU64,
+    invocations: AtomicU64,
+    scorer_ns: AtomicU64,
 }
 
-impl<'a> MemoScorer<'a> {
-    /// A memo scorer with proxy cascades enabled for the models carrying
+impl<'a> Scorer<'a> {
+    /// A scorer with proxy cascades enabled for the models carrying
     /// `Some` entries (index = model id). Callers build the vector via
     /// [`crate::compile::build_cascades`], which verifies each table.
     pub(crate) fn with_cascades(
         catalog: &'a Catalog,
-        capacity: usize,
         cascades: Vec<Option<Arc<ProxyScore>>>,
-    ) -> MemoScorer<'a> {
-        MemoScorer {
+    ) -> Scorer<'a> {
+        Scorer {
             catalog,
-            capacity,
-            shards: OnceLock::new(),
-            counters: MemoCounters::default(),
             cascades,
             labels: LabelMaps::default(),
             cascade_accepts: AtomicU64::new(0),
             cascade_rejects: AtomicU64::new(0),
-            band_rows: AtomicU64::new(0),
+            invocations: AtomicU64::new(0),
+            scorer_ns: AtomicU64::new(0),
         }
     }
 
@@ -1038,19 +943,14 @@ impl<'a> MemoScorer<'a> {
     pub(crate) fn with_label_maps<'e>(
         mut self,
         exprs: impl IntoIterator<Item = &'e Expr>,
-    ) -> MemoScorer<'a> {
+    ) -> Scorer<'a> {
         self.labels = LabelMaps::for_exprs(self.catalog, exprs);
         self
     }
 
-    /// Memo hits so far (predictions answered without the model).
-    pub(crate) fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    /// Memo misses so far = actual black-box model applications.
+    /// Real scorer calls so far — black-box model applications.
     pub(crate) fn invocations(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
+        self.invocations.load(Ordering::Relaxed)
     }
 
     /// Rows whose mining predicate the cascade answered positively.
@@ -1063,15 +963,9 @@ impl<'a> MemoScorer<'a> {
         self.cascade_rejects.load(Ordering::Relaxed)
     }
 
-    /// Rows inside the proxy's uncertainty band (fell through to the
-    /// memo/scorer path).
-    pub(crate) fn band_rows(&self) -> u64 {
-        self.band_rows.load(Ordering::Relaxed)
-    }
-
-    /// Wall nanoseconds spent inside the real scorer (memo misses only).
+    /// Wall nanoseconds spent inside the real scorer.
     pub(crate) fn scorer_ns(&self) -> u64 {
-        self.counters.scorer_ns.load(Ordering::Relaxed)
+        self.scorer_ns.load(Ordering::Relaxed)
     }
 
     /// The verified proxy cascade enabled for `model`, if any.
@@ -1079,82 +973,30 @@ impl<'a> MemoScorer<'a> {
         self.cascades.get(model)?.as_deref()
     }
 
-    /// The timed catalog scorer call shared by every miss path.
-    fn scored_predict(&self, model: ModelId, row: &Row) -> ClassId {
+    /// One real scorer call, counted and timed. Counted before the
+    /// (possibly panicking) model runs, matching the reference
+    /// interpreter's increment-then-predict order.
+    fn score(&self, model: ModelId, row: &Row) -> ClassId {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let c = self.catalog.predict(model, row);
-        self.counters.scorer_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.scorer_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         c
     }
 }
 
-impl MemoScorer<'_> {
-    /// The memo/scorer path without the cascade front end: called for
-    /// band rows (already counted by the caller) and for models with no
-    /// verified proxy.
-    fn predict_via_memo(&self, model: ModelId, row: &Row) -> ClassId {
-        if self.capacity == 0 {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            return self.scored_predict(model, row);
-        }
-        let shards = self
-            .shards
-            .get_or_init(|| (0..MEMO_SHARDS).map(|_| MemoShard(RwLock::new(Vec::new()))).collect());
-        let shard = &shards[memo_shard(model, row)].0;
-        {
-            let tables = shard.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(&c) = tables.get(model).and_then(|m| m.get(row)) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return c;
-            }
-        }
-        let mut tables = shard.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(&c) = tables.get(model).and_then(|m| m.get(row)) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return c;
-        }
-        // Counted before the (possibly panicking) model runs, matching
-        // the reference interpreter's increment-then-predict order.
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let c = self.scored_predict(model, row);
-        let reserved = self
-            .counters
-            .len
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.capacity).then_some(n + 1)
-            })
-            .is_ok();
-        if reserved {
-            if tables.len() <= model {
-                tables.resize_with(model + 1, ModelMemo::new);
-            }
-            tables[model].insert(Box::from(row), c);
-        }
-        c
-    }
-}
-
-impl ModelOracle for MemoScorer<'_> {
+impl ModelOracle for Scorer<'_> {
     fn predict(&self, model: ModelId, row: &Row) -> ClassId {
-        // A unique proxy argmax IS the model's prediction (bit-identical
-        // score tables), so direct predictions — the row walk's
-        // `ModelsAgree` — ride the cascade too. Only tied rows — the
-        // band — reach the memo/scorer path, and they are counted here
-        // so `band_rows` equals the fallback-scorer set on every query
-        // shape.
-        if let Some(proxy) = self.cascade(model) {
-            match proxy.decide(row) {
-                ProxyDecision::Unique(c) => return c,
-                ProxyDecision::Band => {
-                    self.band_rows.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        // Direct predictions — the row walk's `ModelsAgree` — ride the
+        // cascade too, without counting accepts or rejects.
+        match self.cascade(model) {
+            Some(proxy) => proxy.decide(row),
+            None => self.score(model, row),
         }
-        self.predict_via_memo(model, row)
     }
 
     fn class_for_member(&self, model: ModelId, column: AttrId, m: Member) -> Option<ClassId> {
-        // Pure metadata lookup — not an invocation; no memo needed.
+        // Pure metadata lookup — not an invocation.
         match self.labels.members.iter().find(|(k, _)| *k == (model, column)) {
             Some((_, map)) => map.get(usize::from(m)).copied().flatten(),
             None => self.catalog.class_for_member(model, column, m),
@@ -1169,29 +1011,13 @@ impl ModelOracle for MemoScorer<'_> {
     }
 
     fn predict_in(&self, model: ModelId, row: &Row, accept: &[ClassId]) -> bool {
-        if let Some(proxy) = self.cascade(model) {
-            match proxy.decide(row) {
-                // A unique proxy argmax IS the model's prediction
-                // (bit-identical score tables): answer membership
-                // without scoring, memoizing, or counting an invocation.
-                ProxyDecision::Unique(c) => {
-                    let hit = accept.contains(&c);
-                    if hit {
-                        self.cascade_accepts.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.cascade_rejects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return hit;
-                }
-                // Tied scores: only the model's tie-break can decide.
-                // Counted here, so the fallback must skip the cascade
-                // front end (`predict` would count the band row twice).
-                ProxyDecision::Band => {
-                    self.band_rows.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        accept.contains(&self.predict_via_memo(model, row))
+        let Some(proxy) = self.cascade(model) else {
+            return accept.contains(&self.score(model, row));
+        };
+        let hit = accept.contains(&proxy.decide(row));
+        let counter = if hit { &self.cascade_accepts } else { &self.cascade_rejects };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 }
 
@@ -1235,9 +1061,9 @@ mod tests {
     /// Runs `f` with a batch context over `t` and an empty catalog.
     fn with_ctx<R>(t: &Table, f: impl FnOnce(&mut BatchCtx<'_>) -> R) -> R {
         let cat = Catalog::new();
-        let memo = MemoScorer::with_cascades(&cat, 0, Vec::new());
+        let scorer = Scorer::with_cascades(&cat, Vec::new());
         let mut after = || Ok(());
-        f(&mut BatchCtx::new(t, &memo, &mut after))
+        f(&mut BatchCtx::new(t, &scorer, &mut after))
     }
 
     /// The whole table as one batch: the rows and the clause counts.
@@ -1698,7 +1524,7 @@ mod tests {
         assert!(rem.is_empty());
     }
 
-    // -- The fused model-agreement leaf and the sharded memo ----------
+    // -- The fused model-agreement leaf --------------------------------
 
     /// A naive Bayes over `schema` whose classes are `names`: class
     /// `names[k]` has prior `priors[k]` and, on every column, the
@@ -1721,8 +1547,8 @@ mod tests {
     }
 
     /// Model 0 over the 4×3 grid has classes `y` and `z` trained alike,
-    /// so every cell they win ties (band); model 1 is model 0 with its
-    /// classes stored in reverse order — other ids, the same labels.
+    /// so every cell they win ties; model 1 is model 0 with its classes
+    /// stored in reverse order — other ids, the same labels.
     fn agreeing_catalog(n_rows: usize) -> Catalog {
         let s = schema();
         let cond = |d: usize, m: u16, k: usize| match (d, k) {
@@ -1743,101 +1569,46 @@ mod tests {
         cat
     }
 
-    /// The fused `MODELS AGREE` leaf, over batches of 100 rows: the rows
-    /// the label rule gives, one `band_rows` per banded decision, and
-    /// the invocation hook called once per row that reached the scorer
-    /// path — a band row under either model — plus once per batch.
+    /// The fused `MODELS AGREE` leaf, over batches of 100 rows, with both
+    /// models cascaded and with model 1's cascade off: the rows the label
+    /// rule gives — on the cells where `y` and `z` tie, each model's
+    /// tie-break (the lower id) names a different label — one scorer
+    /// call per row of the uncascaded model and none otherwise, and the
+    /// invocation hook called after each scorer call and once per batch.
     #[test]
-    fn a_fused_models_agree_leaf_hooks_each_band_row_and_each_batch() {
+    fn a_fused_models_agree_leaf_scores_only_an_uncascaded_model() {
         let cat = agreeing_catalog(1_000);
         let t = &cat.table(0).table;
+        let n = t.n_rows() as u64;
         let expr = Expr::Mining(MiningPred::ModelsAgree { m1: 0, m2: 1 });
         let pred = CompiledPredicate::compile(&expr, t.schema(), true);
-        let cascades = crate::compile::build_cascades(&cat, &[0, 1]);
-        let proxies: Vec<Arc<ProxyScore>> = cascades.iter().flatten().cloned().collect();
-        assert_eq!(proxies.len(), 2);
-        let memo = MemoScorer::with_cascades(&cat, DEFAULT_MEMO_CAPACITY, cascades)
-            .with_label_maps([&expr]);
-
-        let (mut calls, mut rows) = (0u64, Vec::new());
-        let batches = t.n_rows().div_ceil(100) as u64;
-        {
-            let mut after = || {
-                calls += 1;
-                Ok(())
-            };
-            let mut ctx = BatchCtx::new(t, &memo, &mut after);
-            let (mut sel, mut counts) = (Vec::new(), pred.clause_counts());
-            for start in (0..t.n_rows() as RowId).step_by(100) {
-                let end = (start + 100).min(t.n_rows() as RowId);
-                pred.filter_range(start..end, &mut sel, &mut ctx, &mut counts, &mut rows).unwrap();
-            }
-        }
-        let banded = |row: &[Member]| {
-            proxies.iter().filter(|p| p.decide(row) == ProxyDecision::Band).count() as u64
-        };
-        let band: u64 = (0..t.n_rows() as RowId).map(|r| banded(&t.row(r))).sum();
-        let band_resolving = (0..t.n_rows() as RowId).filter(|&r| banded(&t.row(r)) > 0).count();
-        assert!(band_resolving > 100 && band_resolving < t.n_rows(), "{band_resolving}");
-        assert_eq!(calls, band_resolving as u64 + batches);
-        assert_eq!(memo.band_rows(), band);
-        assert_eq!((memo.cascade_accepts(), memo.cascade_rejects()), (0, 0));
-        // The label rule, row by row through the catalog: the models
-        // agree wherever the proxy decides, and on cells where `y` and
-        // `z` tie at the top their tie-breaks (lowest id) name different
-        // labels.
         let mut inv = 0;
         let want: Vec<RowId> =
             (0..t.n_rows() as RowId).filter(|&r| expr.eval(&t.row(r), &cat, &mut inv)).collect();
-        assert_eq!(rows, want);
-        let decided: Vec<RowId> =
-            (0..t.n_rows() as RowId).filter(|&r| banded(&t.row(r)) == 0).collect();
-        assert!(!decided.is_empty() && decided.iter().all(|r| rows.binary_search(r).is_ok()));
-        assert!(rows.len() < t.n_rows());
-    }
-
-    /// Eight workers race over the same 600 distinct tuples in different
-    /// orders: the memo never holds more than its capacity, and when
-    /// every tuple fits, each is scored exactly once.
-    #[test]
-    fn the_sharded_memo_holds_its_capacity_under_racing_workers() {
-        let s = grid_schema(&[10, 10, 6]);
-        let model = bayes(&s, &["a", "b"], &[0.5, 0.5], |d, m, k| {
-            (1 + (d + m as usize + k) % 3) as f64 / 10.0
-        });
-        let mut cat = Catalog::new();
-        cat.add_model("m", Arc::new(model), mpq_core::DeriveOptions::default()).unwrap();
-        let tuples: Vec<Vec<Member>> =
-            (0..600u16).map(|i| vec![i % 10, i / 10 % 10, i / 100]).collect();
-        for capacity in [0, 1, 37, 600, 10_000] {
-            let memo = MemoScorer::with_cascades(&cat, capacity, Vec::new());
-            std::thread::scope(|scope| {
-                for w in 0..8usize {
-                    let (memo, tuples, cat) = (&memo, &tuples, &cat);
-                    scope.spawn(move || {
-                        for i in 0..2 * tuples.len() {
-                            let tuple = &tuples[(i * (2 * w + 1) + w * 75) % tuples.len()];
-                            assert_eq!(memo.predict(0, tuple), cat.predict(0, tuple));
-                        }
-                    });
+        assert!(!want.is_empty() && want.len() < t.n_rows());
+        let batches = n.div_ceil(100);
+        for (cascaded, scorer_calls) in [(&[0, 1][..], 0), (&[0][..], n)] {
+            let cascades = crate::compile::build_cascades(&cat, cascaded);
+            assert_eq!(cascades.iter().flatten().count(), cascaded.len());
+            let scorer = Scorer::with_cascades(&cat, cascades).with_label_maps([&expr]);
+            let (mut calls, mut rows) = (0u64, Vec::new());
+            {
+                let mut after = || {
+                    calls += 1;
+                    Ok(())
+                };
+                let mut ctx = BatchCtx::new(t, &scorer, &mut after);
+                let (mut sel, mut counts) = (Vec::new(), pred.clause_counts());
+                for start in (0..t.n_rows() as RowId).step_by(100) {
+                    let end = (start + 100).min(t.n_rows() as RowId);
+                    pred.filter_range(start..end, &mut sel, &mut ctx, &mut counts, &mut rows)
+                        .unwrap();
                 }
-            });
-            let held: usize = memo.shards.get().map_or(0, |shards| {
-                shards
-                    .iter()
-                    .map(|s| s.0.read().unwrap().iter().map(HashMap::len).sum::<usize>())
-                    .sum()
-            });
-            assert_eq!(held, memo.counters.len.load(Ordering::Relaxed), "capacity {capacity}");
-            assert!(held <= capacity, "{held} entries in a memo of {capacity}");
-            let lookups = 8 * 2 * tuples.len() as u64;
-            assert_eq!(memo.hits() + memo.invocations(), lookups);
-            if capacity >= tuples.len() {
-                assert_eq!(memo.invocations(), tuples.len() as u64, "capacity {capacity}");
             }
-            if capacity == 0 {
-                assert!(memo.shards.get().is_none(), "a disabled memo allocates no shard");
-            }
+            assert_eq!(rows, want, "cascaded {cascaded:?}");
+            assert_eq!(scorer.invocations(), scorer_calls);
+            assert_eq!(calls, scorer_calls + batches);
+            assert_eq!((scorer.cascade_accepts(), scorer.cascade_rejects()), (0, 0));
         }
     }
 }

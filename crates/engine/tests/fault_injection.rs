@@ -359,7 +359,6 @@ fn index_fault_fallback_is_identical_across_strategies() {
     );
     assert_eq!(vec_run.metrics.rows_examined, ref_run.metrics.rows_examined);
     assert_eq!(vec_run.metrics.model_invocations, ref_run.metrics.model_invocations);
-    assert_eq!(vec_run.metrics.memo_hits, ref_run.metrics.memo_hits);
 }
 
 #[test]
@@ -414,10 +413,7 @@ fn cascade_band_fault_degrades_to_sound_scorer_path() {
     let sql = "SELECT * FROM t WHERE PREDICT(m) = 'c1'";
     let healthy = e.query(sql).unwrap();
     let m = &healthy.metrics;
-    assert!(
-        m.cascade_accepts + m.cascade_rejects + m.band_rows > 0,
-        "fixture must exercise the cascade"
-    );
+    assert!(m.cascade_accepts + m.cascade_rejects > 0, "fixture must exercise the cascade");
 
     e.fault_injector().set_cascade_band_perturb(true);
     let degraded = e.query(sql).unwrap();
@@ -427,10 +423,8 @@ fn cascade_band_fault_degrades_to_sound_scorer_path() {
     // are made at all — every row goes to the real scorer.
     assert_eq!(degraded.metrics.cascade_accepts, 0);
     assert_eq!(degraded.metrics.cascade_rejects, 0);
-    assert_eq!(degraded.metrics.band_rows, 0);
     assert_eq!(
-        degraded.metrics.model_invocations + degraded.metrics.memo_hits,
-        degraded.metrics.rows_examined,
+        degraded.metrics.model_invocations, degraded.metrics.rows_examined,
         "fallback path must score every examined row"
     );
     // The disablement is a typed health note, not a silent downgrade.
@@ -444,7 +438,8 @@ fn cascade_band_fault_degrades_to_sound_scorer_path() {
     let recovered = e.query(sql).unwrap();
     assert_eq!(recovered.rows, healthy.rows);
     let rm = &recovered.metrics;
-    assert!(rm.cascade_accepts + rm.cascade_rejects + rm.band_rows > 0);
+    assert!(rm.cascade_accepts + rm.cascade_rejects > 0);
+    assert_eq!(rm.model_invocations, 0, "a restored cascade scores no row");
     assert_eq!(e.health().models[0].cascade_note, None, "recovery must clear the note");
 }
 

@@ -8,9 +8,9 @@
 //! parallelism:
 //!
 //! * the exact row set,
-//! * the exact `model_invocations` count with the memo disabled (the
-//!   optimizer only permutes mining-free runs of conjuncts, so the same
-//!   rows reach every model scorer in the same order),
+//! * the exact `model_invocations` count (the optimizer only permutes
+//!   mining-free runs of conjuncts, so the same rows reach every model
+//!   scorer in the same order),
 //! * the guard-breach classification when a budget trips, and
 //! * the same feedback observations at every dop, with
 //!   `clauses_reordered` and `factor_hits` at 0. The observations are
@@ -143,7 +143,7 @@ fn dnf_sql(atoms: &[&str], shape: &[Vec<usize>]) -> String {
 }
 
 /// The oracle proper: the reference interpreter against the pipeline at
-/// every dop, memo off so model invocation counts are raw.
+/// every dop.
 fn check_query(e: &Engine, table: &str, where_sql: &str) -> Result<(), TestCaseError> {
     let sql = format!("SELECT * FROM {table} WHERE {where_sql}");
     let parsed = {
@@ -152,18 +152,14 @@ fn check_query(e: &Engine, table: &str, where_sql: &str) -> Result<(), TestCaseE
     };
     let plan = e.plan_predicate(parsed.table, parsed.predicate);
     let catalog = e.catalog();
-    let no_memo = |dop: usize| ExecOptions {
-        parallelism: dop,
-        memo_capacity: 0,
-        ..ExecOptions::default()
-    };
-    let reference_opts = ExecOptions { vectorized: false, ..no_memo(1) };
+    let reference_opts = ExecOptions { vectorized: false, ..ExecOptions::default() };
     let reference = execute_opts(&plan, &catalog, QueryGuard::unlimited(), &reference_opts)
         .expect("reference must run");
 
     let mut baseline: Option<Vec<FeedbackObservation>> = None;
     for dop in DOPS {
-        let got = execute_opts(&plan, &catalog, QueryGuard::unlimited(), &no_memo(dop))
+        let opts = ExecOptions::with_parallelism(dop);
+        let got = execute_opts(&plan, &catalog, QueryGuard::unlimited(), &opts)
             .expect("pipeline must run");
         prop_assert_eq!(&got.rows, &reference.rows, "rows at dop {}: {}", dop, sql);
         prop_assert_eq!(
@@ -207,7 +203,8 @@ fn check_query(e: &Engine, table: &str, where_sql: &str) -> Result<(), TestCaseE
     let want = classify(execute_opts(&plan, &catalog, guard, &reference_opts));
     prop_assert_eq!(want, Some(resource), "reference must breach: {}", sql);
     for dop in DOPS {
-        let got = classify(execute_opts(&plan, &catalog, guard, &no_memo(dop)));
+        let opts = ExecOptions::with_parallelism(dop);
+        let got = classify(execute_opts(&plan, &catalog, guard, &opts));
         prop_assert_eq!(
             got,
             want,

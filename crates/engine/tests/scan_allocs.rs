@@ -236,10 +236,9 @@ fn bayes(shift: usize) -> mpq_models::NaiveBayes {
     .unwrap()
 }
 
-/// Cascaded scans whose proxies decide every row never reach the scorer
-/// memo: a lone `PREDICT(m) = c` and the fused `PREDICT(m1) =
-/// PREDICT(m2)` leaf allocate nothing per batch — no memo shard, no
-/// per-batch buffer — so twice the batches cost the same allocations.
+/// Cascaded scans never reach the scorer: a lone `PREDICT(m) = c` and
+/// the fused `PREDICT(m1) = PREDICT(m2)` leaf allocate nothing per batch,
+/// so twice the batches cost the same allocations.
 #[test]
 fn a_cascaded_scan_that_never_scores_allocates_nothing_per_batch() {
     use mpq_engine::MiningPred;

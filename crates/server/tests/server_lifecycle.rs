@@ -161,9 +161,9 @@ impl EnvelopeProvider for SlowModel {
 /// them.
 #[test]
 fn admission_refusals_are_typed_busy_and_queue_timeout() {
-    // 120 rows, but only 12 distinct tuples reach the scorer (the
-    // executor memoizes per-tuple predictions), so 12 × 50 ms ≈ 600 ms
-    // per query at parallelism 1 — a deterministic slot-holder.
+    // 120 rows, each scored once (the slow model has no proxy cascade),
+    // so 120 × 5 ms ≈ 600 ms per query at parallelism 1 — a
+    // deterministic slot-holder.
     let mut ds = Dataset::new(demo_schema());
     for i in 0..120u16 {
         ds.push_encoded(&[i % 4, (i / 4) % 3, i % 2]).unwrap();
@@ -176,7 +176,7 @@ fn admission_refusals_are_typed_busy_and_queue_timeout() {
     engine
         .register_model(
             "slow",
-            Arc::new(SlowModel { schema: demo_schema(), per_row: Duration::from_millis(50) }),
+            Arc::new(SlowModel { schema: demo_schema(), per_row: Duration::from_millis(5) }),
             DeriveOptions::default(),
         )
         .unwrap();

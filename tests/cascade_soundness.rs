@@ -1,16 +1,15 @@
 //! Cascade soundness oracle: the tabulated proxy score for the additive
 //! models (naive Bayes, k-means, GMM) must agree with the real scorer on
-//! every decided row — a `Unique` decision *is* the model's prediction —
-//! and the uncertainty band must be exactly the set of rows the
-//! executor falls back to the real scorer for. Execution through the
-//! cascade must be row-identical to the cascade-free reference at every
-//! degree of parallelism, with the memo cache on and off.
+//! every row — exact score ties included, which the proxy breaks by the
+//! model's own rule — so a cascaded mining predicate never reaches the
+//! scorer. Execution through the cascade must be row-identical to the
+//! cascade-free reference at every degree of parallelism.
 
 use mining_predicates::prelude::*;
 use mpq_engine::{
     execute_opts, Atom, AtomPred, ExecOptions, ModelOracle, StatementOutcome, ASSUMED_COLUMN_BYTES,
 };
-use mpq_core::{ProxyDecision, ProxyScore};
+use mpq_core::ProxyScore;
 use proptest::prelude::*;
 
 const DOPS: [usize; 4] = [1, 2, 4, 8];
@@ -117,11 +116,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The heart of the soundness claim, checked directly against the
-    /// scorer: on every row of the table, a `Unique` proxy decision
-    /// names exactly the class the real model predicts. (Band rows make
-    /// no claim — they are the fallback set by definition.)
+    /// scorer: on every row of the table, the proxy's decision names
+    /// exactly the class the real model predicts.
     #[test]
-    fn unique_decisions_agree_with_the_real_scorer(
+    fn proxy_decisions_agree_with_the_real_scorer(
         extra in proptest::collection::vec((0u16..4, 0u16..3), 40..120),
     ) {
         let e = engine_with_models(&extra);
@@ -129,38 +127,27 @@ proptest! {
         for (model, table) in MODELS {
             let proxy = fresh_proxy(&e, model);
             let t = &catalog.table(table).table;
-            let mut decided = 0u64;
             for r in 0..t.n_rows() as u32 {
                 let row = t.row(r);
-                match proxy.decide(&row) {
-                    ProxyDecision::Unique(c) => {
-                        decided += 1;
-                        prop_assert_eq!(
-                            c,
-                            catalog.predict(model, &row),
-                            "proxy and scorer diverged on model {} row {:?}", model, row
-                        );
-                    }
-                    ProxyDecision::Band => {}
-                }
+                prop_assert_eq!(
+                    proxy.decide(&row),
+                    catalog.predict(model, &row),
+                    "proxy and scorer diverged on model {} row {:?}", model, row
+                );
             }
-            // The cascade must actually decide something on these grids,
-            // or the test proves nothing.
-            prop_assert!(decided > 0, "model {} decided no rows at all", model);
         }
     }
 
     /// End to end through the executors: a cascaded plan returns the
-    /// same rows as the cascade-free reference at every dop; every
-    /// scored row is accounted as exactly one of accept, reject or
-    /// band; and with the memo disabled the real scorer runs exactly
-    /// once per band row — the band *is* the fallback-scorer set.
+    /// same rows as the cascade-free reference at every dop, which calls
+    /// the scorer once per row; every scored row is accounted as exactly
+    /// one of accept or reject, and the real scorer never runs.
     #[test]
-    fn cascade_execution_is_sound_and_band_equals_fallback_set(
+    fn cascade_execution_is_sound_and_never_calls_the_scorer(
         extra in proptest::collection::vec((0u16..4, 0u16..3), 40..120),
     ) {
         let e = engine_with_models(&extra);
-        e.set_use_envelopes(false); // full scan: every row reaches the scorer
+        e.set_use_envelopes(false); // full scan: every row reaches the predicate
         for (model, table) in MODELS {
             for class in 0..2u16 {
                 let expr = Expr::Mining(MiningPred::ClassEq { model, class: ClassId(class) });
@@ -172,10 +159,9 @@ proptest! {
                 let reference =
                     execute_opts(&plan_ref, &catalog, QueryGuard::unlimited(), &reference_opts())
                         .expect("reference run cannot fail");
-                prop_assert_eq!(
-                    reference.metrics.band_rows, 0,
-                    "cascade-free reference must not report band rows"
-                );
+                let r = &reference.metrics;
+                prop_assert_eq!(r.model_invocations, r.rows_examined, "one call per row");
+                prop_assert_eq!(r.cascade_accepts + r.cascade_rejects, 0, "reference cascaded");
 
                 let mut serial_counters = None;
                 for dop in DOPS {
@@ -193,13 +179,18 @@ proptest! {
                     );
                     let m = &got.metrics;
                     prop_assert_eq!(
-                        m.cascade_accepts + m.cascade_rejects + m.band_rows,
+                        m.cascade_accepts + m.cascade_rejects,
                         m.rows_examined,
-                        "every scored row is accept, reject or band: model {}", model
+                        "every scored row is accept or reject: model {}", model
+                    );
+                    prop_assert_eq!(
+                        (m.model_invocations, m.band_rows, m.memo_hits),
+                        (0, 0, 0),
+                        "a cascaded model never reaches the scorer: model {}", model
                     );
                     // Cascade decisions are deterministic: identical at
                     // every dop.
-                    let counters = (m.cascade_accepts, m.cascade_rejects, m.band_rows);
+                    let counters = (m.cascade_accepts, m.cascade_rejects);
                     match serial_counters {
                         None => serial_counters = Some(counters),
                         Some(expected) => prop_assert_eq!(
@@ -208,55 +199,14 @@ proptest! {
                         ),
                     }
                 }
-
-                // Memo off: the real scorer runs exactly once per band
-                // row — nothing more (Unique rows never invoke), nothing
-                // less (every band row falls back).
-                let no_memo = execute_opts(
-                    &plan_casc,
-                    &catalog,
-                    QueryGuard::unlimited(),
-                    &ExecOptions { memo_capacity: 0, ..ExecOptions::default() },
-                )
-                .expect("memo-free cascaded run cannot fail");
-                prop_assert_eq!(&no_memo.rows, &reference.rows, "memo off changed rows");
-                prop_assert_eq!(
-                    no_memo.metrics.model_invocations,
-                    no_memo.metrics.band_rows,
-                    "band rows must equal the fallback-scorer set exactly: model {}", model
-                );
-                prop_assert_eq!(no_memo.metrics.memo_hits, 0, "disabled memo reported hits");
-
-                // Memo on: decisions (and thus counters) are unchanged;
-                // the memo can only absorb band-row scorer calls.
-                let memo = execute_opts(
-                    &plan_casc,
-                    &catalog,
-                    QueryGuard::unlimited(),
-                    &reference_opts(),
-                )
-                .expect("memoized cascaded run cannot fail");
-                prop_assert_eq!(&memo.rows, &reference.rows, "memo on changed rows");
-                prop_assert_eq!(
-                    (memo.metrics.cascade_accepts, memo.metrics.cascade_rejects,
-                     memo.metrics.band_rows),
-                    serial_counters.expect("dop sweep ran"),
-                    "memo must not change cascade decisions"
-                );
-                prop_assert!(
-                    memo.metrics.model_invocations <= memo.metrics.band_rows,
-                    "memoized scorer calls cannot exceed the band: {} > {}",
-                    memo.metrics.model_invocations, memo.metrics.band_rows
-                );
             }
         }
     }
 
-    /// `MODELS AGREE` is never compiled away (agreement is decided on
-    /// raw class ids at prediction time), so its *direct* predictions
-    /// must ride the cascade's predict path: a unique proxy argmax is
-    /// the prediction, and with the memo off the real scorer runs
-    /// exactly once per banded predict call — across both models.
+    /// `MODELS AGREE` is never compiled away, so its *direct* predictions
+    /// must ride the cascade's predict path: the proxy's decision is the
+    /// prediction, on both models, and the real scorer never runs — where
+    /// the cascade-free reference calls it twice per row.
     #[test]
     fn models_agree_rides_the_predict_path_cascade(
         extra in proptest::collection::vec((0u16..4, 0u16..3), 60..140),
@@ -272,7 +222,8 @@ proptest! {
         let reference =
             execute_opts(&plan_ref, &catalog, QueryGuard::unlimited(), &reference_opts())
                 .expect("reference run cannot fail");
-        prop_assert_eq!(reference.metrics.band_rows, 0, "reference must not cascade");
+        let r = &reference.metrics;
+        prop_assert_eq!(r.model_invocations, 2 * r.rows_examined, "two calls per row");
 
         for dop in DOPS {
             let got = execute_opts(
@@ -286,29 +237,8 @@ proptest! {
                 &got.rows, &reference.rows,
                 "cascade changed the agreement row set at dop {}", dop
             );
+            prop_assert_eq!((got.metrics.model_invocations, got.metrics.band_rows), (0, 0));
         }
-
-        // Memo off: each row makes two predict calls; every one either
-        // decides uniquely (no scorer) or lands in the band and invokes
-        // the scorer exactly once.
-        let no_memo = execute_opts(
-            &plan_casc,
-            &catalog,
-            QueryGuard::unlimited(),
-            &ExecOptions { memo_capacity: 0, ..ExecOptions::default() },
-        )
-        .expect("memo-free cascaded run cannot fail");
-        prop_assert_eq!(&no_memo.rows, &reference.rows, "memo off changed rows");
-        prop_assert_eq!(
-            no_memo.metrics.model_invocations,
-            no_memo.metrics.band_rows,
-            "banded predict calls must equal the fallback-scorer set exactly"
-        );
-        prop_assert!(
-            no_memo.metrics.band_rows <= 2 * no_memo.metrics.rows_examined,
-            "at most two predict calls per examined row"
-        );
-        prop_assert_eq!(no_memo.metrics.memo_hits, 0, "disabled memo reported hits");
     }
 }
 
@@ -317,9 +247,8 @@ proptest! {
 /// Rows a scan hands the compiled predicate at once (`exec.rs`,
 /// `SCAN_BATCH_ROWS`).
 const BATCH_ROWS: usize = 2048;
-/// An odd page size, so that neither a batch (55 pages, 2,035 rows)
-/// nor the 4,096-row calibration window ends where a page or the other
-/// does.
+/// An odd page size, so that a batch (55 whole pages, 2,035 rows) does
+/// not end at the 2,048 rows a scan asks for.
 const ROWS_PER_PAGE: usize = 37;
 /// The one page of the big table holding only `a = a0`.
 const SKIPPED_PAGE: usize = 70;
@@ -328,7 +257,7 @@ const SKIPPED_PAGE: usize = 70;
 /// on the small table `train` (id 0) of the same schema: a naive Bayes
 /// whose classes `c1` and `c2` have identical training rows — they
 /// score bit-equal, so wherever they beat `c0` (every `a >= a2` cell)
-/// the proxy ties and the row is band — and a k-means.
+/// they tie, and the lower id, `c1`, wins — and a k-means.
 fn engine_with_big_table() -> Engine {
     let schema = Schema::new(vec![
         Attribute::new("a", AttrDomain::categorical(["a0", "a1", "a2", "a3"])),
@@ -368,12 +297,14 @@ fn engine_with_big_table() -> Engine {
 }
 
 /// The column-at-a-time cascade over multi-page batches against the
-/// per-row cascade of the reference interpreter, on a scan of five
-/// batches whose batch, page and calibration boundaries all differ and
-/// whose second batch is cut short by a zone-skipped page: same rows,
-/// same accept/reject/band split, same scorer calls — and, with the
-/// memo off, the same invocation-budget breach for every limit across
-/// the first batch boundary.
+/// per-row cascade of the reference interpreter and the cascade-free
+/// scorer path, on a scan of five batches whose batch and page
+/// boundaries differ and whose second batch is cut short by a
+/// zone-skipped page: the tied naive Bayes returns the scorer's rows
+/// with no scorer call and no band row at every dop, with the
+/// reference's accept/reject split. With the cascade off, every
+/// invocation budget across the first batch boundary breaches as the
+/// reference does.
 #[test]
 fn batched_cascade_equals_the_per_row_cascade_across_every_boundary() {
     let e = engine_with_big_table();
@@ -384,82 +315,78 @@ fn batched_cascade_equals_the_per_row_cascade_across_every_boundary() {
     let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
     assert!(t.n_rows() >= 3 * BATCH_ROWS);
     assert!(batch_end != BATCH_ROWS);
-    assert!(!4096usize.is_multiple_of(ROWS_PER_PAGE) && !4096usize.is_multiple_of(batch_end));
     assert!(batch_end < SKIPPED_PAGE * ROWS_PER_PAGE && SKIPPED_PAGE * ROWS_PER_PAGE < 2 * batch_end);
+    // The tie is real: `c1` and `c2` lead together on thousands of rows,
+    // and the tie-break always names `c1`.
+    let predicted = |c: u16| {
+        (0..t.n_rows() as u32).filter(|&r| catalog.predict(0, &t.row(r)) == ClassId(c)).count()
+    };
+    assert!(predicted(1) > 1_000 && predicted(2) == 0);
 
     let not_a0 = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Range { lo: 1, hi: 3 } });
-    let no_memo = |dop: usize| ExecOptions { memo_capacity: 0, ..ExecOptions::with_parallelism(dop) };
     let preds = [
         MiningPred::ClassEq { model: 0, class: ClassId(1) },
         MiningPred::ClassIn { model: 0, classes: vec![ClassId(0), ClassId(2)] },
         MiningPred::ClassEq { model: 1, class: ClassId(0) },
     ];
+    let plan = |pred: &MiningPred, compile: bool| {
+        e.set_compile_models(compile);
+        e.plan_predicate(1, Expr::And(vec![not_a0(), Expr::Mining(pred.clone())]))
+    };
+    // Every `a != a0` row reaches the mining predicate once.
+    let reached = (0..t.n_rows() as u32).filter(|&r| t.cell(r, 0) != 0).count() as u64;
     for pred in &preds {
-        let plan = e.plan_predicate(1, Expr::And(vec![not_a0(), Expr::Mining(pred.clone())]));
-        for memo_capacity in [ExecOptions::default().memo_capacity, 0] {
-            let reference = execute_opts(
+        let unlimited = QueryGuard::unlimited();
+        let scored = execute_opts(&plan(pred, false), &catalog, unlimited, &reference_opts())
+            .expect("scorer run cannot fail");
+        assert_eq!(scored.metrics.model_invocations, reached, "{pred:?}");
+        let plan = plan(pred, true);
+        let reference = execute_opts(&plan, &catalog, unlimited, &reference_opts())
+            .expect("reference run cannot fail");
+        let r = &reference.metrics;
+        assert_eq!(reference.rows, scored.rows, "{pred:?}");
+        assert_eq!(r.pages_skipped, 1, "{pred:?}");
+        assert_eq!(r.cascade_accepts + r.cascade_rejects, reached, "{pred:?}");
+        assert_eq!((r.model_invocations, r.band_rows), (0, 0), "{pred:?}");
+        for dop in DOPS {
+            let got = execute_opts(
                 &plan,
                 &catalog,
                 QueryGuard::unlimited(),
-                &ExecOptions { memo_capacity, ..reference_opts() },
+                &ExecOptions::with_parallelism(dop),
             )
-            .expect("reference run cannot fail");
-            let r = &reference.metrics;
-            assert_eq!(r.pages_skipped, 1, "{pred:?}");
-            assert!(r.cascade_accepts + r.cascade_rejects > 0, "the cascade must be on: {pred:?}");
-            if memo_capacity == 0 {
-                assert_eq!(r.model_invocations, r.band_rows, "{pred:?}");
-            }
-            for dop in DOPS {
-                let got = execute_opts(
-                    &plan,
-                    &catalog,
-                    QueryGuard::unlimited(),
-                    &ExecOptions { memo_capacity, ..ExecOptions::with_parallelism(dop) },
-                )
-                .expect("batched run cannot fail");
-                let ctx = format!("{pred:?}, memo {memo_capacity}, dop {dop}");
-                assert_eq!(got.rows, reference.rows, "{ctx}");
-                let m = &got.metrics;
-                assert_eq!(
-                    (m.cascade_accepts, m.cascade_rejects, m.band_rows),
-                    (r.cascade_accepts, r.cascade_rejects, r.band_rows),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    (m.model_invocations, m.memo_hits, m.rows_examined, m.heap_pages_read),
-                    (r.model_invocations, r.memo_hits, r.rows_examined, r.heap_pages_read),
-                    "{ctx}"
-                );
-                assert_eq!(m.pages_skipped, 1, "{ctx}");
-            }
+            .expect("batched run cannot fail");
+            let ctx = format!("{pred:?}, dop {dop}");
+            assert_eq!(got.rows, reference.rows, "{ctx}");
+            let m = &got.metrics;
+            assert_eq!(
+                (m.cascade_accepts, m.cascade_rejects, m.band_rows),
+                (r.cascade_accepts, r.cascade_rejects, r.band_rows),
+                "{ctx}"
+            );
+            assert_eq!(
+                (m.model_invocations, m.memo_hits, m.rows_examined, m.heap_pages_read),
+                (r.model_invocations, r.memo_hits, r.rows_examined, r.heap_pages_read),
+                "{ctx}"
+            );
+            assert_eq!(m.pages_skipped, 1, "{ctx}");
         }
     }
 
-    // Invocation budgets that trip just before, on and just after the
-    // last band row of the first batch.
-    let proxy = fresh_proxy(&e, 0);
-    let band_in_first_batch = (0..batch_end as u32)
-        .map(|r| t.row(r))
-        .filter(|row| row[0] != 0 && proxy.decide(row) == ProxyDecision::Band)
-        .count() as u64;
-    assert!(band_in_first_batch > 100, "tied classes must put rows in the band");
-    let plan = e.plan_predicate(1, Expr::And(vec![not_a0(), Expr::Mining(preds[0].clone())]));
-    for limit in band_in_first_batch - 3..=band_in_first_batch + 3 {
+    // With the cascade off, invocation budgets that trip just before, on
+    // and just after the last scorer call of the first batch.
+    let calls_in_first_batch = (0..batch_end as u32).filter(|&r| t.cell(r, 0) != 0).count() as u64;
+    let plan = plan(&preds[0], false);
+    for limit in calls_in_first_batch - 3..=calls_in_first_batch + 3 {
         let guard = QueryGuard::default().with_max_model_invocations(limit);
-        let reference = execute_opts(
-            &plan,
-            &catalog,
-            guard,
-            &ExecOptions { memo_capacity: 0, ..reference_opts() },
-        )
-        .expect_err("the table holds thousands of band rows");
+        let reference = execute_opts(&plan, &catalog, guard, &reference_opts())
+            .expect_err("the table holds thousands of scored rows");
         let EngineError::BudgetExceeded { resource, spent, .. } = &reference else {
             panic!("limit {limit}: {reference:?}");
         };
         assert_eq!((*resource, *spent), (GuardResource::ModelInvocations, limit + 1));
         for dop in DOPS {
-            let got = execute_opts(&plan, &catalog, guard, &no_memo(dop))
+            let got = execute_opts(&plan, &catalog, guard, &ExecOptions::with_parallelism(dop))
                 .expect_err("the pipeline must breach where the reference does");
             if dop == 1 {
                 assert_eq!(got, reference, "limit {limit}");
@@ -513,22 +440,15 @@ fn engine_with_agreeing_models_on_big_table() -> Engine {
     e
 }
 
-/// Scorer calls the memo-free reference makes on rows `rows` for `pred`:
-/// one per banded decision of each model the predicate asks.
-fn banded_calls(e: &Engine, pred: &MiningPred, rows: impl Iterator<Item = Vec<u16>>) -> u64 {
-    let proxies: Vec<ProxyScore> = pred.models().iter().map(|&m| fresh_proxy(e, m)).collect();
-    rows.map(|row| proxies.iter().filter(|p| p.decide(&row) == ProxyDecision::Band).count() as u64)
-        .sum()
-}
-
 /// `PREDICT(m1) = PREDICT(m2)` over models sharing class ids and over
 /// models storing the same labels under other ids, and `PREDICT(m) =
 /// label` for both id layouts, alone and behind a `Col` leaf, on the
-/// 9,000-row table of five batches: every dop returns the reference's
-/// rows and every deterministic counter — band rows, scorer calls, memo
-/// hits — with the memo on and off, and every invocation budget across
-/// the first batch boundary trips the pipeline with the reference's
-/// exact error at dop 1 (its resource and limit elsewhere).
+/// 9,000-row table of five batches: every dop returns the rows of the
+/// cascade-free scorer path and every deterministic counter of the
+/// reference, with no scorer call. With the cascade off, every
+/// invocation budget across the first batch boundary trips the pipeline
+/// with the reference's exact error at dop 1 (its resource and limit
+/// elsewhere).
 #[test]
 fn fused_agreement_and_label_column_kernels_equal_the_reference() {
     let e = engine_with_agreeing_models_on_big_table();
@@ -552,58 +472,54 @@ fn fused_agreement_and_label_column_kernels_equal_the_reference() {
             } else {
                 Expr::Mining(pred.clone())
             };
+            e.set_compile_models(false);
+            let plan_off = e.plan_predicate(1, expr.clone());
+            e.set_compile_models(true);
             let plan = e.plan_predicate(1, expr);
             assert_eq!(plan.cascades.len(), pred.models().len(), "{pred:?}");
-            for memo_capacity in [ExecOptions::default().memo_capacity, 0] {
-                let reference = execute_opts(
+            let unlimited = QueryGuard::unlimited();
+            let scored = execute_opts(&plan_off, &catalog, unlimited, &reference_opts())
+                .expect("scorer run cannot fail");
+            let reference = execute_opts(&plan, &catalog, unlimited, &reference_opts())
+                .expect("reference run cannot fail");
+            assert_eq!(reference.rows, scored.rows, "{pred:?}");
+            let r = &reference.metrics;
+            assert_eq!((r.model_invocations, r.band_rows), (0, 0), "{pred:?}");
+            assert_eq!(r.pages_skipped, u64::from(behind_col));
+            for dop in DOPS {
+                let got = execute_opts(
                     &plan,
                     &catalog,
                     QueryGuard::unlimited(),
-                    &ExecOptions { memo_capacity, ..reference_opts() },
+                    &ExecOptions::with_parallelism(dop),
                 )
-                .expect("reference run cannot fail");
-                let r = &reference.metrics;
-                assert!(r.band_rows > 100, "the tied classes band: {pred:?}");
-                assert_eq!(r.pages_skipped, u64::from(behind_col));
-                for dop in DOPS {
-                    let got = execute_opts(
-                        &plan,
-                        &catalog,
-                        QueryGuard::unlimited(),
-                        &ExecOptions { memo_capacity, ..ExecOptions::with_parallelism(dop) },
-                    )
-                    .expect("pipeline run cannot fail");
-                    let ctx = format!(
-                        "{pred:?}, behind col {behind_col}, memo {memo_capacity}, dop {dop}"
-                    );
-                    assert_eq!(got.rows, reference.rows, "{ctx}");
-                    let m = &got.metrics;
-                    assert_eq!(
-                        (m.cascade_accepts, m.cascade_rejects, m.band_rows),
-                        (r.cascade_accepts, r.cascade_rejects, r.band_rows),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        (m.model_invocations, m.memo_hits, m.rows_examined, m.output_rows),
-                        (r.model_invocations, r.memo_hits, r.rows_examined, r.output_rows),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        (m.heap_pages_read, m.pages_skipped),
-                        (r.heap_pages_read, r.pages_skipped)
-                    );
-                }
+                .expect("pipeline run cannot fail");
+                let ctx = format!("{pred:?}, behind col {behind_col}, dop {dop}");
+                assert_eq!(got.rows, reference.rows, "{ctx}");
+                let m = &got.metrics;
+                assert_eq!(
+                    (m.cascade_accepts, m.cascade_rejects, m.band_rows),
+                    (r.cascade_accepts, r.cascade_rejects, r.band_rows),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (m.model_invocations, m.memo_hits, m.rows_examined, m.output_rows),
+                    (r.model_invocations, r.memo_hits, r.rows_examined, r.output_rows),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (m.heap_pages_read, m.pages_skipped),
+                    (r.heap_pages_read, r.pages_skipped)
+                );
             }
 
-            let first_batch =
-                (0..batch_end).map(|r| t.row(r)).filter(|row| !behind_col || row[0] != 0);
-            let calls = banded_calls(&e, pred, first_batch);
-            assert!(calls > 100, "{pred:?}");
+            // Cascade off: one scorer call per reached row and model.
+            let reached = (0..batch_end).filter(|&r| !behind_col || t.cell(r, 0) != 0).count();
+            let calls = (reached * pred.models().len()) as u64;
             for limit in calls - 3..=calls + 3 {
                 let guard = QueryGuard::default().with_max_model_invocations(limit);
-                let no_memo = |opts: ExecOptions| ExecOptions { memo_capacity: 0, ..opts };
-                let reference = execute_opts(&plan, &catalog, guard, &no_memo(reference_opts()))
-                    .expect_err("the table holds thousands of band rows");
+                let reference = execute_opts(&plan_off, &catalog, guard, &reference_opts())
+                    .expect_err("the table holds thousands of scored rows");
                 let EngineError::BudgetExceeded { resource, spent, .. } = &reference else {
                     panic!("limit {limit}: {reference:?}");
                 };
@@ -611,10 +527,10 @@ fn fused_agreement_and_label_column_kernels_equal_the_reference() {
                 assert!(*spent > limit && *spent <= limit + pred.models().len() as u64);
                 for dop in DOPS {
                     let got = execute_opts(
-                        &plan,
+                        &plan_off,
                         &catalog,
                         guard,
-                        &no_memo(ExecOptions::with_parallelism(dop)),
+                        &ExecOptions::with_parallelism(dop),
                     )
                     .expect_err("the pipeline must breach where the reference does");
                     if dop == 1 {
@@ -632,24 +548,25 @@ fn fused_agreement_and_label_column_kernels_equal_the_reference() {
             }
         }
     }
-    // Agreement is by label: wherever all three proxies decide, `m_perm`
-    // names the label `m_alt` does under another id, so each agrees with
-    // `m_tied` on the same rows and the two always agree with each other.
+    // Agreement is by label: a row agrees exactly when the two models'
+    // predicted labels are equal. `m_perm` names the label `m_alt` does
+    // wherever `c0` leads; where `c1` and `c2` tie, each model's
+    // tie-break takes its own lower id, which names `c1` in `m_alt` and
+    // `c2` in `m_perm`.
     let rows_of = |pred: &MiningPred| {
         let plan = e.plan_predicate(1, Expr::Mining(pred.clone()));
         execute_opts(&plan, &catalog, QueryGuard::unlimited(), &reference_opts()).unwrap().rows
     };
     let (same_ids, permuted, pair) = (rows_of(&preds[0]), rows_of(&preds[1]), rows_of(&preds[2]));
-    let proxies: Vec<ProxyScore> = [0, 2, 3].iter().map(|&m| fresh_proxy(&e, m)).collect();
-    let mut decided = 0;
+    let label = |m: usize, row: &[u16]| catalog.model(m).model.class_name(catalog.predict(m, row));
     for r in 0..t.n_rows() as u32 {
         let row = t.row(r);
-        if proxies.iter().all(|p| p.decide(&row) != ProxyDecision::Band) {
-            decided += 1;
-            let has = |rows: &[u32]| rows.binary_search(&r).is_ok();
-            assert_eq!(has(&same_ids), has(&permuted), "row {r}");
-            assert!(has(&pair), "row {r}");
-        }
+        let (tied, alt, perm) = (label(0, &row), label(2, &row), label(3, &row));
+        let has = |rows: &[u32]| rows.binary_search(&r).is_ok();
+        assert_eq!(has(&same_ids), tied == alt, "row {r}");
+        assert_eq!(has(&permuted), tied == perm, "row {r}");
+        assert_eq!(has(&pair), perm == alt, "row {r}");
     }
-    assert!(decided > 1_000 && !same_ids.is_empty() && same_ids.len() < t.n_rows());
+    assert!(!same_ids.is_empty() && same_ids.len() < t.n_rows());
+    assert!(!pair.is_empty() && pair.len() < t.n_rows(), "the tie-breaks name other labels");
 }

@@ -2,24 +2,23 @@
 //! proptest-generated tables, models (all five algorithms) and query
 //! predicates, the vectorized column-at-a-time path must agree with the
 //! scalar row-at-a-time reference interpreter on row sets, rows
-//! examined, page totals (heap reads plus zone-map skips), memoized
-//! model-invocation counts, and guard-breach classification — serially
+//! examined, page totals (heap reads plus zone-map skips), scorer-call
+//! counts, and guard-breach classification — serially
 //! and at every degree of parallelism.
 
 use mining_predicates::prelude::*;
 use mpq_engine::{
     choose_plan, execute_opts, Atom, AtomPred, ExecMetrics, ExecOptions, ExecResult,
-    StatementOutcome, ASSUMED_COLUMN_BYTES, DEFAULT_MEMO_CAPACITY,
+    StatementOutcome, ASSUMED_COLUMN_BYTES,
 };
-use mpq_core::{ProxyDecision, ProxyScore};
 use mpq_types::MemberSet;
 use proptest::prelude::*;
 
 const DOPS: [usize; 4] = [1, 2, 4, 8];
 
 /// The scalar reference interpreter: serial, tree-walking `Expr::eval`
-/// per row, memo cache on (the memo is shared semantics, not a
-/// vectorized-only optimization).
+/// per row, through the same proxy cascades (a cascade's decision is the
+/// model's prediction, not a vectorized-only optimization).
 fn reference_opts() -> ExecOptions {
     ExecOptions { parallelism: 1, vectorized: false, ..ExecOptions::default() }
 }
@@ -128,8 +127,8 @@ fn query_corpus() -> Vec<(usize, Expr)> {
 
 /// Asserts the vectorized result is indistinguishable from the scalar
 /// reference: identical rows and identical deterministic metrics —
-/// including the zone-map skip count and the memo hit count, which both
-/// paths must agree on page for page and tuple for tuple.
+/// including the zone-map skip count and the scorer-call count, which
+/// both paths must agree on page for page and row for row.
 fn assert_matches_reference(
     reference: &mpq_engine::ExecResult,
     vectorized: &mpq_engine::ExecResult,
@@ -163,7 +162,7 @@ proptest! {
     /// model algorithms, returns the same rows and metrics under the
     /// vectorized executor at parallelism 1, 2, 4 and 8 as the scalar
     /// row-at-a-time reference — with envelope optimization both on and
-    /// off, and with the memo cache both enabled and disabled.
+    /// off.
     #[test]
     fn vectorized_execution_matches_scalar_reference(
         extra in proptest::collection::vec((0u16..4, 0u16..3), 40..120),
@@ -191,25 +190,6 @@ proptest! {
                         &format!("dop {dop}, envelopes {use_envelopes}, expr {expr:?}"),
                     );
                 }
-                // Memo off: the row set is unchanged, hits drop to
-                // zero, and every scalar evaluation hits the real
-                // scorer — so invocations can only grow.
-                let no_memo = execute_opts(
-                    &plan,
-                    &catalog,
-                    QueryGuard::unlimited(),
-                    &ExecOptions { memo_capacity: 0, ..ExecOptions::default() },
-                )
-                .expect("memo-free run cannot fail");
-                prop_assert_eq!(&no_memo.rows, &reference.rows, "memo off changed rows");
-                prop_assert_eq!(no_memo.metrics.memo_hits, 0, "disabled memo reported hits");
-                prop_assert!(
-                    no_memo.metrics.model_invocations
-                        >= reference.metrics.model_invocations,
-                    "memo must only ever reduce scorer calls: {} < {}",
-                    no_memo.metrics.model_invocations,
-                    reference.metrics.model_invocations
-                );
             }
         }
     }
@@ -227,7 +207,9 @@ proptest! {
         pages_limit in 0u64..80,
     ) {
         let e = engine_with_models(&extra);
-        e.set_use_envelopes(false); // full scan + black-box residual
+        // Full scan + black-box residual: no envelope, no cascade.
+        e.set_use_envelopes(false);
+        e.set_compile_models(false);
         let expr = Expr::Mining(MiningPred::ClassEq { model: 1, class: ClassId(1) });
         let plan = e.plan_predicate(0, expr);
         let catalog = e.catalog();
@@ -274,46 +256,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// A capacity-bounded memo stays sound: a tiny cache (or none) must
-    /// never change the row set, and its hit count can only shrink
-    /// relative to the unbounded cache.
-    #[test]
-    fn bounded_memo_is_sound(
-        extra in proptest::collection::vec((0u16..4, 0u16..3), 40..100),
-        capacity in 0usize..6,
-    ) {
-        let e = engine_with_models(&extra);
-        e.set_use_envelopes(false);
-        let expr = Expr::Mining(MiningPred::ClassEq { model: 0, class: ClassId(1) });
-        let plan = e.plan_predicate(0, expr);
-        let catalog = e.catalog();
-        let full = execute_opts(
-            &plan,
-            &catalog,
-            QueryGuard::unlimited(),
-            &ExecOptions { memo_capacity: DEFAULT_MEMO_CAPACITY, ..ExecOptions::default() },
-        )
-        .unwrap();
-        let bounded = execute_opts(
-            &plan,
-            &catalog,
-            QueryGuard::unlimited(),
-            &ExecOptions { memo_capacity: capacity, ..ExecOptions::default() },
-        )
-        .unwrap();
-        prop_assert_eq!(&bounded.rows, &full.rows, "bounded memo changed the row set");
-        prop_assert!(
-            bounded.metrics.memo_hits <= full.metrics.memo_hits,
-            "a smaller cache cannot hit more: {} > {}",
-            bounded.metrics.memo_hits,
-            full.metrics.memo_hits
-        );
-        prop_assert!(
-            bounded.metrics.model_invocations >= full.metrics.model_invocations,
-            "a smaller cache cannot call the scorer less"
-        );
     }
 }
 
@@ -376,9 +318,8 @@ fn index_union_page_breach_matches_reference() {
 /// Rows a scan hands the compiled predicate at once (`exec.rs`,
 /// `SCAN_BATCH_ROWS`).
 const BATCH_ROWS: usize = 2048;
-/// An odd page size, so that neither a batch (55 pages, 2,035 rows)
-/// nor the 4,096-row calibration window ends where a page or the other
-/// does.
+/// An odd page size, so that a batch (55 whole pages, 2,035 rows) does
+/// not end at the 2,048 rows a scan asks for.
 const ROWS_PER_PAGE: usize = 37;
 /// The one page of the big table holding only `a = a0`.
 const SKIPPED_PAGE: usize = 70;
@@ -439,15 +380,15 @@ fn assert_same_outcome(
     }
 }
 
-/// Scans of five batches whose batch, page and calibration boundaries
-/// all differ and whose second batch is cut short by a zone-skipped
+/// Scans of five batches whose batch and page boundaries differ and
+/// whose second batch is cut short by a zone-skipped
 /// page — through a lone `Col` leaf, a root `Boxes` leaf, a `Col` in
 /// front of a `Boxes`, a compiled-out tree, an envelope in front of a
 /// cascaded mining residual, a generic `Or` with a mining child, and a
 /// black-box residual scored row by row — agree with the reference on
 /// rows and every counter the two share, agree with each other at every
-/// dop on the adaptive counters and the calibration feedback (which the
-/// fixed-order reference does not have), and breach every rows, pages
+/// dop on the zeroed reorder counters and the clause feedback (which the
+/// reference does not collect), and breach every rows, pages
 /// and invocations limit across the first batch boundary exactly as the
 /// reference does. The batches enter the compiled program as row
 /// ranges; nothing here can tell.
@@ -456,7 +397,6 @@ fn multi_page_batches_match_reference_across_every_boundary() {
     let e = engine_with_big_table();
     let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
     assert!(batch_end != BATCH_ROWS);
-    assert!(!4096usize.is_multiple_of(ROWS_PER_PAGE) && !4096usize.is_multiple_of(batch_end));
     assert!(batch_end < SKIPPED_PAGE * ROWS_PER_PAGE && SKIPPED_PAGE * ROWS_PER_PAGE < 2 * batch_end);
 
     let atom = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
@@ -467,20 +407,20 @@ fn multi_page_batches_match_reference_across_every_boundary() {
         Expr::And(vec![atom(0, AtomPred::Eq(2)), atom(1, AtomPred::Range { lo: 1, hi: 2 })]),
         atom(0, AtomPred::Eq(3)),
     ]);
-    // (envelopes and compilation, memo capacity, predicate)
+    // (envelopes and compilation, predicate)
     let cases = [
-        (true, DEFAULT_MEMO_CAPACITY, not_a0()),
-        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), boxes.clone()])),
-        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![
+        (true, not_a0()),
+        (true, Expr::And(vec![not_a0(), boxes.clone()])),
+        (true, Expr::And(vec![
             not_a0(),
             Expr::Or(vec![atom(1, AtomPred::Eq(2)), predict(1)]),
         ])),
-        (true, DEFAULT_MEMO_CAPACITY, boxes),
-        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(0)])),
-        (true, DEFAULT_MEMO_CAPACITY, Expr::And(vec![not_a0(), predict(1)])),
-        (false, 0, Expr::And(vec![not_a0(), predict(1)])),
+        (true, boxes),
+        (true, Expr::And(vec![not_a0(), predict(0)])),
+        (true, Expr::And(vec![not_a0(), predict(1)])),
+        (false, Expr::And(vec![not_a0(), predict(1)])),
     ];
-    for (optimized, memo_capacity, expr) in cases {
+    for (optimized, expr) in cases {
         e.set_use_envelopes(optimized);
         e.set_compile_models(optimized);
         let plan = e.plan_predicate(1, expr.clone());
@@ -494,7 +434,7 @@ fn multi_page_batches_match_reference_across_every_boundary() {
                 None => reference_opts(),
                 Some(dop) => ExecOptions::with_parallelism(dop),
             };
-            execute_opts(&plan, &catalog, guard, &ExecOptions { memo_capacity, ..opts })
+            execute_opts(&plan, &catalog, guard, &opts)
         };
         let check = |guard: QueryGuard, what: &str| {
             let reference = run(guard, None);
@@ -508,7 +448,7 @@ fn multi_page_batches_match_reference_across_every_boundary() {
                 let first = serial.get_or_insert_with(|| got.clone());
                 assert_eq!(got.metrics.clauses_reordered, first.metrics.clauses_reordered, "{ctx}");
                 assert_eq!(got.metrics.factor_hits, first.metrics.factor_hits, "{ctx}");
-                assert_eq!(got.feedback, first.feedback, "calibration feedback: {ctx}");
+                assert_eq!(got.feedback, first.feedback, "clause feedback: {ctx}");
             }
             reference
         };
@@ -531,8 +471,8 @@ fn multi_page_batches_match_reference_across_every_boundary() {
             assert!(breach.is_err(), "{limit} pages cannot cover the scan");
         }
         if !optimized {
-            // Memo off and no cascade: one scorer call per row reaching
-            // the mining predicate.
+            // No cascade: one scorer call per row reaching the mining
+            // predicate.
             let scored_in_first_batch =
                 (0..batch_end as u32).filter(|&r| t.cell(r, 0) != 0).count() as u64;
             for limit in scored_in_first_batch - 3..=scored_in_first_batch + 3 {
@@ -550,15 +490,14 @@ fn multi_page_batches_match_reference_across_every_boundary() {
 
 /// The fused kernels for `PREDICT(m1) = PREDICT(m2)` and `PREDICT(m) =
 /// label` on the five-batch table, alone and behind a `Col` leaf, with
-/// the cascade on and envelopes off so every reached row meets the
-/// mining predicate: model agreement between the Bayes model and
-/// `m_perm` — the same model trained on labels stored in reverse order,
-/// every label under another id — and between the uncascaded tree and
-/// the Bayes model, which share ids; the label column against both
-/// Bayes models. Every dop agrees with the reference on rows and every
-/// counter, with the memo on and off, and breaches every rows, pages
-/// and invocations limit across the first batch boundary as the
-/// reference does.
+/// envelopes off so every reached row meets the mining predicate: model
+/// agreement between the Bayes model and `m_perm` — the same model
+/// trained on labels stored in reverse order, every label under another
+/// id — and between the uncascaded tree and the Bayes model, which share
+/// ids; the label column against both Bayes models. With the cascade on
+/// and off, every dop agrees with the reference on rows and every
+/// counter, and breaches every rows, pages and invocations limit across
+/// the first batch boundary as the reference does.
 #[test]
 fn fused_agreement_and_label_column_batches_match_reference() {
     let e = engine_with_big_table();
@@ -570,7 +509,6 @@ fn fused_agreement_and_label_column_batches_match_reference() {
     let model = mpq_engine::ProjectedModel::new(schema, AttrId(2), std::sync::Arc::new(nb));
     e.register_model("m_perm", std::sync::Arc::new(model), DeriveOptions::default()).unwrap();
     e.set_use_envelopes(false);
-    e.set_compile_models(true);
     let batch_end = BATCH_ROWS / ROWS_PER_PAGE * ROWS_PER_PAGE;
 
     let not_a0 = || Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Range { lo: 1, hi: 3 } });
@@ -580,31 +518,30 @@ fn fused_agreement_and_label_column_batches_match_reference() {
         MiningPred::ClassEqColumn { model: 1, column: AttrId(2) },
         MiningPred::ClassEqColumn { model: 2, column: AttrId(2) },
     ];
-    for pred in &preds {
-        for behind_col in [false, true] {
-            let expr = if behind_col {
-                Expr::And(vec![not_a0(), Expr::Mining(pred.clone())])
-            } else {
-                Expr::Mining(pred.clone())
-            };
-            let plan = e.plan_predicate(1, expr.clone());
-            assert!(matches!(plan.access, AccessPath::FullScan), "plan: {:?}", plan.access);
-            let catalog = e.catalog();
-            let cascaded: Vec<bool> =
-                pred.models().iter().map(|m| plan.cascades.iter().any(|(c, _)| c == m)).collect();
-            assert_eq!(
-                cascaded.iter().filter(|&&c| c).count(),
-                1 + usize::from(pred.models() == [1, 2])
-            );
-            for memo_capacity in [DEFAULT_MEMO_CAPACITY, 0] {
+    for compile in [true, false] {
+        e.set_compile_models(compile);
+        for pred in &preds {
+            for behind_col in [false, true] {
+                let expr = if behind_col {
+                    Expr::And(vec![not_a0(), Expr::Mining(pred.clone())])
+                } else {
+                    Expr::Mining(pred.clone())
+                };
+                let plan = e.plan_predicate(1, expr.clone());
+                assert!(matches!(plan.access, AccessPath::FullScan), "plan: {:?}", plan.access);
+                let catalog = e.catalog();
+                let models = pred.models();
+                let uncascaded = models.iter().filter(|m| !plan.cascades.contains(m)).count();
+                let want = if compile { usize::from(models == [0, 1]) } else { models.len() };
+                assert_eq!(uncascaded, want, "{expr:?}");
                 let run = |guard: QueryGuard, dop: Option<usize>| {
                     let opts = dop.map_or_else(reference_opts, ExecOptions::with_parallelism);
-                    execute_opts(&plan, &catalog, guard, &ExecOptions { memo_capacity, ..opts })
+                    execute_opts(&plan, &catalog, guard, &opts)
                 };
                 let check = |guard: QueryGuard, what: &str| {
                     let reference = run(guard, None);
                     for dop in DOPS {
-                        let ctx = format!("{what}, memo {memo_capacity}, dop {dop}, expr {expr:?}");
+                        let ctx = format!("{what}, compile {compile}, dop {dop}, expr {expr:?}");
                         assert_same_outcome(&reference, &run(guard, Some(dop)), dop, &ctx);
                     }
                     reference
@@ -620,30 +557,15 @@ fn fused_agreement_and_label_column_batches_match_reference() {
                 for limit in boundary_page - 1..=boundary_page + 1 {
                     assert!(check(QueryGuard::default().with_max_pages(limit), "pages").is_err());
                 }
-                if memo_capacity > 0 {
-                    continue;
-                }
-                // Memo off: one scorer call per banded decision of a
-                // cascaded model and per reached row of the tree.
-                let proxies: Vec<Option<_>> = pred
-                    .models()
-                    .iter()
-                    .zip(&cascaded)
-                    .map(|(&m, &c)| c.then(|| catalog.model(m).proxy.clone().unwrap()))
-                    .collect();
+                // One scorer call per reached row and uncascaded model; a
+                // cascaded model calls none.
                 let t = &catalog.table(1).table;
-                let calls: u64 = (0..batch_end as u32)
-                    .map(|r| t.row(r))
-                    .filter(|row| !behind_col || row[0] != 0)
-                    .map(|row| {
-                        let banded = |p: &&Option<std::sync::Arc<ProxyScore>>| {
-                            p.as_ref().is_none_or(|p| p.decide(&row) == ProxyDecision::Band)
-                        };
-                        proxies.iter().filter(banded).count() as u64
-                    })
-                    .sum();
-                if calls < 4 {
-                    continue; // a proxy that decides every row calls no scorer
+                let reached =
+                    (0..batch_end as u32).filter(|&r| !behind_col || t.cell(r, 0) != 0).count();
+                let calls = (reached * uncascaded) as u64;
+                if calls == 0 {
+                    assert_eq!(unlimited.metrics.model_invocations, 0, "{expr:?}");
+                    continue;
                 }
                 for limit in calls - 3..=calls + 3 {
                     let breach =
