@@ -61,10 +61,6 @@ fn print_outcome(outcome: &StatementOutcome) {
                 q.metrics.elapsed,
                 if q.cached_plan { " [cached plan]" } else { "" },
             );
-            // The feedback store's size, once it holds anything.
-            if q.metrics.feedback_entries > 0 {
-                println!("feedback: {} entries", q.metrics.feedback_entries);
-            }
             if q.rows.is_empty() && !q.plan.is_empty() && q.metrics.rows_examined == 0 {
                 // EXPLAIN returns no rows and zero metrics: show the plan.
                 println!("{}", q.plan);

@@ -57,7 +57,7 @@ pub struct ModelEntry {
     pub proxy: Option<Arc<ProxyScore>>,
     /// `Some(reason)` when a proxy table failed verification — at
     /// registration, or before an execution (e.g. under the injected
-    /// cascade-band fault) — and the executor fell back to the sound
+    /// cascade-table fault) — and the executor fell back to the sound
     /// scorer path for this model. An execution's failure is cleared by
     /// the next successful cascade build. Interior-mutable because
     /// executors only hold a shared catalog borrow.

@@ -25,7 +25,7 @@
 //! fresh rebuild once per model version, when registration or retraining
 //! builds it ([`verified_proxy`]); every execution then compares the
 //! table it is about to trust with that verified one. A mismatch at
-//! either point (e.g. the injected cascade-band fault) disables the
+//! either point (e.g. the injected cascade-table fault) disables the
 //! cascade for that model and records a typed health note, degrading to
 //! the sound envelope+residual path instead of risking a wrong row set.
 
@@ -123,7 +123,7 @@ pub(crate) fn verified_proxy(
 /// * **Scorer faults armed** → no cascades at all. An armed scorer
 ///   fault needs the real scorer path live to have a target, exactly
 ///   like index faults degrade to full scans.
-/// * **Cascade-band fault armed** → the active table is a perturbed
+/// * **Cascade-table fault armed** → the active table is a perturbed
 ///   copy of the stored one, modelling threshold drift.
 /// * **Verification** — always on: the active table must be the
 ///   stored one, which [`verified_proxy`] checked against a fresh
@@ -142,7 +142,7 @@ pub(crate) fn build_cascades(
     for &model in models {
         let entry = catalog.model(model);
         let Some(verified) = entry.proxy.as_ref() else { continue };
-        let active: Arc<ProxyScore> = if catalog.faults().cascade_band_perturb_armed() {
+        let active: Arc<ProxyScore> = if catalog.faults().cascade_table_perturb_armed() {
             let mut perturbed = (**verified).clone();
             perturbed.perturb_for_fault();
             Arc::new(perturbed)
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn perturbed_table_fails_verification_with_a_note() {
         let (cat, id) = setup();
-        cat.faults().set_cascade_band_perturb(true);
+        cat.faults().set_cascade_table_perturb(true);
         let cascades = build_cascades(&cat, &[id]);
         assert!(!cascades.get(id).is_some_and(Option::is_some), "perturbed cascade rejected");
         let note = cat.model(id).cascade_note.lock().unwrap().clone();

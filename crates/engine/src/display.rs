@@ -143,12 +143,6 @@ pub fn plan_to_string(plan: &Plan, schema: &Schema, catalog: &Catalog) -> String
             plan.est_pages_skipped
         ));
     }
-    if plan.feedback_clauses > 0 {
-        text.push_str(&format!(
-            "\n  feedback: {} clause selectivities from observed runs",
-            plan.feedback_clauses
-        ));
-    }
     if !plan.compiled_exact.is_empty() {
         let names: Vec<&str> =
             plan.compiled_exact.iter().map(|m| catalog.model(*m).name.as_str()).collect();

@@ -181,7 +181,7 @@ pub struct ModelHealth {
     pub exact_envelopes: usize,
     /// `Some(note)` when the model's proxy cascade was disabled because
     /// its stored table failed verification against a fresh rebuild
-    /// (e.g. under the injected cascade-band fault); queries still run
+    /// (e.g. under the injected cascade-table fault); queries still run
     /// on the sound envelope+residual scorer path.
     pub cascade_note: Option<String>,
 }
@@ -1182,9 +1182,8 @@ impl Engine {
             match cache.get(&cache_key) {
                 Some(p) if plan_is_valid(p, &catalog) => (p.clone(), true),
                 _ => {
-                    let plan =
-                        plan_with(&catalog, &opts, parsed.table, parsed.predicate.clone());
-                    cache.insert(cache_key.clone(), plan.clone());
+                    let plan = plan_with(&catalog, &opts, parsed.table, parsed.predicate);
+                    cache.insert(cache_key, plan.clone());
                     (plan, false)
                 }
             }
@@ -1216,24 +1215,9 @@ impl Engine {
             session.guard().unwrap_or_else(|| self.guard()),
             &ExecOptions::with_parallelism(dop),
         )?;
-        let mut metrics = result.metrics;
-        // Fold the execution's observed clause selectivities into the
-        // table's bounded feedback store; later plannings of repeated
-        // queries cost access paths from what actually happened instead
-        // of the independence assumption. When the fed-back estimates
-        // flip the cheapest access path, the cached plan is evicted so
-        // the very next run of the same SQL re-plans.
-        let stats = &catalog.table(parsed.table).stats;
-        if !result.feedback.is_empty() && stats.feedback().record_all(&result.feedback) {
-            let replanned = plan_with(&catalog, &opts, parsed.table, parsed.predicate);
-            if replanned.access != plan.access {
-                self.lock_cache().remove(&cache_key);
-            }
-        }
-        metrics.feedback_entries = stats.feedback().len() as u64;
         Ok(QueryOutcome {
             rows: result.rows,
-            metrics,
+            metrics: result.metrics,
             plan: plan_text,
             plan_changed,
             cached_plan: cached,
@@ -1829,17 +1813,19 @@ mod tests {
     }
 
     #[test]
-    fn feedback_folds_into_table_stats_after_execution() {
+    fn execution_leaves_table_stats_and_the_plan_unchanged() {
         let e = engine();
         let sql = "SELECT * FROM t WHERE d0 = 'm0' AND d1 = 'm1'";
-        let first = e.query(sql).unwrap();
-        assert!(
-            first.metrics.feedback_entries > 0,
-            "observed clause selectivities reach the feedback store"
-        );
-        let second = e.query(sql).unwrap();
-        assert_eq!(first.rows, second.rows);
-        assert!(second.metrics.feedback_entries >= first.metrics.feedback_entries);
+        let plan = || {
+            let parsed = parse(sql, &e.catalog()).unwrap();
+            e.plan_predicate(parsed.table, parsed.predicate)
+        };
+        let (stats, before) = (e.catalog().table(0).stats.clone(), plan());
+        for _ in 0..3 {
+            assert_eq!(e.query(sql).unwrap().metrics.feedback_entries, 0);
+        }
+        assert_eq!(e.catalog().table(0).stats, stats);
+        assert_eq!(plan(), before);
     }
 
     #[test]

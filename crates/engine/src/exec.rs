@@ -61,7 +61,7 @@ use crate::fault::FaultInjector;
 use crate::guard::{GuardHeadroom, GuardState, QueryGuard};
 use crate::optimizer::{AccessPath, Plan};
 use crate::table::{RowId, Table};
-use crate::vectorized::{BatchCtx, CompiledPredicate, FeedbackObservation, Scorer};
+use crate::vectorized::{BatchCtx, CompiledPredicate, Scorer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -127,9 +127,9 @@ pub struct ExecMetrics {
     /// Always 0: no subexpression is factored out. Kept for the wire
     /// format and existing readers.
     pub factor_hits: u64,
-    /// Entries in the table's selectivity feedback store after this
-    /// statement's observations were folded in. Filled by the engine;
-    /// bare executor calls leave it 0.
+    /// Always 0: plans come from the statistics alone, and no execution
+    /// is recorded for later plannings. Kept for the wire format and
+    /// existing readers.
     pub feedback_entries: u64,
 }
 
@@ -147,12 +147,6 @@ pub struct ExecResult {
     pub rows: Vec<RowId>,
     /// Observed metrics.
     pub metrics: ExecMetrics,
-    /// Per-clause row counts observed over every evaluated row — the
-    /// root clause and its children, of the residual and then of the
-    /// `skip_or` residual — keyed by structural clause fingerprint: the
-    /// raw material for the optimizer's feedback store. Clauses no row
-    /// reached are left out; the reference interpreter reports none.
-    pub feedback: Vec<FeedbackObservation>,
 }
 
 /// Tuning knobs for one execution.
@@ -173,8 +167,8 @@ pub struct ExecOptions {
     /// differential-testing baseline.
     pub vectorized: bool,
     /// Ignored. The clause order is the plan's, chosen by the optimizer,
-    /// and feedback is always collected; the field stays so existing
-    /// callers compile.
+    /// and nothing about an execution is recorded; the field stays so
+    /// existing callers compile.
     pub adaptive: bool,
 }
 
@@ -272,27 +266,25 @@ pub fn execute_opts(
     let run = || {
         catch_unwind(AssertUnwindSafe(|| run_worker(&wctx))).unwrap_or_else(|payload| {
             shared.fail(EngineError::Internal { detail: panic_message(&*payload) });
-            Worked::default()
+            Vec::new()
         })
     };
     let workers = dop.min(jobs.len());
-    let worked = if workers <= 1 {
+    let mut segments = if workers <= 1 {
         run()
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("`run` catches worker panics"))
-                .reduce(Worked::merge)
-                .expect("more than one worker")
+                .flat_map(|h| h.join().expect("`run` catches worker panics"))
+                .collect()
         })
     };
     if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
         return Err(err);
     }
 
-    let Worked { mut segments, counts: [mut feedback, mut skip_feedback] } = worked;
     // Jobs are row-ordered and each job's hits are ascending, so
     // concatenating segments by job index yields ascending row order.
     segments.sort_unstable_by_key(|(i, _)| *i);
@@ -314,9 +306,7 @@ pub fn execute_opts(
     m.output_rows = out.len() as u64;
     m.elapsed = start.elapsed();
     m.guard = gs.headroom(&m);
-    feedback.append(&mut skip_feedback);
-    feedback.retain(|o| o.rows_in > 0);
-    Ok(ExecResult { rows: out, metrics: m, feedback })
+    Ok(ExecResult { rows: out, metrics: m })
 }
 
 /// Copies the scorer's counters into the metrics the guard checks.
@@ -611,10 +601,10 @@ struct WorkerCtx<'a> {
 }
 
 /// The most row ids a job's hit list is given before the job has found
-/// any (1 MB): an estimate is a guess — stale feedback, an `Or` under
-/// the independence model — and at dop 1 one job is the whole table, so
-/// a wrong one must not cost memory in proportion to the table. Past
-/// this the list doubles.
+/// any (1 MB): an estimate is a guess — a correlated conjunction or an
+/// `Or` under the independence model — and at dop 1 one job is the
+/// whole table, so a wrong one must not cost memory in proportion to
+/// the table. Past this the list doubles.
 const MAX_HITS_RESERVED: usize = 1 << 18;
 
 impl WorkerCtx<'_> {
@@ -643,34 +633,11 @@ fn cancelled_sentinel() -> EngineError {
     EngineError::Internal { detail: "query cancelled".into() }
 }
 
-/// What one worker hands back: its `(job index, hits)` segments, and its
-/// clause counts for the residual and for the `skip_or` residual
-/// ([`CompiledPredicate::clause_counts`]).
-#[derive(Default)]
-struct Worked {
-    segments: Vec<(usize, Vec<RowId>)>,
-    counts: [Vec<FeedbackObservation>; 2],
-}
-
-impl Worked {
-    /// Folds another worker's output into this one; counts add clause by
-    /// clause, so the sums do not depend on which worker ran which job.
-    fn merge(mut self, mut other: Worked) -> Worked {
-        self.segments.append(&mut other.segments);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.rows_in += b.rows_in;
-                a.rows_out += b.rows_out;
-            }
-        }
-        self
-    }
-}
-
 /// One worker: pulls jobs off the shared dispatcher until the list is
-/// drained or the query is cancelled. Budget breaches are recorded in
-/// `shared` and stop every worker; panics are caught by the caller.
-fn run_worker(w: &WorkerCtx<'_>) -> Worked {
+/// drained or the query is cancelled, and hands back its `(job index,
+/// hits)` segments. Budget breaches are recorded in `shared` and stop
+/// every worker; panics are caught by the caller.
+fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
     let mut segments = Vec::new();
     // Scored rows hook the invocation budget, the deadline and the
     // cancellation flag — the per-row cadence at which the reference
@@ -684,8 +651,6 @@ fn run_worker(w: &WorkerCtx<'_>) -> Worked {
     };
     let mut ctx = BatchCtx::new(w.table, w.scorer, &mut after_scalar);
     let mut sel: Vec<RowId> = Vec::with_capacity(SCAN_BATCH_ROWS);
-    let mut counts =
-        [w.compiled.clause_counts(), w.compiled_skip.map_or_else(Vec::new, |c| c.clause_counts())];
 
     loop {
         if w.shared.cancelled() {
@@ -708,12 +673,8 @@ fn run_worker(w: &WorkerCtx<'_>) -> Worked {
 
         let mut hits: Vec<RowId> = Vec::with_capacity(w.expected_hits(&w.jobs[i]));
         let result = match &w.jobs[i] {
-            Job::Scan(range) => {
-                scan_job(w, range.clone(), &mut ctx, &mut sel, &mut counts[0], &mut hits)
-            }
-            Job::Fetch(range) => {
-                fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut counts, &mut hits)
-            }
+            Job::Scan(range) => scan_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
+            Job::Fetch(range) => fetch_job(w, range.clone(), &mut ctx, &mut sel, &mut hits),
         };
         match result {
             Ok(()) => segments.push((i, hits)),
@@ -725,7 +686,7 @@ fn run_worker(w: &WorkerCtx<'_>) -> Worked {
             }
         }
     }
-    Worked { segments, counts }
+    segments
 }
 
 /// Most rows a scan hands the compiled predicate at once: a run of
@@ -750,7 +711,6 @@ fn scan_job(
     range: Range<RowId>,
     ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
-    counts: &mut [FeedbackObservation],
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {
     let table = w.table;
@@ -763,7 +723,7 @@ fn scan_job(
         if start == end {
             return Ok(());
         }
-        w.compiled.filter_range(start..end, sel, ctx, counts, hits)?;
+        w.compiled.filter_range(start..end, sel, ctx, hits)?;
         w.gs.check_deadline()
     };
     // A zone-pruned scan skips most of its pages in nanoseconds each,
@@ -800,14 +760,12 @@ fn scan_job(
 
 /// Evaluates one chunk of the fetch list. Maximal runs of rows sharing
 /// a residual choice batch together; runs stay ascending, so output
-/// order holds. `counts` are the residual's and the `skip_or`
-/// residual's.
+/// order holds.
 fn fetch_job(
     w: &WorkerCtx<'_>,
     range: Range<usize>,
     ctx: &mut BatchCtx<'_>,
     sel: &mut Vec<RowId>,
-    counts: &mut [Vec<FeedbackObservation>; 2],
     hits: &mut Vec<RowId>,
 ) -> Result<(), EngineError> {
     let slice = &w.fetched[range.clone()];
@@ -824,11 +782,11 @@ fn fetch_job(
         w.shared.charge_rows((j - i) as u64)?;
         sel.clear();
         sel.extend(slice[i..j].iter().map(|(r, _)| *r));
-        let (pred, counts) = match (flag, w.compiled_skip) {
-            (true, Some(skip)) => (skip, &mut counts[1]),
-            _ => (w.compiled, &mut counts[0]),
+        let pred = match (flag, w.compiled_skip) {
+            (true, Some(skip)) => skip,
+            _ => w.compiled,
         };
-        pred.filter_batch(sel, ctx, counts, hits)?;
+        pred.filter_batch(sel, ctx, hits)?;
         w.gs.check_deadline()?;
         i = j;
     }
@@ -1070,8 +1028,6 @@ mod tests {
         assert_eq!(s.subs_index_pruned, p.subs_index_pruned);
         assert_eq!(s.clauses_reordered, p.clauses_reordered);
         assert_eq!(s.factor_hits, p.factor_hits);
-        assert_eq!(s.feedback_entries, p.feedback_entries);
-        assert_eq!(serial.feedback, parallel.feedback, "feedback must be dop-deterministic");
         assert_eq!(s.guard.rows_remaining, p.guard.rows_remaining);
         assert_eq!(s.guard.pages_remaining, p.guard.pages_remaining);
         assert_eq!(

@@ -253,103 +253,6 @@ impl Expr {
         out
     }
 
-    /// Structural FNV-1a fingerprint, the key of the optimizer's
-    /// selectivity feedback store. Two expressions share a fingerprint
-    /// iff they are structurally identical (same shape, same columns,
-    /// same constants, child order included) — callers fingerprint
-    /// *normalized* clauses, so equivalent spellings of repeated
-    /// queries collide on purpose while distinct predicates do not
-    /// (modulo the hash). Stable across executions but not across
-    /// catalog rebuilds of a different schema: ids, not names, are
-    /// hashed.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        self.fnv(&mut h);
-        h
-    }
-
-    fn fnv(&self, h: &mut u64) {
-        fn mix(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        match self {
-            Expr::Const(b) => {
-                mix(h, 1);
-                mix(h, u64::from(*b));
-            }
-            Expr::Atom(a) => {
-                mix(h, 2);
-                mix(h, u64::from(a.attr.0));
-                match &a.pred {
-                    AtomPred::Eq(m) => {
-                        mix(h, 10);
-                        mix(h, u64::from(*m));
-                    }
-                    AtomPred::Range { lo, hi } => {
-                        mix(h, 11);
-                        mix(h, u64::from(*lo));
-                        mix(h, u64::from(*hi));
-                    }
-                    AtomPred::In(s) => {
-                        mix(h, 12);
-                        mix(h, u64::from(s.domain()));
-                        for m in s.iter() {
-                            mix(h, u64::from(m));
-                        }
-                    }
-                }
-            }
-            Expr::And(ps) => {
-                mix(h, 3);
-                mix(h, ps.len() as u64);
-                for p in ps {
-                    p.fnv(h);
-                }
-            }
-            Expr::Or(ps) => {
-                mix(h, 4);
-                mix(h, ps.len() as u64);
-                for p in ps {
-                    p.fnv(h);
-                }
-            }
-            Expr::Not(p) => {
-                mix(h, 5);
-                p.fnv(h);
-            }
-            Expr::Mining(mp) => {
-                mix(h, 6);
-                match mp {
-                    MiningPred::ClassEq { model, class } => {
-                        mix(h, 20);
-                        mix(h, *model as u64);
-                        mix(h, u64::from(class.0));
-                    }
-                    MiningPred::ClassIn { model, classes } => {
-                        mix(h, 21);
-                        mix(h, *model as u64);
-                        for c in classes {
-                            mix(h, u64::from(c.0));
-                        }
-                    }
-                    MiningPred::ModelsAgree { m1, m2 } => {
-                        mix(h, 22);
-                        mix(h, *m1 as u64);
-                        mix(h, *m2 as u64);
-                    }
-                    MiningPred::ClassEqColumn { model, column } => {
-                        mix(h, 23);
-                        mix(h, *model as u64);
-                        mix(h, u64::from(column.0));
-                    }
-                }
-            }
-        }
-    }
-
     pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match self {
@@ -664,24 +567,6 @@ mod tests {
         assert_eq!(e.mining_preds(), vec![&mp]);
         assert!(!Expr::Const(true).has_mining());
         assert_eq!(MiningPred::ModelsAgree { m1: 3, m2: 5 }.models(), vec![3, 5]);
-    }
-
-    #[test]
-    fn fingerprint_separates_structure_and_is_stable() {
-        let a = Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Eq(1) });
-        let b = Expr::Atom(Atom { attr: AttrId(1), pred: AtomPred::Eq(1) });
-        assert_eq!(a.fingerprint(), a.clone().fingerprint());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        // Child order is part of the structure (clauses are
-        // fingerprinted post-normalization, which fixes the order).
-        let ab = Expr::and(vec![a.clone(), b.clone()]);
-        let ba = Expr::and(vec![b.clone(), a.clone()]);
-        assert_ne!(ab.fingerprint(), ba.fingerprint());
-        assert_ne!(ab.fingerprint(), Expr::or(vec![a.clone(), b]).fingerprint());
-        let m = Expr::Mining(MiningPred::ClassEq { model: 0, class: ClassId(1) });
-        let m2 = Expr::Mining(MiningPred::ClassEq { model: 0, class: ClassId(2) });
-        assert_ne!(m.fingerprint(), m2.fingerprint());
-        assert_ne!(m.fingerprint(), Expr::Not(Box::new(m.clone())).fingerprint());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct FaultInjector {
     /// Heap page whose scan should panic (pipeline at any degree of
     /// parallelism, and the reference); `NO_PAGE` when disarmed.
     scorer_panic_page: AtomicUsize,
-    cascade_band_perturb: AtomicBool,
+    cascade_table_perturb: AtomicBool,
     derive_timeout: AtomicBool,
     derive_grid_too_large: AtomicBool,
     wal_torn_write: AtomicBool,
@@ -59,7 +59,7 @@ impl Default for FaultInjector {
             scorer_panic: AtomicBool::new(false),
             scorer_panic_morsel: AtomicUsize::new(NO_MORSEL),
             scorer_panic_page: AtomicUsize::new(NO_PAGE),
-            cascade_band_perturb: AtomicBool::new(false),
+            cascade_table_perturb: AtomicBool::new(false),
             derive_timeout: AtomicBool::new(false),
             derive_grid_too_large: AtomicBool::new(false),
             wal_torn_write: AtomicBool::new(false),
@@ -154,20 +154,20 @@ impl FaultInjector {
         (p != NO_PAGE).then_some(p)
     }
 
-    /// Arm/disarm cascade-band perturbation: when a query's cascade is
+    /// Arm/disarm proxy-table perturbation: when a query's cascade is
     /// set up, the stored proxy table is corrupted first (simulating a
     /// stale or bit-rotted table whose thresholds no longer match the
     /// model). The executor's pre-trust verification must detect the
     /// drift, skip the cascade for that model (sound scorer path), and
     /// record a typed health note — never return a wrong row set.
     /// Level-triggered: stays armed until disarmed.
-    pub fn set_cascade_band_perturb(&self, on: bool) {
-        self.cascade_band_perturb.store(on, Ordering::Relaxed);
+    pub fn set_cascade_table_perturb(&self, on: bool) {
+        self.cascade_table_perturb.store(on, Ordering::Relaxed);
     }
 
     /// True when cascade setup should perturb the stored proxy.
-    pub fn cascade_band_perturb_armed(&self) -> bool {
-        self.cascade_band_perturb.load(Ordering::Relaxed)
+    pub fn cascade_table_perturb_armed(&self) -> bool {
+        self.cascade_table_perturb.load(Ordering::Relaxed)
     }
 
     /// True when any fault that fires inside the model scorer is armed.
@@ -448,7 +448,7 @@ impl FaultInjector {
         self.set_scorer_panic(false);
         self.set_scorer_panic_on_morsel(None);
         self.set_scorer_panic_on_page(None);
-        self.set_cascade_band_perturb(false);
+        self.set_cascade_table_perturb(false);
         self.set_derive_timeout(false);
         self.set_derive_grid_too_large(false);
         self.set_wal_torn_write(false);
@@ -473,7 +473,7 @@ impl FaultInjector {
             || self.scorer_panic_armed()
             || self.scorer_panic_morsel().is_some()
             || self.scorer_panic_page().is_some()
-            || self.cascade_band_perturb_armed()
+            || self.cascade_table_perturb_armed()
             || self.derive_timeout_armed()
             || self.derive_grid_too_large_armed()
             || self.wal_torn_write_armed()

@@ -59,16 +59,15 @@ pub use guard::{GuardHeadroom, QueryGuard};
 pub use expr::{envelope_to_expr, region_to_expr, Atom, AtomPred, Expr, MiningPred, ModelId, ModelOracle};
 pub use index::SecondaryIndex;
 pub use optimizer::{
-    choose_plan, estimate_selectivity, estimate_selectivity_with_feedback, AccessPath,
-    CostModel, OptimizerOptions, Plan,
+    choose_plan, estimate_selectivity, AccessPath, CostModel, OptimizerOptions, Plan,
 };
 pub use persist::replicate::{decode_stream, encode_stream, ReplBatch, ReplRole, ReplStatus};
 pub use persist::{LogOp, RecoveryReport, StatementId, StoredModel};
 pub use rewrite::{envelope_expr_for, rewrite_mining, rewrite_mining_opts};
 pub use session::SessionState;
 pub use sql::{parse, parse_statement, ModelAlgorithm, ParsedQuery, Statement};
-pub use stats::{ColumnStats, FeedbackStore, TableStats};
+pub use stats::{ColumnStats, TableStats};
 pub use subscribe::{MatchEvent, MatchMetrics, Subscription};
 pub use table::{RowId, Table, ASSUMED_COLUMN_BYTES, DEFAULT_PAGE_BYTES};
 pub use tuner::{tune_indexes, TuningReport};
-pub use vectorized::{CompiledPredicate, FeedbackObservation};
+pub use vectorized::CompiledPredicate;

@@ -165,11 +165,6 @@ pub struct Plan {
     /// predicates never reach the real scorer. Surfaced in EXPLAIN as
     /// `cascade: model 'm'`.
     pub cascades: Vec<ModelId>,
-    /// Clauses whose selectivity came from the feedback store
-    /// (observed by a previous execution of a structurally identical
-    /// clause) rather than the attribute-independence model. Surfaced in
-    /// EXPLAIN as `feedback: N clauses`.
-    pub feedback_clauses: u32,
 }
 
 /// Estimates the selectivity of `expr` under attribute independence.
@@ -192,46 +187,6 @@ pub fn estimate_selectivity(expr: &Expr, stats: &TableStats, catalog: &Catalog) 
         }
         Expr::Not(p) => 1.0 - estimate_selectivity(p, stats, catalog),
         Expr::Mining(mp) => mining_selectivity(mp, catalog),
-    }
-}
-
-/// Estimates the selectivity of `expr`, preferring per-clause
-/// selectivities observed by previous executions (the feedback store
-/// on [`TableStats`]) over the independence model. Only compound
-/// nodes and mining predicates are looked up — atom selectivities come
-/// from exact member histograms and cannot be improved by observation.
-/// Each hit increments `hits`. With an empty feedback store the fallback
-/// arithmetic is the same expression tree as [`estimate_selectivity`],
-/// so the result is bit-identical and no existing plan changes.
-pub fn estimate_selectivity_with_feedback(
-    expr: &Expr,
-    stats: &TableStats,
-    catalog: &Catalog,
-    hits: &mut u32,
-) -> f64 {
-    match expr {
-        Expr::Const(_) | Expr::Atom(_) => estimate_selectivity(expr, stats, catalog),
-        _ => {
-            if let Some(s) = stats.feedback().selectivity(expr.fingerprint()) {
-                *hits += 1;
-                return s;
-            }
-            match expr {
-                Expr::And(ps) => ps
-                    .iter()
-                    .map(|p| estimate_selectivity_with_feedback(p, stats, catalog, hits))
-                    .product(),
-                Expr::Or(ps) => {
-                    1.0 - ps
-                        .iter()
-                        .map(|p| 1.0 - estimate_selectivity_with_feedback(p, stats, catalog, hits))
-                        .product::<f64>()
-                }
-                Expr::Not(p) => 1.0 - estimate_selectivity_with_feedback(p, stats, catalog, hits),
-                Expr::Mining(mp) => mining_selectivity(mp, catalog),
-                Expr::Const(_) | Expr::Atom(_) => unreachable!("handled above"),
-            }
-        }
     }
 }
 
@@ -265,14 +220,11 @@ fn mining_selectivity(mp: &MiningPred, catalog: &Catalog) -> f64 {
 /// mining-free conjuncts is stable-sorted by Kim/Ileri/Madden's rank,
 /// cost ÷ (1 − selectivity), with cost the distinct columns a conjunct
 /// reads (a lookup per column per row) and selectivity its exact
-/// column marginals ([`estimate_selectivity`]). Not the feedback store:
-/// a root conjunct's observation is conditional on the conjuncts before
-/// it, so ranking by it could swap two conjuncts, and evict the cached
-/// plan, on every run. A conjunct that bears a mining predicate never
-/// moves and no other crosses one, so every model sees the rows, in the
-/// order, that the written order gives it. A disjunction that compiles
-/// to one `Boxes` leaf has no order and is left as it is. Ordering an
-/// ordered expression changes nothing.
+/// column marginals ([`estimate_selectivity`]). A conjunct that bears
+/// a mining predicate never moves and no other crosses one, so every
+/// model sees the rows, in the order, that the written order gives it.
+/// A disjunction that compiles to one `Boxes` leaf has no order and is
+/// left as it is. Ordering an ordered expression changes nothing.
 fn order_conjuncts(expr: Expr, stats: &TableStats, catalog: &Catalog) -> Expr {
     let rank = |e: &Expr| {
         let mut cols = Vec::new();
@@ -343,20 +295,7 @@ pub fn choose_plan(
         .filter(|m| catalog.model(*m).degraded.is_some())
         .collect();
 
-    let sel_independent = estimate_selectivity(&expr, stats, catalog);
-    let mut feedback_clauses = 0u32;
-    let sel = estimate_selectivity_with_feedback(&expr, stats, catalog, &mut feedback_clauses);
-    // Correlation correction: when observed feedback disagrees with the
-    // independence estimate (correlated columns, skewed model output),
-    // scale the index candidates' expected fetched-row counts by the same
-    // ratio. Clamped so a single noisy observation cannot push a plan to
-    // an absurd extreme; exactly 1.0 when the store has nothing to say,
-    // so an empty store reproduces the old costs bit-for-bit.
-    let gamma = if feedback_clauses > 0 && sel_independent > 0.0 {
-        (sel / sel_independent).clamp(0.01, 100.0)
-    } else {
-        1.0
-    };
+    let sel = estimate_selectivity(&expr, stats, catalog);
     // Residual mining models with a proxy table cascade never pay the
     // real scorer.
     let cascades: Vec<ModelId> = if opts.compile_models {
@@ -376,21 +315,24 @@ pub fn choose_plan(
         .count() as f64;
     let per_row_residual = cost.cpu_row + expected_invokes * cost.model_invoke;
 
-    if expr == Expr::Const(false) {
-        return Plan {
-            table: table_id,
-            access: AccessPath::ConstantScan,
-            residual: expr,
-            skip_or: None,
-            est_cost: 0.0,
-            est_selectivity: 0.0,
-            est_pages_skipped: 0,
-            model_versions,
-            degraded_models,
-            compiled_exact: Vec::new(),
-            cascades: Vec::new(),
-            feedback_clauses,
-        };
+    // Every candidate is this plan with its own access path and costs.
+    // An unsatisfiable predicate reads no model, so it is the plan.
+    let base = Plan {
+        table: table_id,
+        access: AccessPath::ConstantScan,
+        residual: expr,
+        skip_or: None,
+        est_cost: 0.0,
+        est_selectivity: sel,
+        est_pages_skipped: 0,
+        model_versions,
+        degraded_models,
+        compiled_exact: Vec::new(),
+        cascades,
+    };
+    let expr = &base.residual;
+    if *expr == Expr::Const(false) {
+        return base;
     }
 
     // Candidate: full scan, credited with zone-map pruning: only pages
@@ -399,25 +341,17 @@ pub fn choose_plan(
     // keeps the assumed-width page units via the covered *fraction*.
     let n_pages_actual = entry.table.n_pages() as u64;
     let (covered_frac, est_pages_skipped) = if opts.use_zone_maps && n_pages_actual > 0 {
-        let covered = covered_pages(&expr, stats, schema, n_pages_actual);
+        let covered = covered_pages(expr, stats, schema, n_pages_actual);
         (covered as f64 / n_pages_actual as f64, n_pages_actual - covered)
     } else {
         (1.0, 0)
     };
     let scan_cost = heap_pages * covered_frac + n_rows * covered_frac * per_row_residual;
     let mut best = Plan {
-        table: table_id,
         access: AccessPath::FullScan,
-        residual: expr.clone(),
-        skip_or: None,
         est_cost: scan_cost,
-        est_selectivity: sel,
         est_pages_skipped,
-        model_versions: model_versions.clone(),
-        degraded_models: degraded_models.clone(),
-        compiled_exact: Vec::new(),
-        cascades: cascades.clone(),
-        feedback_clauses,
+        ..base.clone()
     };
 
     // Fetch cost of `k` expected rows through an unclustered index:
@@ -432,23 +366,10 @@ pub fn choose_plan(
 
     // Candidate: single index seek over the top-level sargable conjuncts
     // (composite indexes absorb several atoms at once).
-    if let Some((seek, s)) = best_seek(&sargable_conjuncts(&expr), entry) {
-        let c = fetch_cost((s * gamma).min(1.0) * n_rows);
+    if let Some((seek, s)) = best_seek(&sargable_conjuncts(expr), entry) {
+        let c = fetch_cost(s * n_rows);
         if c < best.est_cost {
-            best = Plan {
-                table: table_id,
-                access: AccessPath::IndexSeek(seek),
-                residual: expr.clone(),
-                skip_or: None,
-                est_cost: c,
-                est_selectivity: sel,
-                est_pages_skipped: 0,
-                model_versions: model_versions.clone(),
-                degraded_models: degraded_models.clone(),
-                compiled_exact: Vec::new(),
-                cascades: cascades.clone(),
-                feedback_clauses,
-            };
+            best = Plan { access: AccessPath::IndexSeek(seek), est_cost: c, ..base.clone() };
         }
     }
 
@@ -456,7 +377,7 @@ pub fn choose_plan(
     // reuse an already-opened index are nearly free (its upper levels are
     // cached): charge the full traversal once per distinct index and a
     // tenth for repeats.
-    if let Some((seeks, k_total, skip_or)) = union_candidate(&expr, entry, opts, n_rows) {
+    if let Some((seeks, k_total, skip_or)) = union_candidate(expr, entry, opts, n_rows) {
         let distinct_indexes = {
             let mut ids: Vec<usize> = seeks.iter().map(|s| s.index).collect();
             ids.sort_unstable();
@@ -465,21 +386,13 @@ pub fn choose_plan(
         };
         let seek_cost = distinct_indexes * cost.index_seek
             + (seeks.len() as f64 - distinct_indexes) * cost.index_seek * 0.1;
-        let c = seek_cost + fetch_cost((k_total * gamma).min(n_rows)) - cost.index_seek; // fetch_cost charges one seek
+        let c = seek_cost + fetch_cost(k_total.min(n_rows)) - cost.index_seek; // fetch_cost charges one seek
         if c < best.est_cost {
             best = Plan {
-                table: table_id,
                 access: AccessPath::IndexUnion(seeks),
-                residual: expr.clone(),
                 skip_or: Some(skip_or),
                 est_cost: c,
-                est_selectivity: sel,
-                est_pages_skipped: 0,
-                model_versions,
-                degraded_models,
-                compiled_exact: Vec::new(),
-                cascades,
-                feedback_clauses,
+                ..base
             };
         }
     }
@@ -638,8 +551,13 @@ mod tests {
     use mpq_types::{AttrDomain, Attribute, ClassId, Dataset, MemberSet};
 
     /// 100k rows; column a: member 0 at 0.5%, member 1 at 1%, member 2
-    /// at 28.5%, member 3 at 70%.
+    /// at 28.5%, member 3 at 70%; column b cycles through its members.
     fn catalog() -> Catalog {
+        catalog_with(|i, _| (i % 4) as u16)
+    }
+
+    /// [`catalog`]'s column a, with row `i`'s b given by `b(i, a)`.
+    fn catalog_with(b: impl Fn(u32, u16) -> u16) -> Catalog {
         let schema = Schema::new(vec![
             Attribute::new("a", AttrDomain::categorical(["rare", "uncommon", "big", "huge"])),
             Attribute::new("b", AttrDomain::binned(vec![1.0, 2.0, 3.0]).unwrap()),
@@ -653,7 +571,7 @@ mod tests {
                 15..=299 => 2,     // 28.5%
                 _ => 3,            // 70%
             };
-            rows.push(vec![a, (i % 4) as u16]);
+            rows.push(vec![a, b(i, a)]);
         }
         let ds = Dataset::from_rows(schema, rows).unwrap();
         let mut cat = Catalog::new();
@@ -803,47 +721,31 @@ mod tests {
         assert!((estimate_selectivity(&e, stats, &cat) - 2.0 / 3.0).abs() < 1e-9);
     }
 
+    /// `a = 2` holds 28.5% of the rows, and almost none of them have
+    /// `b <= 1`: the conjunction returns 100 rows, 0.1%. Independence
+    /// estimates 10.2%, and a full scan is the right plan anyway: a
+    /// seek on either single-column index fetches its own atom's rows
+    /// (28.5% or 35.9%) whatever the other column holds. Running the
+    /// conjunction changes neither the statistics nor the plan.
     #[test]
-    fn empty_feedback_store_reproduces_independence_exactly() {
-        let cat = catalog();
-        let stats = &cat.table(0).stats;
-        let e = Expr::and(vec![
-            atom(0, AtomPred::Eq(2)),
-            atom(1, AtomPred::Range { lo: 0, hi: 1 }),
-        ]);
-        let mut hits = 0;
-        let fb = estimate_selectivity_with_feedback(&e, stats, &cat, &mut hits);
-        assert_eq!(hits, 0);
-        assert_eq!(fb.to_bits(), estimate_selectivity(&e, stats, &cat).to_bits());
-        let plan = choose_plan(e, 0, &cat.table(0).table.schema().clone(), &cat, &no_zone());
-        assert_eq!(plan.feedback_clauses, 0);
-    }
-
-    #[test]
-    fn feedback_flips_scan_to_seek_when_observation_contradicts_independence() {
-        let cat = catalog();
+    fn anti_correlated_conjunction_plans_full_scan_before_and_after_execution() {
+        let cat = catalog_with(|i, a| match (a, i % 1000) {
+            (2, 15) => 0,
+            (2, _) => 2 + (i % 2) as u16,
+            _ => (i % 4) as u16,
+        });
         let schema = cat.table(0).table.schema().clone();
-        // Independence says 28.5% * 50% = 14.25% — a full scan. Observed
-        // execution says the columns are strongly anti-correlated and the
-        // conjunction really passes 0.1% of rows, so a seek should win.
         let e = Expr::and(vec![
             atom(0, AtomPred::Eq(2)),
             atom(1, AtomPred::Range { lo: 0, hi: 1 }),
         ]);
         let before = choose_plan(e.clone(), 0, &schema, &cat, &no_zone());
         assert_eq!(before.access, AccessPath::FullScan, "{before:?}");
-        let changed = cat.table(0).stats.feedback().record(
-            &crate::vectorized::FeedbackObservation {
-                fingerprint: e.fingerprint(),
-                rows_in: 100_000,
-                rows_out: 100,
-            },
-        );
-        assert!(changed);
-        let after = choose_plan(e, 0, &schema, &cat, &no_zone());
-        assert!(matches!(after.access, AccessPath::IndexSeek(_)), "{after:?}");
-        assert_eq!(after.feedback_clauses, 1);
-        assert!((after.est_selectivity - 0.001).abs() < 1e-9);
+        assert!((before.est_selectivity - 0.285 * 0.359).abs() < 1e-9);
+        let stats = cat.table(0).stats.clone();
+        assert_eq!(crate::exec::execute(&before, &cat).rows.len(), 100);
+        assert_eq!(cat.table(0).stats, stats);
+        assert_eq!(choose_plan(e, 0, &schema, &cat, &no_zone()), before);
     }
 
     // -- Plan-time conjunct order ---------------------------------------
@@ -908,8 +810,8 @@ mod tests {
         assert_eq!(ordered(e, &cat), Expr::And(vec![atom(1, AtomPred::Eq(1)), all_b, all_a]));
     }
 
-    /// Planning a plan's own residual returns it unchanged, so the order
-    /// of a cached plan and of its re-plan after feedback cannot flap.
+    /// Planning a plan's own residual returns it unchanged, so a cached
+    /// plan and its re-plan carry the same order.
     #[test]
     fn order_is_idempotent_through_choose_plan() {
         let mut cat = catalog();

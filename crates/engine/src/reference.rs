@@ -117,5 +117,5 @@ pub(crate) fn execute(
     m.output_rows = out.len() as u64;
     m.elapsed = start.elapsed();
     m.guard = gs.headroom(&m);
-    Ok(ExecResult { rows: out, metrics: m, feedback: Vec::new() })
+    Ok(ExecResult { rows: out, metrics: m })
 }

@@ -6,9 +6,6 @@
 //! selectivities combine under the usual independence assumption.
 
 use crate::table::Table;
-use crate::vectorized::FeedbackObservation;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
 
 /// Exact per-member histogram of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,130 +113,10 @@ impl ColumnStats {
     }
 }
 
-/// Most recent clause fingerprints the feedback store retains. Each
-/// entry is three u64s, so the bound is about memory hygiene on
-/// long-lived servers with churning ad-hoc queries, not size: FIFO
-/// eviction by first-recorded order, newest observation wins per key.
-const FEEDBACK_CAPACITY: usize = 256;
-
-#[derive(Debug, Clone, Default, PartialEq)]
-struct FeedbackInner {
-    /// fingerprint → (rows_in, rows_out) from the latest execution.
-    map: HashMap<u64, (u64, u64)>,
-    /// Insertion order, for FIFO eviction at capacity.
-    order: VecDeque<u64>,
-}
-
-/// Bounded per-table store of measured clause selectivities, fed by
-/// the executor's per-clause row counts over whole executions and
-/// consulted by the optimizer when re-costing repeated queries.
-/// Interior-mutable so executions can record under the catalog *read*
-/// lock; rebuilt empty
-/// whenever the table's statistics are rebuilt (a data change
-/// invalidates old measurements along with the histograms).
-pub struct FeedbackStore {
-    inner: Mutex<FeedbackInner>,
-}
-
-impl FeedbackStore {
-    fn lock(&self) -> std::sync::MutexGuard<'_, FeedbackInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records one observation (latest wins). Returns whether the
-    /// stored value for this fingerprint actually changed — the signal
-    /// the engine uses to re-cost and maybe invalidate cached plans.
-    pub fn record(&self, obs: &FeedbackObservation) -> bool {
-        if obs.rows_in == 0 {
-            return false;
-        }
-        let value = (obs.rows_in, obs.rows_out);
-        let mut inner = self.lock();
-        match inner.map.get_mut(&obs.fingerprint) {
-            Some(slot) => {
-                let changed = *slot != value;
-                *slot = value;
-                changed
-            }
-            None => {
-                if inner.order.len() >= FEEDBACK_CAPACITY {
-                    if let Some(evicted) = inner.order.pop_front() {
-                        inner.map.remove(&evicted);
-                    }
-                }
-                inner.order.push_back(obs.fingerprint);
-                inner.map.insert(obs.fingerprint, value);
-                true
-            }
-        }
-    }
-
-    /// Records a batch; true if any stored value changed. Every
-    /// observation is recorded — no short-circuit on the first change.
-    pub fn record_all(&self, obs: &[FeedbackObservation]) -> bool {
-        let mut changed = false;
-        for o in obs {
-            changed |= self.record(o);
-        }
-        changed
-    }
-
-    /// The measured selectivity for a clause fingerprint, if observed.
-    pub fn selectivity(&self, fingerprint: u64) -> Option<f64> {
-        let inner = self.lock();
-        inner.map.get(&fingerprint).map(|&(rows_in, rows_out)| {
-            debug_assert!(rows_in > 0, "zero-input observations are never recorded");
-            rows_out as f64 / rows_in as f64
-        })
-    }
-
-    /// Number of clause fingerprints currently retained.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for FeedbackStore {
-    fn default() -> Self {
-        FeedbackStore { inner: Mutex::new(FeedbackInner::default()) }
-    }
-}
-
-impl std::fmt::Debug for FeedbackStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.lock().fmt(f)
-    }
-}
-
-impl Clone for FeedbackStore {
-    fn clone(&self) -> Self {
-        FeedbackStore { inner: Mutex::new(self.lock().clone()) }
-    }
-}
-
-impl PartialEq for FeedbackStore {
-    fn eq(&self, other: &Self) -> bool {
-        if std::ptr::eq(self, other) {
-            return true;
-        }
-        // Sequential snapshots (never two locks held at once), so
-        // concurrent comparisons cannot deadlock on lock order.
-        let a = self.lock().clone();
-        let b = other.lock().clone();
-        a == b
-    }
-}
-
 /// Statistics for every column of a table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     columns: Vec<ColumnStats>,
-    feedback: FeedbackStore,
 }
 
 /// Below this row count a parallel build costs more in thread setup
@@ -269,7 +146,7 @@ impl TableStats {
         if workers == 1 || table.n_rows() < PARALLEL_BUILD_MIN_ROWS {
             let columns =
                 (0..table.schema().len()).map(|d| ColumnStats::build(table, d)).collect();
-            return TableStats { columns, feedback: FeedbackStore::default() };
+            return TableStats { columns };
         }
         let morsels = table.morsels(workers);
         let partials: Vec<Vec<ColumnStats>> = std::thread::scope(|s| {
@@ -311,17 +188,12 @@ impl TableStats {
                 acc.merge(part);
             }
         }
-        TableStats { columns, feedback: FeedbackStore::default() }
+        TableStats { columns }
     }
 
     /// Stats of column `d`.
     pub fn column(&self, d: usize) -> &ColumnStats {
         &self.columns[d]
-    }
-
-    /// The table's measured-selectivity feedback store.
-    pub fn feedback(&self) -> &FeedbackStore {
-        &self.feedback
     }
 }
 
@@ -412,34 +284,6 @@ mod tests {
         assert_eq!(c.pages_with(2), 4, "rows 70..90 touch pages 8..12");
         assert_eq!(c.pages_with(3), 2, "rows 90..100 touch pages 11..13");
         assert_eq!(c.pages_with(9), 0, "out-of-domain member is nowhere");
-    }
-
-    #[test]
-    fn feedback_store_is_bounded_latest_wins() {
-        let store = FeedbackStore::default();
-        let obs = |fp, rows_in, rows_out| FeedbackObservation { fingerprint: fp, rows_in, rows_out };
-        assert!(store.record(&obs(7, 100, 25)));
-        assert_eq!(store.selectivity(7), Some(0.25));
-        // Re-recording the same numbers is not a change.
-        assert!(!store.record(&obs(7, 100, 25)));
-        // Latest observation wins and reports a change.
-        assert!(store.record(&obs(7, 100, 50)));
-        assert_eq!(store.selectivity(7), Some(0.5));
-        // Zero-input observations are ignored.
-        assert!(!store.record(&obs(8, 0, 0)));
-        assert_eq!(store.selectivity(8), None);
-        // FIFO eviction at capacity: the first key goes first.
-        for fp in 100..100 + super::FEEDBACK_CAPACITY as u64 {
-            store.record(&obs(fp, 10, 1));
-        }
-        assert_eq!(store.len(), super::FEEDBACK_CAPACITY);
-        assert_eq!(store.selectivity(7), None, "oldest entry evicted");
-        assert_eq!(store.selectivity(100), Some(0.1));
-        // Clones snapshot; PartialEq compares contents.
-        let snap = store.clone();
-        assert_eq!(snap, store);
-        store.record(&obs(9999, 4, 4));
-        assert_ne!(snap, store);
     }
 
     #[test]

@@ -65,14 +65,6 @@
 //! conjuncts by exact column marginals — so the program has nothing to
 //! decide while it runs.
 //!
-//! **Feedback.** An evaluation counts, for the root clause and each of
-//! its children, the rows that reached it and the rows that passed, over
-//! every row it evaluates. The counts are a worker's own
-//! ([`CompiledPredicate::clause_counts`]) and sums of per-row counts, so
-//! once the workers' counts are added up they are the same at every
-//! degree of parallelism. They become the optimizer's
-//! [`FeedbackObservation`]s.
-//!
 //! The same compiled form doubles as a page-pruning test: a page whose
 //! zone map ([`crate::Table::page_zones`]) is disjoint from a `Col`
 //! leaf's mask, or on which no box of a `Boxes` leaf meets the zones of
@@ -309,21 +301,6 @@ impl BoxTable {
     }
 }
 
-/// One measured data point for the optimizer feedback loop: a clause's
-/// observed input/output row counts over a whole execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedbackObservation {
-    /// Fingerprint of the normalized clause ([`Expr::fingerprint`]).
-    pub fingerprint: u64,
-    /// Rows the clause was evaluated over. For the k-th child of an
-    /// `And`/`Or` this is conditional on its siblings (rows surviving /
-    /// not yet matched by earlier children), which is exactly the form
-    /// the optimizer's chain-style combination multiplies back together.
-    pub rows_in: u64,
-    /// How many of those rows satisfied the clause.
-    pub rows_out: u64,
-}
-
 /// Whether the disjunction of `disjuncts` compiles to one `Boxes` leaf:
 /// there is at least one, and each is a column atom or a conjunction of
 /// them. Such a disjunction has no evaluation order.
@@ -335,10 +312,6 @@ pub(crate) fn is_box_dnf(disjuncts: &[Expr]) -> bool {
 pub struct CompiledPredicate {
     root: CompiledNode,
     n_nodes: usize,
-    /// Fingerprints of the clauses feedback reports on: the root clause,
-    /// then each of its children when it compiled to an `And` or a
-    /// generic `Or` (a `Boxes` root has none to count).
-    clauses: Vec<u64>,
 }
 
 impl CompiledPredicate {
@@ -349,12 +322,7 @@ impl CompiledPredicate {
     /// existing callers compile.
     pub fn compile(expr: &Expr, schema: &Schema, _adaptive: bool) -> CompiledPredicate {
         let root = compile_node(expr, schema);
-        let children: &[Expr] = match (expr, &root) {
-            (Expr::And(ps), CompiledNode::And(_)) | (Expr::Or(ps), CompiledNode::Or(_)) => ps,
-            _ => &[],
-        };
-        let clauses = std::iter::once(expr).chain(children).map(Expr::fingerprint).collect();
-        CompiledPredicate { n_nodes: count_nodes(&root), root, clauses }
+        CompiledPredicate { n_nodes: count_nodes(&root), root }
     }
 
     /// Number of nodes in the compiled program.
@@ -374,14 +342,6 @@ impl CompiledPredicate {
         may_match(&self.root, zones)
     }
 
-    /// Zeroed counts for one worker's evaluations: one observation per
-    /// feedback clause, the root first. [`Self::filter_range`] and
-    /// [`Self::filter_batch`] add to them.
-    pub(crate) fn clause_counts(&self) -> Vec<FeedbackObservation> {
-        let zero = |&fingerprint| FeedbackObservation { fingerprint, rows_in: 0, rows_out: 0 };
-        self.clauses.iter().map(zero).collect()
-    }
-
     /// Appends to `out` the rows of the scan run `rows` that satisfy the
     /// predicate. The run enters the program as a range: its ids are
     /// written down only by the first node that emits survivors (or that
@@ -392,49 +352,27 @@ impl CompiledPredicate {
         rows: Range<RowId>,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
-        counts: &mut [FeedbackObservation],
         out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
         debug_assert!(rows.start <= rows.end);
-        self.filter_ids(Ids::Run { start: rows.start, end: rows.end }, sel, ctx, counts, out)
+        filter(&self.root, Ids::Run { start: rows.start, end: rows.end }, sel, ctx)?;
+        out.extend_from_slice(sel);
+        Ok(())
     }
 
     /// Appends to `out` the rows of `sel` (ascending row ids) that
     /// satisfy the predicate, evaluating column leaves over column
     /// slices and `Scalar` leaves through `ctx`; `sel` is consumed.
-    /// `counts` ([`Self::clause_counts`]) gains this batch's rows in and
-    /// out per feedback clause.
     pub(crate) fn filter_batch(
         &self,
         sel: &mut Vec<RowId>,
         ctx: &mut BatchCtx<'_>,
-        counts: &mut [FeedbackObservation],
         out: &mut Vec<RowId>,
     ) -> Result<(), EngineError> {
-        self.filter_ids(Ids::Listed, sel, ctx, counts, out)
-    }
-
-    fn filter_ids(
-        &self,
-        ids: Ids,
-        sel: &mut Vec<RowId>,
-        ctx: &mut BatchCtx<'_>,
-        counts: &mut [FeedbackObservation],
-        out: &mut Vec<RowId>,
-    ) -> Result<(), EngineError> {
-        let (root, children) = counts.split_first_mut().expect("the root clause is counted");
-        let n = ids.count(sel);
-        filter(&self.root, ids, sel, ctx, children)?;
-        observe(root, n, sel.len());
+        filter(&self.root, Ids::Listed, sel, ctx)?;
         out.extend_from_slice(sel);
         Ok(())
     }
-}
-
-/// Adds one evaluation's rows in and out to a clause's counts.
-fn observe(clause: &mut FeedbackObservation, rows_in: usize, rows_out: usize) {
-    clause.rows_in += rows_in as u64;
-    clause.rows_out += rows_out as u64;
 }
 
 fn compile_node(expr: &Expr, schema: &Schema) -> CompiledNode {
@@ -630,15 +568,12 @@ impl Ids {
 /// Narrows the selection `ids` to the rows satisfying `node`, leaving
 /// them in `sel`. Column-reading leaves (`Col`, `Boxes`, the cascade)
 /// and the row-by-row `Scalar` walk read a run directly; `Or` and
-/// `Const(true)` need the list and write it down first. `children`
-/// holds the feedback counts of `node`'s children — empty below the
-/// root, whose children alone are counted.
+/// `Const(true)` need the list and write it down first.
 fn filter(
     node: &CompiledNode,
     ids: Ids,
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
-    children: &mut [FeedbackObservation],
 ) -> Result<(), EngineError> {
     match node {
         CompiledNode::Const(true) => ids.materialize(sel),
@@ -655,15 +590,11 @@ fn filter(
             // The first conjunct reads the incoming ids; what it leaves
             // in `sel` is what the others narrow.
             let mut ids = ids;
-            for (k, p) in ps.iter().enumerate() {
-                let n = ids.count(sel);
-                if n == 0 {
+            for p in ps {
+                if ids.count(sel) == 0 {
                     break;
                 }
-                filter(p, ids, sel, ctx, &mut [])?;
-                if let Some(clause) = children.get_mut(k) {
-                    observe(clause, n, sel.len());
-                }
+                filter(p, ids, sel, ctx)?;
                 ids = Ids::Listed;
             }
             // No conjunct ran: the result is the input.
@@ -671,7 +602,7 @@ fn filter(
         }
         CompiledNode::Or(ps) => {
             ids.materialize(sel);
-            or_filter(ps, sel, ctx, children)?;
+            or_filter(ps, sel, ctx)?;
         }
         CompiledNode::Scalar(expr) => scalar_filter(expr, ids, sel, ctx)?,
     }
@@ -682,7 +613,6 @@ fn or_filter(
     disjuncts: &[CompiledNode],
     sel: &mut Vec<RowId>,
     ctx: &mut BatchCtx<'_>,
-    children: &mut [FeedbackObservation],
 ) -> Result<(), EngineError> {
     // Each child sees only rows no earlier child matched — exactly the
     // rows short-circuit `||` would evaluate it on. `sel` becomes the
@@ -692,16 +622,13 @@ fn or_filter(
     let mut pass = ctx.scratch.pop().unwrap_or_default();
     sel.clear();
     let mut contributors = 0;
-    for (k, p) in disjuncts.iter().enumerate() {
+    for p in disjuncts {
         if remaining.is_empty() {
             break;
         }
         pass.clear();
         pass.extend_from_slice(&remaining);
-        filter(p, Ids::Listed, &mut pass, ctx, &mut [])?;
-        if let Some(clause) = children.get_mut(k) {
-            observe(clause, remaining.len(), pass.len());
-        }
+        filter(p, Ids::Listed, &mut pass, ctx)?;
         if pass.is_empty() {
             continue;
         }
@@ -1054,10 +981,6 @@ mod tests {
         }
     }
 
-    fn run(pred: &CompiledPredicate, t: &Table) -> Vec<RowId> {
-        run_counting(pred, t).0
-    }
-
     /// Runs `f` with a batch context over `t` and an empty catalog.
     fn with_ctx<R>(t: &Table, f: impl FnOnce(&mut BatchCtx<'_>) -> R) -> R {
         let cat = Catalog::new();
@@ -1066,14 +989,12 @@ mod tests {
         f(&mut BatchCtx::new(t, &scorer, &mut after))
     }
 
-    /// The whole table as one batch: the rows and the clause counts.
-    fn run_counting(pred: &CompiledPredicate, t: &Table) -> (Vec<RowId>, Vec<FeedbackObservation>) {
+    /// The whole table as one batch.
+    fn run(pred: &CompiledPredicate, t: &Table) -> Vec<RowId> {
         with_ctx(t, |ctx| {
-            let mut counts = pred.clause_counts();
             let (mut sel, mut rows) = (Vec::new(), Vec::new());
-            let all = 0..t.n_rows() as RowId;
-            pred.filter_range(all, &mut sel, ctx, &mut counts, &mut rows).unwrap();
-            (rows, counts)
+            pred.filter_range(0..t.n_rows() as RowId, &mut sel, ctx, &mut rows).unwrap();
+            rows
         })
     }
 
@@ -1105,49 +1026,6 @@ mod tests {
             let pred = CompiledPredicate::compile(e, &s, false);
             assert_eq!(run(&pred, &t), reference(e, &t), "{e:?}");
         }
-    }
-
-    /// The root and its children are counted over every evaluated row,
-    /// each child over the rows its earlier siblings left it, and the
-    /// counts do not depend on how the rows were cut into batches.
-    #[test]
-    fn feedback_counts_the_root_and_its_children_over_every_row() {
-        let s = schema();
-        let t = table();
-        let a = |attr, pred| Expr::Atom(Atom { attr: AttrId(attr), pred });
-        let e = Expr::and(vec![a(0, AtomPred::Eq(1)), a(1, AtomPred::Eq(0))]);
-        let pred = CompiledPredicate::compile(&e, &s, false);
-        let (rows, obs) = run_counting(&pred, &t);
-        let Expr::And(children) = &e else { unreachable!() };
-        let fps: Vec<u64> = std::iter::once(&e).chain(children).map(Expr::fingerprint).collect();
-        assert_eq!(obs.iter().map(|o| o.fingerprint).collect::<Vec<_>>(), fps);
-        // a = 1 passes 16 of 64 rows; b = 0 passes 6 of those.
-        let counts: Vec<(u64, u64)> = obs.iter().map(|o| (o.rows_in, o.rows_out)).collect();
-        assert_eq!(counts, [(64, 6), (64, 16), (16, 6)]);
-        assert_eq!(rows.len(), 6);
-        // Batches of 7 rows, some entered as ranges and some as lists,
-        // sum to the same counts.
-        let by_batches = with_ctx(&t, |ctx| {
-            let mut counts = pred.clause_counts();
-            let (mut sel, mut out) = (Vec::new(), Vec::new());
-            for start in (0..t.n_rows() as RowId).step_by(7) {
-                let end = (start + 7).min(t.n_rows() as RowId);
-                if start % 2 == 0 {
-                    pred.filter_range(start..end, &mut sel, ctx, &mut counts, &mut out).unwrap();
-                } else {
-                    sel.clear();
-                    sel.extend(start..end);
-                    pred.filter_batch(&mut sel, ctx, &mut counts, &mut out).unwrap();
-                }
-            }
-            assert_eq!(out, rows);
-            counts
-        });
-        assert_eq!(by_batches, obs);
-        // A root `Boxes` leaf has no children to count.
-        let dnf = Expr::or(vec![a(0, AtomPred::Eq(0)), a(1, AtomPred::Eq(2))]);
-        let boxes = CompiledPredicate::compile(&dnf, &s, false);
-        assert_eq!(boxes.clause_counts().len(), 1);
     }
 
     #[test]
@@ -1378,18 +1256,14 @@ mod tests {
 
     // -- Range entry, list entry and tree walk are one function --------
 
-    /// What one batch leaves behind: the rows, and the clause counts.
-    type Observed = (Vec<RowId>, Vec<FeedbackObservation>);
-
-    /// Runs one batch through `pred` with fresh counts.
+    /// The rows one batch leaves behind.
     fn run_batch(
-        pred: &CompiledPredicate,
         t: &Table,
-        batch: impl FnOnce(&mut BatchCtx<'_>, &mut [FeedbackObservation], &mut Vec<RowId>),
-    ) -> Observed {
-        let (mut counts, mut rows) = (pred.clause_counts(), Vec::new());
-        with_ctx(t, |ctx| batch(ctx, &mut counts, &mut rows));
-        (rows, counts)
+        batch: impl FnOnce(&mut BatchCtx<'_>, &mut Vec<RowId>),
+    ) -> Vec<RowId> {
+        let mut rows = Vec::new();
+        with_ctx(t, |ctx| batch(ctx, &mut rows));
+        rows
     }
 
     #[test]
@@ -1440,22 +1314,22 @@ mod tests {
                     let want_sparse: Vec<RowId> =
                         sparse.iter().copied().filter(|&r| pass[r as usize]).collect();
                     let what = format!("{start}..{end}, {e:?}");
-                    let by_range = run_batch(&pred, &t, |ctx, counts, out| {
+                    let by_range = run_batch(&t, |ctx, out| {
                         // Whatever the scratch vector held is ignored.
                         let mut sel = vec![7, 7, 7];
-                        pred.filter_range(start..end, &mut sel, ctx, counts, out).unwrap();
+                        pred.filter_range(start..end, &mut sel, ctx, out).unwrap();
                     });
-                    let by_list = run_batch(&pred, &t, |ctx, counts, out| {
+                    let by_list = run_batch(&t, |ctx, out| {
                         let mut sel: Vec<RowId> = (start..end).collect();
-                        pred.filter_batch(&mut sel, ctx, counts, out).unwrap();
+                        pred.filter_batch(&mut sel, ctx, out).unwrap();
                     });
-                    assert_eq!(by_range.0, want, "range entry, {what}");
+                    assert_eq!(by_range, want, "range entry, {what}");
                     assert_eq!(by_list, by_range, "list entry against range entry, {what}");
-                    let by_sparse = run_batch(&pred, &t, |ctx, counts, out| {
+                    let by_sparse = run_batch(&t, |ctx, out| {
                         let mut sel = sparse.clone();
-                        pred.filter_batch(&mut sel, ctx, counts, out).unwrap();
+                        pred.filter_batch(&mut sel, ctx, out).unwrap();
                     });
-                    assert_eq!(by_sparse.0, want_sparse, "sparse list, {what}");
+                    assert_eq!(by_sparse, want_sparse, "sparse list, {what}");
                 }
             }
         }
@@ -1484,18 +1358,12 @@ mod tests {
         let CompiledNode::Or(children) = &pred.root else { panic!("generic Or") };
         let CompiledNode::And(conj) = &children[0] else { panic!("And disjunct") };
         assert!(matches!(conj[1], CompiledNode::Boxes(_)));
-        let (rows, obs) = run_counting(&pred, &t);
-        assert_eq!(rows, reference(&nested, &t));
-        // Each disjunct is counted over the rows no earlier one matched.
-        let disjuncts: Vec<(u64, u64)> = obs[1..].iter().map(|o| (o.rows_in, o.rows_out)).collect();
-        let first = obs[1].rows_out;
-        assert_eq!(disjuncts, [(64, first), (64 - first, rows.len() as u64 - first)]);
+        assert_eq!(run(&pred, &t), reference(&nested, &t));
     }
 
-    /// A 16-box envelope is one leaf: one node, one clause counted once
-    /// per row.
+    /// A 16-box envelope is one leaf: one node.
     #[test]
-    fn a_sixteen_box_envelope_is_one_leaf_counted_once_per_row() {
+    fn a_sixteen_box_envelope_is_one_leaf() {
         let cards = [6u16, 5, 4, 3];
         let s = grid_schema(&cards);
         let t = grid_table(&s);
@@ -1503,14 +1371,7 @@ mod tests {
         let envelope = gen_dnf(&mut g, &cards, 16);
         let pred = CompiledPredicate::compile(&envelope, &s, false);
         assert_eq!(pred.node_count(), 1);
-        let (rows, obs) = run_counting(&pred, &t);
-        assert_eq!(rows, reference(&envelope, &t));
-        let root = FeedbackObservation {
-            fingerprint: envelope.fingerprint(),
-            rows_in: t.n_rows() as u64,
-            rows_out: rows.len() as u64,
-        };
-        assert_eq!(obs, [root]);
+        assert_eq!(run(&pred, &t), reference(&envelope, &t));
     }
 
     #[test]
@@ -1598,11 +1459,10 @@ mod tests {
                     Ok(())
                 };
                 let mut ctx = BatchCtx::new(t, &scorer, &mut after);
-                let (mut sel, mut counts) = (Vec::new(), pred.clause_counts());
+                let mut sel = Vec::new();
                 for start in (0..t.n_rows() as RowId).step_by(100) {
                     let end = (start + 100).min(t.n_rows() as RowId);
-                    pred.filter_range(start..end, &mut sel, &mut ctx, &mut counts, &mut rows)
-                        .unwrap();
+                    pred.filter_range(start..end, &mut sel, &mut ctx, &mut rows).unwrap();
                 }
             }
             assert_eq!(rows, want, "cascaded {cascaded:?}");

@@ -407,7 +407,7 @@ fn guard_trips_each_resource_with_typed_error() {
 /// disablement is visible as a typed health note. Clearing the fault
 /// restores the cascade and clears the note.
 #[test]
-fn cascade_band_fault_degrades_to_sound_scorer_path() {
+fn cascade_table_fault_degrades_to_sound_scorer_path() {
     let e = engine();
     e.set_use_envelopes(false); // full scan → every row reaches the scorer
     let sql = "SELECT * FROM t WHERE PREDICT(m) = 'c1'";
@@ -415,7 +415,7 @@ fn cascade_band_fault_degrades_to_sound_scorer_path() {
     let m = &healthy.metrics;
     assert!(m.cascade_accepts + m.cascade_rejects > 0, "fixture must exercise the cascade");
 
-    e.fault_injector().set_cascade_band_perturb(true);
+    e.fault_injector().set_cascade_table_perturb(true);
     let degraded = e.query(sql).unwrap();
     // Never a wrong row set.
     assert_eq!(degraded.rows, healthy.rows, "degradation must keep the row set sound");

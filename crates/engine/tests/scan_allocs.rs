@@ -145,11 +145,9 @@ fn atom(col: u16, pred: AtomPred) -> Expr {
 /// and per-execution state — and for less than 1.5x the result's bytes.
 #[test]
 fn a_col_leaf_scan_allocates_a_constant_number_of_times() {
-    /// The compiled leaf's mask and feedback clause list, the job list,
-    /// the worker's row buffer, selection vector, clause counts (which
-    /// become the feedback observations) and segment list, and the hit
-    /// list.
-    const ALLOCATIONS: u64 = 8;
+    /// The compiled leaf's mask, the job list, the worker's row buffer,
+    /// selection vector and segment list, and the hit list.
+    const ALLOCATIONS: u64 = 6;
     let mut seen = Vec::new();
     for n in [24_000, 48_000] {
         let (result, calls, bytes) = scan(&catalog(n), atom(0, AtomPred::Eq(1)));
@@ -169,7 +167,7 @@ fn a_col_leaf_scan_allocates_a_constant_number_of_times() {
 /// kernel's per-row accumulator is allocated on the first batch and no
 /// batch after it allocates anything — no per-batch list of column
 /// slices, no per-batch id list. The whole count is a `Col` leaf's
-/// scan less its mask (seven), the leaf's three tables and their build
+/// scan less its mask (five), the leaf's three tables and their build
 /// scratch (eight), the accumulator, and one doubling of the hit list,
 /// which the independence estimate (24.5% against 26.7%) sizes short.
 #[test]
@@ -186,7 +184,7 @@ fn a_three_column_boxes_scan_allocates_nothing_per_batch() {
     assert_eq!(full.rows.len(), 2 * half.rows.len());
     assert!(full.rows.len() > 10_000);
     assert_eq!(full_calls, half_calls, "12 more batches, no more allocations");
-    assert_eq!(full_calls, 17, "allocator calls for a 48,000-row scan");
+    assert_eq!(full_calls, 15, "allocator calls for a 48,000-row scan");
 }
 
 /// An estimate is a guess. A plan that expects every row of a 600k-row
