@@ -9,8 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpq_core::{
-    derive_enumerate, derive_topdown, paper_table1_model, BoundMode, DeriveOptions, ScoreModel,
-    DEFAULT_CELL_LIMIT,
+    derive_enumerate, derive_topdown, paper_table1_model, BoundMode, DeriveOptions, ProxyScore,
+    ScoreModel, DEFAULT_CELL_LIMIT,
 };
 use mpq_datagen::{generate_train, table2};
 use mpq_models::{Classifier as _, NaiveBayes};
@@ -22,10 +22,15 @@ fn trained_nb(name: &str) -> NaiveBayes {
     NaiveBayes::train(&generate_train(&spec, 7)).expect("nonempty")
 }
 
+/// The point table Algorithm 1 derives `nb`'s envelopes over.
+fn table(nb: &NaiveBayes) -> ScoreModel {
+    ScoreModel::from_proxy(&ProxyScore::from_naive_bayes(nb).expect("finite table"))
+}
+
 fn bench_topdown_vs_enumeration(c: &mut Criterion) {
     let mut g = c.benchmark_group("derive/table1");
     let nb = paper_table1_model();
-    let sm = ScoreModel::from_naive_bayes(&nb);
+    let sm = table(&nb);
     let schema = nb.schema().clone();
     g.bench_function("topdown", |b| {
         b.iter(|| {
@@ -45,7 +50,7 @@ fn bench_topdown_vs_enumeration(c: &mut Criterion) {
     let mut g = c.benchmark_group("derive/diabetes");
     g.sample_size(10);
     let nb = trained_nb("Diabetes");
-    let sm = ScoreModel::from_naive_bayes(&nb);
+    let sm = table(&nb);
     let schema = nb.schema().clone();
     g.bench_function("topdown", |b| {
         b.iter(|| {
@@ -64,7 +69,7 @@ fn bench_bound_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("derive/bound_mode");
     g.sample_size(10);
     let nb = trained_nb("Shuttle");
-    let sm = ScoreModel::from_naive_bayes(&nb);
+    let sm = table(&nb);
     let schema = nb.schema().clone();
     for (mode, label) in [(BoundMode::Basic, "basic"), (BoundMode::PairwiseRatio, "pairwise")] {
         g.bench_function(label, |b| {
@@ -81,7 +86,7 @@ fn bench_budget_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("derive/budget");
     g.sample_size(10);
     let nb = trained_nb("Vehicle");
-    let sm = ScoreModel::from_naive_bayes(&nb);
+    let sm = table(&nb);
     let schema = nb.schema().clone();
     for budget in [64usize, 512, 2048] {
         g.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &budget| {

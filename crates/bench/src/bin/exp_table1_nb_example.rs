@@ -3,7 +3,7 @@
 
 use mpq_core::{
     derive_topdown, envelope_to_sql, format_region, paper_table1_model, paper_table1_winners,
-    BoundMode, DeriveOptions, Region, ScoreModel, TraceStep,
+    BoundMode, DeriveOptions, ProxyScore, Region, ScoreModel, TraceStep,
 };
 use mpq_models::Classifier as _;
 use mpq_types::ClassId;
@@ -11,7 +11,7 @@ use mpq_types::ClassId;
 fn main() {
     let nb = paper_table1_model();
     let schema = nb.schema();
-    let sm = ScoreModel::from_naive_bayes(&nb);
+    let sm = ScoreModel::from_proxy(&ProxyScore::from_naive_bayes(&nb).expect("finite table"));
 
     println!("== Table 1: naive Bayes example (K=3, d0 has 4 members, d1 has 3) ==\n");
     println!("priors: p(c1)=0.33  p(c2)=0.50  p(c3)=0.17\n");
@@ -24,7 +24,8 @@ fn main() {
         print!("{:8}", format!("m{m1}1"));
         for m0 in 0..4u16 {
             let scores: Vec<String> = (0..3)
-                .map(|k| format!("{:.4}", sm.cell_score_lo(&[m0, m1], k).exp()))
+                .map(|k| sm.position(ClassId(k)))
+                .map(|p| format!("{:.4}", sm.cell_score_lo(&[m0, m1], p).exp()))
                 .collect();
             let winner = nb.predict(&[m0, m1]);
             print!("{:>24}", format!("{} ({})", scores.join("/"), nb.class_name(winner)));

@@ -6,10 +6,10 @@ use crate::envelope::{DeriveOptions, DeriveStats, Envelope};
 use crate::error::CoreError;
 use crate::proxy::ProxyScore;
 use crate::score_model::ScoreModel;
-use crate::topdown::{derive_topdown, merge_regions, try_derive_topdown};
+use crate::topdown::{merge_regions, try_derive_topdown};
 use crate::tree_envelope::{ruleset_envelope, tree_envelope};
 use mpq_models::{BoundaryClustering, Classifier, DecisionTree, Gmm, KMeans, NaiveBayes, RuleSet};
-use mpq_types::ClassId;
+use mpq_types::{ClassId, Schema};
 
 /// A model that can derive an upper envelope per output class. This is
 /// the single entry point the engine's rewriter uses: *"for every class c
@@ -69,128 +69,84 @@ impl EnvelopeProvider for RuleSet {
     }
 }
 
-impl EnvelopeProvider for NaiveBayes {
-    fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> Envelope {
-        let sm = ScoreModel::from_naive_bayes(self);
-        derive_topdown(&sm, self.schema(), class, opts)
-    }
-
-    fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
-        // Share the score-model conversion across classes.
-        let sm = ScoreModel::from_naive_bayes(self);
-        (0..self.n_classes())
-            .map(|k| derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
-
-    fn try_envelope(&self, class: ClassId, opts: &DeriveOptions) -> Result<Envelope, CoreError> {
-        let sm = ScoreModel::from_naive_bayes(self);
-        try_derive_topdown(&sm, self.schema(), class, opts)
-    }
-
-    fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, CoreError> {
-        let sm = ScoreModel::from_naive_bayes(self);
-        (0..self.n_classes())
-            .map(|k| try_derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
-
-    fn proxy(&self) -> Option<ProxyScore> {
-        ProxyScore::from_naive_bayes(self)
+/// The table Algorithm 1 derives an additive model's envelopes over,
+/// built once per call: the raw-sound interval table when
+/// `opts.cluster_raw_sound` asks for one and the model has one, else the
+/// kernel's own table from [`EnvelopeProvider::proxy`]. `None` when the
+/// proxy refuses the model (a row's sum could be NaN).
+fn additive_table<M: EnvelopeProvider>(
+    model: &M,
+    raw_sound: Option<fn(&M) -> ScoreModel>,
+    opts: &DeriveOptions,
+) -> Option<ScoreModel> {
+    match raw_sound {
+        Some(interval) if opts.cluster_raw_sound => Some(interval(model)),
+        _ => model.proxy().map(|proxy| ScoreModel::from_proxy(&proxy)),
     }
 }
 
-impl EnvelopeProvider for KMeans {
-    fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> Envelope {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_kmeans(self)
-        } else {
-            ScoreModel::from_kmeans_discretized(self)
-        };
-        derive_topdown(&sm, self.schema(), class, opts)
-    }
-
-    fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_kmeans(self)
-        } else {
-            ScoreModel::from_kmeans_discretized(self)
-        };
-        (0..self.n_classes())
-            .map(|k| derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
-
-    fn try_envelope(&self, class: ClassId, opts: &DeriveOptions) -> Result<Envelope, CoreError> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_kmeans(self)
-        } else {
-            ScoreModel::from_kmeans_discretized(self)
-        };
-        try_derive_topdown(&sm, self.schema(), class, opts)
-    }
-
-    fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, CoreError> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_kmeans(self)
-        } else {
-            ScoreModel::from_kmeans_discretized(self)
-        };
-        (0..self.n_classes())
-            .map(|k| try_derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
-
-    fn proxy(&self) -> Option<ProxyScore> {
-        ProxyScore::from_kmeans(self)
+/// Class `class`'s envelope over `table`. A model without one derives
+/// the trivial `TRUE` envelope, the degradation a timeout takes.
+fn try_derive(
+    table: Option<&ScoreModel>,
+    schema: &Schema,
+    class: ClassId,
+    opts: &DeriveOptions,
+) -> Result<Envelope, CoreError> {
+    match table {
+        Some(table) => try_derive_topdown(table, schema, class, opts),
+        None => Ok(Envelope::trivial(class, schema)),
     }
 }
 
-impl EnvelopeProvider for Gmm {
-    fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> Envelope {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_gmm(self)
-        } else {
-            ScoreModel::from_gmm_discretized(self)
-        };
-        derive_topdown(&sm, self.schema(), class, opts)
-    }
+/// Naive Bayes, k-means and GMM: Algorithm 1 over the model's own
+/// score table (see [`additive_table`]), and the kernel it came from as
+/// the cascade's proxy. `$raw_sound` builds the raw-sound interval table
+/// of the families that have one.
+macro_rules! additive_provider {
+    ($model:ty, $proxy:path, $raw_sound:expr) => {
+        impl EnvelopeProvider for $model {
+            fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> Envelope {
+                self.try_envelope(class, opts)
+                    .unwrap_or_else(|_| Envelope::trivial(class, self.schema()))
+            }
 
-    fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_gmm(self)
-        } else {
-            ScoreModel::from_gmm_discretized(self)
-        };
-        (0..self.n_classes())
-            .map(|k| derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
+            fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
+                let table = additive_table(self, $raw_sound, opts);
+                (0..self.n_classes() as u16)
+                    .map(|k| {
+                        try_derive(table.as_ref(), self.schema(), ClassId(k), opts)
+                            .unwrap_or_else(|_| Envelope::trivial(ClassId(k), self.schema()))
+                    })
+                    .collect()
+            }
 
-    fn try_envelope(&self, class: ClassId, opts: &DeriveOptions) -> Result<Envelope, CoreError> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_gmm(self)
-        } else {
-            ScoreModel::from_gmm_discretized(self)
-        };
-        try_derive_topdown(&sm, self.schema(), class, opts)
-    }
+            fn try_envelope(
+                &self,
+                class: ClassId,
+                opts: &DeriveOptions,
+            ) -> Result<Envelope, CoreError> {
+                let table = additive_table(self, $raw_sound, opts);
+                try_derive(table.as_ref(), self.schema(), class, opts)
+            }
 
-    fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, CoreError> {
-        let sm = if opts.cluster_raw_sound {
-            ScoreModel::from_gmm(self)
-        } else {
-            ScoreModel::from_gmm_discretized(self)
-        };
-        (0..self.n_classes())
-            .map(|k| try_derive_topdown(&sm, self.schema(), ClassId(k as u16), opts))
-            .collect()
-    }
+            fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, CoreError> {
+                let table = additive_table(self, $raw_sound, opts);
+                (0..self.n_classes() as u16)
+                    .map(|k| try_derive(table.as_ref(), self.schema(), ClassId(k), opts))
+                    .collect()
+            }
 
-    fn proxy(&self) -> Option<ProxyScore> {
-        ProxyScore::from_gmm(self)
-    }
+            fn proxy(&self) -> Option<ProxyScore> {
+                $proxy(self)
+            }
+        }
+    };
 }
+
+additive_provider!(NaiveBayes, ProxyScore::from_naive_bayes, None);
+additive_provider!(KMeans, ProxyScore::from_kmeans, Some(ScoreModel::from_kmeans));
+additive_provider!(Gmm, ProxyScore::from_gmm, Some(ScoreModel::from_gmm));
 
 impl EnvelopeProvider for BoundaryClustering {
     fn envelope(&self, class: ClassId, opts: &DeriveOptions) -> Envelope {
@@ -231,7 +187,7 @@ impl EnvelopeProvider for BoundaryClustering {
 mod tests {
     use super::*;
     use crate::region::Region;
-    use mpq_types::{AttrDomain, Attribute, Dataset, Schema};
+    use mpq_types::{AttrDomain, Attribute, Dataset};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -388,8 +344,8 @@ mod tests {
         .unwrap();
         let opts = DeriveOptions::default();
         let via_provider = nb.envelope(ClassId(0), &opts);
-        let sm = ScoreModel::from_naive_bayes(&nb);
-        let direct = derive_topdown(&sm, nb.schema(), ClassId(0), &opts);
+        let sm = ScoreModel::from_proxy(&nb.proxy().unwrap());
+        let direct = crate::derive_topdown(&sm, nb.schema(), ClassId(0), &opts);
         assert_eq!(via_provider.regions, direct.regions);
     }
 }

@@ -10,7 +10,7 @@
 use crate::covering::cover_cells;
 use crate::envelope::{DeriveStats, Envelope};
 use crate::region::Region;
-use crate::score_model::ScoreModel;
+use crate::score_model::{BoundMode, RegionStatus, ScoreModel};
 use crate::CoreError;
 use mpq_types::{ClassId, Schema};
 
@@ -18,9 +18,10 @@ use mpq_types::{ClassId, Schema};
 pub const DEFAULT_CELL_LIMIT: u64 = 4_000_000;
 
 /// Derives the envelope of `class` by full enumeration. Exact for point
-/// models (naive Bayes); for interval models (clustering) a cell is
-/// covered iff the class *can* win somewhere in it, which is the
-/// tightest rectangle-expressible envelope.
+/// tables (naive Bayes, discretized clustering), whose cells the kernel
+/// decides; for the raw-sound interval tables a cell is covered iff the
+/// class *can* win somewhere in it (no rival's floor beats its ceiling),
+/// which is the tightest rectangle-expressible envelope.
 pub fn derive_enumerate(
     model: &ScoreModel,
     schema: &Schema,
@@ -31,18 +32,14 @@ pub fn derive_enumerate(
     if cells_total > cell_limit {
         return Err(CoreError::GridTooLarge { cells: cells_total, limit: cell_limit });
     }
-    let k = class.index();
-    let mut mine = Vec::new();
-    for cell in Region::full(schema).cells() {
-        let winnable = if model.is_point_model() {
-            model.cell_winner(&cell) == class
-        } else {
-            cell_can_win(model, &cell, k)
-        };
-        if winnable {
-            mine.push(cell);
-        }
-    }
+    let k = model.position(class);
+    let mine: Vec<_> = Region::full(schema)
+        .cells()
+        .filter(|cell| {
+            let status = model.region_status(&Region::cell(schema, cell), k, BoundMode::Basic);
+            status != RegionStatus::MustLose
+        })
+        .collect();
     let regions = cover_cells(schema, &mine);
     Ok(Envelope {
         class,
@@ -53,62 +50,27 @@ pub fn derive_enumerate(
     })
 }
 
-/// Whether class `k` can win (or tie-win) somewhere in `cell`, judged
-/// from the cell's per-class score intervals: `k` is excluded only if
-/// some rival's floor beats `k`'s ceiling.
-fn cell_can_win(model: &ScoreModel, cell: &[u16], k: usize) -> bool {
-    let hi_k = model.cell_score_hi(cell, k);
-    for j in 0..model.n_classes() {
-        if j == k {
-            continue;
-        }
-        let lo_j = model.cell_score_lo(cell, j);
-        if lo_j > hi_k || (lo_j == hi_k && model.tie_beats(j, k)) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::DeriveOptions;
-    use crate::score_model::BoundMode;
     use crate::topdown::derive_topdown;
     use mpq_models::{Classifier as _, NaiveBayes};
-    use mpq_types::{AttrDomain, Attribute};
 
     fn table1() -> NaiveBayes {
-        let schema = Schema::new(vec![
-            Attribute::new("d0", AttrDomain::categorical(["m0", "m1", "m2", "m3"])),
-            Attribute::new("d1", AttrDomain::categorical(["m0", "m1", "m2"])),
-        ])
-        .unwrap();
-        let d0 = vec![
-            vec![0.4, 0.1, 0.05],
-            vec![0.4, 0.1, 0.05],
-            vec![0.05, 0.4, 0.4],
-            vec![0.05, 0.4, 0.4],
-        ];
-        let d1 = vec![
-            vec![0.01, 0.7, 0.05],
-            vec![0.5, 0.29, 0.05],
-            vec![0.49, 0.01, 0.9],
-        ];
-        NaiveBayes::from_probabilities(
-            schema,
-            vec!["c1".into(), "c2".into(), "c3".into()],
-            &[0.33, 0.5, 0.17],
-            &[d0, d1],
-        )
-        .unwrap()
+        crate::paper_table1_model()
     }
+
+    /// The point table Algorithm 1 derives `nb`'s envelopes over.
+    fn table(nb: &NaiveBayes) -> ScoreModel {
+        ScoreModel::from_proxy(&crate::ProxyScore::from_naive_bayes(nb).unwrap())
+    }
+
 
     #[test]
     fn enumeration_is_exact_for_naive_bayes() {
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         for k in 0..3u16 {
             let env = derive_enumerate(&sm, nb.schema(), ClassId(k), DEFAULT_CELL_LIMIT).unwrap();
             assert!(env.exact);
@@ -127,7 +89,7 @@ mod tests {
         // The top-down envelope may be looser than enumeration but must
         // cover everything enumeration marks as the class's.
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         for mode in [BoundMode::Basic, BoundMode::PairwiseRatio] {
             for k in 0..3u16 {
                 let exact = derive_enumerate(&sm, nb.schema(), ClassId(k), DEFAULT_CELL_LIMIT).unwrap();
@@ -149,7 +111,7 @@ mod tests {
     #[test]
     fn oversized_grids_are_refused() {
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         let err = derive_enumerate(&sm, nb.schema(), ClassId(0), 5).unwrap_err();
         assert!(matches!(err, CoreError::GridTooLarge { cells: 12, limit: 5 }));
     }

@@ -16,7 +16,8 @@
 //! * [`Region`]/[`DimSet`] — hyper-rectangle algebra over the discretized
 //!   attribute grid (intersect, subtract, merge, enumerate);
 //! * [`ScoreModel`] — the unified additive interval-score view of naive
-//!   Bayes, k-means and diagonal GMMs (§3.3's reduction);
+//!   Bayes, k-means and diagonal GMMs (§3.3's reduction), by default the
+//!   very table of the executor's [`ProxyScore`];
 //! * [`derive_topdown`] — Algorithm 1: bound / shrink / split / merge,
 //!   with [`BoundMode::Basic`] (Lemma 3.1) and
 //!   [`BoundMode::PairwiseRatio`] (generalized Lemma 3.2) bounds;

@@ -12,7 +12,6 @@
 //! prediction on every row, ties included. That is the cascade: every
 //! mining predicate over such a model is decided without the scorer.
 
-use crate::score_model::{tie_rank_by_id, tie_rank_by_prior};
 use mpq_models::{embed_member, Classifier, Gmm, KMeans, NaiveBayes};
 use mpq_types::{ClassId, Member, Row, Schema};
 
@@ -42,6 +41,26 @@ pub struct ProxyScore {
     /// The dimensions the sums read, ascending: all of them but those
     /// [`ProxyScore::with_zero_dim`] inserted, whose terms are `+0.0`.
     live: Vec<usize>,
+}
+
+/// Ranks classes by descending prior (ties by class id): the paper's
+/// naive-Bayes tie resolution.
+fn tie_rank_by_prior(prior: &[f64]) -> Vec<u16> {
+    let mut order: Vec<usize> = (0..prior.len()).collect();
+    order.sort_by(|&a, &b| {
+        prior[b].partial_cmp(&prior[a]).expect("finite priors").then(a.cmp(&b))
+    });
+    let mut rank = vec![0u16; prior.len()];
+    for (r, &cls) in order.iter().enumerate() {
+        rank[cls] = r as u16;
+    }
+    rank
+}
+
+/// Ranks classes by id: the clusterers' tie resolution (the first
+/// cluster reaching the maximum score wins).
+fn tie_rank_by_id(prior: &[f64]) -> Vec<u16> {
+    (0..prior.len() as u16).collect()
 }
 
 /// Class counts past the monomorphised ones, up to this many, score a
@@ -141,6 +160,13 @@ impl ProxyScore {
         Self::tabulate(schema, prior, false, tie_rank_by_id, |d, m, k| {
             g.dim_score(k, d, embed_member(schema, d, m))
         })
+    }
+
+    /// The table's parts, for the point `ScoreModel` over it: the
+    /// per-position priors, whether the prior is added first, the
+    /// per-dimension terms and the class at each position.
+    pub(crate) fn parts(&self) -> (&[f64], bool, &[Vec<f64>], &[ClassId]) {
+        (&self.prior, self.prior_first, &self.contrib, &self.class_at)
     }
 
     /// Number of classes the proxy scores.
@@ -672,6 +698,13 @@ mod tests {
                 assert_kernels_match_reference(&lifted, &rank);
             }
         }
+    }
+
+    #[test]
+    fn tie_rank_orders_by_prior() {
+        assert_eq!(tie_rank_by_prior(&[0.2, 0.5, 0.3]), vec![2, 0, 1]);
+        // Equal priors: lower class id wins.
+        assert_eq!(tie_rank_by_prior(&[0.5, 0.5]), vec![0, 1]);
     }
 
     #[test]

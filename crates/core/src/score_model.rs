@@ -1,26 +1,38 @@
-//! Additive score models: the shared abstraction the top-down derivation
-//! bounds over.
+//! Additive score models: the table Algorithm 1 bounds over.
 //!
 //! Naive Bayes (Eq. 2), centroid-based clustering and diagonal-Gaussian
 //! model-based clustering all score a point as
 //! `score_k(x) = prior_k + Σ_d contrib_{dk}(x_d)` and predict the argmax
 //! class — §3.3 of the paper makes exactly this observation to reuse the
 //! naive-Bayes algorithm for clustering. A [`ScoreModel`] stores, for
-//! every (dimension, member, class), an **interval** `[lo, hi]` bounding
-//! the per-dimension contribution over that member:
+//! every (dimension, member, class position), an **interval** `[lo, hi]`
+//! bounding the per-dimension contribution over that member:
 //!
-//! * discrete naive Bayes: `lo == hi == log Pr(m | c_k)` (a point);
-//! * k-means / GMM: the min and max of the per-dimension quadratic over
-//!   the member's bin, so every *raw* point of the bin is bounded, not
-//!   just its representative.
+//! * at the discretized inputs (the default, and the only form naive
+//!   Bayes has): `lo == hi`, the very terms of the model's
+//!   [`ProxyScore`] — the kernel that decides every row — in its class
+//!   positions, so a tie goes to the lower position;
+//! * raw-sound k-means / GMM: the min and max of the per-dimension
+//!   quadratic over the member's bin, so every *raw* point of the bin is
+//!   bounded, not just its representative.
 //!
-//! All values live in the log domain; f64 addition is monotone, so
-//! summing per-dimension bounds in fixed order yields sound region
-//! bounds under rounding.
+//! All values live in the log domain. How each decision stands up to
+//! rounding:
+//!
+//! * every per-class sum (a cell's, a region's floor or ceiling, a
+//!   pinned slice's) adds its terms as the kernel adds a row's, prior
+//!   where the kernel adds it; rounding is monotone, so a floor never
+//!   exceeds, and a ceiling never falls below, the kernel's sum at any
+//!   cell under it, and [`BoundMode::Basic`] compares them exactly;
+//! * the pairwise bound and the shrink test sum differences, which
+//!   round otherwise than the kernel's two separate sums, so they decide
+//!   only beyond the table's rounding margin (see [`ScoreModel`]);
+//! * a single cell of a point table is decided by the kernel itself.
 
+use crate::proxy::ProxyScore;
 use crate::region::Region;
 use mpq_types::{ClassId, Member, Row};
-use mpq_models::{Gmm, KMeans, NaiveBayes};
+use mpq_models::{Gmm, KMeans};
 
 /// Which bounding scheme the derivation uses on ambiguous regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,8 +57,8 @@ pub enum RegionStatus {
     Ambiguous,
 }
 
-/// Per-dimension score table: `lo/hi[m * K + k]` bound the contribution
-/// of member `m` to class `k`'s score.
+/// Per-dimension score table: `lo/hi[m * K + p]` bound the contribution
+/// of member `m` to the score of the class at position `p`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimTable {
     k: usize,
@@ -55,21 +67,16 @@ pub struct DimTable {
 }
 
 impl DimTable {
-    /// Lower bound of member `m`'s contribution to class `k`.
+    /// Lower bound of member `m`'s contribution to position `p`.
     #[inline]
-    pub fn lo(&self, m: Member, k: usize) -> f64 {
-        self.lo[m as usize * self.k + k]
+    pub fn lo(&self, m: Member, p: usize) -> f64 {
+        self.lo[m as usize * self.k + p]
     }
 
-    /// Upper bound of member `m`'s contribution to class `k`.
+    /// Upper bound of member `m`'s contribution to position `p`.
     #[inline]
-    pub fn hi(&self, m: Member, k: usize) -> f64 {
-        self.hi[m as usize * self.k + k]
-    }
-
-    /// Number of members in this dimension.
-    pub fn n_members(&self) -> u16 {
-        (self.lo.len() / self.k) as u16
+    pub fn hi(&self, m: Member, p: usize) -> f64 {
+        self.hi[m as usize * self.k + p]
     }
 }
 
@@ -154,75 +161,98 @@ fn quad_range(alpha: f64, beta: f64, gamma: f64, lo: f64, hi: f64) -> (f64, f64)
     (min, max)
 }
 
-/// An additive interval score model over the discretized grid.
+/// An additive interval score model over the discretized grid, in the
+/// class positions of the kernel it bounds: position `p` holds class
+/// [`ScoreModel::class_at`]`(p)`, and of equal scores the lower position
+/// wins.
+///
+/// **Rounding margin.** The pairwise bound and the shrink test decide
+/// only when their computed difference clears
+/// `margin = 4·(n+2)·ε·M`, where `n` is the number of dimensions, `ε`
+/// is `f64::EPSILON` and `M = max_p (|prior_p| + Σ_d max_m |term|)` over
+/// the table's finite terms. The kernel computes `S_k(x)` by `n` rounded
+/// additions of values whose partial sums stay within `M`, so `S_k(x)`
+/// is within `n·(ε/2)·M` of its exact value (first order; the slack
+/// below absorbs the rest), and so is `S_j(x)`. A difference bound is
+/// at most `2n + 4` rounded operations on values within `2M` — the prior
+/// difference, one rounded difference and one addition per dimension,
+/// and for shrink's "sum without dimension `d`, plus member `m`" two
+/// more — so it is within `(2n+4)·ε·M` of the exact bound, and Basic
+/// shrink's floors and ceilings (`n + 2` operations within `M`) within
+/// `(n+2)·(ε/2)·M` each. Every case totals at most `(3n+4)·ε·M`, below
+/// the margin: a difference bound beyond it has the sign of
+/// `S_k(x) − S_j(x)` at every cell it bounds, ties included. For the
+/// raw-sound table's quadratic dimensions the margin is a floor of the
+/// same order, not a proof: that table bounds raw in-bin points, which
+/// the model scores from raw coordinates, not from tabulated terms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreModel {
-    n_classes: usize,
-    /// Additive per-class constant (log prior / log τ / 0 for k-means).
+    /// Additive per-position constant (log prior / log τ / 0 for k-means).
     prior: Vec<f64>,
-    /// Tie-break rank per class; smaller rank wins ties. For naive Bayes
-    /// this encodes "higher prior wins"; clustering uses the cluster id.
-    tie_rank: Vec<u16>,
+    /// Whether the kernel adds the prior before the dimension terms
+    /// (naive Bayes) or after them (clusterers).
+    prior_first: bool,
     dims: Vec<DimTable>,
     /// Exact quadratic description per dimension, where the model has
-    /// one (ordered k-means/GMM dimensions). Used by the pairwise bound;
-    /// dimensions without a quadratic (discrete NB, categorical k-means
-    /// mismatch terms) fall back to the interval tables, which are exact
-    /// points there anyway. Empty when no dimension is quadratic.
+    /// one (the raw-sound table's ordered k-means/GMM dimensions). Used
+    /// by the pairwise bound; dimensions without a quadratic fall back to
+    /// the interval tables, which are exact points there anyway. Empty
+    /// when no dimension is quadratic.
     quads: Vec<Option<QuadDim>>,
-    /// True when every interval is a point (`lo == hi`), i.e. the model's
-    /// prediction is fully determined by the cell — naive Bayes.
-    point_model: bool,
+    /// The class at each position.
+    class_at: Vec<ClassId>,
+    /// The kernel whose terms a point table holds: it decides single
+    /// cells. `None` for the raw-sound interval table.
+    kernel: Option<ProxyScore>,
+    /// See the type's documentation.
+    margin: f64,
 }
 
 impl ScoreModel {
-    /// Builds a score model from raw parts (used by tests and ablations).
-    pub fn from_parts(prior: Vec<f64>, tie_rank: Vec<u16>, dims: Vec<DimTable>) -> ScoreModel {
-        let n_classes = prior.len();
-        debug_assert_eq!(tie_rank.len(), n_classes);
-        let point_model = dims.iter().all(|t| t.lo == t.hi);
-        ScoreModel { n_classes, prior, tie_rank, dims, quads: Vec::new(), point_model }
+    fn new(
+        prior: Vec<f64>,
+        prior_first: bool,
+        dims: Vec<DimTable>,
+        quads: Vec<Option<QuadDim>>,
+        class_at: Vec<ClassId>,
+        kernel: Option<ProxyScore>,
+    ) -> ScoreModel {
+        let size = |v: &f64| if v.is_finite() { v.abs() } else { 0.0 };
+        let largest = |p: usize| {
+            let term = |t: &DimTable| {
+                t.lo.iter().chain(&t.hi).skip(p).step_by(t.k).map(size).fold(0.0, f64::max)
+            };
+            size(&prior[p]) + dims.iter().map(term).sum::<f64>()
+        };
+        let scale = (0..prior.len()).map(largest).fold(0.0, f64::max);
+        let margin = 4.0 * (dims.len() + 2) as f64 * f64::EPSILON * scale;
+        ScoreModel { prior, prior_first, dims, quads, class_at, kernel, margin }
     }
 
-    /// The exact log tables of a discrete naive Bayes model: every
-    /// interval is a point, so region statuses computed here agree with
-    /// `NaiveBayes::predict` bit-for-bit.
-    pub fn from_naive_bayes(nb: &NaiveBayes) -> ScoreModel {
-        use mpq_models::Classifier as _;
-        let k = nb.n_classes();
-        let prior: Vec<f64> = (0..k).map(|c| nb.log_prior(ClassId(c as u16))).collect();
-        let tie_rank = tie_rank_by_prior(&prior);
-        let dims = nb
-            .schema()
-            .iter()
-            .map(|(d, a)| {
-                let card = a.domain.cardinality();
-                let mut lo = Vec::with_capacity(card as usize * k);
-                for m in 0..card {
-                    for c in 0..k {
-                        lo.push(nb.log_cond(d.index(), m, ClassId(c as u16)));
-                    }
-                }
-                DimTable { k, hi: lo.clone(), lo }
-            })
-            .collect();
-        ScoreModel { n_classes: k, prior, tie_rank, dims, quads: Vec::new(), point_model: true }
+    /// The point table of `proxy`: the kernel's own terms, prior order
+    /// and class positions, so every bound is over the sums
+    /// `decide_batch` computes and a single cell is decided by the
+    /// kernel itself.
+    pub fn from_proxy(proxy: &ProxyScore) -> ScoreModel {
+        let (prior, prior_first, contrib, class_at) = proxy.parts();
+        let k = prior.len();
+        let dims = contrib.iter().map(|t| DimTable { k, lo: t.clone(), hi: t.clone() });
+        let kernel = Some(proxy.clone());
+        let (prior, class_at) = (prior.to_vec(), class_at.to_vec());
+        ScoreModel::new(prior, prior_first, dims.collect(), Vec::new(), class_at, kernel)
     }
 
-    /// Interval tables for centroid-based clustering: on ordered
-    /// dimensions the contribution of bin `m` to cluster `k` is
+    /// Raw-sound interval tables for centroid-based clustering: on
+    /// ordered dimensions the contribution of bin `m` to cluster `k` is
     /// `−w (x − c)²` for `x` in the bin, whose extrema over the interval
     /// are attained at the closest / farthest endpoint from the centroid;
     /// on categorical dimensions the k-prototypes mismatch term
     /// contributes the *point* value `0` (member equals the cluster's
-    /// mode) or `−w`.
+    /// mode) or `−w`. Positions are cluster ids, the prior (`0`) last.
     pub fn from_kmeans(km: &KMeans) -> ScoreModel {
         use mpq_models::Classifier as _;
         let k = km.n_classes();
-        let prior = vec![0.0; k];
-        let tie_rank = tie_rank_by_id(&prior);
         let mut quads = Vec::with_capacity(km.schema().len());
-        let mut point_model = true;
         let dims = km
             .schema()
             .iter()
@@ -242,7 +272,6 @@ impl ScoreModel {
                     }
                     quads.push(None);
                 } else {
-                    point_model = false;
                     let mut bins = Vec::with_capacity(card as usize);
                     for m in 0..card {
                         let (a_lo, a_hi) = a.domain.bin_interval(m).expect("ordered attr");
@@ -267,92 +296,18 @@ impl ScoreModel {
                 DimTable { k, lo, hi }
             })
             .collect();
-        ScoreModel { n_classes: k, prior, tie_rank, dims, quads, point_model }
+        ScoreModel::new(vec![0.0; k], false, dims, quads, by_id(k), None)
     }
 
-    /// Point tables for centroid clustering **at the discretized
-    /// inputs**: member `m`'s contribution is the score at the bin
-    /// representative (what applying the model to an encoded row
-    /// computes — §3.3's "expressed exactly as naive Bayes"). Exact for
-    /// encoded-row prediction; not a bound over raw in-bin points (use
-    /// [`ScoreModel::from_kmeans`] for that).
-    pub fn from_kmeans_discretized(km: &KMeans) -> ScoreModel {
-        use mpq_models::Classifier as _;
-        let k = km.n_classes();
-        let prior = vec![0.0; k];
-        let tie_rank = tie_rank_by_id(&prior);
-        let dims = km
-            .schema()
-            .iter()
-            .map(|(d, a)| {
-                let card = a.domain.cardinality();
-                let mut lo = Vec::with_capacity(card as usize * k);
-                for m in 0..card {
-                    let x = if km.is_categorical_dim(d.index()) {
-                        m as f64
-                    } else {
-                        a.domain.bin_representative(m).expect("ordered attr")
-                    };
-                    for c in 0..k {
-                        let center = km.centroids()[c][d.index()];
-                        let w = km.weights()[c][d.index()];
-                        let v = if km.is_categorical_dim(d.index()) {
-                            if x == center {
-                                0.0
-                            } else {
-                                -w
-                            }
-                        } else {
-                            -w * (x - center) * (x - center)
-                        };
-                        lo.push(v);
-                    }
-                }
-                DimTable { k, hi: lo.clone(), lo }
-            })
-            .collect();
-        ScoreModel { n_classes: k, prior, tie_rank, dims, quads: Vec::new(), point_model: true }
-    }
-
-    /// Point tables for a diagonal Gaussian mixture at the discretized
-    /// inputs (see [`ScoreModel::from_kmeans_discretized`]).
-    pub fn from_gmm_discretized(gmm: &Gmm) -> ScoreModel {
-        use mpq_models::Classifier as _;
-        const LOG_2PI: f64 = 1.8378770664093453;
-        let k = gmm.n_classes();
-        let prior: Vec<f64> = (0..k).map(|c| gmm.log_tau(ClassId(c as u16))).collect();
-        let tie_rank = tie_rank_by_id(&prior);
-        let dims = gmm
-            .schema()
-            .iter()
-            .map(|(d, a)| {
-                let card = a.domain.cardinality();
-                let mut lo = Vec::with_capacity(card as usize * k);
-                for m in 0..card {
-                    let x = a.domain.bin_representative(m).expect("ordered attr");
-                    for c in 0..k {
-                        let mu = gmm.means()[c][d.index()];
-                        let var = gmm.vars()[c][d.index()];
-                        lo.push(
-                            -0.5 * (LOG_2PI + var.ln()) - (x - mu) * (x - mu) / (2.0 * var),
-                        );
-                    }
-                }
-                DimTable { k, hi: lo.clone(), lo }
-            })
-            .collect();
-        ScoreModel { n_classes: k, prior, tie_rank, dims, quads: Vec::new(), point_model: true }
-    }
-
-    /// Interval tables for a diagonal-covariance Gaussian mixture: the
-    /// per-dimension log density `−½ln(2πσ²) − (x−μ)²/2σ²` is again a
-    /// negated quadratic over each bin.
+    /// Raw-sound interval tables for a diagonal-covariance Gaussian
+    /// mixture: the per-dimension log density `−½ln(2πσ²) − (x−μ)²/2σ²`
+    /// is again a negated quadratic over each bin. Positions are
+    /// component ids, `log τ` added last, as `Gmm::score_raw` adds it.
     pub fn from_gmm(gmm: &Gmm) -> ScoreModel {
         use mpq_models::Classifier as _;
         const LOG_2PI: f64 = 1.8378770664093453;
         let k = gmm.n_classes();
         let prior: Vec<f64> = (0..k).map(|c| gmm.log_tau(ClassId(c as u16))).collect();
-        let tie_rank = tie_rank_by_id(&prior);
         let mut quads = Vec::with_capacity(gmm.schema().len());
         let dims = gmm
             .schema()
@@ -384,16 +339,16 @@ impl ScoreModel {
                         }
                     })
                     .collect();
-                quads.push(QuadDim { terms, bins });
+                quads.push(Some(QuadDim { terms, bins }));
                 DimTable { k, lo, hi }
             })
             .collect();
-        ScoreModel { n_classes: k, prior, tie_rank, dims, quads: quads.into_iter().map(Some).collect(), point_model: false }
+        ScoreModel::new(prior, false, dims, quads, by_id(k), None)
     }
 
     /// Number of classes `K`.
     pub fn n_classes(&self) -> usize {
-        self.n_classes
+        self.prior.len()
     }
 
     /// Number of dimensions.
@@ -401,99 +356,83 @@ impl ScoreModel {
         self.dims.len()
     }
 
-    /// The per-dimension table for dimension `d`.
+    /// The per-dimension table for dimension `d`, by position.
     pub fn dim(&self, d: usize) -> &DimTable {
         &self.dims[d]
     }
 
-    /// The additive per-class constant.
-    pub fn prior(&self, k: usize) -> f64 {
-        self.prior[k]
+    /// The additive constant of position `p`.
+    pub fn prior(&self, p: usize) -> f64 {
+        self.prior[p]
     }
 
-    /// True when all intervals are points (naive Bayes).
+    /// The class at position `p`.
+    pub fn class_at(&self, p: usize) -> ClassId {
+        self.class_at[p]
+    }
+
+    /// The position of `class`.
+    pub fn position(&self, class: ClassId) -> usize {
+        self.class_at.iter().position(|&c| c == class).expect("a class of this model")
+    }
+
+    /// True when all intervals are points: the prediction is fully
+    /// determined by the cell, and the kernel decides it.
     pub fn is_point_model(&self) -> bool {
-        self.point_model
+        self.kernel.is_some()
     }
 
-    /// True if class `a` beats class `b` on a tied score.
+    /// The kernel's class at `cell` — the model's prediction — for a
+    /// point table; `None` for the raw-sound interval table.
+    pub fn cell_winner(&self, cell: &Row) -> Option<ClassId> {
+        self.kernel.as_ref().map(|kernel| kernel.decide(cell))
+    }
+
+    /// Position `p`'s score from one term per dimension, in dimension
+    /// order, the prior added where the kernel adds it: the one order
+    /// every per-class sum here uses.
     #[inline]
-    pub fn tie_beats(&self, a: usize, b: usize) -> bool {
-        self.tie_rank[a] < self.tie_rank[b]
+    fn sum(&self, p: usize, terms: impl Iterator<Item = f64>) -> f64 {
+        let start = if self.prior_first { self.prior[p] } else { 0.0 };
+        let s = terms.fold(start, |s, t| s + t);
+        if self.prior_first {
+            s
+        } else {
+            s + self.prior[p]
+        }
     }
 
-    /// Exact winner of a cell — only meaningful for point models, where
-    /// the score of each class at the cell is a single number.
-    pub fn cell_winner(&self, cell: &Row) -> ClassId {
-        debug_assert!(self.point_model);
-        let mut best = 0usize;
-        let mut best_score = self.cell_score_lo(cell, 0);
-        for k in 1..self.n_classes {
-            let s = self.cell_score_lo(cell, k);
-            if s > best_score || (s == best_score && self.tie_beats(k, best)) {
-                best = k;
-                best_score = s;
-            }
-        }
-        ClassId(best as u16)
+    /// Lower bound of position `p`'s score at `cell` (exact for point
+    /// tables).
+    pub fn cell_score_lo(&self, cell: &Row, p: usize) -> f64 {
+        self.sum(p, cell.iter().zip(&self.dims).map(|(&m, t)| t.lo(m, p)))
     }
 
-    /// Lower bound of class `k`'s score at `cell` (exact for point
-    /// models). Summed in fixed dimension order, prior first — the same
-    /// order the model predictors use.
-    pub fn cell_score_lo(&self, cell: &Row, k: usize) -> f64 {
-        let mut s = self.prior[k];
-        for (d, &m) in cell.iter().enumerate() {
-            s += self.dims[d].lo(m, k);
-        }
-        s
-    }
-
-    /// Upper bound of class `k`'s score at `cell`.
-    pub fn cell_score_hi(&self, cell: &Row, k: usize) -> f64 {
-        let mut s = self.prior[k];
-        for (d, &m) in cell.iter().enumerate() {
-            s += self.dims[d].hi(m, k);
-        }
-        s
+    /// Upper bound of position `p`'s score at `cell`.
+    pub fn cell_score_hi(&self, cell: &Row, p: usize) -> f64 {
+        self.sum(p, cell.iter().zip(&self.dims).map(|(&m, t)| t.hi(m, p)))
     }
 
     // ------------------------------------------------------------------
     // Region bounds (paper §3.2.2 / §3.2.3)
     // ------------------------------------------------------------------
 
-    /// `minProb`-style lower bound of class `k`'s score over `region`
+    /// `minProb`-style lower bound of position `p`'s score over `region`
     /// (log domain).
-    pub fn region_score_min(&self, region: &Region, k: usize) -> f64 {
-        let mut s = self.prior[k];
-        for (d, table) in self.dims.iter().enumerate() {
-            s += region
-                .dim(d)
-                .iter()
-                .map(|m| table.lo(m, k))
-                .fold(f64::INFINITY, f64::min);
-        }
-        s
+    pub fn region_score_min(&self, region: &Region, p: usize) -> f64 {
+        self.sum(p, self.dims.iter().enumerate().map(|(d, t)| region_lo(t, region, d, p)))
     }
 
-    /// `maxProb`-style upper bound of class `k`'s score over `region`.
-    pub fn region_score_max(&self, region: &Region, k: usize) -> f64 {
-        let mut s = self.prior[k];
-        for (d, table) in self.dims.iter().enumerate() {
-            s += region
-                .dim(d)
-                .iter()
-                .map(|m| table.hi(m, k))
-                .fold(f64::NEG_INFINITY, f64::max);
-        }
-        s
+    /// `maxProb`-style upper bound of position `p`'s score over `region`.
+    pub fn region_score_max(&self, region: &Region, p: usize) -> f64 {
+        self.sum(p, self.dims.iter().enumerate().map(|(d, t)| region_hi(t, region, d, p)))
     }
 
     /// Range of the per-member difference `contrib_k(m) − contrib_j(m)`
-    /// on dimension `d`: exact for point models and quadratic models,
+    /// on dimension `d`: exact for point tables and quadratic dimensions,
     /// the independent-interval bound otherwise.
     #[inline]
-    fn member_diff_range(&self, d: usize, m: Member, k: usize, j: usize) -> (f64, f64) {
+    pub(crate) fn member_diff_range(&self, d: usize, m: Member, k: usize, j: usize) -> (f64, f64) {
         if let Some(qd) = self.quads.get(d).and_then(|q| q.as_ref()) {
             return qd.diff_range(m, k, j);
         }
@@ -501,18 +440,12 @@ impl ScoreModel {
         (table.lo(m, k) - table.hi(m, j), table.hi(m, k) - table.lo(m, j))
     }
 
-    /// Public access to the per-member difference bounds (used by the
-    /// rival-targeted split heuristic and ablation benches).
-    pub fn member_diff_bounds(&self, d: usize, m: Member, k: usize, j: usize) -> (f64, f64) {
-        self.member_diff_range(d, m, k, j)
-    }
-
     /// Lower bound on `score_k − score_j` over the region, decomposed per
     /// dimension (the Lemma 3.2 ratio bound, in the log domain and
-    /// generalized to any pair). Exact per pair for point models (naive
-    /// Bayes) *and* for quadratic models (k-means, GMM), where the
-    /// per-dimension difference of two quadratics is minimized
-    /// analytically over each bin.
+    /// generalized to any pair of positions). Exact per pair, up to
+    /// rounding, for point tables (naive Bayes) *and* for quadratic
+    /// dimensions (k-means, GMM), where the per-dimension difference of
+    /// two quadratics is minimized analytically over each bin.
     pub fn region_diff_min(&self, region: &Region, k: usize, j: usize) -> f64 {
         let mut s = self.prior[k] - self.prior[j];
         for d in 0..self.dims.len() {
@@ -538,12 +471,23 @@ impl ScoreModel {
         s
     }
 
-    /// Classifies `region` with respect to target class `k`.
+    /// Classifies `region` with respect to position `k`.
     ///
-    /// Soundness contract: `MustLose` is returned only when **no** point
-    /// of the region can be predicted `k` (ties included); `MustWin` only
-    /// when **every** point is. `Ambiguous` is always safe.
+    /// Soundness contract: `MustLose` is returned only when the kernel
+    /// predicts `k` at **no** cell of the region (ties included);
+    /// `MustWin` only when it predicts `k` at **every** cell. `Ambiguous`
+    /// is always safe.
     pub fn region_status(&self, region: &Region, k: usize, mode: BoundMode) -> RegionStatus {
+        if region.is_cell() {
+            let cell = region.cells().next().expect("a cell");
+            if let Some(winner) = self.cell_winner(&cell) {
+                return if winner == self.class_at[k] {
+                    RegionStatus::MustWin
+                } else {
+                    RegionStatus::MustLose
+                };
+            }
+        }
         match mode {
             BoundMode::Basic => self.status_basic(region, k),
             BoundMode::PairwiseRatio => self.status_pairwise(region, k),
@@ -554,18 +498,18 @@ impl ScoreModel {
         let min_k = self.region_score_min(region, k);
         let max_k = self.region_score_max(region, k);
         let mut win = true;
-        for j in 0..self.n_classes {
+        for j in 0..self.n_classes() {
             if j == k {
                 continue;
             }
             let min_j = self.region_score_min(region, j);
             let max_j = self.region_score_max(region, j);
             // MUST-LOSE: j's floor beats k's ceiling everywhere.
-            if min_j > max_k || (min_j == max_k && self.tie_beats(j, k)) {
+            if min_j > max_k || (min_j == max_k && j < k) {
                 return RegionStatus::MustLose;
             }
             // Win against j requires k's floor to beat j's ceiling.
-            if !(min_k > max_j || (min_k == max_j && self.tie_beats(k, j))) {
+            if !(min_k > max_j || (min_k == max_j && k < j)) {
                 win = false;
             }
         }
@@ -578,16 +522,15 @@ impl ScoreModel {
 
     fn status_pairwise(&self, region: &Region, k: usize) -> RegionStatus {
         let mut win = true;
-        for j in 0..self.n_classes {
+        for j in 0..self.n_classes() {
             if j == k {
                 continue;
             }
-            let dmax = self.region_diff_max(region, k, j);
-            if dmax < 0.0 || (dmax == 0.0 && self.tie_beats(j, k)) {
+            if self.region_diff_max(region, k, j) < -self.margin {
                 return RegionStatus::MustLose;
             }
-            let dmin = self.region_diff_min(region, k, j);
-            if !(dmin > 0.0 || (dmin == 0.0 && self.tie_beats(k, j))) {
+            // Once one rival can tie or win, no floor can make k win.
+            if win && self.region_diff_min(region, k, j) <= self.margin {
                 win = false;
             }
         }
@@ -599,7 +542,7 @@ impl ScoreModel {
     }
 
     /// Whether member `m` of dimension `d` can be removed from `region`
-    /// when deriving class `k`'s envelope: the paper's *shrink* test —
+    /// when deriving position `k`'s envelope: the paper's *shrink* test —
     /// MUST-LOSE of the pinned slice `region ∩ (dim d = m)` using
     /// per-member revised bounds.
     pub fn pinned_must_lose(
@@ -610,44 +553,31 @@ impl ScoreModel {
         m: Member,
         mode: BoundMode,
     ) -> bool {
+        let mut rivals = (0..self.n_classes()).filter(|&j| j != k);
         match mode {
             BoundMode::Basic => {
                 // maxProb(c_k, d, m) vs minProb(c_j, d, m), paper §3.2.2.
                 let max_k = self.pinned_score_max(region, k, d, m);
-                for j in 0..self.n_classes {
-                    if j == k {
-                        continue;
-                    }
+                rivals.any(|j| {
                     let min_j = self.pinned_score_min(region, j, d, m);
-                    if min_j > max_k || (min_j == max_k && self.tie_beats(j, k)) {
-                        return true;
-                    }
-                }
-                false
+                    min_j > max_k || (min_j == max_k && j < k)
+                })
             }
-            BoundMode::PairwiseRatio => {
-                for j in 0..self.n_classes {
-                    if j == k {
-                        continue;
-                    }
-                    let mut dmax = self.prior[k] - self.prior[j];
-                    for e in 0..self.dims.len() {
-                        if e == d {
-                            dmax += self.member_diff_range(e, m, k, j).1;
-                        } else {
-                            dmax += region
-                                .dim(e)
-                                .iter()
-                                .map(|mm| self.member_diff_range(e, mm, k, j).1)
-                                .fold(f64::NEG_INFINITY, f64::max);
-                        }
-                    }
-                    if dmax < 0.0 || (dmax == 0.0 && self.tie_beats(j, k)) {
-                        return true;
-                    }
+            BoundMode::PairwiseRatio => rivals.any(|j| {
+                let mut dmax = self.prior[k] - self.prior[j];
+                for e in 0..self.dims.len() {
+                    dmax += if e == d {
+                        self.member_diff_range(e, m, k, j).1
+                    } else {
+                        region
+                            .dim(e)
+                            .iter()
+                            .map(|mm| self.member_diff_range(e, mm, k, j).1)
+                            .fold(f64::NEG_INFINITY, f64::max)
+                    };
                 }
-                false
-            }
+                dmax < -self.margin
+            }),
         }
     }
 
@@ -657,18 +587,18 @@ impl ScoreModel {
     /// only on ordered ones — until a fixpoint. Returns the shrunk region
     /// (`None` when it empties) and the removed `(dim, member)` pairs.
     ///
-    /// A small epsilon guards the strict comparisons: the per-member
-    /// bound is formed as `sum − dim_contribution + member_value`, whose
-    /// rounding could otherwise dip below the directly-summed bound.
+    /// The per-member bound is formed as `sum − dim_contribution +
+    /// member_value`, which rounds otherwise than the kernel's sums, so
+    /// both modes remove a member only beyond the rounding margin.
     pub fn shrink_region(
         &self,
         region: &Region,
         k: usize,
         mode: BoundMode,
     ) -> (Option<Region>, Vec<(usize, Member)>) {
-        const EPS: f64 = 1e-9;
-        let kk = self.n_classes;
+        let kk = self.n_classes();
         let n = self.dims.len();
+        let margin = self.margin;
         let mut region = region.clone();
         let mut removed = Vec::new();
         loop {
@@ -734,7 +664,7 @@ impl ScoreModel {
                                             && self.prior[j]
                                                 + excl(sum_lo[j], dim_lo[j][d], -1.0)
                                                 + self.dims[d].lo(m, j)
-                                                > max_k + EPS
+                                                > max_k + margin
                                     })
                                 })
                                 .collect()
@@ -786,7 +716,7 @@ impl ScoreModel {
                                         }
                                         let base =
                                             if v == f64::INFINITY { finite } else { finite - v };
-                                        base + self.member_diff_range(d, m, k, j).1 < -EPS
+                                        base + self.member_diff_range(d, m, k, j).1 < -margin
                                     })
                                 })
                                 .collect()
@@ -841,54 +771,33 @@ impl ScoreModel {
         }
     }
 
-    fn pinned_score_min(&self, region: &Region, k: usize, d: usize, m: Member) -> f64 {
-        let mut s = self.prior[k];
-        for (e, table) in self.dims.iter().enumerate() {
-            if e == d {
-                s += table.lo(m, k);
-            } else {
-                s += region.dim(e).iter().map(|mm| table.lo(mm, k)).fold(f64::INFINITY, f64::min);
-            }
-        }
-        s
+    fn pinned_score_min(&self, region: &Region, p: usize, d: usize, m: Member) -> f64 {
+        let terms = self.dims.iter().enumerate();
+        self.sum(p, terms.map(|(e, t)| if e == d { t.lo(m, p) } else { region_lo(t, region, e, p) }))
     }
 
-    fn pinned_score_max(&self, region: &Region, k: usize, d: usize, m: Member) -> f64 {
-        let mut s = self.prior[k];
-        for (e, table) in self.dims.iter().enumerate() {
-            if e == d {
-                s += table.hi(m, k);
-            } else {
-                s += region
-                    .dim(e)
-                    .iter()
-                    .map(|mm| table.hi(mm, k))
-                    .fold(f64::NEG_INFINITY, f64::max);
-            }
-        }
-        s
+    fn pinned_score_max(&self, region: &Region, p: usize, d: usize, m: Member) -> f64 {
+        let terms = self.dims.iter().enumerate();
+        self.sum(p, terms.map(|(e, t)| if e == d { t.hi(m, p) } else { region_hi(t, region, e, p) }))
     }
 }
 
-/// Ranks classes by descending prior (ties by class id): the paper's
-/// naive-Bayes tie resolution. The proxy cascade orders its classes by
-/// the same rank.
-pub(crate) fn tie_rank_by_prior(prior: &[f64]) -> Vec<u16> {
-    let mut order: Vec<usize> = (0..prior.len()).collect();
-    order.sort_by(|&a, &b| {
-        prior[b].partial_cmp(&prior[a]).expect("finite priors").then(a.cmp(&b))
-    });
-    let mut rank = vec![0u16; prior.len()];
-    for (r, &cls) in order.iter().enumerate() {
-        rank[cls] = r as u16;
-    }
-    rank
+/// The smallest lower bound of position `p`'s term over `region`'s
+/// members of dimension `d`.
+fn region_lo(t: &DimTable, region: &Region, d: usize, p: usize) -> f64 {
+    region.dim(d).iter().map(|m| t.lo(m, p)).fold(f64::INFINITY, f64::min)
 }
 
-/// Ranks classes by id: the clusterers' tie resolution (the first
+/// The largest upper bound of position `p`'s term over `region`'s
+/// members of dimension `d`.
+fn region_hi(t: &DimTable, region: &Region, d: usize, p: usize) -> f64 {
+    region.dim(d).iter().map(|m| t.hi(m, p)).fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Positions by class id: the clusterers' tie resolution (the first
 /// cluster reaching the maximum score wins).
-pub(crate) fn tie_rank_by_id(prior: &[f64]) -> Vec<u16> {
-    (0..prior.len() as u16).collect()
+fn by_id(k: usize) -> Vec<ClassId> {
+    (0..k as u16).map(ClassId).collect()
 }
 
 /// Extrema of `−w (x − c)²` over the interval `(lo, hi]`, allowing
@@ -910,36 +819,19 @@ fn neg_quad_extrema(lo: f64, hi: f64, c: f64, w: f64) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::region::{DimSet, Region};
+    use mpq_models::{Classifier as _, NaiveBayes};
     use mpq_types::{AttrDomain, Attribute, Schema};
-    use mpq_models::Classifier as _;
 
-    /// The paper's Table 1 naive Bayes model.
-    fn table1() -> NaiveBayes {
-        let schema = Schema::new(vec![
-            Attribute::new("d0", AttrDomain::categorical(["m0", "m1", "m2", "m3"])),
-            Attribute::new("d1", AttrDomain::categorical(["m0", "m1", "m2"])),
-        ])
-        .unwrap();
-        let d0 = vec![
-            vec![0.4, 0.1, 0.05],
-            vec![0.4, 0.1, 0.05],
-            vec![0.05, 0.4, 0.4],
-            vec![0.05, 0.4, 0.4],
-        ];
-        // m21's c2 value is .01 (the paper prints .1, contradicted by its
-        // own internal cells and Figure 2 bounds).
-        let d1 = vec![
-            vec![0.01, 0.7, 0.05],
-            vec![0.5, 0.29, 0.05],
-            vec![0.49, 0.01, 0.9],
-        ];
-        NaiveBayes::from_probabilities(
-            schema,
-            vec!["c1".into(), "c2".into(), "c3".into()],
-            &[0.33, 0.5, 0.17],
-            &[d0, d1],
-        )
-        .unwrap()
+    /// The point table of the paper's Table 1 naive Bayes model, and
+    /// the position of each class in it.
+    fn table1() -> (NaiveBayes, ScoreModel, impl Fn(u16) -> usize) {
+        let nb = crate::paper_table1_model();
+        let sm = ScoreModel::from_proxy(&ProxyScore::from_naive_bayes(&nb).unwrap());
+        let position = {
+            let sm = sm.clone();
+            move |c| sm.position(ClassId(c))
+        };
+        (nb, sm, position)
     }
 
     #[test]
@@ -947,12 +839,10 @@ mod tests {
         // Starting region [0..3],[0..2]: the paper's Figure 2(a) prints
         // MinProb (.0002, .0005, .0005) and MaxProb (.07, .1, .07),
         // rounded to one significant digit.
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
-        let schema = nb.schema();
-        let r = Region::full(schema);
-        let min: Vec<f64> = (0..3).map(|k| sm.region_score_min(&r, k).exp()).collect();
-        let max: Vec<f64> = (0..3).map(|k| sm.region_score_max(&r, k).exp()).collect();
+        let (nb, sm, p) = table1();
+        let r = Region::full(nb.schema());
+        let min: Vec<f64> = (0..3).map(|c| sm.region_score_min(&r, p(c)).exp()).collect();
+        let max: Vec<f64> = (0..3).map(|c| sm.region_score_max(&r, p(c)).exp()).collect();
         let expect_min = [0.33 * 0.05 * 0.01, 0.5 * 0.1 * 0.01, 0.17 * 0.05 * 0.05];
         let expect_max = [0.33 * 0.4 * 0.5, 0.5 * 0.4 * 0.7, 0.17 * 0.4 * 0.9];
         for k in 0..3 {
@@ -960,7 +850,16 @@ mod tests {
             assert!((max[k] - expect_max[k]).abs() < 1e-12, "max[{k}] = {}", max[k]);
         }
         // Paper: status for c1 on the starting region is AMBIGUOUS.
-        assert_eq!(sm.region_status(&r, 0, BoundMode::Basic), RegionStatus::Ambiguous);
+        assert_eq!(sm.region_status(&r, p(0), BoundMode::Basic), RegionStatus::Ambiguous);
+    }
+
+    #[test]
+    fn positions_follow_the_kernels_tie_rank() {
+        // Naive Bayes ties go to the higher prior: c2 (.5), c1 (.33), c3.
+        let (_, sm, p) = table1();
+        assert_eq!([p(0), p(1), p(2)], [1, 0, 2]);
+        assert_eq!(sm.class_at(0), ClassId(1));
+        assert!(sm.is_point_model());
     }
 
     #[test]
@@ -968,18 +867,17 @@ mod tests {
         // Figure 2(b): pinning d1 to its first member gives c1 revised
         // bounds max = .33·.4·.01 ≈ .0014 while c2's floor is
         // .5·.1·.7 = .035 ≈ .03 — MUST-LOSE, so shrink drops the member.
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, p) = table1();
         let r = Region::full(nb.schema());
-        let max_c1 = sm.pinned_score_max(&r, 0, 1, 0).exp();
-        let min_c2 = sm.pinned_score_min(&r, 1, 1, 0).exp();
+        let max_c1 = sm.pinned_score_max(&r, p(0), 1, 0).exp();
+        let min_c2 = sm.pinned_score_min(&r, p(1), 1, 0).exp();
         assert!((max_c1 - 0.33 * 0.4 * 0.01).abs() < 1e-12);
         assert!((min_c2 - 0.5 * 0.1 * 0.7).abs() < 1e-12);
-        assert!(sm.pinned_must_lose(&r, 0, 1, 0, BoundMode::Basic));
+        assert!(sm.pinned_must_lose(&r, p(0), 1, 0, BoundMode::Basic));
         // The other two members of d1 host winning cells for c1 and must
         // survive the shrink test.
-        assert!(!sm.pinned_must_lose(&r, 0, 1, 1, BoundMode::Basic));
-        assert!(!sm.pinned_must_lose(&r, 0, 1, 2, BoundMode::Basic));
+        assert!(!sm.pinned_must_lose(&r, p(0), 1, 1, BoundMode::Basic));
+        assert!(!sm.pinned_must_lose(&r, p(0), 1, 2, BoundMode::Basic));
     }
 
     #[test]
@@ -987,12 +885,11 @@ mod tests {
         // Figure 2(c): after dropping d1's first member the region
         // [0..3] × {m1, m2} has c1 bounds (.009, .07) vs c2 (.0005, .06):
         // still AMBIGUOUS.
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, p) = table1();
         let r = Region::full(nb.schema()).with_dim(1, DimSet::Set(mpq_types::MemberSet::of(3, [1, 2])));
-        assert!((sm.region_score_min(&r, 0).exp() - 0.33 * 0.05 * 0.49).abs() < 1e-12);
-        assert!((sm.region_score_max(&r, 1).exp() - 0.5 * 0.4 * 0.29).abs() < 1e-12);
-        assert_eq!(sm.region_status(&r, 0, BoundMode::Basic), RegionStatus::Ambiguous);
+        assert!((sm.region_score_min(&r, p(0)).exp() - 0.33 * 0.05 * 0.49).abs() < 1e-12);
+        assert!((sm.region_score_max(&r, p(1)).exp() - 0.5 * 0.4 * 0.29).abs() < 1e-12);
+        assert_eq!(sm.region_status(&r, p(0), BoundMode::Basic), RegionStatus::Ambiguous);
     }
 
     #[test]
@@ -1000,37 +897,34 @@ mod tests {
         // Figure 2(d): splitting d0 into [0..1] / [2..3], the first child
         // {m0,m1} × {m1,m2} is MUST-WIN for c1: its floor .33·.4·.49 ≈ .065
         // beats c2's ceiling .5·.1·.29 ≈ .015 and c3's .17·.05·.9 ≈ .008.
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, p) = table1();
         let r = Region::full(nb.schema())
             .with_dim(0, DimSet::Set(mpq_types::MemberSet::of(4, [0, 1])))
             .with_dim(1, DimSet::Set(mpq_types::MemberSet::of(3, [1, 2])));
-        assert!((sm.region_score_min(&r, 0).exp() - 0.33 * 0.4 * 0.49).abs() < 1e-12);
-        assert!((sm.region_score_max(&r, 1).exp() - 0.5 * 0.1 * 0.29).abs() < 1e-12);
-        assert_eq!(sm.region_status(&r, 0, BoundMode::Basic), RegionStatus::MustWin);
+        assert!((sm.region_score_min(&r, p(0)).exp() - 0.33 * 0.4 * 0.49).abs() < 1e-12);
+        assert!((sm.region_score_max(&r, p(1)).exp() - 0.5 * 0.1 * 0.29).abs() < 1e-12);
+        assert_eq!(sm.region_status(&r, p(0), BoundMode::Basic), RegionStatus::MustWin);
     }
 
     #[test]
     fn figure2e_second_child_is_ambiguous_then_shrinks_empty() {
         // Figure 2(e): the second child {m2,m3} × {m1,m2} is AMBIGUOUS,
         // and a second shrink pass along d1 empties it (no c1 cells).
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, p) = table1();
         let r = Region::full(nb.schema())
             .with_dim(0, DimSet::Set(mpq_types::MemberSet::of(4, [2, 3])))
             .with_dim(1, DimSet::Set(mpq_types::MemberSet::of(3, [1, 2])));
-        assert_eq!(sm.region_status(&r, 0, BoundMode::Basic), RegionStatus::Ambiguous);
+        assert_eq!(sm.region_status(&r, p(0), BoundMode::Basic), RegionStatus::Ambiguous);
         // Both remaining members of d1 fail for c1 in this region.
-        assert!(sm.pinned_must_lose(&r, 0, 1, 1, BoundMode::Basic));
-        assert!(sm.pinned_must_lose(&r, 0, 1, 2, BoundMode::Basic));
+        assert!(sm.pinned_must_lose(&r, p(0), 1, 1, BoundMode::Basic));
+        assert!(sm.pinned_must_lose(&r, p(0), 1, 2, BoundMode::Basic));
     }
 
     #[test]
     fn shrink_test_is_sound_everywhere() {
         // No member whose slice contains a winning cell for the target
         // class may ever be reported MUST-LOSE, under either bound mode.
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, _) = table1();
         let r = Region::full(nb.schema());
         for k in 0..3usize {
             for d in 0..2usize {
@@ -1039,12 +933,12 @@ mod tests {
                     let slice_has_win = r
                         .cells()
                         .filter(|cell| cell[d] == m)
-                        .any(|cell| sm.cell_winner(&cell) == ClassId(k as u16));
+                        .any(|cell| sm.cell_winner(&cell) == Some(sm.class_at(k)));
                     for mode in [BoundMode::Basic, BoundMode::PairwiseRatio] {
                         if sm.pinned_must_lose(&r, k, d, m, mode) {
                             assert!(
                                 !slice_has_win,
-                                "unsound shrink: class {k} dim {d} member {m} under {mode:?}"
+                                "unsound shrink: position {k} dim {d} member {m} under {mode:?}"
                             );
                         }
                     }
@@ -1055,33 +949,34 @@ mod tests {
 
     #[test]
     fn cell_winner_matches_predictor_on_every_cell() {
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, _) = table1();
         for m0 in 0..4u16 {
             for m1 in 0..3u16 {
-                assert_eq!(sm.cell_winner(&[m0, m1]), nb.predict(&[m0, m1]), "cell ({m0},{m1})");
+                let want = Some(nb.predict(&[m0, m1]));
+                assert_eq!(sm.cell_winner(&[m0, m1]), want, "cell ({m0},{m1})");
             }
         }
     }
 
     #[test]
     fn single_cell_region_status_is_decided_for_point_models() {
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, p) = table1();
         let schema = nb.schema();
         for m0 in 0..4u16 {
             for m1 in 0..3u16 {
                 let cell = [m0, m1];
                 let r = Region::cell(schema, &cell);
-                let winner = sm.cell_winner(&cell);
-                for k in 0..3usize {
-                    // Pairwise bounds are exact per pair on point cells,
-                    // so the status must be fully decided.
-                    let st = sm.region_status(&r, k, BoundMode::PairwiseRatio);
-                    if winner.index() == k {
-                        assert_eq!(st, RegionStatus::MustWin, "cell {cell:?} class {k}");
-                    } else {
-                        assert_eq!(st, RegionStatus::MustLose, "cell {cell:?} class {k}");
+                let winner = nb.predict(&cell);
+                for c in 0..3u16 {
+                    // The kernel decides a single cell of a point table.
+                    for mode in [BoundMode::Basic, BoundMode::PairwiseRatio] {
+                        let st = sm.region_status(&r, p(c), mode);
+                        let want = if winner == ClassId(c) {
+                            RegionStatus::MustWin
+                        } else {
+                            RegionStatus::MustLose
+                        };
+                        assert_eq!(st, want, "cell {cell:?} class {c} {mode:?}");
                     }
                 }
             }
@@ -1090,8 +985,7 @@ mod tests {
 
     #[test]
     fn pairwise_is_at_least_as_decisive_as_basic() {
-        let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let (nb, sm, _) = table1();
         let schema = nb.schema();
         // Over a sample of subregions, whenever Basic decides, Pairwise
         // must agree (both are sound, Pairwise is tighter).
@@ -1112,6 +1006,38 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Two classes whose scores are one real number, `½ · 0.1 · 0.4`
+    /// against `½ · 0.2 · 0.2`, on both cells of a two-cell region. The
+    /// kernel's two rounded log sums give it to `c1`; the difference
+    /// summed term by term, `(ln .1 − ln .2) + (ln .4 − ln .2)`, rounds
+    /// to the other side of zero. Within the rounding margin the pairwise
+    /// bound decides neither way, and the derivation ends on the kernel's
+    /// single-cell decisions.
+    #[test]
+    fn pairwise_leaves_a_near_tie_to_the_kernel() {
+        let schema = Schema::new(vec![
+            Attribute::new("x", AttrDomain::categorical(["u", "v"])),
+            Attribute::new("y", AttrDomain::categorical(["w"])),
+        ])
+        .unwrap();
+        let cond = [vec![vec![0.1, 0.2]; 2], vec![vec![0.4, 0.2]]];
+        let names = vec!["c0".into(), "c1".into()];
+        let nb = NaiveBayes::from_probabilities(schema.clone(), names, &[0.5, 0.5], &cond).unwrap();
+        let sm = ScoreModel::from_proxy(&ProxyScore::from_naive_bayes(&nb).unwrap());
+        let (c0, c1) = (sm.position(ClassId(0)), sm.position(ClassId(1)));
+        assert!(sm.cell_score_lo(&[0, 0], c1) > sm.cell_score_lo(&[0, 0], c0));
+        assert!(sm.region_diff_min(&Region::full(&schema), c0, c1) > 0.0, "the rounding hole");
+        let full = Region::full(&schema);
+        assert_eq!(sm.region_status(&full, c0, BoundMode::PairwiseRatio), RegionStatus::Ambiguous);
+        assert_eq!(sm.region_status(&full, c1, BoundMode::PairwiseRatio), RegionStatus::Ambiguous);
+        assert!(!sm.pinned_must_lose(&full, c1, 0, 0, BoundMode::PairwiseRatio));
+        for (class, cells) in [(ClassId(0), 0), (ClassId(1), 2)] {
+            let env = crate::derive_topdown(&sm, &schema, class, &Default::default());
+            assert!(env.exact);
+            assert_eq!(env.covered_cells(), cells, "{class:?}");
         }
     }
 
@@ -1153,13 +1079,6 @@ mod tests {
         let (lo2, hi2) = neg_quad_extrema(6.0, 8.0, 3.0, 2.0);
         assert!((hi2 - (-2.0 * 9.0)).abs() < 1e-12, "closest endpoint 6");
         assert!((lo2 - (-2.0 * 25.0)).abs() < 1e-12, "farthest endpoint 8");
-    }
-
-    #[test]
-    fn tie_rank_orders_by_prior() {
-        assert_eq!(tie_rank_by_prior(&[0.2, 0.5, 0.3]), vec![2, 0, 1]);
-        // Equal priors: lower class id wins.
-        assert_eq!(tie_rank_by_prior(&[0.5, 0.5]), vec![0, 1]);
     }
 
     #[test]

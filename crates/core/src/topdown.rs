@@ -18,8 +18,8 @@ use crate::region::{DimSet, Region};
 use crate::score_model::{RegionStatus, ScoreModel};
 use mpq_types::{ClassId, MemberSet, Schema};
 
-/// Derives the upper envelope of class `k` from a score model using the
-/// top-down bound-and-split algorithm.
+/// Derives the upper envelope of `class` from a score model using the
+/// top-down bound-and-split algorithm, in the model's class positions.
 ///
 /// Infallible surface: if `opts.time_budget` is set and exceeded, the
 /// result degrades to the trivial `TRUE` envelope (sound, no pruning
@@ -46,7 +46,7 @@ pub fn try_derive_topdown(
     opts: &DeriveOptions,
 ) -> Result<Envelope, CoreError> {
     let started = std::time::Instant::now();
-    let k = class.index();
+    let k = model.position(class);
     let mut stats = DeriveStats::default();
     let mut trace = Vec::new();
     let mut kept: Vec<Region> = Vec::new();
@@ -82,7 +82,7 @@ pub fn try_derive_topdown(
                     stats.thresholded_regions += 1;
                     all_exact = false;
                     if let Some(region) =
-                        shrink(model, schema, &region, k, opts, &mut stats, &mut trace)
+                        shrink(model, &region, k, opts, &mut stats, &mut trace)
                     {
                         kept.push(region);
                     }
@@ -90,7 +90,7 @@ pub fn try_derive_topdown(
                 }
                 stats.expansions += 1;
                 // Shrink, re-check, then split.
-                let Some(region) = shrink(model, schema, &region, k, opts, &mut stats, &mut trace)
+                let Some(region) = shrink(model, &region, k, opts, &mut stats, &mut trace)
                 else {
                     continue; // shrunk to empty: nothing of class k here
                 };
@@ -127,13 +127,10 @@ pub fn try_derive_topdown(
                         queue.push(Prio { size: a.cardinality(), order: u64::MAX - tiebreak, region: a });
                     }
                     None => {
-                        // Unsplittable (single cell / no informative cut)
-                        // yet ambiguous: keep it — for point models this
-                        // can only happen for a winning single cell or a
-                        // genuine tie, both of which must stay covered.
-                        if !region.is_cell() || !model.is_point_model() {
-                            all_exact = false;
-                        }
+                        // An ambiguous single cell: only an interval table
+                        // leaves one (the kernel decides a point table's
+                        // cells), so keep it, inexactly.
+                        all_exact = false;
                         kept.push(region);
                     }
                 }
@@ -180,10 +177,16 @@ fn evaluated_step(
     region: &Region,
     status: RegionStatus,
 ) -> TraceStep {
-    let bounds = (0..model.n_classes())
+    let bounds = by_class(model)
         .map(|j| (model.region_score_min(region, j), model.region_score_max(region, j)))
         .collect();
     TraceStep::Evaluated { region: format_region(schema, region), bounds, status }
+}
+
+/// The model's positions in class-id order: what the trace reports in,
+/// and the order the split heuristics accumulate and break ties in.
+fn by_class(model: &ScoreModel) -> impl Iterator<Item = usize> + '_ {
+    (0..model.n_classes() as u16).map(|c| model.position(ClassId(c)))
 }
 
 /// Renders a region like the paper: `(d0:[2..3], d1:[0..1])`.
@@ -220,14 +223,12 @@ fn differing_dim(a: &Region, b: &Region) -> usize {
 /// the region empties.
 fn shrink(
     model: &ScoreModel,
-    schema: &Schema,
     region: &Region,
     k: usize,
     opts: &DeriveOptions,
     stats: &mut DeriveStats,
     trace: &mut Vec<TraceStep>,
 ) -> Option<Region> {
-    let _ = schema;
     let (shrunk, removed) = model.shrink_region(region, k, opts.bound_mode);
     stats.shrunk_members += removed.len();
     if opts.trace {
@@ -245,6 +246,7 @@ fn shrink(
 /// estimated posterior and then cut by prefix (the standard reduction of
 /// subset search).
 fn split(model: &ScoreModel, schema: &Schema, region: &Region, k: usize) -> Option<(Region, Region)> {
+    let classes: Vec<usize> = by_class(model).collect();
     let mut best: Option<(f64, usize, Vec<u16>, Vec<u16>)> = None;
     for (d, attr) in schema.iter() {
         let d = d.index();
@@ -256,11 +258,10 @@ fn split(model: &ScoreModel, schema: &Schema, region: &Region, k: usize) -> Opti
         // vs total mass, using interval midpoints. exp() is normalized by
         // the member-wise max to avoid underflow.
         let table = model.dim(d);
-        let kk = model.n_classes();
         let mid = |m: u16, j: usize| 0.5 * (table.lo(m, j) + table.hi(m, j));
         let max_mid = members
             .iter()
-            .flat_map(|&m| (0..kk).map(move |j| mid(m, j) + model.prior(j)))
+            .flat_map(|&m| classes.iter().map(move |&j| mid(m, j) + model.prior(j)))
             .fold(f64::NEG_INFINITY, f64::max);
         let pos: Vec<f64> = members
             .iter()
@@ -268,7 +269,7 @@ fn split(model: &ScoreModel, schema: &Schema, region: &Region, k: usize) -> Opti
             .collect();
         let mass: Vec<f64> = members
             .iter()
-            .map(|&m| (0..kk).map(|j| (mid(m, j) + model.prior(j) - max_mid).exp()).sum())
+            .map(|&m| classes.iter().map(|&j| (mid(m, j) + model.prior(j) - max_mid).exp()).sum())
             .collect();
 
         let order: Vec<usize> = if attr.domain.is_ordered() {
@@ -332,7 +333,7 @@ fn split_rival_gap(
 ) -> Option<(Region, Region)> {
     // Rival closest to dominating (finite dmax required).
     let mut jstar: Option<(usize, f64)> = None;
-    for j in 0..model.n_classes() {
+    for j in by_class(model) {
         if j == k {
             continue;
         }
@@ -354,7 +355,7 @@ fn split_rival_gap(
             continue;
         }
         let vals: Vec<f64> =
-            members.iter().map(|&m| model.member_diff_bounds(d, m, k, j).1).collect();
+            members.iter().map(|&m| model.member_diff_range(d, m, k, j).1).collect();
         let order: Vec<usize> = if attr.domain.is_ordered() {
             (0..members.len()).collect()
         } else {
@@ -440,33 +441,17 @@ mod tests {
     use mpq_types::{AttrDomain, Attribute};
 
     fn table1() -> NaiveBayes {
-        let schema = Schema::new(vec![
-            Attribute::new("d0", AttrDomain::categorical(["m0", "m1", "m2", "m3"])),
-            Attribute::new("d1", AttrDomain::categorical(["m0", "m1", "m2"])),
-        ])
-        .unwrap();
-        let d0 = vec![
-            vec![0.4, 0.1, 0.05],
-            vec![0.4, 0.1, 0.05],
-            vec![0.05, 0.4, 0.4],
-            vec![0.05, 0.4, 0.4],
-        ];
-        let d1 = vec![
-            vec![0.01, 0.7, 0.05],
-            vec![0.5, 0.29, 0.05],
-            vec![0.49, 0.01, 0.9],
-        ];
-        NaiveBayes::from_probabilities(
-            schema,
-            vec!["c1".into(), "c2".into(), "c3".into()],
-            &[0.33, 0.5, 0.17],
-            &[d0, d1],
-        )
-        .unwrap()
+        crate::paper_table1_model()
     }
 
+    /// The point table Algorithm 1 derives `nb`'s envelopes over.
+    fn table(nb: &NaiveBayes) -> ScoreModel {
+        ScoreModel::from_proxy(&crate::ProxyScore::from_naive_bayes(nb).unwrap())
+    }
+
+
     fn assert_sound_and_report_exact(nb: &NaiveBayes, opts: &DeriveOptions) {
-        let sm = ScoreModel::from_naive_bayes(nb);
+        let sm = table(nb);
         let schema = nb.schema();
         for k in 0..nb.n_classes() {
             let class = ClassId(k as u16);
@@ -520,7 +505,7 @@ mod tests {
         // The paper works c1 by hand: it is exactly
         // (d0:{m0,m1}, d1:{m1,m2}) after one shrink and one split.
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         let env = derive_topdown(&sm, nb.schema(), ClassId(0), &DeriveOptions::default());
         assert!(env.exact, "c1's region is clean; derivation should prove it");
         let covered: Vec<Vec<u16>> = Region::full(nb.schema())
@@ -538,7 +523,7 @@ mod tests {
     #[test]
     fn zero_budget_envelope_is_shrunk_but_sound() {
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         let env = derive_topdown(
             &sm,
             nb.schema(),
@@ -564,7 +549,7 @@ mod tests {
     #[test]
     fn trace_records_evaluations_and_splits() {
         let nb = table1();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = table(&nb);
         let env = derive_topdown(
             &sm,
             nb.schema(),

@@ -159,11 +159,13 @@ pub trait ModelOracle {
     /// with the same label, if any (for `PREDICT(M1) = PREDICT(M2)`:
     /// class ids are per-model, so labels are what must agree).
     fn class_for_class(&self, from: ModelId, class: ClassId, to: ModelId) -> Option<ClassId>;
-    /// Evaluates `predict(model, row) ∈ accept`. The default scores the
-    /// row; oracles with a sound proxy cascade may answer set membership
-    /// without invoking the scorer when the proxy's argmax is unique
-    /// (see `ProxyScore`), which is why every mining predicate routes
-    /// through this set form instead of comparing `predict` directly.
+    /// Evaluates `predict(model, row) ∈ accept`: set membership of the
+    /// model's prediction. The default scores the row. The executor's
+    /// oracle decides it with the model's `ProxyScore` cascade instead,
+    /// where the model has one — the proxy's decision is the scorer's
+    /// on every row, ties included — counting each row as a cascade
+    /// accept or reject, and scores only models without a proxy. Every
+    /// mining predicate routes through this set form.
     fn predict_in(&self, model: ModelId, row: &Row, accept: &[ClassId]) -> bool {
         accept.contains(&self.predict(model, row))
     }

@@ -174,6 +174,55 @@ fn create_mining_model_via_sql() {
     assert!(q.metrics.output_rows > 0);
 }
 
+/// A model trained by `CREATE MINING MODEL` whose two classes score the
+/// same real number at cell `(a0 = v0, a1 = v1)`: priors 7/14 each, and
+/// conditionals `0.1 · 0.4` for `c0` against `0.2 · 0.2` for `c1`. The
+/// scorer's two rounded log sums give the cell to `c1`. A bound that
+/// rounds the difference otherwise once proved the cell `c0`'s, and the
+/// exact envelopes then compiled the model away: `c0`'s query returned
+/// the row and `c1`'s lost it. The training rows come from a seeded
+/// search over small trained models.
+#[test]
+fn trained_naive_bayes_near_tie_matches_brute_force() {
+    let members = || AttrDomain::categorical(["v0", "v1", "v2", "v3"]);
+    let schema = Schema::new(vec![
+        Attribute::new("a0", members()),
+        Attribute::new("a1", members()),
+        Attribute::new("label", AttrDomain::categorical(["c0", "c1"])),
+    ])
+    .unwrap();
+    const TRAIN: [[u16; 3]; 12] = [
+        [1, 0, 1],
+        [1, 1, 1],
+        [0, 3, 1],
+        [1, 3, 0],
+        [2, 1, 0],
+        [3, 0, 0],
+        [1, 2, 1],
+        [2, 2, 0],
+        [2, 1, 0],
+        [1, 0, 1],
+        [3, 1, 0],
+        [2, 2, 1],
+    ];
+    let mut ds = Dataset::new(schema);
+    for row in TRAIN {
+        ds.push_encoded(&row).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.add_table(Table::from_dataset("t", &ds)).unwrap();
+    let e = Engine::new(cat);
+    e.execute_sql("CREATE MINING MODEL m ON t PREDICT label USING naive_bayes").unwrap();
+    // Then every cell of the feature grid once.
+    let grid = (0..4).flat_map(|a0| (0..4).map(move |a1| vec![a0, a1, 0])).collect();
+    e.insert_rows("t", grid).unwrap();
+    for (k, class) in ["c0", "c1"].into_iter().enumerate() {
+        let out = e.query(&format!("SELECT * FROM t WHERE PREDICT(m) = '{class}'")).unwrap();
+        let expected = brute_force(&e, |r, predict| predict(r) == ClassId(k as u16));
+        assert_eq!(out.rows, expected, "PREDICT(m) = '{class}'");
+    }
+}
+
 #[test]
 fn ddl_parse_errors_are_specific() {
     let e = build_engine();

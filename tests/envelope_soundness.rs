@@ -6,6 +6,7 @@
 use mining_predicates::prelude::*;
 use mpq_core::{derive_enumerate, DEFAULT_CELL_LIMIT};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// Strategy: a random small schema (2–4 dims, 2–5 members each, mixed
 /// ordered/categorical).
@@ -105,7 +106,7 @@ proptest! {
         // Enumeration is exact for naive Bayes; the top-down result must
         // be a superset of it.
         let schema = Classifier::schema(&nb).clone();
-        let sm = ScoreModel::from_naive_bayes(&nb);
+        let sm = ScoreModel::from_proxy(&nb.proxy().expect("finite table"));
         for k in 0..Classifier::n_classes(&nb) {
             let class = ClassId(k as u16);
             let oracle = derive_enumerate(&sm, &schema, class, DEFAULT_CELL_LIMIT)
@@ -177,4 +178,168 @@ proptest! {
             );
         }
     }
+}
+
+/// A draw from a small fixed set of values. Sums over lattice terms
+/// coincide — exactly, or to the last bit after rounding — far more
+/// often than sums over uniform draws, so the argmax's ties and near
+/// ties, where a bound that rounds otherwise than the kernel goes
+/// wrong, actually occur.
+#[derive(Clone, Copy)]
+struct Lattice(&'static [f64]);
+
+impl Strategy for Lattice {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        self.0[rng.index(self.0.len())]
+    }
+}
+
+/// Strategy: a naive Bayes model over a random schema whose priors and
+/// conditionals come from a lattice of probabilities.
+fn lattice_nb() -> impl Strategy<Value = NaiveBayes> {
+    const PROBS: Lattice = Lattice(&[0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.8]);
+    (arb_schema(), 2usize..=4).prop_flat_map(|(schema, k)| {
+        let total_members: usize =
+            schema.attrs().iter().map(|a| a.domain.cardinality() as usize).sum();
+        (
+            Just(schema),
+            proptest::collection::vec(PROBS, k),
+            proptest::collection::vec(PROBS, total_members * k),
+        )
+            .prop_map(move |(schema, priors, conds)| {
+                let mut it = conds.into_iter();
+                let cond: Vec<Vec<Vec<f64>>> = schema
+                    .attrs()
+                    .iter()
+                    .map(|a| {
+                        (0..a.domain.cardinality())
+                            .map(|_| (0..k).map(|_| it.next().expect("sized")).collect())
+                            .collect()
+                    })
+                    .collect();
+                let names = (0..k).map(|i| format!("c{i}")).collect();
+                NaiveBayes::from_probabilities(schema, names, &priors, &cond)
+                    .expect("positive parameters")
+            })
+    })
+}
+
+/// Strategy: a k-means model over a random mixed schema: lattice
+/// centroids (a member index on categorical dimensions) and weights.
+fn lattice_kmeans() -> impl Strategy<Value = KMeans> {
+    const COORDS: Lattice = Lattice(&[0.0, 1.0, 1.5, 2.0, 3.0, 4.0]);
+    const WEIGHTS: Lattice = Lattice(&[0.3, 0.5, 0.7, 1.0, 1.5]);
+    (arb_schema(), 2usize..=4).prop_flat_map(|(schema, k)| {
+        let n = schema.len();
+        (Just(schema), proptest::collection::vec((COORDS, WEIGHTS), n * k)).prop_map(
+            move |(schema, parts)| {
+                let (mut centroids, mut weights) = (vec![vec![0.0; n]; k], vec![vec![0.0; n]; k]);
+                for (i, (c, w)) in parts.into_iter().enumerate() {
+                    let (cluster, d) = (i / n, i % n);
+                    let domain = &schema.attrs()[d].domain;
+                    centroids[cluster][d] = if domain.is_ordered() {
+                        c
+                    } else {
+                        (c as u16 % domain.cardinality()) as f64
+                    };
+                    weights[cluster][d] = w;
+                }
+                KMeans::from_parts(schema, centroids, weights).expect("valid parts")
+            },
+        )
+    })
+}
+
+/// Strategy: a diagonal GMM over 2–3 ordered dimensions with lattice
+/// mixing weights, means and variances.
+fn lattice_gmm() -> impl Strategy<Value = Gmm> {
+    const TAUS: Lattice = Lattice(&[0.2, 0.3, 0.5]);
+    const MEANS: Lattice = Lattice(&[0.0, 1.0, 2.0, 3.0, 4.0]);
+    const VARS: Lattice = Lattice(&[0.5, 1.5]);
+    (2usize..=3, 2usize..=4).prop_flat_map(|(n, k)| {
+        (
+            proptest::collection::vec(TAUS, k),
+            proptest::collection::vec((MEANS, VARS), n * k),
+        )
+            .prop_map(move |(taus, parts)| {
+                let cuts = AttrDomain::binned(vec![0.5, 1.5, 2.5, 3.5]).expect("increasing");
+                let attrs = (0..n).map(|i| Attribute::new(format!("x{i}"), cuts.clone())).collect();
+                let schema = Schema::new(attrs).expect("unique");
+                let (means, vars) = parts.chunks(n).map(|c| c.iter().copied().unzip()).unzip();
+                Gmm::from_parts(schema, taus, means, vars).expect("valid parts")
+            })
+    })
+}
+
+/// Checks `model` on every cell of its grid: the score table's cell
+/// winner is `predict`, and under both bound modes at expansion budget
+/// `budget` every class's envelope admits each cell predicted as it
+/// (and, when it claims exactness, only those). Returns the number of
+/// cells whose two best scores are equal or one rounding apart.
+fn check_at_ties<M: EnvelopeProvider>(model: &M, budget: usize) -> Result<usize, String> {
+    let cells: Vec<Vec<u16>> = Region::full(model.schema()).cells().collect();
+    let table = ScoreModel::from_proxy(&model.proxy().expect("a finite table"));
+    let mut ties = 0;
+    for cell in &cells {
+        let (winner, want) = (table.cell_winner(cell), model.predict(cell));
+        if winner != Some(want) {
+            return Err(format!("cell {cell:?}: table says {winner:?}, predict {want:?}"));
+        }
+        let mut sums: Vec<f64> =
+            (0..table.n_classes()).map(|p| table.cell_score_lo(cell, p)).collect();
+        sums.sort_by(|a, b| b.total_cmp(a));
+        if sums[1] >= sums[0].next_down() {
+            ties += 1;
+        }
+    }
+    for mode in [BoundMode::Basic, BoundMode::PairwiseRatio] {
+        let opts = DeriveOptions { bound_mode: mode, max_expansions: budget, ..Default::default() };
+        for env in model.envelopes(&opts) {
+            for cell in &cells {
+                let predicted = model.predict(cell) == env.class;
+                if predicted && !env.matches(cell) {
+                    return Err(format!("{mode:?} budget {budget}: {} misses {cell:?}", env.class));
+                }
+                if env.exact && env.matches(cell) != predicted {
+                    return Err(format!("{mode:?}: exact {} wrong at {cell:?}", env.class));
+                }
+            }
+        }
+    }
+    Ok(ties)
+}
+
+/// Runs [`check_at_ties`] on `cases` draws of `models` (each with a
+/// random budget) and asserts the draws really reached ties.
+fn assert_sound_at_ties<M: EnvelopeProvider>(
+    name: &str,
+    models: impl Strategy<Value = M>,
+    cases: usize,
+) {
+    let mut rng = TestRng::deterministic(name);
+    let mut ties = 0;
+    for case in 0..cases {
+        let (model, budget) = (models.generate(&mut rng), (0usize..64).generate(&mut rng));
+        match check_at_ties(&model, budget) {
+            Ok(found) => ties += found,
+            Err(e) => panic!("{name}, case {case}: {e}"),
+        }
+    }
+    assert!(ties > 0, "{name}: no tied or near-tied cell in {cases} draws");
+}
+
+#[test]
+fn lattice_naive_bayes_is_sound_at_ties() {
+    assert_sound_at_ties("naive Bayes", lattice_nb(), 300);
+}
+
+#[test]
+fn lattice_kmeans_is_sound_at_ties() {
+    assert_sound_at_ties("k-means", lattice_kmeans(), 200);
+}
+
+#[test]
+fn lattice_gmm_is_sound_at_ties() {
+    assert_sound_at_ties("GMM", lattice_gmm(), 200);
 }
