@@ -7,7 +7,7 @@
 //! in-memory wall time at parallelism 1. The buckets sweep selectivity
 //! (a ~0.8% point lookup, a 12.5% and a 50% IN-set on an interleaved
 //! 128-member column), a DNF envelope shape (OR of ANDs mixing both
-//! columns), a clustered predicate where zone maps prove most pages
+//! columns), a clustered predicate whose page bitmaps prove most pages
 //! empty, and two mining predicates: a decision tree the rewrite
 //! compiles out entirely (`mining_memo`, a name kept from when a scorer
 //! memo served it, so the checked-in JSON still compares) and a
@@ -67,8 +67,8 @@ fn main() {
     .expect("schema");
     let mut ds = Dataset::new(schema);
     for i in 0..n_rows {
-        // `region` is clustered (contiguous eighths of the heap) so zone
-        // maps have something to prove; `band` is interleaved so
+        // `region` is clustered (contiguous eighths of the heap) so the
+        // page bitmaps have something to prove; `band` is interleaved so
         // per-band selections touch every page and measure pure
         // predicate-evaluation speed; `label` follows a deterministic
         // concept over `band`/`region` the tree model learns exactly —

@@ -8,9 +8,10 @@
 //! issues, or one of `wire_point`'s 64 (the same table and model). Per
 //! statement: the median wall time of `execute_opts` at dop 1 (and per
 //! examined row), the reference interpreter on the same plan (row sets
-//! asserted equal), the zone pass alone (`page_may_match` over every
-//! page, per page) and the per-execution compile alone. Timings are
-//! this machine's; compare two checkouts by alternating runs of each.
+//! asserted equal), the candidate-page computation alone
+//! (`candidate_pages`, once per statement) and the per-execution
+//! compile alone. Timings are this machine's; compare two checkouts by
+//! alternating runs of each.
 //!
 //! Usage: `stmt_wire_wide [wide|point] [seed] [runs]` (defaults: wide,
 //! 7, 300).
@@ -53,7 +54,7 @@ fn main() {
         engine.execute_sql(ddl).expect("generated DDL runs");
     }
     println!(
-        "stmt  exec_us  ns/row  examined  pages  skipped    out  zone_ns/page  compile_us    ref_us  sql"
+        "stmt  exec_us  ns/row  examined  pages  skipped    out  cand_us  compile_us    ref_us  sql"
     );
     for (i, sql) in inputs.pool.iter().enumerate() {
         let catalog = engine.catalog();
@@ -75,27 +76,25 @@ fn main() {
         let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
         let (ref_us, reference) = time(&scalar, (runs / 10).max(5));
         assert_eq!(reference.rows, result.rows, "statement {i}");
-        let (mut zone, mut compile) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+        let (mut candidates, mut compile) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
         for _ in 0..runs {
             let t0 = Instant::now();
             let compiled = CompiledPredicate::compile(&plan.residual, table.schema(), true);
             compile.push(t0.elapsed().as_nanos() as f64 / 1e3);
             let t0 = Instant::now();
-            let may = (0..table.n_pages())
-                .filter(|&p| compiled.page_may_match(table.page_zones(p)))
-                .count();
-            zone.push(t0.elapsed().as_nanos() as f64 / table.n_pages() as f64);
-            std::hint::black_box(may);
+            let pages = compiled.candidate_pages(table);
+            candidates.push(t0.elapsed().as_nanos() as f64 / 1e3);
+            std::hint::black_box(pages);
         }
         let m = &result.metrics;
         println!(
-            "{i:4}  {exec_us:7.1}  {:6.2}  {:8}  {:5}  {:7}  {:5}  {:12.1}  {:10.2}  {ref_us:8.1}  {}",
+            "{i:4}  {exec_us:7.1}  {:6.2}  {:8}  {:5}  {:7}  {:5}  {:7.2}  {:10.2}  {ref_us:8.1}  {}",
             exec_us * 1e3 / m.rows_examined.max(1) as f64,
             m.rows_examined,
             m.heap_pages_read,
             m.pages_skipped,
             m.output_rows,
-            median(&mut zone),
+            median(&mut candidates),
             median(&mut compile),
             &sql[..sql.len().min(72)],
         );

@@ -10,11 +10,14 @@
 //!    resolve the access path, run the index probes, merge a union's
 //!    postings, charge index pages and index-path heap pages against
 //!    the guard, and cut the work into jobs: page-aligned heap morsels
-//!    or contiguous chunks of the fetch list;
+//!    or contiguous chunks of the fetch list. A scan also gets its
+//!    candidate pages, computed once from the table's page bitmaps in
+//!    the compiled predicate's shape
+//!    ([`CompiledPredicate::candidate_pages`]);
 //! 3. **workers** (`run_worker`) — pull jobs off an atomic dispatcher,
-//!    prove pages empty against the table's zone maps before reading
-//!    them ([`ExecMetrics::pages_skipped`] — skipped pages are *not*
-//!    charged to page budgets), and filter each run of surviving pages
+//!    read only the job's candidate pages
+//!    ([`ExecMetrics::pages_skipped`] counts the rest, which are *not*
+//!    charged to page budgets), and filter each run of candidate pages
 //!    (up to `SCAN_BATCH_ROWS` rows) or fetch run through the compiled
 //!    predicate. A scan run goes in as the row range `start..end` — no
 //!    id list is written before a leaf has narrowed it — and survivors
@@ -79,8 +82,8 @@ pub struct ExecMetrics {
     pub heap_pages_read: u64,
     /// Index pages read (postings traffic).
     pub index_pages_read: u64,
-    /// Heap pages proven empty by their zone maps and skipped without
-    /// being read. Never counted against page budgets.
+    /// Heap pages proven empty by the table's page bitmaps and skipped
+    /// without being read. Never counted against page budgets.
     pub pages_skipped: u64,
     /// Rows fetched and tested against the residual predicate.
     pub rows_examined: u64,
@@ -161,9 +164,9 @@ pub struct ExecOptions {
     /// evaluates residuals through the compiled column-at-a-time
     /// program. `false` selects the row-at-a-time reference
     /// interpreter, which is serial — it ignores `parallelism`. Both
-    /// evaluate the plan's residual in its written order and use
-    /// zone-map pruning and the proxy cascades, so on success their
-    /// metrics are identical — the reference exists as the
+    /// evaluate the plan's residual in its written order, skip the same
+    /// provably empty pages and use the proxy cascades, so on success
+    /// their metrics are identical — the reference exists as the
     /// differential-testing baseline.
     pub vectorized: bool,
     /// Ignored. The clause order is the plan's, chosen by the optimizer,
@@ -245,6 +248,10 @@ pub fn execute_opts(
 
     let Coordinated { fetched, jobs, positions, metrics: mut m } =
         coordinate(plan, catalog, &gs, dop)?;
+    let pages = match jobs.first() {
+        Some(Job::Scan(_)) => compiled.candidate_pages(table),
+        _ => Vec::new(),
+    };
 
     // The coordinator's pages are pre-charged so scan-phase page
     // breaches see the true total.
@@ -253,6 +260,7 @@ pub fn execute_opts(
     let wctx = WorkerCtx {
         jobs: &jobs,
         fetched: &fetched,
+        pages: &pages,
         table,
         scorer: &scorer,
         compiled: &compiled,
@@ -301,7 +309,7 @@ pub fn execute_opts(
     m.heap_pages_read = shared.pages.load(Ordering::Relaxed) - m.index_pages_read;
     sync_model_metrics(&scorer, &mut m);
     // Covers paths that examined nothing (constant scans past the
-    // deadline, fully zone-pruned scans).
+    // deadline, scans with no candidate page).
     gs.check(&m)?;
     m.output_rows = out.len() as u64;
     m.elapsed = start.elapsed();
@@ -506,7 +514,7 @@ struct SharedProgress {
     /// Total pages charged so far (pre-charged by the coordinator; heap
     /// pages charged progressively by scan jobs).
     pages: AtomicU64,
-    /// Heap pages proven empty by zone maps and skipped.
+    /// Heap pages proven empty by the page bitmaps and skipped.
     skipped: AtomicU64,
     /// Cooperative stop: set after a breach or panic; workers poll it
     /// per page read / per scored row, so no worker does more than one
@@ -588,6 +596,8 @@ impl SharedProgress {
 struct WorkerCtx<'a> {
     jobs: &'a [Job],
     fetched: &'a [(RowId, bool)],
+    /// A scan's candidate pages, one bit per page; empty on index paths.
+    pages: &'a [u64],
     table: &'a Table,
     scorer: &'a Scorer<'a>,
     compiled: &'a CompiledPredicate,
@@ -699,13 +709,14 @@ fn run_worker(w: &WorkerCtx<'_>) -> Vec<(usize, Vec<RowId>)> {
 /// 10–15% more.
 const SCAN_BATCH_ROWS: usize = 2048;
 
-/// Scans the pages of one page-aligned morsel. Pages are zone-checked,
-/// fault-fired, cancel-polled and charged one at a time, in order; what
-/// is batched is only the predicate's evaluation, over runs of
-/// consecutive surviving pages of up to [`SCAN_BATCH_ROWS`] rows (one
-/// page alone, if a page holds more). A run ends at a skipped page, at
-/// the batch limit and at the job's end, so a batch is always the exact
-/// rows `start..end`, and it is handed to the predicate as that range.
+/// Scans the candidate pages of one page-aligned morsel. Candidate
+/// pages are fault-fired, cancel-polled and charged one at a time, in
+/// order; what is batched is only the predicate's evaluation, over runs
+/// of consecutive candidate pages of up to [`SCAN_BATCH_ROWS`] rows
+/// (one page alone, if a page holds more). A run ends at a skipped
+/// page, at the batch limit and at the job's end, so a batch is always
+/// the exact rows `start..end`, and it is handed to the predicate as
+/// that range.
 fn scan_job(
     w: &WorkerCtx<'_>,
     range: Range<RowId>,
@@ -726,20 +737,17 @@ fn scan_job(
         w.compiled.filter_range(start..end, sel, ctx, hits)?;
         w.gs.check_deadline()
     };
-    // A zone-pruned scan skips most of its pages in nanoseconds each,
-    // so skipped pages touch no shared state: the count is flushed once
-    // per job (it only matters to a query that succeeds) and the
-    // cancellation flag is polled only before a page is actually read.
-    let mut skipped = 0u64;
+    let pages = table.page_of(range.start)..table.page_of(range.end - 1) + 1;
+    // Skipped pages touch no shared state: their count is flushed once
+    // per job (it only matters to a query that succeeds).
+    let mut read = 0u64;
     // The pending run; `end` is always the next page's first row.
     let (mut start, mut end) = (range.start, range.start);
-    for page in table.page_of(range.start)..=table.page_of(range.end - 1) {
+    for page in set_bits(w.pages, pages.clone()) {
         let rows = page_rows(table, page);
-        if !w.compiled.page_may_match(table.page_zones(page)) {
+        if rows.start != end {
             flush(start, end)?;
-            (start, end) = (rows.end, rows.end);
-            skipped += 1;
-            continue;
+            (start, end) = (rows.start, rows.start);
         }
         if w.shared.cancelled() {
             return Err(cancelled_sentinel());
@@ -752,10 +760,30 @@ fn scan_job(
             start = end;
         }
         end = rows.end;
+        read += 1;
     }
     flush(start, end)?;
-    w.shared.skipped.fetch_add(skipped, Ordering::Relaxed);
+    w.shared.skipped.fetch_add(pages.len() as u64 - read, Ordering::Relaxed);
     Ok(())
+}
+
+/// The set bits of the bitmap `bits` within `range`, ascending.
+fn set_bits(bits: &[u64], range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+    (range.start / 64..range.end.div_ceil(64)).flat_map(move |w| {
+        let below_end = match range.end - w * 64 {
+            left if left >= 64 => u64::MAX,
+            left => u64::MAX >> (64 - left),
+        };
+        let from_start = u64::MAX << range.start.saturating_sub(w * 64);
+        let mut word = bits[w] & below_end & from_start;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Evaluates one chunk of the fetch list. Maximal runs of rows sharing
@@ -845,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn zone_maps_prune_clustered_scan() {
+    fn page_bitmaps_prune_clustered_scan() {
         let cat = catalog();
         let e = Expr::Atom(Atom { attr: AttrId(0), pred: AtomPred::Eq(0) }); // 0.1%, clustered
         let plan = Plan { access: AccessPath::FullScan, ..plan_no_zone(e, &cat) };
@@ -980,14 +1008,14 @@ mod tests {
         assert_eq!(healthy.rows, degraded.rows, "fallback must not change the row set");
         assert!(degraded.metrics.index_fallback);
         assert!(!healthy.metrics.index_fallback);
-        // The fallback scans the heap, but zone maps prove most pages
-        // empty for this clustered member — skipped + read covers it.
+        // The fallback scans the heap, but the page bitmaps prove most
+        // pages empty for this clustered member — skipped + read covers it.
         let n_pages = cat.table(0).table.n_pages() as u64;
         assert_eq!(
             degraded.metrics.heap_pages_read + degraded.metrics.pages_skipped,
             n_pages
         );
-        assert!(degraded.metrics.pages_skipped > 0, "zone maps prune the fallback");
+        assert!(degraded.metrics.pages_skipped > 0, "the page bitmaps prune the fallback");
         assert_eq!(degraded.metrics.index_pages_read, 0);
     }
 

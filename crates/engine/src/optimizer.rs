@@ -403,7 +403,7 @@ pub fn choose_plan(
 /// Upper bound on the heap pages a zone-pruned scan must read: pages
 /// that *may* hold a row satisfying `expr`, estimated from the
 /// per-member page counts in the statistics. Mirrors the executor's
-/// `page_may_match` proof at estimation time: an atom covers at most
+/// candidate-page computation at estimation time: an atom covers at most
 /// the pages its members appear on, a conjunction at most its tightest
 /// conjunct, a disjunction at most the sum, and mining predicates (or
 /// anything else non-columnar) prove nothing.

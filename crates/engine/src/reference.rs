@@ -5,11 +5,18 @@
 //! construction (it ignores [`ExecOptions::parallelism`]) and walks the
 //! plan's residual in its written order, as the pipeline does. It
 //! shares the pipeline's coordinator phase — access-path resolution,
-//! index probes and their page accounting — its zone-map pruning and
-//! its scorer, whose proxy cascades return the models' own predictions.
-//! Everything after that is the plainest thing that can be right:
-//! materialize the row, walk the [`Expr`] tree, count, and check every
-//! budget after every row.
+//! index probes and their page accounting — and its scorer, whose proxy
+//! cascades return the models' own predictions. Everything after that
+//! is the plainest thing that can be right: summarize each page from
+//! its own rows and test the predicate against that summary
+//! ([`page_may_match`]), materialize the row, walk the [`Expr`] tree,
+//! count, and check every budget after every row.
+//!
+//! The page test is the definition the pipeline's candidate pages
+//! ([`crate::CompiledPredicate::candidate_pages`], computed from the
+//! table's page bitmaps) must equal, so the two executors'
+//! `pages_skipped` agreeing checks the bitmaps against a computation
+//! that never reads them.
 //!
 //! Unlike the pipeline it does not catch panics: a scorer panic
 //! unwinds to the caller.
@@ -27,8 +34,8 @@ use crate::expr::Expr;
 use crate::guard::{GuardState, QueryGuard};
 use crate::optimizer::Plan;
 use crate::table::{RowId, Table};
-use crate::vectorized::{CompiledPredicate, Scorer};
-use mpq_types::Member;
+use crate::vectorized::{box_atoms, is_box_dnf, Scorer};
+use mpq_types::{Member, MemberSet};
 use std::time::Instant;
 
 /// Interpreter state for one execution.
@@ -67,9 +74,18 @@ pub(crate) fn execute(
     let gs = GuardState::new(guard);
     let table = &catalog.table(plan.table).table;
     let scorer = scorer_for_plan(plan, catalog);
-    // Compiled for its zone-map test only; no row is evaluated with it.
-    let zones = CompiledPredicate::compile(&plan.residual, table.schema(), false);
     let co = coordinate(plan, catalog, &gs, 1)?;
+    // The page test reads the zones of the residual's atom columns only.
+    let mut zones: Vec<MemberSet> =
+        table.schema().attrs().iter().map(|a| MemberSet::empty(a.domain.cardinality())).collect();
+    let mut cols: Vec<usize> = Vec::new();
+    plan.residual.walk(&mut |e| {
+        if let Expr::Atom(a) = e {
+            cols.push(a.attr.index());
+        }
+    });
+    cols.sort_unstable();
+    cols.dedup();
     let mut it = Interp {
         table,
         scorer: &scorer,
@@ -83,7 +99,8 @@ pub(crate) fn execute(
         match job {
             Job::Scan(range) => {
                 for page in table.page_of(range.start)..=table.page_of(range.end - 1) {
-                    if !zones.page_may_match(table.page_zones(page)) {
+                    page_members(table, page, &cols, &mut zones);
+                    if !page_may_match(&plan.residual, &zones) {
                         it.m.pages_skipped += 1;
                         continue;
                     }
@@ -110,7 +127,7 @@ pub(crate) fn execute(
     }
 
     // Covers paths that examined nothing (constant scans past the
-    // deadline, fully zone-pruned scans).
+    // deadline, scans that skipped every page).
     let Interp { mut m, out, .. } = it;
     sync_model_metrics(&scorer, &mut m);
     gs.check(&m)?;
@@ -118,4 +135,48 @@ pub(crate) fn execute(
     m.elapsed = start.elapsed();
     m.guard = gs.headroom(&m);
     Ok(ExecResult { rows: out, metrics: m })
+}
+
+/// Writes into `zones[d]`, for each column `d` of `cols`, the members
+/// present on `page`, read off its rows.
+pub(crate) fn page_members(table: &Table, page: usize, cols: &[usize], zones: &mut [MemberSet]) {
+    for &d in cols {
+        let zone = &mut zones[d];
+        zone.clear();
+        for r in page_rows(table, page) {
+            zone.insert(table.cell(r, d));
+        }
+    }
+}
+
+/// Whether a page whose columns hold the members `zones` may hold a row
+/// satisfying `e`; `false` proves it holds none. An atom may match iff
+/// it admits a member the page holds in its column; a conjunction needs
+/// every child, a disjunction one. A disjunction that compiles to one
+/// `Boxes` leaf needs a disjunct with, on every column it constrains, a
+/// member the page holds that all its atoms on that column admit: two
+/// atoms on one column may each admit a member of the page while no
+/// member satisfies both. Anything else (a mining predicate, `NOT`) may
+/// match.
+pub(crate) fn page_may_match(e: &Expr, zones: &[MemberSet]) -> bool {
+    match e {
+        Expr::Const(b) => *b,
+        Expr::Atom(a) => zones[a.attr.index()].iter().any(|m| a.pred.matches(m)),
+        Expr::And(ps) => ps.iter().all(|p| page_may_match(p, zones)),
+        Expr::Or(ps) if is_box_dnf(ps) => ps.iter().any(|d| {
+            let atoms = box_atoms(d).expect("a box DNF's disjuncts are boxes");
+            let on = |attr, m| {
+                atoms.iter().all(|x| match x {
+                    Expr::Atom(a) => a.attr != attr || a.pred.matches(m),
+                    _ => unreachable!("a box holds atoms"),
+                })
+            };
+            atoms.iter().all(|x| match x {
+                Expr::Atom(a) => zones[a.attr.index()].iter().any(|m| on(a.attr, m)),
+                _ => unreachable!("a box holds atoms"),
+            })
+        }),
+        Expr::Or(ps) => ps.iter().any(|p| page_may_match(p, zones)),
+        _ => true,
+    }
 }

@@ -13,8 +13,8 @@ pub struct ColumnStats {
     /// `counts[m]` = rows with member `m`.
     counts: Vec<u64>,
     /// `page_counts[m]` = heap pages holding at least one row with
-    /// member `m` — the optimizer's view of the table's zone maps, used
-    /// to estimate how many pages a zone-pruned scan must read.
+    /// member `m` — the popcount of the table's page bitmap for `m`,
+    /// used to estimate how many pages a pruned scan must read.
     page_counts: Vec<u64>,
     total: u64,
 }
@@ -22,45 +22,19 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Builds the histogram of column `d` of `table`.
     pub fn build(table: &Table, d: usize) -> ColumnStats {
-        Self::build_range(table, d, 0..table.n_rows())
-    }
-
-    /// Builds the histogram of column `d` over the row range `rows` —
-    /// the per-morsel unit of the parallel statistics build. `rows` must
-    /// start on a page boundary (morsels do), so every page is counted
-    /// by exactly one range and page counts merge exactly.
-    fn build_range(table: &Table, d: usize, rows: std::ops::Range<usize>) -> ColumnStats {
         let card = table.schema().attrs()[d].domain.cardinality() as usize;
         let mut counts = vec![0u64; card];
-        let mut page_counts = vec![0u64; card];
-        let total = rows.len() as u64;
-        for &m in &table.column(d)[rows.clone()] {
-            counts[m as usize] += 1;
-        }
-        let rpp = table.rows_per_page();
-        debug_assert!(rows.start.is_multiple_of(rpp), "stats ranges must be page-aligned");
-        if !rows.is_empty() {
-            for page in (rows.start / rpp)..=((rows.end - 1) / rpp) {
-                for m in table.page_zones(page)[d].iter() {
-                    page_counts[m as usize] += 1;
-                }
-            }
-        }
-        ColumnStats { counts, page_counts, total }
+        count_members(table.column(d), &mut counts);
+        Self::with_counts(table, d, counts)
     }
 
-    /// Folds another partial histogram of the same column into this
-    /// one. Exact counts merge exactly, so any partition of the heap
-    /// rebuilds the serial histogram bit for bit.
-    fn merge(&mut self, other: &ColumnStats) {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        for (a, b) in self.page_counts.iter_mut().zip(&other.page_counts) {
-            *a += b;
-        }
-        self.total += other.total;
+    /// The stats of column `d` from its member counts; the page counts
+    /// are the popcounts of the table's page bitmaps.
+    fn with_counts(table: &Table, d: usize, counts: Vec<u64>) -> ColumnStats {
+        let page_counts = (0..counts.len() as u16)
+            .map(|m| table.member_pages(d, m).map(|w| u64::from(w.count_ones())).sum())
+            .collect();
+        ColumnStats { counts, page_counts, total: table.n_rows() as u64 }
     }
 
     /// Total rows sampled.
@@ -113,6 +87,13 @@ impl ColumnStats {
     }
 }
 
+/// Adds one to `counts[m]` for every member `m` of `column`.
+fn count_members(column: &[u16], counts: &mut [u64]) {
+    for &m in column {
+        counts[m as usize] += 1;
+    }
+}
+
 /// Statistics for every column of a table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
@@ -135,12 +116,12 @@ impl TableStats {
         Self::build_parallel(table, 1)
     }
 
-    /// Builds statistics with up to `workers` threads, partitioning
-    /// the heap on the same page-aligned morsels the parallel executor
-    /// scans. Per-morsel histograms merge exactly, so the result is
-    /// identical to the serial build for every worker count — the same
-    /// differential guarantee the executor gives (and small tables
-    /// skip the pool entirely).
+    /// Builds statistics with up to `workers` threads, counting members
+    /// over the same page-aligned morsels the parallel executor scans.
+    /// Counts add exactly, so the result is identical to the serial
+    /// build for every worker count — the same differential guarantee
+    /// the executor gives (and small tables skip the pool entirely).
+    /// Page counts come from the table's page bitmaps either way.
     pub fn build_parallel(table: &Table, workers: usize) -> TableStats {
         let workers = workers.clamp(1, 256);
         if workers == 1 || table.n_rows() < PARALLEL_BUILD_MIN_ROWS {
@@ -148,46 +129,43 @@ impl TableStats {
                 (0..table.schema().len()).map(|d| ColumnStats::build(table, d)).collect();
             return TableStats { columns };
         }
+        let cards: Vec<usize> =
+            table.schema().attrs().iter().map(|a| a.domain.cardinality() as usize).collect();
         let morsels = table.morsels(workers);
-        let partials: Vec<Vec<ColumnStats>> = std::thread::scope(|s| {
+        let partials: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let morsels = &morsels;
+                    let (morsels, cards) = (&morsels, &cards);
                     // Static stride assignment: counting work is
                     // uniform per row, so no dispatcher is needed.
                     s.spawn(move || {
-                        let mut cols: Vec<Option<ColumnStats>> =
-                            vec![None; table.schema().len()];
+                        let mut counts: Vec<Vec<u64>> =
+                            cards.iter().map(|&card| vec![0; card]).collect();
                         for r in morsels.iter().skip(w).step_by(workers) {
                             let rows = r.start as usize..r.end as usize;
-                            for (d, slot) in cols.iter_mut().enumerate() {
-                                let part = ColumnStats::build_range(table, d, rows.clone());
-                                match slot {
-                                    Some(acc) => acc.merge(&part),
-                                    None => *slot = Some(part),
-                                }
+                            for (d, counts) in counts.iter_mut().enumerate() {
+                                count_members(&table.column(d)[rows.clone()], counts);
                             }
                         }
-                        cols.into_iter().flatten().collect::<Vec<_>>()
+                        counts
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("stats worker panicked")).collect()
         });
-        let mut columns: Vec<ColumnStats> = (0..table.schema().len())
-            .map(|d| {
-                let card = table.schema().attrs()[d].domain.cardinality() as usize;
-                ColumnStats { counts: vec![0; card], page_counts: vec![0; card], total: 0 }
+        let columns = cards
+            .iter()
+            .enumerate()
+            .map(|(d, &card)| {
+                let mut counts = vec![0u64; card];
+                for part in &partials {
+                    for (a, b) in counts.iter_mut().zip(&part[d]) {
+                        *a += b;
+                    }
+                }
+                ColumnStats::with_counts(table, d, counts)
             })
             .collect();
-        for worker_cols in &partials {
-            if worker_cols.is_empty() {
-                continue; // worker drew no morsels
-            }
-            for (acc, part) in columns.iter_mut().zip(worker_cols) {
-                acc.merge(part);
-            }
-        }
         TableStats { columns }
     }
 

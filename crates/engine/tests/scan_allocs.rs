@@ -5,8 +5,10 @@
 //! The contract: a scan batch enters the compiled predicate as a row
 //! range, so nothing is allocated per batch — the selection vector, the
 //! `Boxes` kernel's accumulator and the cascade's buffers are per-worker
-//! scratch that reaches its size on the first batch — and the hit list
-//! is reserved once from the plan's estimated selectivity. Before this
+//! scratch that reaches its size on the first batch — the hit list is
+//! reserved once from the plan's estimated selectivity, and the scan's
+//! candidate pages are one bitmap computed once per execution, with the
+//! scratch its computation needs in the same allocation. Before this
 //! gate existed every batch wrote its row ids out before the first leaf
 //! read them back, and the hit list grew by doubling from empty (14
 //! reallocations and twice the result's bytes for 12k rows).
@@ -141,13 +143,15 @@ fn atom(col: u16, pred: AtomPred) -> Expr {
 
 /// 48k rows through one `Col` leaf, a quarter of them returned: the
 /// allocator is called the same number of times as for half the table —
-/// the hit list once, the selection vector once, the rest compile-time
-/// and per-execution state — and for less than 1.5x the result's bytes.
+/// the hit list once, the selection vector once, the candidate-page
+/// bitmap once, the rest compile-time and per-execution state — and for
+/// less than 1.5x the result's bytes.
 #[test]
 fn a_col_leaf_scan_allocates_a_constant_number_of_times() {
-    /// The compiled leaf's mask, the job list, the worker's row buffer,
-    /// selection vector and segment list, and the hit list.
-    const ALLOCATIONS: u64 = 6;
+    /// The compiled leaf's mask, the job list, the candidate-page
+    /// bitmap, the worker's row buffer, selection vector and segment
+    /// list, and the hit list.
+    const ALLOCATIONS: u64 = 7;
     let mut seen = Vec::new();
     for n in [24_000, 48_000] {
         let (result, calls, bytes) = scan(&catalog(n), atom(0, AtomPred::Eq(1)));
@@ -167,9 +171,11 @@ fn a_col_leaf_scan_allocates_a_constant_number_of_times() {
 /// kernel's per-row accumulator is allocated on the first batch and no
 /// batch after it allocates anything — no per-batch list of column
 /// slices, no per-batch id list. The whole count is a `Col` leaf's
-/// scan less its mask (five), the leaf's three tables and their build
-/// scratch (eight), the accumulator, and one doubling of the hit list,
-/// which the independence estimate (24.5% against 26.7%) sizes short.
+/// scan less its mask (six, the candidate-page bitmap and the `Boxes`
+/// walk's two scratch bitmaps in one of them), the leaf's column list
+/// and its three columns' disjunct tables and constrained-disjunct sets
+/// (seven), the accumulator, and one doubling of the hit list, which
+/// the independence estimate (24.5% against 26.7%) sizes short.
 #[test]
 fn a_three_column_boxes_scan_allocates_nothing_per_batch() {
     let boxes = || {

@@ -80,6 +80,11 @@ impl MemberSet {
         self.blocks[m as usize / 64] |= 1u64 << (m % 64);
     }
 
+    /// Removes every member, keeping the domain (and the allocation).
+    pub fn clear(&mut self) {
+        self.blocks.fill(0);
+    }
+
     /// Removes member `m`.
     pub fn remove(&mut self, m: Member) {
         debug_assert!(m < self.domain);
