@@ -10,6 +10,9 @@ use crate::topdown::{merge_regions, try_derive_topdown};
 use crate::tree_envelope::{ruleset_envelope, tree_envelope};
 use mpq_models::{BoundaryClustering, Classifier, DecisionTree, Gmm, KMeans, NaiveBayes, RuleSet};
 use mpq_types::{ClassId, Schema};
+use std::convert::Infallible;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A model that can derive an upper envelope per output class. This is
 /// the single entry point the engine's rewriter uses: *"for every class c
@@ -99,10 +102,83 @@ fn try_derive(
     }
 }
 
+/// Threads a model's classes are derived on: one per available core,
+/// never more than there are classes.
+fn derive_workers(n_classes: usize) -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(n_classes).max(1)
+}
+
+/// Derives classes `0..n_classes` with `derive` on `workers` threads
+/// (the calling thread is one of them, so one worker spawns nothing),
+/// each pulling the next class id from a shared cursor. Classes are
+/// independent, so the envelopes equal a sequential loop's and come
+/// back in class order. As in that loop, the first failure in class
+/// order wins: the lowest failing class's error is returned, and a
+/// panic in `derive` re-raises with its own payload. Once any class
+/// fails, no worker starts another one; every class below it was
+/// already claimed, and runs to its end.
+fn derive_classes<E: Send>(
+    n_classes: usize,
+    workers: usize,
+    derive: impl Fn(ClassId) -> Result<Envelope, E> + Sync,
+) -> Result<Vec<Envelope>, E> {
+    // Neither atomic publishes data (outcomes come back through the
+    // joins), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= n_classes {
+                break;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| derive(ClassId(k as u16))));
+            if !matches!(outcome, Ok(Ok(_))) {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((k, outcome));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().expect("`work` catches derivation panics"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(k, _)| *k);
+    let mut envelopes = Vec::with_capacity(n_classes);
+    for (_, outcome) in done {
+        match outcome {
+            Ok(envelope) => envelopes.push(envelope?),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    Ok(envelopes)
+}
+
+/// Every class's envelope over the model's score table (see
+/// [`additive_table`]), built once and shared by `workers` threads.
+fn try_derive_all<M: EnvelopeProvider>(
+    model: &M,
+    raw_sound: Option<fn(&M) -> ScoreModel>,
+    opts: &DeriveOptions,
+    workers: usize,
+) -> Result<Vec<Envelope>, CoreError> {
+    let (table, schema) = (additive_table(model, raw_sound, opts), model.schema());
+    derive_classes(model.n_classes(), workers, |class| {
+        try_derive(table.as_ref(), schema, class, opts)
+    })
+}
+
 /// Naive Bayes, k-means and GMM: Algorithm 1 over the model's own
 /// score table (see [`additive_table`]), and the kernel it came from as
 /// the cascade's proxy. `$raw_sound` builds the raw-sound interval table
-/// of the families that have one.
+/// of the families that have one. All classes derive concurrently, one
+/// worker per core ([`derive_classes`]).
 macro_rules! additive_provider {
     ($model:ty, $proxy:path, $raw_sound:expr) => {
         impl EnvelopeProvider for $model {
@@ -113,12 +189,15 @@ macro_rules! additive_provider {
 
             fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
                 let table = additive_table(self, $raw_sound, opts);
-                (0..self.n_classes() as u16)
-                    .map(|k| {
-                        try_derive(table.as_ref(), self.schema(), ClassId(k), opts)
-                            .unwrap_or_else(|_| Envelope::trivial(ClassId(k), self.schema()))
-                    })
-                    .collect()
+                let schema = self.schema();
+                let workers = derive_workers(self.n_classes());
+                let Ok(envelopes) = derive_classes(self.n_classes(), workers, |class| {
+                    Ok::<_, Infallible>(
+                        try_derive(table.as_ref(), schema, class, opts)
+                            .unwrap_or_else(|_| Envelope::trivial(class, schema)),
+                    )
+                });
+                envelopes
             }
 
             fn try_envelope(
@@ -131,10 +210,7 @@ macro_rules! additive_provider {
             }
 
             fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, CoreError> {
-                let table = additive_table(self, $raw_sound, opts);
-                (0..self.n_classes() as u16)
-                    .map(|k| try_derive(table.as_ref(), self.schema(), ClassId(k), opts))
-                    .collect()
+                try_derive_all(self, $raw_sound, opts, derive_workers(self.n_classes()))
             }
 
             fn proxy(&self) -> Option<ProxyScore> {
@@ -347,5 +423,177 @@ mod tests {
         let sm = ScoreModel::from_proxy(&nb.proxy().unwrap());
         let direct = crate::derive_topdown(&sm, nb.schema(), ClassId(0), &opts);
         assert_eq!(via_provider.regions, direct.regions);
+    }
+
+    /// Classes derived on one worker and on several give equal
+    /// envelopes, field for field. The worker count is the only thing
+    /// the parallel derivation may change, so every test here compares
+    /// the one-worker derivation (which spawns nothing) with 2, 3 and 8.
+    mod determinism {
+        use super::*;
+        use std::time::Duration;
+
+        const WORKERS: [usize; 3] = [2, 3, 8];
+
+        fn schema3() -> Schema {
+            Schema::new(vec![
+                Attribute::new("a", AttrDomain::categorical(["a0", "a1", "a2", "a3"])),
+                Attribute::new("b", AttrDomain::binned(vec![1.0, 2.0, 3.0, 4.0, 5.0]).unwrap()),
+                Attribute::new("c", AttrDomain::categorical(["c0", "c1", "c2"])),
+            ])
+            .unwrap()
+        }
+
+        /// Nine naive-Bayes classes with seeded probabilities; class 8
+        /// is a bit-equal copy of class 3, so the two tie on every cell.
+        fn naive_bayes() -> NaiveBayes {
+            let schema = schema3();
+            let k = 9;
+            let mut rng = StdRng::seed_from_u64(41);
+            let mut priors: Vec<f64> = (0..k).map(|_| rng.random_range(0.2..1.0)).collect();
+            priors[3] = 1.2;
+            priors[8] = priors[3];
+            let cond: Vec<Vec<Vec<f64>>> = schema
+                .attrs()
+                .iter()
+                .map(|a| {
+                    let card = a.domain.cardinality() as usize;
+                    let mut per_class: Vec<Vec<f64>> = (0..k)
+                        .map(|_| {
+                            let raw: Vec<f64> =
+                                (0..card).map(|_| rng.random_range(0.05..1.0)).collect();
+                            let total: f64 = raw.iter().sum();
+                            raw.iter().map(|p| p / total).collect()
+                        })
+                        .collect();
+                    per_class[8] = per_class[3].clone();
+                    (0..card).map(|m| per_class.iter().map(|c| c[m]).collect()).collect()
+                })
+                .collect();
+            let names = (0..k).map(|c| format!("k{c}")).collect();
+            NaiveBayes::from_probabilities(schema, names, &priors, &cond).unwrap()
+        }
+
+        fn kmeans() -> KMeans {
+            let centroids = (0..6).map(|c| vec![c as f64 * 1.3, (c * 5 % 7) as f64]).collect();
+            KMeans::from_parts(grid_schema(8), centroids, vec![vec![1.0, 0.7]; 6]).unwrap()
+        }
+
+        fn gmm() -> Gmm {
+            Gmm::from_parts(
+                grid_schema(7),
+                vec![0.3, 0.2, 0.25, 0.25],
+                vec![vec![1.0, 1.0], vec![5.0, 2.0], vec![2.0, 5.5], vec![4.0, 4.0]],
+                vec![vec![0.8, 1.1], vec![1.2, 0.6], vec![1.0, 1.0], vec![2.0, 1.5]],
+            )
+            .unwrap()
+        }
+
+        /// Derives `model` on one worker and on each of [`WORKERS`],
+        /// asserts the results equal, and returns the one-worker result.
+        fn agree<M: EnvelopeProvider>(
+            model: &M,
+            raw_sound: Option<fn(&M) -> ScoreModel>,
+            opts: &DeriveOptions,
+        ) -> Result<Vec<Envelope>, CoreError> {
+            let one = try_derive_all(model, raw_sound, opts, 1);
+            for workers in WORKERS {
+                let many = try_derive_all(model, raw_sound, opts, workers);
+                assert_eq!(many, one, "{workers} workers");
+            }
+            one
+        }
+
+        #[test]
+        fn determinism_naive_bayes_with_tied_classes() {
+            let nb = naive_bayes();
+            for opts in [
+                DeriveOptions::default(),
+                DeriveOptions { max_expansions: 3, ..Default::default() },
+                DeriveOptions { max_disjuncts: 2, ..Default::default() },
+            ] {
+                let envs = agree(&nb, None, &opts).unwrap();
+                assert_eq!(envs.len(), 9);
+                if envs[8].exact {
+                    // Class 8 ties class 3 on every cell, and the tie
+                    // order gives each one to class 3: Algorithm 1 had to
+                    // split its way through the tied regions to prove it.
+                    assert!(!envs[3].regions.is_empty() && envs[8].regions.is_empty());
+                    assert!(envs[8].stats.expansions > 1);
+                }
+                // The batch path equals the per-class one.
+                let each: Vec<Envelope> =
+                    (0..9).map(|k| nb.try_envelope(ClassId(k), &opts).unwrap()).collect();
+                assert_eq!(envs, each);
+                assert_eq!(nb.try_envelopes(&opts).unwrap(), each);
+                assert_eq!(nb.envelopes(&opts), each);
+            }
+        }
+
+        #[test]
+        fn determinism_covers_exact_and_budget_limited_envelopes() {
+            let nb = naive_bayes();
+            let exact = agree(&nb, None, &DeriveOptions::default()).unwrap();
+            assert!(exact.iter().any(|e| e.exact), "some class derives exactly");
+            let capped = DeriveOptions { max_expansions: 2, ..Default::default() };
+            let capped = agree(&nb, None, &capped).unwrap();
+            assert!(capped.iter().any(|e| e.stats.thresholded_regions > 0 && !e.exact));
+        }
+
+        #[test]
+        fn determinism_clusterers_point_and_raw_sound_tables() {
+            for raw in [false, true] {
+                let opts = DeriveOptions { cluster_raw_sound: raw, ..Default::default() };
+                let km = kmeans();
+                let envs = agree(&km, Some(ScoreModel::from_kmeans), &opts).unwrap();
+                assert_eq!(envs, km.envelopes(&opts), "k-means, raw-sound {raw}");
+                let g = gmm();
+                let envs = agree(&g, Some(ScoreModel::from_gmm), &opts).unwrap();
+                assert_eq!(envs, g.envelopes(&opts), "GMM, raw-sound {raw}");
+            }
+        }
+
+        #[test]
+        fn determinism_timeout_returns_the_same_error() {
+            let opts = DeriveOptions { time_budget: Some(Duration::ZERO), ..Default::default() };
+            let err = agree(&naive_bayes(), None, &opts).unwrap_err();
+            assert_eq!(err, CoreError::DeriveTimeout { budget: Duration::ZERO });
+            // The infallible path degrades each class to `TRUE` alike.
+            let envs = naive_bayes().envelopes(&opts);
+            assert!(envs.iter().all(|e| e.regions == vec![Region::full(&schema3())]));
+        }
+
+        #[test]
+        fn determinism_lowest_failing_class_wins() {
+            let schema = schema3();
+            for workers in [1, 2, 3, 8] {
+                let out = derive_classes(9, workers, |class| match class.0 {
+                    3 | 5 => Err(CoreError::UnknownClass { class: class.0, n_classes: 9 }),
+                    _ => Ok(Envelope::trivial(class, &schema)),
+                });
+                assert_eq!(out, Err(CoreError::UnknownClass { class: 3, n_classes: 9 }));
+            }
+        }
+
+        #[test]
+        fn determinism_worker_panic_surfaces_its_own_message() {
+            let schema = schema3();
+            for workers in [1, 2, 3, 8] {
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    derive_classes(9, workers, |class| {
+                        if class == ClassId(1) {
+                            panic!("class 1 cannot be derived");
+                        }
+                        Ok::<_, CoreError>(Envelope::trivial(class, &schema))
+                    })
+                }))
+                .expect_err("the panic re-raises");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"class 1 cannot be derived"),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 }

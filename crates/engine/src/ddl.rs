@@ -91,14 +91,23 @@ impl EnvelopeProvider for ProjectedModel {
         self.lift(self.inner.envelope(class, opts))
     }
 
+    // Every derivation path forwards, so the inner model's own batch
+    // derivation (one score table, classes on every core) and its time
+    // budget apply unchanged.
+    fn envelopes(&self, opts: &DeriveOptions) -> Vec<Envelope> {
+        self.inner.envelopes(opts).into_iter().map(|e| self.lift(e)).collect()
+    }
+
     fn try_envelope(
         &self,
         class: ClassId,
         opts: &DeriveOptions,
     ) -> Result<Envelope, mpq_core::CoreError> {
-        // Forward the fallible path so a time budget on the inner
-        // derivation propagates (and degradation can kick in upstream).
         Ok(self.lift(self.inner.try_envelope(class, opts)?))
+    }
+
+    fn try_envelopes(&self, opts: &DeriveOptions) -> Result<Vec<Envelope>, mpq_core::CoreError> {
+        Ok(self.inner.try_envelopes(opts)?.into_iter().map(|e| self.lift(e)).collect())
     }
 
     fn proxy(&self) -> Option<ProxyScore> {

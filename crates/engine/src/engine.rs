@@ -25,7 +25,7 @@ use crate::persist::wal::WalWriter;
 use crate::persist::{snapshot, LogOp, RecoveryReport, StatementId, StoredModel};
 use crate::rewrite::rewrite_mining_opts;
 use crate::session::SessionState;
-use crate::sql::{parse, parse_statement, Statement};
+use crate::sql::{parse, parse_statement, ParsedQuery, Statement};
 use crate::subscribe::{MatchEvent, SubIndex};
 use crate::table::{RowId, Table};
 use crate::vectorized::Scorer;
@@ -424,7 +424,7 @@ impl Engine {
     fn apply_durable_locked(
         &self,
         catalog: &mut Catalog,
-        op: LogOp,
+        mut op: LogOp,
     ) -> Result<u64, EngineError> {
         {
             let repl = self.lock_repl();
@@ -449,7 +449,7 @@ impl Engine {
                 self.lock_repl().appended_bytes += frame_bytes;
             }
         }
-        recovery::apply_op(catalog, &op)?;
+        recovery::apply_op(catalog, &mut op)?;
         Ok(lsn)
     }
 
@@ -460,14 +460,10 @@ impl Engine {
         if catalog.table_by_name(table.name()).is_some() {
             return Err(EngineError::Duplicate(table.name().to_string()));
         }
-        let columns: Vec<Vec<Member>> =
-            (0..table.schema().len()).map(|d| table.column(d).to_vec()).collect();
-        let op = LogOp::CreateTable {
-            name: table.name().to_string(),
-            schema: table.schema().clone(),
-            rows_per_page: table.rows_per_page() as u64,
-            columns,
-        };
+        // The columns move from `table` into the op and on into the
+        // catalog's table: no copy of the data is made.
+        let (name, schema, columns, rows_per_page) = table.into_parts();
+        let op = LogOp::CreateTable { name, schema, rows_per_page: rows_per_page as u64, columns };
         self.apply_durable_locked(&mut catalog, op)?;
         Ok(catalog.n_tables() - 1)
     }
@@ -923,7 +919,7 @@ impl Engine {
         let p = persist.as_mut().ok_or_else(|| EngineError::Io {
             detail: "standby replay requires a durable engine (use Engine::open)".to_string(),
         })?;
-        for (lsn, op) in records {
+        for (lsn, mut op) in records {
             if lsn < p.next_lsn {
                 continue; // duplicate delivery — already applied
             }
@@ -937,7 +933,7 @@ impl Engine {
             }
             p.wal.append(lsn, &op)?;
             p.next_lsn += 1;
-            recovery::apply_op(&mut catalog, &op)?;
+            recovery::apply_op(&mut catalog, &mut op)?;
         }
         Ok(p.next_lsn)
     }
@@ -1164,8 +1160,21 @@ impl Engine {
         // concurrently; DDL takes it exclusively, so no query ever sees
         // a half-applied mutation.
         let catalog = self.read_catalog();
-        let opts = self.options();
         let parsed = parse(sql, &catalog)?;
+        self.run_query(&catalog, sql, parsed, session)
+    }
+
+    /// Plans (through the plan cache) and runs or explains `parsed`,
+    /// the parse of `sql` under the same catalog guard: a parse made
+    /// under a guard since dropped could predate a retrain.
+    fn run_query(
+        &self,
+        catalog: &Catalog,
+        sql: &str,
+        parsed: ParsedQuery,
+        session: &SessionState,
+    ) -> Result<QueryOutcome, EngineError> {
+        let opts = self.options();
         // The effective compile flag is part of the key: arming a scorer
         // fault must not reuse a plan whose models were compiled away.
         // (The cascade-perturbation fault needs no key bit: it is applied
@@ -1180,16 +1189,16 @@ impl Engine {
             // fresher one (inserts only happen under the catalog lock).
             let mut cache = self.lock_cache();
             match cache.get(&cache_key) {
-                Some(p) if plan_is_valid(p, &catalog) => (p.clone(), true),
+                Some(p) if plan_is_valid(p, catalog) => (p.clone(), true),
                 _ => {
-                    let plan = plan_with(&catalog, &opts, parsed.table, parsed.predicate);
+                    let plan = plan_with(catalog, &opts, parsed.table, parsed.predicate);
                     cache.insert(cache_key, plan.clone());
                     (plan, false)
                 }
             }
         };
         let schema = catalog.table(parsed.table).table.schema().clone();
-        let plan_text = plan_to_string(&plan, &schema, &catalog);
+        let plan_text = plan_to_string(&plan, &schema, catalog);
         let plan_changed = plan.access.changed_from_scan();
         let dop = session.parallelism().unwrap_or_else(|| self.parallelism());
         if parsed.explain {
@@ -1211,7 +1220,7 @@ impl Engine {
         }
         let result = execute_opts(
             &plan,
-            &catalog,
+            catalog,
             session.guard().unwrap_or_else(|| self.guard()),
             &ExecOptions::with_parallelism(dop),
         )?;
@@ -1316,14 +1325,18 @@ impl Engine {
     ) -> Result<StatementOutcome, EngineError> {
         let statement = {
             let catalog = self.read_catalog();
-            parse_statement(sql, &catalog)?
+            match parse_statement(sql, &catalog)? {
+                // Planned and run under the guard it was parsed under.
+                Statement::Select(parsed) => {
+                    let no_overrides = SessionState::new();
+                    let s = session.as_deref().unwrap_or(&no_overrides);
+                    return Ok(StatementOutcome::Query(self.run_query(&catalog, sql, parsed, s)?));
+                }
+                other => other,
+            }
         };
         match statement {
-            Statement::Select(_) => {
-                let no_overrides = SessionState::new();
-                let s = session.as_deref().unwrap_or(&no_overrides);
-                Ok(StatementOutcome::Query(self.query_inner(sql, s)?))
-            }
+            Statement::Select(_) => unreachable!("a SELECT returned above"),
             Statement::SetParallelism(dop) => {
                 // With a session, the override is session-local; without
                 // one, the statement keeps its historical meaning and

@@ -83,14 +83,21 @@ fn remove_stale_tmp(dir: &Path) -> Result<(), EngineError> {
 
 /// Validates and applies one logged mutation to the catalog. Shared by
 /// replay and the live durable-mutation path, so both stay in lockstep;
-/// every reachable failure is a typed error, never a panic.
-pub(crate) fn apply_op(catalog: &mut Catalog, op: &LogOp) -> Result<(), EngineError> {
+/// every reachable failure is a typed error, never a panic. A
+/// `CreateTable`'s columns move into the catalog's table, leaving the
+/// op's empty: every caller has logged the op before applying it, and
+/// reads no more than its kind afterwards.
+pub(crate) fn apply_op(catalog: &mut Catalog, op: &mut LogOp) -> Result<(), EngineError> {
     match op {
         LogOp::CreateTable { name, schema, rows_per_page, columns } => {
             let rpp = usize::try_from(*rows_per_page)
                 .map_err(|_| EngineError::Corrupt { detail: "absurd page geometry".into() })?;
-            let table =
-                Table::from_encoded_parts(name.clone(), schema.clone(), columns.clone(), rpp)?;
+            let table = Table::from_encoded_parts(
+                name.clone(),
+                schema.clone(),
+                std::mem::take(columns),
+                rpp,
+            )?;
             catalog.add_table(table)?;
             Ok(())
         }
@@ -319,7 +326,7 @@ pub(crate) fn recover(
         if !halted && i < replay_from.unwrap_or(0) {
             continue; // fully covered by the snapshot
         }
-        let seg = wal::read_segment(path, &faults)?;
+        let mut seg = wal::read_segment(path, &faults)?;
         if halted {
             let (frames, bytes) = whole_segment_drop(&seg);
             report.records_dropped += frames;
@@ -355,7 +362,7 @@ pub(crate) fn recover(
         }
         let mut keep_len = HEADER_LEN as u64;
         let mut stopped_at: Option<usize> = None;
-        for (j, (lsn, op)) in seg.records.iter().enumerate() {
+        for (j, (lsn, op)) in seg.records.iter_mut().enumerate() {
             if *lsn <= last_applied {
                 // Physically present but covered by the snapshot; keep
                 // the bytes, skip the application.

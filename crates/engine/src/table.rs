@@ -115,6 +115,12 @@ impl Table {
         Ok(Table { name, schema, columns, n_rows, rows_per_page, page_bits })
     }
 
+    /// The parts [`Table::from_encoded_parts`] takes, moved out: name,
+    /// schema, columns and rows per page.
+    pub fn into_parts(self) -> (String, Schema, Vec<Vec<Member>>, usize) {
+        (self.name, self.schema, self.columns, self.rows_per_page)
+    }
+
     /// Appends one encoded row, validating arity and member ranges.
     /// Used by `INSERT` replay and the durable insert path; rejecting
     /// here keeps every stored cell within its domain, which the rest of

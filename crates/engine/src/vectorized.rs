@@ -251,21 +251,20 @@ impl BoxTable {
         }
     }
 
-    /// Writes into `out` the pages on which some box may hold a row:
-    /// the OR over disjuncts of the AND over the columns each one
+    /// Writes into `out` the pages of `live` on which some box may hold
+    /// a row: the OR over disjuncts of the AND over the columns each one
     /// constrains of the pages holding a member it admits there. A
     /// column a disjunct admits whole is skipped (every page holds some
     /// member), a column's OR stops once it covers the pages the
     /// disjunct still has, a disjunct stops once it has none, and the
-    /// outer OR stops once it covers every page. `scratch` holds two
+    /// outer OR stops once it covers `live`. `scratch` holds two
     /// bitmaps of `out`'s length.
-    fn candidate_pages(&self, table: &Table, out: &mut [u64], scratch: &mut [u64]) {
-        let n_pages = table.n_pages();
+    fn candidate_pages(&self, table: &Table, live: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         let (alive, col_pages) = scratch.split_at_mut(out.len());
         out.fill(0);
         for j in 0..self.disjuncts {
             let (w, bit) = (j / 64, 1u64 << (j % 64));
-            fill_all_pages(alive, n_pages);
+            alive.copy_from_slice(live);
             for c in self.cols.iter().filter(|c| c.constrained[w] & bit != 0) {
                 let card = c.table.len() / self.words;
                 let admits = |m: &usize| c.table[m * self.words + w] & bit != 0;
@@ -285,7 +284,7 @@ impl BoxTable {
                 }
             }
             out.iter_mut().zip(&*alive).for_each(|(o, a)| *o |= a);
-            if is_all_pages(out, n_pages) {
+            if covers(out, live) {
                 break;
             }
         }
@@ -343,13 +342,18 @@ impl CompiledPredicate {
     /// member bitmaps, a `Boxes` leaf the OR over disjuncts of the AND
     /// over their columns (`BoxTable::candidate_pages`), `And`/`Or`
     /// intersect/unite their children, and `Const(true)` and `Scalar`
-    /// leaves are every page. One allocation: the result and the
-    /// scratch the deepest path needs.
+    /// leaves are every page. An `And` hands its running result to its
+    /// next child as the pages still in play, so an OR below it stops
+    /// once it covers them. One allocation: the result, the every-page
+    /// bitmap the root starts from and the scratch the deepest path
+    /// needs.
     pub fn candidate_pages(&self, table: &Table) -> Vec<u64> {
         let words = table.page_words();
-        let mut buf = vec![0u64; words * (1 + scratch_bitmaps(&self.root))];
-        let (out, scratch) = buf.split_at_mut(words);
-        candidates(&self.root, table, out, scratch);
+        let mut buf = vec![0u64; words * (2 + scratch_bitmaps(&self.root))];
+        let (out, rest) = buf.split_at_mut(words);
+        let (every, scratch) = rest.split_at_mut(words);
+        fill_all_pages(every, table.n_pages());
+        candidates(&self.root, table, every, out, scratch);
         buf.truncate(words);
         buf
     }
@@ -426,33 +430,42 @@ fn scratch_bitmaps(node: &CompiledNode) -> usize {
     }
 }
 
-/// Writes `node`'s candidate pages into `out` (see
-/// [`CompiledPredicate::candidate_pages`]); `scratch` holds
+/// Writes `node`'s candidate pages among `live` into `out` (see
+/// [`CompiledPredicate::candidate_pages`]): exact on the pages of
+/// `live`, clear on every other page. An `And` passes its running
+/// result down as its next child's `live`, so an OR below it stops once
+/// it covers the pages still in play. `scratch` holds
 /// [`scratch_bitmaps`] more bitmaps of `out`'s length.
-fn candidates(node: &CompiledNode, table: &Table, out: &mut [u64], scratch: &mut [u64]) {
-    let n_pages = table.n_pages();
+fn candidates(
+    node: &CompiledNode,
+    table: &Table,
+    live: &[u64],
+    out: &mut [u64],
+    scratch: &mut [u64],
+) {
     match node {
         CompiledNode::Const(false) => out.fill(0),
-        CompiledNode::Const(true) | CompiledNode::Scalar(_) => fill_all_pages(out, n_pages),
+        CompiledNode::Const(true) | CompiledNode::Scalar(_) => out.copy_from_slice(live),
         CompiledNode::Col { col, mask } => {
             if mask.is_full() {
-                return fill_all_pages(out, n_pages);
+                return out.copy_from_slice(live);
             }
             out.fill(0);
             for m in mask.iter() {
                 or_into(out, table.member_pages(*col, m));
-                if is_all_pages(out, n_pages) {
+                if covers(out, live) {
                     break;
                 }
             }
+            out.iter_mut().zip(live).for_each(|(o, l)| *o &= l);
         }
-        CompiledNode::Boxes(boxes) => boxes.candidate_pages(table, out, scratch),
+        CompiledNode::Boxes(boxes) => boxes.candidate_pages(table, live, out, scratch),
         CompiledNode::And(ps) => {
-            fill_all_pages(out, n_pages);
+            out.copy_from_slice(live);
             let (child, scratch) = scratch.split_at_mut(out.len());
             for p in ps {
-                candidates(p, table, child, scratch);
-                out.iter_mut().zip(&*child).for_each(|(o, c)| *o &= c);
+                candidates(p, table, out, child, scratch);
+                out.copy_from_slice(child);
                 if out.iter().all(|&o| o == 0) {
                     break;
                 }
@@ -462,10 +475,10 @@ fn candidates(node: &CompiledNode, table: &Table, out: &mut [u64], scratch: &mut
             out.fill(0);
             let (child, scratch) = scratch.split_at_mut(out.len());
             for p in ps {
-                if is_all_pages(out, n_pages) {
+                if covers(out, live) {
                     break;
                 }
-                candidates(p, table, child, scratch);
+                candidates(p, table, live, child, scratch);
                 out.iter_mut().zip(&*child).for_each(|(o, c)| *o |= c);
             }
         }
@@ -485,12 +498,6 @@ fn fill_all_pages(out: &mut [u64], n_pages: usize) {
     for (w, o) in out.iter_mut().enumerate() {
         *o = all_pages_word(w, n_pages);
     }
-}
-
-fn is_all_pages(bits: &[u64], n_pages: usize) -> bool {
-    bits.iter()
-        .enumerate()
-        .all(|(w, &b)| b == all_pages_word(w, n_pages))
 }
 
 /// Whether `bits` holds every page of `of`.

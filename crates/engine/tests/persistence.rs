@@ -2,7 +2,7 @@
 //! shutdown, snapshot fallback, and recovery under injected WAL faults.
 
 use mpq_core::DeriveOptions;
-use mpq_engine::{Engine, EngineError, FaultInjector, StatementOutcome, Table};
+use mpq_engine::{Catalog, Engine, EngineError, FaultInjector, StatementOutcome, Table};
 use mpq_types::{AttrDomain, Attribute, Dataset, Schema};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,6 +75,35 @@ fn state_survives_crash_via_wal_replay() {
     assert_eq!(e.catalog().table(0).table.n_rows(), 26);
     assert!(e.catalog().table(0).index_on(mpq_types::AttrId(0)).is_some());
     assert_eq!(e.query(QUERY).unwrap().rows, before);
+}
+
+#[test]
+fn created_table_equals_a_build_from_its_parts() {
+    // `create_table` moves the caller's columns into the log record and
+    // on into the catalog; live apply, in memory and durable, and WAL
+    // replay must all hold the table `from_encoded_parts` builds.
+    let mut ds = Dataset::new(demo_schema());
+    for i in 0..40u16 {
+        ds.push_encoded(&[i % 3, (i / 7) % 3, u16::from(i % 5 == 0)]).unwrap();
+    }
+    let table = Table::with_page_bytes("t", &ds, 256);
+    assert!(table.n_pages() > 1);
+    let (name, schema, columns, rows_per_page) = table.clone().into_parts();
+    let expected = Table::from_encoded_parts(name, schema, columns, rows_per_page).unwrap();
+    assert_eq!(expected, table);
+
+    let dir = temp_dir("parts");
+    let durable = Engine::open(&dir).unwrap();
+    for e in [&durable, &Engine::new(Catalog::new())] {
+        e.create_table(table.clone()).unwrap();
+        assert_eq!(e.catalog().table(0).table, expected);
+    }
+    durable.simulate_crash();
+    let replayed = Engine::open(&dir).unwrap();
+    assert_eq!(replayed.recovery_report().unwrap().wal_records_replayed, 1);
+    assert_eq!(replayed.catalog().table(0).table, expected);
+    drop(replayed);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
