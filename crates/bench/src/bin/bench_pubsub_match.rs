@@ -1,8 +1,10 @@
 //! Pub/sub matching benchmark: N standing subscriptions (default
 //! 10,000) registered against one table, then identical insert batches
-//! matched twice — once through the inverted envelope index, once with
-//! the index distrusted (the `sub_index_corrupt` degraded path, which
-//! evaluates every subscription's full rewritten predicate per row).
+//! matched twice — once through the box-table guard that picks each
+//! row's candidate subscriptions, once with the guard distrusted (the
+//! `sub_index_corrupt` degraded path, which makes every subscription a
+//! candidate for every row). Either way each candidate subscription's
+//! compiled predicate runs over its candidate rows as one selection.
 //! Writes `BENCH_pubsub_match.json`.
 //!
 //! The run doubles as a differential oracle: both legs log every

@@ -140,8 +140,8 @@ pub enum StatementOutcome {
         /// Total (subscription, row) matches the insert produced across
         /// every standing subscription on the target table.
         subs_matched: u64,
-        /// Total (subscription, row) candidacies the inverted envelope
-        /// index pruned without evaluating the rewritten predicate.
+        /// Total (subscription, row) candidacies the subscriptions' guard
+        /// pruned without evaluating the rewritten predicate.
         subs_index_pruned: u64,
     },
     /// A standing subscription was registered by `SUBSCRIBE`.
@@ -289,7 +289,7 @@ pub struct Engine {
     /// Signalled on every standby acknowledgement (and on fencing), so
     /// synchronous mutations can wait without spinning.
     repl_cv: Condvar,
-    /// Cached inverted envelope index over the standing subscriptions,
+    /// Cached compiled index over the standing subscriptions,
     /// rebuilt when its key (subscription generation, model versions,
     /// compile flag) no longer matches the catalog.
     sub_index: Mutex<Option<Arc<SubIndex>>>,
@@ -643,7 +643,7 @@ impl Engine {
         *self.notify_sink.write().unwrap_or_else(|e| e.into_inner()) = sink;
     }
 
-    /// The inverted envelope index for the current subscription set,
+    /// The compiled subscription index for the current subscription set,
     /// reusing the cached build when its key still matches (same
     /// subscription generation, same model versions, same compile
     /// setting).
@@ -696,24 +696,21 @@ impl Engine {
         let cascades = crate::compile::build_cascades(catalog, idx.models(table));
         let scorer = Scorer::with_cascades(catalog, cascades);
         let t = &catalog.table(table).table;
+        let (hits, metrics) =
+            idx.match_rows(table, t, first_row..t.n_rows() as RowId, &scorer, naive);
         let name = t.name().to_string();
-        let mut events = Vec::new();
-        let (mut matched, mut pruned) = (0u64, 0u64);
-        for row_id in first_row..t.n_rows() as RowId {
-            let row = t.row(row_id);
-            let (subs, metrics) = idx.match_row(table, &row, &scorer, naive);
-            matched += subs.len() as u64;
-            pruned += metrics.index_pruned;
-            for sub in subs {
-                events.push(MatchEvent {
-                    subscription: sub,
-                    table: name.clone(),
-                    row_id,
-                    row: row.clone(),
-                    metrics,
-                });
-            }
-        }
+        let matched = hits.len() as u64;
+        let pruned = metrics.iter().map(|m| m.index_pruned).sum();
+        let events = hits
+            .into_iter()
+            .map(|(row_id, subscription)| MatchEvent {
+                subscription,
+                table: name.clone(),
+                row_id,
+                row: t.row(row_id),
+                metrics: metrics[(row_id - first_row) as usize],
+            })
+            .collect();
         (events, matched, pruned)
     }
 

@@ -120,7 +120,7 @@ pub struct ExecMetrics {
     /// inserted rows were tested against standing subscriptions. Always
     /// zero for SELECTs — queries do not match subscriptions.
     pub subs_matched: u64,
-    /// (Subscription, row) candidacies the inverted subscription index
+    /// (Subscription, row) candidacies the subscriptions' guard
     /// pruned without evaluating the rewritten predicate. Always zero
     /// for SELECTs.
     pub subs_index_pruned: u64,

@@ -426,7 +426,7 @@ impl FaultInjector {
     }
 
     /// Arm/disarm subscription-index corruption: the matcher distrusts
-    /// its inverted envelope index and falls back to evaluating every
+    /// its box-table guard and falls back to evaluating every
     /// registered subscription in full against each inserted row,
     /// recording a typed health note. Sound by construction — the index
     /// is only ever a necessary-condition filter, so the fallback

@@ -1,4 +1,4 @@
-//! The inverted subscription index.
+//! The subscription matcher.
 //!
 //! Every registered subscription's predicate is rewritten against the
 //! live catalog (envelopes + optional exact compilation, exactly the
@@ -8,30 +8,28 @@
 //! become TRUE in the guard (the guard is a necessary condition only),
 //! so the guard never rules out a row the full predicate would accept.
 //!
-//! Clauses are deduplicated structurally across subscriptions — ten
-//! thousand subscribers to `PREDICT(m) = 'churn'` share one clause
-//! group — and each group is anchored on its most selective atom: the
-//! group is posted under every member of that atom's mask, in a
-//! per-(column, member) postings table. Matching a row probes one
-//! postings list per column, verifies the few candidate groups' other
-//! atoms, and only then evaluates the candidates' *full* rewritten
-//! predicates through the shared scorer. Because candidates always
-//! run the full predicate, the index is pure pruning: disabling it (the
-//! `sub_index_corrupt` fault) changes cost, never the match set.
+//! The guard runs through the query kernels. Every subscription's
+//! clauses on a table, in registration order, form one [`BoxTable`],
+//! with `owner[j]` the subscription clause `j` came from; an `INSERT`'s
+//! rows take one column-at-a-time pass through it, and a row's
+//! candidates are the owners of the set bits of its disjunct bitset.
+//! Each candidate subscription's rewritten predicate, compiled once at
+//! build into a [`CompiledPredicate`], then runs over its candidate rows
+//! as one selection, cascades included, through the shared scorer.
+//! Because candidates always run the full predicate, the guard is pure
+//! pruning: disabling it (the `sub_index_corrupt` fault) changes cost,
+//! never the match set.
 
-use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
-use mpq_types::{AttrId, Member, MemberSet, Row};
-
-/// Structural identity of a guard clause — its atoms as sorted
-/// `(column, members)` pairs — used to share clause groups across
-/// subscriptions.
-type ClauseKey = Vec<(u16, Vec<Member>)>;
+use mpq_types::{AttrId, MemberSet};
 
 use crate::catalog::Catalog;
-use crate::expr::{Expr, ModelId};
+use crate::error::EngineError;
+use crate::expr::{Atom, AtomPred, Expr, ModelId};
 use crate::rewrite::rewrite_mining_opts;
-use crate::vectorized::Scorer;
+use crate::table::{RowId, Table};
+use crate::vectorized::{BatchCtx, BoxTable, CompiledPredicate, Ids, Scorer};
 
 /// Per-row match accounting, reported in `Notify` frames and summed
 /// into the insert's `subs_*` counters.
@@ -168,42 +166,19 @@ fn atom_clause(attr: AttrId, set: MemberSet) -> Vec<Clause> {
 /// built from.
 struct CompiledSub {
     id: u64,
-    /// Full rewritten predicate — what candidates actually evaluate.
-    rewritten: Expr,
-    /// No mining predicate survived the rewrite: evaluation never
-    /// touches a model. (Read by test assertions; production code gets
-    /// the same guarantee for free from `Expr::eval` on a model-free
-    /// expression.)
-    #[cfg_attr(not(test), allow(dead_code))]
-    exact: bool,
-}
-
-/// A deduplicated guard clause shared by every subscription that
-/// contributed it.
-struct ClauseGroup {
-    atoms: Vec<(AttrId, MemberSet)>,
-    /// Index into `atoms` of the anchor (most selective) atom, or
-    /// `None` for the TRUE clause.
-    anchor: Option<usize>,
-    /// Slots into [`TableSubs::subs`].
-    subs: Vec<u32>,
-}
-
-impl ClauseGroup {
-    fn matches(&self, row: &Row) -> bool {
-        self.atoms.iter().all(|(attr, set)| set.contains(row[attr.index()]))
-    }
+    /// The rewritten predicate — what candidates actually evaluate.
+    program: CompiledPredicate,
 }
 
 #[derive(Default)]
 struct TableSubs {
     subs: Vec<CompiledSub>,
-    groups: Vec<ClauseGroup>,
-    /// `postings[col][member]` → ids of groups anchored on `(col,
-    /// mask)` with `member ∈ mask`.
-    postings: Vec<Vec<Vec<u32>>>,
-    /// Groups with no anchor: checked against every row.
-    always: Vec<u32>,
+    /// Every subscription's guard clauses as boxes, in registration
+    /// order; `None` when no subscription has a clause.
+    guard: Option<BoxTable>,
+    /// `owner[j]`: the slot in `subs` whose guard contributed clause
+    /// `j`. Ascending, so one subscription's clauses are contiguous.
+    owner: Vec<u32>,
     /// Every model referenced by any subscription on this table, for
     /// sizing the shared scorer's cascades.
     models: Vec<ModelId>,
@@ -228,7 +203,8 @@ impl IndexKey {
     }
 }
 
-/// The inverted index over every registered subscription.
+/// Every registered subscription, compiled: per table one guard box
+/// table and one program per subscription.
 pub(crate) struct SubIndex {
     tables: Vec<TableSubs>,
     key: IndexKey,
@@ -240,15 +216,17 @@ impl SubIndex {
         let key = IndexKey::current(catalog, compile);
         let mut tables: Vec<TableSubs> = Vec::new();
         tables.resize_with(catalog.n_tables(), TableSubs::default);
-        let mut dedup: Vec<HashMap<ClauseKey, u32>> = vec![HashMap::new(); catalog.n_tables()];
+        let mut boxes: Vec<Vec<Expr>> = vec![Vec::new(); catalog.n_tables()];
         for sub in catalog.subscriptions() {
             let schema = catalog.table(sub.table).table.schema();
-            let cards = schema.cardinalities();
             let rewritten = rewrite_mining_opts(sub.predicate.clone(), schema, catalog, compile);
-            let exact = !rewritten.has_mining();
-            let clauses = guard_dnf(&rewritten, &cards);
             let ts = &mut tables[sub.table];
             let slot = ts.subs.len() as u32;
+            for clause in guard_dnf(&rewritten, &schema.cardinalities()) {
+                let atom = |(attr, set)| Expr::Atom(Atom { attr, pred: AtomPred::In(set) });
+                boxes[sub.table].push(Expr::And(clause.atoms.into_iter().map(atom).collect()));
+                ts.owner.push(slot);
+            }
             for mp in rewritten.mining_preds() {
                 for m in mp.models() {
                     if !ts.models.contains(&m) {
@@ -256,53 +234,11 @@ impl SubIndex {
                     }
                 }
             }
-            ts.subs.push(CompiledSub { id: sub.id, rewritten, exact });
-            for clause in clauses {
-                let key: ClauseKey = clause
-                    .atoms
-                    .iter()
-                    .map(|(a, s)| (a.0, s.iter().collect()))
-                    .collect();
-                match dedup[sub.table].get(&key) {
-                    Some(&g) => {
-                        let subs = &mut ts.groups[g as usize].subs;
-                        if subs.last() != Some(&slot) {
-                            subs.push(slot);
-                        }
-                    }
-                    None => {
-                        let g = ts.groups.len() as u32;
-                        dedup[sub.table].insert(key, g);
-                        let anchor = clause
-                            .atoms
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, (_, s))| s.len())
-                            .map(|(i, _)| i);
-                        ts.groups.push(ClauseGroup {
-                            atoms: clause.atoms,
-                            anchor,
-                            subs: vec![slot],
-                        });
-                    }
-                }
-            }
+            let program = CompiledPredicate::compile(&rewritten, schema, false);
+            ts.subs.push(CompiledSub { id: sub.id, program });
         }
-        // Post every group under each member of its anchor mask.
-        for (tid, ts) in tables.iter_mut().enumerate() {
-            let cards = catalog.table(tid).table.schema().cardinalities();
-            ts.postings = cards.iter().map(|&c| vec![Vec::new(); c as usize]).collect();
-            for (g, group) in ts.groups.iter().enumerate() {
-                match group.anchor {
-                    Some(i) => {
-                        let (attr, ref set) = group.atoms[i];
-                        for m in set.iter() {
-                            ts.postings[attr.index()][m as usize].push(g as u32);
-                        }
-                    }
-                    None => ts.always.push(g as u32),
-                }
-            }
+        for (tid, (ts, boxes)) in tables.iter_mut().zip(&boxes).enumerate() {
+            ts.guard = BoxTable::build(boxes, catalog.table(tid).table.schema());
         }
         SubIndex { tables, key }
     }
@@ -323,68 +259,71 @@ impl SubIndex {
         self.tables.get(table).map_or(&[], |t| &t.models)
     }
 
-    /// True when some subscription on `table` evaluates without ever
-    /// invoking a model (exactly compiled).
-    #[cfg(test)]
-    fn any_exact(&self, table: usize) -> bool {
-        self.tables.get(table).is_some_and(|t| t.subs.iter().any(|s| s.exact))
-    }
-
-    /// Matches one inserted row against every subscription on its
-    /// table. Returns the matching subscription ids (ascending slot
-    /// order — registration order) plus per-row metrics. `naive`
-    /// bypasses the index and evaluates every subscription's full
-    /// predicate — the degraded path for the index-corruption fault,
-    /// identical match set by construction.
-    pub(crate) fn match_row(
+    /// Matches the rows `rows` of `t`, catalog table `table`, against
+    /// every subscription on it. Returns the `(row, subscription id)`
+    /// hits in delivery order — by row, then by id, which is
+    /// registration order — and each row's metrics. `naive` bypasses
+    /// the guard and makes every subscription a candidate for every row
+    /// — the degraded path for the index-corruption fault, identical
+    /// match set by construction.
+    pub(crate) fn match_rows(
         &self,
         table: usize,
-        row: &Row,
+        t: &Table,
+        rows: Range<RowId>,
         scorer: &Scorer<'_>,
         naive: bool,
-    ) -> (Vec<u64>, MatchMetrics) {
+    ) -> (Vec<(RowId, u64)>, Vec<MatchMetrics>) {
         let Some(ts) = self.tables.get(table) else {
-            return (Vec::new(), MatchMetrics::default());
+            return (Vec::new(), Vec::new());
         };
-        let n = ts.subs.len();
-        if n == 0 {
-            return (Vec::new(), MatchMetrics::default());
-        }
-        let mut candidates: BTreeSet<u32> = BTreeSet::new();
+        let n = ts.subs.len() as u64;
+        let mut per_row = vec![if naive { n } else { 0 }; rows.len()];
+        // `(slot, row)` candidate pairs.
+        let mut candidates: Vec<(u32, RowId)> = Vec::new();
         if naive {
-            candidates.extend(0..n as u32);
-        } else {
-            for &g in &ts.always {
-                candidates.extend(ts.groups[g as usize].subs.iter().copied());
-            }
-            for (col, &m) in row.iter().enumerate() {
-                let Some(per) = ts.postings.get(col) else { continue };
-                let Some(list) = per.get(m as usize) else { continue };
-                for &g in list {
-                    let group = &ts.groups[g as usize];
-                    if group.matches(row) {
-                        candidates.extend(group.subs.iter().copied());
+            candidates.extend((0..n as u32).flat_map(|s| rows.clone().map(move |r| (s, r))));
+        } else if let Some(guard) = &ts.guard {
+            let mut acc = Vec::new();
+            guard.and_columns(t, Ids::Run { start: rows.start, end: rows.end }, &[], &mut acc);
+            for (i, bits) in acc.chunks_exact(ts.owner.len().div_ceil(64)).enumerate() {
+                let mut last = None;
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let j = w * 64 + word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        // Bits at and past the clause count are set only
+                        // when no clause constrains a column.
+                        let Some(&o) = ts.owner.get(j) else { break };
+                        if last != Some(o) {
+                            last = Some(o);
+                            candidates.push((o, rows.start + i as RowId));
+                            per_row[i] += 1;
+                        }
                     }
                 }
             }
+            candidates.sort_unstable();
         }
-        let mut matched = Vec::new();
-        let mut invocations = 0u64;
-        for &slot in &candidates {
-            let sub = &ts.subs[slot as usize];
-            if sub.rewritten.eval(row, scorer, &mut invocations) {
-                matched.push(sub.id);
-            }
+        let mut no_hook = || Ok::<(), EngineError>(());
+        let mut ctx = BatchCtx::new(t, scorer, &mut no_hook);
+        let (mut sel, mut pass, mut hits) = (Vec::new(), Vec::new(), Vec::new());
+        for group in candidates.chunk_by(|a, b| a.0 == b.0) {
+            let sub = &ts.subs[group[0].0 as usize];
+            sel.clear();
+            sel.extend(group.iter().map(|&(_, r)| r));
+            pass.clear();
+            let filtered = sub.program.filter_batch(&mut sel, &mut ctx, &mut pass);
+            filtered.expect("the no-op hook never fails");
+            hits.extend(pass.iter().map(|&r| (r, sub.id)));
         }
-        // Ids are assigned in registration (slot) order, so ascending
-        // ids restores the documented registration-order contract.
-        matched.sort_unstable();
-        let metrics = MatchMetrics {
-            index_pruned: n as u64 - candidates.len() as u64,
-            residual_evaluated: candidates.len() as u64,
-            scorer_banded: 0,
-        };
-        (matched, metrics)
+        hits.sort_unstable();
+        let metrics = per_row
+            .into_iter()
+            .map(|c| MatchMetrics { index_pruned: n - c, residual_evaluated: c, scorer_banded: 0 })
+            .collect();
+        (hits, metrics)
     }
 }
 
@@ -392,10 +331,13 @@ impl SubIndex {
 mod tests {
     use super::*;
     use crate::compile::build_cascades;
-    use crate::sql;
-    use crate::table::Table;
-    use mpq_types::{AttrDomain, Attribute, Schema};
+    use crate::sql::{self, ModelAlgorithm};
+    use mpq_core::DeriveOptions;
+    use mpq_types::{AttrDomain, Attribute, Member, Row, Schema};
 
+    /// Table `people` (0) holds every storable row once, in
+    /// [`all_rows`] order. A naive-Bayes model `nb` predicting `active`
+    /// is trained on `people_train` (1), where `active` follows `tier`.
     fn catalog() -> Catalog {
         let schema = Schema::new(vec![
             Attribute::new("region", AttrDomain::categorical(["EU", "US", "APAC"])),
@@ -403,9 +345,15 @@ mod tests {
             Attribute::new("active", AttrDomain::categorical(["no", "yes"])),
         ])
         .unwrap();
+        let train = (0..36u16).map(|i| vec![i % 3, i / 3 % 3, u16::from(i / 3 % 3 == 1 || i == 0)]);
         let mut cat = Catalog::default();
-        let data = mpq_types::Dataset::new(schema);
-        cat.add_table(Table::from_dataset("people", &data)).unwrap();
+        for (name, rows) in [("people", all_rows()), ("people_train", train.collect())] {
+            let data = mpq_types::Dataset::from_rows(schema.clone(), rows).unwrap();
+            cat.add_table(Table::from_dataset(name, &data)).unwrap();
+        }
+        let (label, nb) = (Some(AttrId(2)), ModelAlgorithm::NaiveBayes);
+        crate::ddl::create_model(&mut cat, "nb", 1, label, None, nb, DeriveOptions::default())
+            .unwrap();
         cat
     }
 
@@ -428,23 +376,86 @@ mod tests {
         out
     }
 
+    /// Matches every row of `people` through the guard and naively,
+    /// asserts that both legs deliver the same hits and that the naive
+    /// one prunes nothing, and returns the guarded leg's hits and
+    /// metrics and the rows the proxy cascades decided.
+    fn match_people(cat: &Catalog, compile: bool) -> (Vec<(RowId, u64)>, Vec<MatchMetrics>, u64) {
+        let idx = SubIndex::build(cat, compile);
+        let scorer = Scorer::with_cascades(cat, build_cascades(cat, idx.models(0)));
+        let t = &cat.table(0).table;
+        let (hits, metrics) = idx.match_rows(0, t, 0..18, &scorer, false);
+        let (naive_hits, naive_metrics) = idx.match_rows(0, t, 0..18, &scorer, true);
+        assert_eq!(hits, naive_hits);
+        let n = idx.n_subs(0) as u64;
+        for (m, nm) in metrics.iter().zip(&naive_metrics) {
+            assert_eq!(m.index_pruned + m.residual_evaluated, n);
+            assert_eq!((nm.index_pruned, nm.residual_evaluated), (0, n));
+        }
+        (hits, metrics, scorer.cascade_accepts() + scorer.cascade_rejects())
+    }
+
     #[test]
     fn index_and_naive_agree_on_every_row() {
-        let mut cat = catalog();
-        subscribe(&mut cat, "SELECT * FROM people WHERE region = 'EU'");
-        subscribe(&mut cat, "SELECT * FROM people WHERE region = 'EU' AND tier = 'pro'");
-        subscribe(&mut cat, "SELECT * FROM people WHERE tier = 'free' OR active = 'yes'");
-        subscribe(&mut cat, "SELECT * FROM people WHERE NOT region = 'US'");
-        subscribe(&mut cat, "SELECT * FROM people WHERE region IN ('US', 'APAC')");
-        let idx = SubIndex::build(&cat, true);
-        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
-        for row in all_rows() {
-            let (fast, fm) = idx.match_row(0, &row, &scorer, false);
-            let (slow, sm) = idx.match_row(0, &row, &scorer, true);
-            assert_eq!(fast, slow, "row {row:?}");
-            assert_eq!(fm.index_pruned + fm.residual_evaluated, 5);
-            assert_eq!(sm.index_pruned, 0);
-            assert_eq!(sm.residual_evaluated, 5);
+        let q = |w: &str| format!("SELECT * FROM people{w}");
+        let sets: Vec<Vec<String>> = vec![
+            vec![
+                q(" WHERE region = 'EU'"),
+                q(" WHERE region = 'EU' AND tier = 'pro'"),
+                q(" WHERE tier = 'free' OR active = 'yes'"),
+                q(" WHERE NOT region = 'US'"),
+                q(" WHERE region IN ('US', 'APAC')"),
+            ],
+            // Only always-clauses: no column is constrained, so the
+            // disjunct bitsets stay all-ones past the clause count.
+            vec![q(""), q(" WHERE region IN ('EU', 'US', 'APAC')"), q("")],
+            // An unsatisfiable subscription contributes no clause.
+            vec![q(" WHERE tier = 'max'"), q(" WHERE region = 'EU' AND region = 'US'"), q("")],
+            // 80 clauses: two-word bitsets.
+            (0..40)
+                .map(|i| match i % 2 {
+                    0 => q(" WHERE tier = 'free' OR active = 'yes'"),
+                    _ => q(" WHERE region = 'US' OR tier = 'max'"),
+                })
+                .collect(),
+            // A cascaded model: a `Scalar` leaf the proxy decides.
+            vec![q(" WHERE PREDICT(nb) = 'yes'"), q(" WHERE region = 'EU' AND PREDICT(nb) = 'no'")],
+        ];
+        for (k, set) in sets.iter().enumerate() {
+            let mut cat = catalog();
+            for sql_text in set {
+                subscribe(&mut cat, sql_text);
+            }
+            let schema = cat.table(0).table.schema();
+            for compile in [false, true] {
+                let (hits, metrics, cascaded) = match_people(&cat, compile);
+                // Each row's candidates, straight from the clauses, and
+                // its matches, from the unrewritten predicates.
+                let subs: Vec<_> = cat.subscriptions().collect();
+                let guards: Vec<Vec<Clause>> = subs
+                    .iter()
+                    .map(|s| {
+                        let p = rewrite_mining_opts(s.predicate.clone(), schema, &cat, compile);
+                        guard_dnf(&p, &schema.cardinalities())
+                    })
+                    .collect();
+                let mut expected = Vec::new();
+                for (r, row) in all_rows().iter().enumerate() {
+                    let admits =
+                        |c: &Clause| c.atoms.iter().all(|(a, s)| s.contains(row[a.index()]));
+                    let n = guards.iter().filter(|g| g.iter().any(admits)).count() as u64;
+                    assert_eq!(metrics[r].residual_evaluated, n, "set {k} row {r}");
+                    for s in &subs {
+                        if s.predicate.eval(row, &cat, &mut 0) {
+                            expected.push((r as RowId, s.id));
+                        }
+                    }
+                }
+                assert_eq!(hits, expected, "set {k} compile {compile}");
+                if k == sets.len() - 1 && !compile {
+                    assert!(cascaded > 0, "the proxy cascade decided no row");
+                }
+            }
         }
     }
 
@@ -454,17 +465,16 @@ mod tests {
         for _ in 0..10 {
             subscribe(&mut cat, "SELECT * FROM people WHERE region = 'EU'");
         }
+        let (hits, metrics, _) = match_people(&cat, true);
+        // A US row is pruned by every subscription without evaluation.
+        let us = all_rows().iter().position(|r| r[0] == 1).unwrap();
+        assert_eq!(metrics[us].index_pruned, 10);
+        assert_eq!(metrics[us].residual_evaluated, 0);
+        assert!(hits.iter().all(|&(r, _)| all_rows()[r as usize][0] == 0));
+        // Identical predicates are not shared: one clause each.
         let idx = SubIndex::build(&cat, true);
-        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
-        // A US row is pruned by every group without any evaluation.
-        let (matched, m) = idx.match_row(0, &[1, 0, 0], &scorer, false);
-        assert!(matched.is_empty());
-        assert_eq!(m.index_pruned, 10);
-        assert_eq!(m.residual_evaluated, 0);
-        // Identical predicates share one clause group.
-        assert_eq!(idx.tables[0].groups.len(), 1);
-        assert_eq!(idx.tables[0].groups[0].subs.len(), 10);
-        assert!(idx.any_exact(0));
+        assert_eq!(idx.tables[0].owner, (0..10).collect::<Vec<u32>>());
+        assert!(idx.tables[0].guard.is_some());
     }
 
     #[test]
@@ -477,14 +487,9 @@ mod tests {
             &mut cat,
             "SELECT * FROM people WHERE region IN ('EU', 'US', 'APAC')",
         );
-        let idx = SubIndex::build(&cat, true);
-        let scorer = Scorer::with_cascades(&cat, build_cascades(&cat, &[]));
-        for row in all_rows() {
-            let (fast, _) = idx.match_row(0, &row, &scorer, false);
-            let (slow, _) = idx.match_row(0, &row, &scorer, true);
-            assert_eq!(fast, slow, "row {row:?}");
-            assert_eq!(fast, vec![2], "only the tautology matches");
-        }
+        let (hits, _, _) = match_people(&cat, true);
+        let only_tautology: Vec<(RowId, u64)> = (0..18).map(|r| (r, 2)).collect();
+        assert_eq!(hits, only_tautology, "only the tautology matches");
     }
 
     #[test]

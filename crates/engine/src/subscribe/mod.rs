@@ -10,14 +10,15 @@
 //! inserted row that satisfies the predicate is pushed back as a
 //! [`MatchEvent`].
 //!
-//! The matcher ([`index::SubIndex`]) groups the subscriptions' envelope
-//! DNF clauses by (column, member-mask) so one inserted row walks
-//! shared clause prefixes instead of evaluating every predicate
-//! independently; candidate subscriptions then evaluate their full
-//! rewritten predicate through a shared [`crate::vectorized`] scorer,
-//! whose proxy cascades decide additive models' predicates without a
-//! scorer call — and exactly-compiled subscriptions pay zero by
-//! construction.
+//! The matcher ([`index::SubIndex`]) runs on the query kernels. Every
+//! subscription's envelope DNF clauses on a table form one
+//! [`crate::vectorized::BoxTable`]; one column-at-a-time pass over an
+//! insert's rows picks each row's candidate subscriptions, and each
+//! candidate's rewritten predicate, compiled once into a
+//! [`crate::CompiledPredicate`], runs over its candidate rows as one
+//! selection through a shared [`crate::vectorized`] scorer, whose proxy
+//! cascades decide additive models' predicates without a scorer call —
+//! and exactly-compiled subscriptions pay zero by construction.
 
 mod index;
 
@@ -56,7 +57,8 @@ pub struct MatchEvent {
     pub row_id: RowId,
     /// The matched row (encoded members, schema order).
     pub row: Vec<Member>,
-    /// How the match was found (index-pruned vs residual-evaluated vs
-    /// scorer-banded counts for the row that produced it).
+    /// How the row that produced it was matched: how many
+    /// subscriptions the guard pruned and how many were evaluated
+    /// (`scorer_banded` reads 0).
     pub metrics: MatchMetrics,
 }

@@ -170,7 +170,7 @@ impl BoxTable {
     /// disjunct's bit under the members it matches, the rare second
     /// atom on the same column clears it under those it does not, and
     /// one last pass per column ORs in the disjuncts left unconstrained.
-    fn build(disjuncts: &[Expr], schema: &Schema) -> Option<BoxTable> {
+    pub(crate) fn build(disjuncts: &[Expr], schema: &Schema) -> Option<BoxTable> {
         if !is_box_dnf(disjuncts) {
             return None;
         }
@@ -213,17 +213,30 @@ impl BoxTable {
         Some(BoxTable { disjuncts: disjuncts.len(), words, cols })
     }
 
-    /// Keeps the rows of `ids` that lie in some box, column at a time:
-    /// `acc[i]` starts as the first column's bitset of row `i`, every
-    /// further column ANDs its own in — each pass one column slice and
-    /// one table, nothing else — and the last pass compacts on
-    /// `acc[i] != 0`. No allocation once `acc` has grown to a batch, no
-    /// evaluation order. Up to 64 disjuncts — every envelope under the
-    /// benchmark's threshold, every compiled-out tree — the bitset is
-    /// one word and the passes index it directly; the sliced form alone
-    /// takes twice as long on the benchmark's two box statements
-    /// (`stmt_wire_wide`: 203 → 415 and 317 → 840 µs).
+    /// Keeps the rows of `ids` that lie in some box: [`Self::and_columns`],
+    /// then one pass that compacts on `acc[i] != 0`.
     fn filter(&self, table: &Table, ids: Ids, sel: &mut Vec<RowId>, acc: &mut Vec<u64>) {
+        let words = self.words;
+        self.and_columns(table, ids, sel, acc);
+        let acc = &acc[..];
+        if words == 1 {
+            ids.compact(sel, |i, _| acc[i] != 0);
+        } else {
+            ids.compact(sel, |i, _| acc[i * words..(i + 1) * words].iter().any(|&a| a != 0));
+        }
+    }
+
+    /// Leaves in `acc` the disjunct bitset of each row of `ids`,
+    /// ⌈disjuncts / 64⌉ words a row, column at a time: `acc[i]` starts
+    /// all-ones, every column ANDs in its bitset of row `i` — each pass
+    /// one column slice and one table, nothing else. No allocation once
+    /// `acc` has grown to a batch, no evaluation order. Up to 64
+    /// disjuncts — every envelope under the benchmark's threshold, every
+    /// compiled-out tree — the bitset is one word and the passes index it
+    /// directly; the sliced form alone takes twice as long on the
+    /// benchmark's two box statements (`stmt_wire_wide`: 203 → 415 and
+    /// 317 → 840 µs).
+    pub(crate) fn and_columns(&self, table: &Table, ids: Ids, sel: &[RowId], acc: &mut Vec<u64>) {
         let words = self.words;
         acc.clear();
         acc.resize(ids.count(sel) * words, u64::MAX);
@@ -243,11 +256,6 @@ impl BoxTable {
                     row.zip(&lookup[at..at + words]).for_each(|(a, t)| *a &= t);
                 });
             }
-        }
-        if words == 1 {
-            ids.compact(sel, |i, _| acc[i] != 0);
-        } else {
-            ids.compact(sel, |i, _| acc[i * words..(i + 1) * words].iter().any(|&a| a != 0));
         }
     }
 
@@ -576,7 +584,7 @@ impl<'a> BatchCtx<'a> {
 /// (a run) and an index fetch or a later conjunct (a list) run the same
 /// code.
 #[derive(Clone, Copy)]
-enum Ids {
+pub(crate) enum Ids {
     /// The dense run `start..end` of a scan. The selection vector's
     /// contents are ignored; the node leaves its survivors there.
     Run { start: RowId, end: RowId },
